@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from recomb.dynamics import (
 )
 from recomb.measures import mixture, tv_deviation
 from recomb.partitions import (
+    MAX_SITES,
     Partition,
     bell_number,
     count_two_block,
@@ -69,6 +71,21 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _load(args) -> Scenario:
+    """The scenario with the command's --step, --seed and --samples
+    overrides applied and checked like values from the file."""
+    scenario = Scenario.from_file(args.config)
+    given = {
+        k: v for k in ("step", "seed", "samples") if (v := getattr(args, k, None)) is not None
+    }
+    if "step" in given:
+        scenario.step = given.pop("step")
+    if scenario.monte_carlo is not None:
+        scenario.monte_carlo = replace(scenario.monte_carlo, **given)
+    scenario.check()
+    return scenario
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,8 +109,8 @@ def _linear_regime(scenario: Scenario) -> bool:
 
 def cmd_lattice(args) -> int:
     n = args.n
-    if not 1 <= n <= 10:
-        log.error("lattice size must be between 1 and 10")
+    if not 1 <= n <= MAX_SITES:
+        log.error("lattice size must be between 1 and %d", MAX_SITES)
         return EXIT_CONFIG
     info: dict = {
         "n": n,
@@ -122,9 +139,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scenario = Scenario.from_file(args.config)
-    if args.step is not None:
-        scenario.step = args.step
+    scenario = _load(args)
     out = _out_dir(args)
     try:
         sol = build_closed_form(scenario.rates)
@@ -145,9 +160,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    scenario = Scenario.from_file(args.config)
-    if args.step is not None:
-        scenario.step = args.step
+    scenario = _load(args)
     out = _out_dir(args)
     grid = scenario.grid.array()
     g = scenario.ground
@@ -177,11 +190,10 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = Scenario.from_file(args.config)
+    scenario = _load(args)
     if scenario.monte_carlo is None:
         raise ScenarioError("simulate needs a monte_carlo block in the scenario")
-    samples = args.samples or scenario.monte_carlo.samples
-    seed = scenario.monte_carlo.seed if args.seed is None else args.seed
+    samples, seed = scenario.monte_carlo.samples, scenario.monte_carlo.seed
     t = scenario.mc_time()
     out = _out_dir(args)
     dist = estimate_distribution(scenario.rates, t, samples, seed)
@@ -197,9 +209,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = Scenario.from_file(args.config)
-    if args.step is not None:
-        scenario.step = args.step
+    scenario = _load(args)
     out = _out_dir(args)
     grid = scenario.grid.array()
     g = scenario.ground
@@ -260,8 +270,7 @@ def cmd_compare(args) -> int:
         checks.append(report["measure_vs_mixture"]["pass"])
 
     if scenario.monte_carlo is not None:
-        samples = args.samples or scenario.monte_carlo.samples
-        seed = scenario.monte_carlo.seed if args.seed is None else args.seed
+        samples, seed = scenario.monte_carlo.samples, scenario.monte_carlo.seed
         t = scenario.mc_time()
         dist = estimate_distribution(scenario.rates, t, samples, seed)
         if sol is not None:
@@ -319,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name in ("solve", "integrate", "compare"):
             p.add_argument("--step", type=float, default=None)
         if name in ("simulate", "compare"):
@@ -337,7 +345,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ScenarioError as exc:
-        log.error("configuration error: %s", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegeneracyError as exc:

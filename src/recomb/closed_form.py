@@ -32,8 +32,6 @@ __all__ = [
     "DegeneracyError",
     "NonInvertibleError",
     "ClosedFormSolution",
-    "marginal_rates",
-    "marginal_vector",
     "decay_rate",
     "linear_decay_rate",
     "split_block_count",
@@ -114,23 +112,6 @@ def _subsets(ground: tuple[int, ...]):
         yield from combinations(ground, size)
 
 
-def marginal_rates(rates: RateSystem, u) -> dict[Partition, float]:
-    """Rates induced on the subsystem u; their total equals the full total."""
-    return rates.marginal(u)
-
-
-def marginal_vector(q: CoefficientVector, u) -> CoefficientVector:
-    """Marginal of a coefficient vector: sums over restriction fibers."""
-    return q.marginal(u)
-
-
-def _top_decay(rates: RateSystem, u: tuple[int, ...]) -> float:
-    """Decay rate of the single-block partition of u: total rate minus the
-    marginal rate of staying whole."""
-    marg = rates.marginal(u)
-    return rates.total - marg.get(Partition.whole(u), 0.0)
-
-
 def decay_rate(rates: RateSystem, u, a: Partition) -> float:
     """Total transition rate out of a partition state: additive over blocks,
     each block contributing the rate of events that split it."""
@@ -139,7 +120,7 @@ def decay_rate(rates: RateSystem, u, a: Partition) -> float:
         raise ValueError("partition is not on the requested subset")
     if not set(g) <= set(rates.ground):
         raise ValueError("subset is not inside the ground set")
-    return float(sum(_top_decay(rates, block) for block in a.blocks))
+    return float(sum(rates.splitting_rate(block) for block in a.blocks))
 
 
 def linear_decay_rate(rates: RateSystem, u, a: Partition) -> float:
@@ -202,7 +183,7 @@ def rates_from_linear_decay(
 
 def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
     ground = rates.ground
-    tops = {u: _top_decay(rates, u) for u in _subsets(ground)}
+    tops = {u: rates.splitting_rate(u) for u in _subsets(ground)}
     tables: dict[tuple[int, ...], np.ndarray] = {}
     for u in _subsets(ground):
         lat = lattice(u)
@@ -230,21 +211,17 @@ def _scan_degeneracies(
         # mass of the upward interval [B, top), per partition B
         interval_mass = finer.astype(float) @ rvec - rvec[top]
         close = np.abs(psi[:, None] - psi[None, :]) <= tol_abs
-        for i in range(lat.size):
-            for j in range(i + 1, lat.size):
-                if not close[i, j]:
-                    continue
-                if top in (i, j):
-                    other = i if j == top else j
-                    kind = "bad" if interval_mass[other] > 0.0 else "harmless"
-                else:
-                    kind = "harmless"
-                report.pairs.append(
-                    DegeneracyPair(
-                        u, lat.parts[i], lat.parts[j],
-                        float(psi[i]), float(psi[j]), kind,
-                    )
+        for i, j in zip(*np.nonzero(np.triu(close, 1))):
+            if top in (i, j):
+                other = i if j == top else j
+                kind = "bad" if interval_mass[other] > 0.0 else "harmless"
+            else:
+                kind = "harmless"
+            report.pairs.append(
+                DegeneracyPair(
+                    u, lat.parts[i], lat.parts[j], float(psi[i]), float(psi[j]), kind
                 )
+            )
     return report
 
 
@@ -304,7 +281,14 @@ class ClosedFormSolution:
         g = self._key(u)
         cached = self._inverse.get(g)
         if cached is None:
-            self._inverse[g] = cached = _invert_incidence(g, self._coeff[g])
+            theta = self._coeff[g]
+            scale = max(1.0, float(np.abs(theta).max()))
+            if np.abs(np.diag(theta)).min() <= _DIAG_TOL * scale:
+                raise NonInvertibleError(
+                    "coefficient table has a vanishing diagonal entry; "
+                    "inverse requires positive rates on all two-block partitions"
+                )
+            self._inverse[g] = cached = lattice(g).incidence_inverse(theta)
         return cached
 
     def inverse_coefficient(self, u, a: Partition, b: Partition) -> float:
@@ -353,30 +337,6 @@ class ClosedFormSolution:
                 "coeff": rows,
             }
         return out
-
-
-def _invert_incidence(ground: tuple[int, ...], theta: np.ndarray) -> np.ndarray:
-    lat = lattice(ground)
-    diag = np.diag(theta)
-    scale = max(1.0, float(np.abs(theta).max()))
-    if np.abs(diag).min() <= _DIAG_TOL * scale:
-        raise NonInvertibleError(
-            "coefficient table has a vanishing diagonal entry; "
-            "inverse requires positive rates on all two-block partitions"
-        )
-    finer = lat.finer
-    eta = np.zeros_like(theta)
-    order = np.argsort(lat.block_counts, kind="stable")  # coarsest first
-    for i in order:
-        eta[i, i] = 1.0 / diag[i]
-        for j in np.nonzero(finer[i])[0]:
-            if j == i:
-                continue
-            between = finer[i] & finer[:, j]
-            between[i] = False
-            s = theta[i, between] @ eta[between, j]
-            eta[i, j] = -s / diag[i]
-    return eta
 
 
 def build_closed_form(

@@ -73,8 +73,8 @@ class RateSystem:
             if p.ground != g:
                 raise ValueError(f"partition {p} is not on the ground set {g}")
             r = float(r)
-            if r < 0:
-                raise ValueError(f"negative rate for {p}")
+            if not (math.isfinite(r) and r >= 0):
+                raise ValueError(f"rate for {p} must be finite and nonnegative, got {r}")
             clean[p] = r
         self.ground = g
         self.rates = clean
@@ -123,21 +123,15 @@ class RateSystem:
         return vec
 
     def splitting_rate(self, u) -> float:
-        """Total rate of events whose partition separates the sites of u."""
+        """Total rate of events whose partition separates the sites of u: the
+        total minus the marginal rate of keeping u whole.  This is the decay
+        rate of the single-block partition of u; a partition's decay (exit)
+        rate is the sum over its blocks."""
         g = as_ground(u)
         cached = self._splitting.get(g)
         if cached is None:
-            total = 0.0
-            want = set(g)
-            for p, r in self.rates.items():
-                if r == 0.0:
-                    continue
-                for block in p.blocks:
-                    if g[0] in block:
-                        if not want <= set(block):
-                            total += r
-                        break
-            self._splitting[g] = cached = total
+            cached = self.total - self.marginal(g).get(Partition.whole(g), 0.0)
+            self._splitting[g] = cached
         return cached
 
     def __repr__(self) -> str:
@@ -191,9 +185,11 @@ class CoefficientVector:
         return bool(self.values.min() >= -tol and abs(self.sum() - 1.0) <= tol)
 
     def marginal(self, u) -> "CoefficientVector":
+        """Sums over restriction fibers: the induced vector on the subsystem u."""
         g = as_ground(u)
-        m = lattice(self.ground).marginal_matrix(g)
-        return CoefficientVector(g, m @ self.values)
+        ridx = lattice(self.ground).restriction_index(g)
+        sums = np.bincount(ridx, weights=self.values, minlength=lattice(g).size)
+        return CoefficientVector(g, sums)
 
 
 def refinement_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
@@ -220,9 +216,8 @@ def refinement_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
     lat = lattice(q.ground)
     out = total ** (1 - b.block_count)
     for block in b.blocks:
-        sub = lattice(block)
-        target = sub.index[restrict(a, block)]
-        out *= float(lat.marginal_matrix(block)[target] @ v)
+        ridx = lat.restriction_index(block)
+        out *= float(v[ridx == ridx[lat.index[a]]].sum())
     return out
 
 
@@ -268,41 +263,57 @@ class _GatherProgram:
         return gain + loss
 
 
-def _build_coefficient_program(rates: RateSystem) -> _GatherProgram:
-    lat = lattice(rates.ground)
-    supported = [(p, r) for p, r in rates.rates.items() if r > 0]
-    n_states = lat.size
+def _compile(supported, block_index, weight, total, width) -> _GatherProgram:
+    """Shared compile step of both right-hand sides.
+
+    ``block_index(u)`` gives, for each of the ``width`` states, its cell in
+    the marginal on the block u, together with the number of cells;
+    ``weight(p, r)`` gives the weight row of the supported pair (p, r).  The
+    marginals of all blocks are stacked as 0/1 rows in sorted block order, and
+    each supported partition gathers one stacked row per block, padded with
+    the trailing constant-1 slot.
+    """
     if not supported:
         return _GatherProgram(
-            np.zeros((0, n_states)),
-            np.zeros((0, 0, n_states), dtype=np.int64),
+            np.zeros((0, width)),
+            np.zeros((0, 0, width), dtype=np.int64),
             np.zeros((0, 1)),
             np.zeros(0),
-            rates.total,
-            n_states,
+            total,
+            width,
         )
     blocks = sorted({block for p, _ in supported for block in p.blocks})
-    offsets: dict[tuple[int, ...], int] = {}
+    cells: dict[tuple[int, ...], np.ndarray] = {}
     rows = []
     q = 0
     for u in blocks:
-        m = lat.marginal_matrix(u)
-        offsets[u] = q
+        idx, n_cells = block_index(u)
+        m = np.zeros((n_cells, width))
+        m[idx, np.arange(width)] = 1.0
+        cells[u] = q + idx
         rows.append(m)
-        q += m.shape[0]
+        q += n_cells
     stack = np.vstack(rows)
-    one_slot = q  # extended marginal vector carries a trailing constant 1
     rmax = max(p.block_count for p, _ in supported)
-    gather = np.full((len(supported), rmax, n_states), one_slot, dtype=np.int64)
-    weights = np.zeros((len(supported), n_states))
-    powers = np.zeros(len(supported))
-    finer = lat.finer
-    for k, (p, r) in enumerate(supported):
+    gather = np.full((len(supported), rmax, width), q, dtype=np.int64)
+    for k, (p, _) in enumerate(supported):
         for i, u in enumerate(p.blocks):
-            gather[k, i] = offsets[u] + lat.restriction_index(u)
-        weights[k] = r * finer[:, lat.index[p]]
-        powers[k] = 1 - p.block_count
-    return _GatherProgram(stack, gather, weights, powers, rates.total, n_states)
+            gather[k, i] = cells[u]
+    weights = np.array([weight(p, r) for p, r in supported])
+    powers = np.array([1.0 - p.block_count for p, _ in supported])
+    return _GatherProgram(stack, gather, weights, powers, total, width)
+
+
+def _build_coefficient_program(rates: RateSystem) -> _GatherProgram:
+    lat = lattice(rates.ground)
+    supported = [(p, r) for p, r in rates.rates.items() if r > 0]
+    return _compile(
+        supported,
+        lambda u: (lat.restriction_index(u), lattice(u).size),
+        lambda p, r: r * lat.finer[:, lat.index[p]],
+        rates.total,
+        lat.size,
+    )
 
 
 def _coefficient_program(rates: RateSystem) -> _GatherProgram:
@@ -314,48 +325,20 @@ def _coefficient_program(rates: RateSystem) -> _GatherProgram:
 def _build_measure_program(rates: RateSystem, space: TypeSpace) -> _GatherProgram:
     if space.sites != rates.ground:
         raise ValueError("measure sites must match the rate system ground set")
-    n_states = space.n_states
     supported = [(p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1]
     kept = rates.total - sum(r for _, r in supported)  # identity-acting mass
-    if not supported:
-        return _GatherProgram(
-            np.zeros((0, n_states)),
-            np.zeros((0, 0, n_states), dtype=np.int64),
-            np.zeros((0, 1)),
-            np.zeros(0),
-            rates.total - kept,
-            n_states,
-        )
-    coords = np.array(list(np.ndindex(*space.sizes)), dtype=np.int64).T  # (n, N)
-    blocks = sorted({block for p, _ in supported for block in p.blocks})
-    offsets: dict[tuple[int, ...], int] = {}
-    proj_index: dict[tuple[int, ...], np.ndarray] = {}
-    rows = []
-    q = 0
-    for u in blocks:
+    coords = np.indices(space.sizes).reshape(len(space.sizes), -1)  # (n, N)
+
+    def block_index(u):
         axes = [space.axis(s) for s in u]
         sizes_u = tuple(space.sizes[ax] for ax in axes)
         idx = np.ravel_multi_index([coords[ax] for ax in axes], sizes_u)
-        proj_index[u] = idx
-        n_u = int(np.prod(sizes_u))
-        m = np.zeros((n_u, n_states))
-        m[idx, np.arange(n_states)] = 1.0
-        offsets[u] = q
-        rows.append(m)
-        q += n_u
-    stack = np.vstack(rows)
-    one_slot = q
-    rmax = max(p.block_count for p, _ in supported)
-    gather = np.full((len(supported), rmax, n_states), one_slot, dtype=np.int64)
-    weights = np.zeros((len(supported), 1))
-    powers = np.zeros(len(supported))
-    for k, (p, r) in enumerate(supported):
-        for i, u in enumerate(p.blocks):
-            gather[k, i] = offsets[u] + proj_index[u]
-        weights[k, 0] = r
-        powers[k] = 1 - p.block_count
+        return idx, int(np.prod(sizes_u))
+
     # single-block rates act as the identity, cancelling part of the loss term
-    return _GatherProgram(stack, gather, weights, powers, rates.total - kept, n_states)
+    return _compile(
+        supported, block_index, lambda p, r: [r], rates.total - kept, space.n_states
+    )
 
 
 def _measure_program(rates: RateSystem, space: TypeSpace) -> _GatherProgram:
@@ -406,17 +389,21 @@ def _validate_grid(grid) -> np.ndarray:
     return g
 
 
-def _validate_step(step, rates: RateSystem, span: float) -> float:
-    if step is None:
-        return default_step(rates, span)
+def check_step(step, rates: RateSystem) -> float:
+    """An integrator step: finite, positive, and step * rho_total at most
+    MAX_STEP_FRACTION."""
     step = float(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     if step * rates.total > MAX_STEP_FRACTION + 1e-12:
         raise ValueError(
             f"step {step} too large: step * rho_total must be <= {MAX_STEP_FRACTION}"
         )
     return step
+
+
+def _validate_step(step, rates: RateSystem, span: float) -> float:
+    return default_step(rates, span) if step is None else check_step(step, rates)
 
 
 def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, step: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 __all__ = [
+    "MAX_SITES",
     "Partition",
     "ground_set",
     "bell_number",
@@ -41,6 +42,10 @@ __all__ = [
     "zeta_element",
     "mobius_element",
 ]
+
+# largest site count the command line and scenario files accept: Bell(10) is
+# 115975 partitions, and the dense (B, B) tables grow with its square
+MAX_SITES = 10
 
 
 def ground_set(n: int) -> tuple[int, ...]:
@@ -173,25 +178,43 @@ def count_two_block(n: int) -> int:
     return 2 ** (n - 1) - 1
 
 
-def _iter_rgs(ground: tuple[int, ...]):
-    """Yield canonical partitions in lexicographic restricted-growth-string order."""
-    n = len(ground)
-    labels = [0] * n
+def _rgs_labels(n: int) -> np.ndarray:
+    """All restricted growth strings of length n >= 1, one row each, in
+    lexicographic order.
 
-    def rec(i: int, m: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(m)]
-            for pos, lab in enumerate(labels):
-                blocks[lab].append(ground[pos])
-            yield Partition._from_canonical(
-                tuple(tuple(b) for b in blocks), ground
-            )
-            return
-        for v in range(m + 1):
-            labels[i] = v
-            yield from rec(i + 1, m + 1 if v == m else m)
+    Entry [p, s] is the block number of site s in partition p; blocks are
+    numbered in order of first appearance, which is the canonical block order.
+    """
+    labels = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(n - 1):
+        fan = labels.max(axis=1).astype(np.int64) + 2  # join a block, or open one
+        start = np.repeat(np.cumsum(fan) - fan, fan)
+        new = (np.arange(start.size) - start).astype(np.int8)
+        labels = np.column_stack([np.repeat(labels, fan, axis=0), new])
+    return labels
 
-    yield from rec(0, 0)
+
+def _canonical(labels: np.ndarray) -> np.ndarray:
+    """Relabel every row to its restricted growth string: same blocks, numbered
+    in order of first appearance."""
+    rows = np.arange(labels.shape[0])
+    number = np.full((labels.shape[0], int(labels.max()) + 1), -1, dtype=np.int64)
+    used = np.zeros(labels.shape[0], dtype=np.int64)
+    out = np.empty(labels.shape, dtype=np.int64)
+    for s in range(labels.shape[1]):
+        col = labels[:, s]
+        fresh = number[rows, col] < 0
+        number[rows[fresh], col[fresh]] = used[fresh]
+        used += fresh
+        out[:, s] = number[rows, col]
+    return out
+
+
+def _encode(rgs: np.ndarray) -> np.ndarray:
+    """Base-n code of each length-n restricted growth string; increasing in
+    lexicographic order because every label is below n."""
+    n = rgs.shape[1]
+    return rgs.astype(np.int64) @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def enumerate_partitions(ground) -> list[Partition]:
@@ -273,71 +296,89 @@ def join_disjoint(parts: Iterable[Partition]) -> Partition:
 class Lattice:
     """Enumeration, order, meet and Moebius tables for one ground set.
 
-    Heavy tables are built lazily and kept for the lifetime of the cache
-    entry; everything is read-only after construction.
+    The single representation is ``labels``, the (B, n) array of restricted
+    growth strings in enumeration order; every table is derived from it with
+    array operations.  Heavy tables are built lazily and kept for the
+    lifetime of the cache entry; everything is read-only after construction.
     """
 
     def __init__(self, ground: tuple[int, ...]):
         self.ground = ground
-        self.parts: tuple[Partition, ...] = tuple(_iter_rgs(ground))
+        self.labels = _rgs_labels(len(ground))
+        self.codes = _encode(self.labels)
+        parts = []
+        for row in self.labels.tolist():
+            blocks: list[list[int]] = [[] for _ in range(max(row) + 1)]
+            for site, lab in zip(ground, row):
+                blocks[lab].append(site)
+            parts.append(Partition._from_canonical(tuple(map(tuple, blocks)), ground))
+        self.parts: tuple[Partition, ...] = tuple(parts)
         self.size = len(self.parts)
         self.index: dict[Partition, int] = {p: i for i, p in enumerate(self.parts)}
         self.top_index = self.index[Partition.whole(ground)]
         self.bottom_index = self.index[Partition.singletons(ground)]
-        self.block_counts = np.array([p.block_count for p in self.parts])
+        self.block_counts = self.labels.max(axis=1).astype(np.int64) + 1
         self._finer: np.ndarray | None = None
         self._meet_table: np.ndarray | None = None
         self._mobius: np.ndarray | None = None
         self._restrict_index: dict[tuple[int, ...], np.ndarray] = {}
-        self._marginal_matrix: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _lookup(self, labels: np.ndarray) -> np.ndarray:
+        """Lattice index of each row of a (k, n) block-label array."""
+        return np.searchsorted(self.codes, _encode(_canonical(labels)))
 
     @property
     def finer(self) -> np.ndarray:
-        """Boolean matrix: finer[i, j] iff parts[i] refines parts[j]."""
+        """Boolean matrix: finer[i, j] iff parts[i] refines parts[j].
+
+        a refines b iff b's labels are constant on each block of a, that is,
+        every site carries b's label of the first site of its a-block."""
         if self._finer is None:
-            B = self.size
-            f = np.zeros((B, B), dtype=bool)
-            for i, a in enumerate(self.parts):
-                for j, b in enumerate(self.parts):
-                    f[i, j] = is_refinement(a, b)
+            lab = self.labels
+            first = np.argmax(lab[:, :, None] == lab[:, None, :], axis=2)
+            f = np.ones((self.size, self.size), dtype=bool)
+            for s in range(1, lab.shape[1]):
+                f &= (lab[:, first[:, s]] == lab[:, s, None]).T
             self._finer = f
         return self._finer
 
     @property
     def meet_table(self) -> np.ndarray:
-        """meet_table[i, j] = index of parts[i] meet parts[j]."""
+        """meet_table[i, j] = index of parts[i] meet parts[j]: the blocks of
+        the meet are the sites sharing both labels."""
         if self._meet_table is None:
-            B = self.size
-            m = np.zeros((B, B), dtype=np.int64)
-            for i in range(B):
-                m[i, i] = i
-                for j in range(i + 1, B):
-                    k = self.index[meet(self.parts[i], self.parts[j])]
-                    m[i, j] = m[j, i] = k
+            n = len(self.ground)
+            lab = self.labels.astype(np.int64)
+            m = np.empty((self.size, self.size), dtype=np.int64)
+            for i in range(self.size):
+                m[i] = self._lookup(lab[i] * n + lab)
             self._meet_table = m
         return self._meet_table
 
+    def incidence_inverse(self, theta: np.ndarray) -> np.ndarray:
+        """Inverse of an incidence-algebra element given as a (B, B) table
+        that vanishes off the order and has a nonzero diagonal.
+
+        Coarsest-first row recursion over the strictly coarser elements up(i):
+        eta[i] = (e_i - theta[i, up(i)] @ eta[up(i)]) / theta[i, i].  A
+        boolean table (the zeta function) is inverted exactly in int64.
+        """
+        finer = self.finer
+        eta = np.zeros(theta.shape, dtype=np.int64 if theta.dtype == bool else float)
+        for i in np.argsort(self.block_counts, kind="stable"):
+            up = np.flatnonzero(finer[i])
+            up = up[up != i]
+            row = -(theta[i, up] @ eta[up])
+            row[i] += 1
+            eta[i] = row / theta[i, i]
+        return eta
+
     @property
     def mobius_matrix(self) -> np.ndarray:
-        """Integer matrix of the Moebius function, the inverse of zeta.
-
-        Computed by the memoized interval recursion; zero outside the order.
-        """
+        """Integer matrix of the Moebius function, the inverse of zeta; zero
+        outside the order."""
         if self._mobius is None:
-            finer = self.finer
-            B = self.size
-            mob = np.zeros((B, B), dtype=np.int64)
-            # process coarser elements after all strictly finer ones
-            order = np.argsort(-self.block_counts, kind="stable")
-            for i in range(B):
-                mob[i, i] = 1
-                for j in order:
-                    if j == i or not finer[i, j]:
-                        continue
-                    inside = finer[i] & finer[:, j]
-                    inside[j] = False
-                    mob[i, j] = -int(mob[i, inside].sum())
-            self._mobius = mob
+            self._mobius = self.incidence_inverse(self.finer)
         return self._mobius
 
     def zeta_matrix(self) -> np.ndarray:
@@ -348,23 +389,11 @@ class Lattice:
         g = as_ground(u)
         cached = self._restrict_index.get(g)
         if cached is None:
-            sub = lattice(g)
-            cached = np.array(
-                [sub.index[restrict(p, g)] for p in self.parts], dtype=np.int64
-            )
+            if not set(g) <= set(self.ground):
+                raise ValueError(f"{g} is not a subset of the ground set {self.ground}")
+            cols = [self.ground.index(x) for x in g]
+            cached = lattice(g)._lookup(self.labels[:, cols])
             self._restrict_index[g] = cached
-        return cached
-
-    def marginal_matrix(self, u) -> np.ndarray:
-        """0/1 matrix sending a vector on this lattice to its marginal on lattice(u)."""
-        g = as_ground(u)
-        cached = self._marginal_matrix.get(g)
-        if cached is None:
-            sub = lattice(g)
-            ridx = self.restriction_index(g)
-            m = np.zeros((sub.size, self.size))
-            m[ridx, np.arange(self.size)] = 1.0
-            self._marginal_matrix[g] = cached = m
         return cached
 
 

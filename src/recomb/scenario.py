@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from recomb.dynamics import CoefficientTrajectory, MeasureTrajectory, RateSystem
+from recomb.dynamics import check_step
 from recomb.measures import (
     Measure,
     TypeSpace,
@@ -37,7 +38,7 @@ from recomb.measures import (
     product_measure,
     uniform_measure,
 )
-from recomb.partitions import Partition, ground_set, lattice, parse_partition
+from recomb.partitions import MAX_SITES, Partition, ground_set, lattice, parse_partition
 from recomb.process import EmpiricalDistribution
 
 __all__ = [
@@ -70,8 +71,8 @@ class TimeGrid:
     def array(self) -> np.ndarray:
         if self.start != 0.0:
             raise ScenarioError("time grid must start at 0")
-        if self.points < 1 or self.end <= self.start:
-            raise ScenarioError("time grid needs end > 0 and at least one point")
+        if self.points < 1 or not (math.isfinite(self.end) and self.end > self.start):
+            raise ScenarioError("time grid needs a finite end > 0 and at least one point")
         return np.linspace(self.start, self.end, self.points)
 
 
@@ -120,8 +121,10 @@ class Scenario:
             n = int(doc["n"])
         except KeyError as exc:
             raise ScenarioError("scenario needs a site count 'n'") from exc
-        if n < 1:
-            raise ScenarioError("n must be at least 1")
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"n must be an integer: {exc}") from exc
+        if not 1 <= n <= MAX_SITES:
+            raise ScenarioError(f"n must be between 1 and {MAX_SITES}, got {n}")
         ground = ground_set(n)
 
         sizes = doc.get("alphabet_sizes")
@@ -139,15 +142,15 @@ class Scenario:
                 p = parse_partition(key, ground)
             except ValueError as exc:
                 raise ScenarioError(f"bad rate key {key!r}: {exc}") from exc
-            value = float(value)
-            if value < 0:
-                raise ScenarioError(f"negative rate for {key!r}")
             if two_block_only and p.block_count != 2:
                 raise ScenarioError(
                     f"two_block_only scenario has a non-two-block key {key!r}"
                 )
             parsed[p] = value
-        rates = RateSystem(ground, parsed)
+        try:
+            rates = RateSystem(ground, parsed)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad rates: {exc}") from exc
 
         grid_doc = doc.get("time_grid", {"start": 0.0, "end": 1.0, "points": 11})
         grid = TimeGrid(
@@ -159,8 +162,6 @@ class Scenario:
 
         step = doc.get("step")
         step = None if step is None else float(step)
-        if step is not None and step <= 0:
-            raise ScenarioError("step must be positive")
 
         mc_doc = doc.get("monte_carlo")
         monte_carlo = None
@@ -173,8 +174,6 @@ class Scenario:
                 )
             except KeyError as exc:
                 raise ScenarioError("monte_carlo block needs samples and seed") from exc
-            if monte_carlo.samples < 1:
-                raise ScenarioError("monte_carlo samples must be positive")
 
         tol_doc = doc.get("tolerances", {})
         tolerances = Tolerances(
@@ -190,7 +189,7 @@ class Scenario:
                 "initial_measure must be a string spec or an inline tensor"
             )
 
-        return cls(
+        scenario = cls(
             n=n,
             rates=rates,
             alphabet_sizes=sizes,
@@ -202,6 +201,26 @@ class Scenario:
             tolerances=tolerances,
             base_dir=base_dir or Path(),
         )
+        scenario.check()
+        return scenario
+
+    def check(self) -> None:
+        """Check the fields the command line can override: the integrator
+        step against the rates, and the Monte Carlo block."""
+        if self.step is not None:
+            try:
+                check_step(self.step, self.rates)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
+        mc = self.monte_carlo
+        if mc is None:
+            return
+        if mc.samples < 1:
+            raise ScenarioError(f"monte_carlo samples must be positive, got {mc.samples}")
+        if not 0 <= mc.seed < 2**128:  # the Philox key range
+            raise ScenarioError(f"monte_carlo seed must be in [0, 2**128), got {mc.seed}")
+        if mc.t is not None and not (math.isfinite(mc.t) and mc.t >= 0):
+            raise ScenarioError(f"monte_carlo t must be finite and nonnegative, got {mc.t}")
 
     @classmethod
     def from_file(cls, path) -> "Scenario":

@@ -22,7 +22,6 @@ from recomb.closed_form import (
     exp_convolution,
     exp_monomial_convolution,
     linear_solution,
-    marginal_vector,
 )
 from recomb.dynamics import (
     CoefficientVector,
@@ -207,7 +206,7 @@ def test_criterion_6_marginalization():
                     direct.decay_table(u), sol.decay_table(u), atol=1e-10
                 )
                 for t in ts:
-                    lhs = marginal_vector(sol.evaluate(g, t), u).values
+                    lhs = sol.evaluate(g, t).marginal(u).values
                     rhs = direct.evaluate(u, t).values
                     assert np.abs(lhs - rhs).max() <= 1e-10
 

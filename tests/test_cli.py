@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from recomb.cli import main
+from recomb.partitions import MAX_SITES
 from recomb.scenario import (
     Scenario,
     ScenarioError,
@@ -307,6 +308,56 @@ class TestScenarioValidation:
     def test_scenario_error_is_valueerror(self):
         with pytest.raises(ScenarioError):
             Scenario.from_dict({"n": 0})
+
+    @pytest.mark.parametrize("command", ["solve", "integrate", "simulate", "compare"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rates": {"1|2|3": float("nan")}},
+            {"rates": {"1|2|3": float("inf")}},
+            {"step": 1.0},
+            {"monte_carlo": {"samples": 100, "seed": -5}},
+            {"monte_carlo": {"samples": -5, "seed": 1}},
+            {"monte_carlo": {"samples": 100, "seed": 1, "t": -1.0}},
+            {"time_grid": {"start": 0, "end": float("nan"), "points": 3}},
+            {"n": MAX_SITES + 1},
+            {"n": 30},
+        ],
+        ids=[
+            "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
+            "negative-mc-time", "nan-grid-end", "n-above-cap", "n-30",
+        ],
+    )
+    def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):
+        # json writes NaN and Infinity literals, which the scenario loader reads
+        cfg = write_config(tmp_path, {**GENERIC_N3, **change})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--step", "1.0"],
+            ["integrate", "--step", "1.0"],
+            ["compare", "--step", "1.0"],
+            ["integrate", "--step", "0"],
+            ["simulate", "--seed", "-5"],
+            ["compare", "--seed", "-5"],
+            ["simulate", "--samples", "-5"],
+            ["compare", "--samples", "-5"],
+            ["simulate", "--samples", "0"],
+        ],
+    )
+    def test_bad_override_rejected(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, GENERIC_N3)
+        out = tmp_path / "out"
+        assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestCsvFormat:

@@ -15,8 +15,6 @@ from recomb.closed_form import (
     exp_monomial_convolution,
     linear_decay_rate,
     linear_solution,
-    marginal_rates,
-    marginal_vector,
     rates_from_linear_decay,
     split_block_count,
 )
@@ -67,29 +65,29 @@ def linear_solution_oracle(rates, u, t):
 class TestMarginals:
     def test_full_subset_identity(self):
         rates = random_rates(3, seed=0)
-        assert marginal_rates(rates, (1, 2, 3)) == rates.rates
+        assert rates.marginal((1, 2, 3)) == rates.rates
 
     def test_total_preserved_on_all_subsets(self):
         rates = random_rates(4, seed=1)
         for u in all_subsets(ground_set(4)):
-            assert sum(marginal_rates(rates, u).values()) == pytest.approx(rates.total)
+            assert sum(rates.marginal(u).values()) == pytest.approx(rates.total)
 
     def test_bottom_rate_marginalizes_to_bottom(self):
         g = ground_set(3)
         rates = RateSystem(g, {Partition.singletons(g): 1.0})
-        marg = marginal_rates(rates, (1, 2))
+        marg = rates.marginal((1, 2))
         assert marg[Partition.singletons((1, 2))] == pytest.approx(1.0)
 
     def test_vector_marginal_full_set(self):
         rates = random_rates(3, seed=2)
         q = linear_solution(rates, (1, 2, 3), 0.7)
-        np.testing.assert_array_equal(marginal_vector(q, (1, 2, 3)).values, q.values)
+        np.testing.assert_array_equal(q.marginal((1, 2, 3)).values, q.values)
 
     def test_delta_top_marginalizes_to_delta_top(self):
         g = ground_set(4)
         q = CoefficientVector.delta_top(g)
         for u in [(1, 2), (2, 3, 4)]:
-            m = marginal_vector(q, u)
+            m = q.marginal(u)
             assert m.value(Partition.whole(u)) == pytest.approx(1.0)
             assert m.sum() == pytest.approx(1.0)
 
@@ -97,10 +95,10 @@ class TestMarginals:
         rates = random_rates(4, seed=3)
         q = linear_solution(rates, ground_set(4), 0.9)
         for v in [(1, 2, 3), (2, 3, 4)]:
-            qv = marginal_vector(q, v)
+            qv = q.marginal(v)
             for u in [(v[0],), v[:2]]:
-                direct = marginal_vector(q, u)
-                via_v = marginal_vector(qv, u)
+                direct = q.marginal(u)
+                via_v = qv.marginal(u)
                 np.testing.assert_allclose(direct.values, via_v.values, atol=1e-14)
 
 
@@ -361,7 +359,7 @@ class TestBuild:
         sol = build_closed_form(rates)
         for u in all_subsets(g)[:-1]:
             for t in (0.2, 1.0, 4.0):
-                lhs = marginal_vector(sol.evaluate(g, t), u).values
+                lhs = sol.evaluate(g, t).marginal(u).values
                 rhs = sol.evaluate(u, t).values
                 np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 

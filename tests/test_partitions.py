@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestRefinementOrder:
         with pytest.raises(ValueError):
             is_refinement(Partition([[1, 2]]), Partition([[1], [2], [3]]))
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_partial_order_axioms_exhaustive(self, n):
         lat = lattice(ground_set(n))
         f = lat.finer
@@ -114,6 +115,36 @@ class TestRefinementOrder:
         # transitive: finer composed with finer stays inside finer
         reach = (f.astype(int) @ f.astype(int)) > 0
         assert not np.any(reach & ~f)
+
+
+class TestLatticeTables:
+    """The array tables against the object-level oracles, exhaustively."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_finer_matches_is_refinement(self, n):
+        lat = lattice(ground_set(n))
+        expected = [[is_refinement(a, b) for b in lat.parts] for a in lat.parts]
+        assert np.array_equal(lat.finer, expected)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_meet_table_matches_meet(self, n):
+        lat = lattice(ground_set(n))
+        expected = [[lat.index[meet(a, b)] for b in lat.parts] for a in lat.parts]
+        assert np.array_equal(lat.meet_table, expected)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_restriction_index_matches_restrict(self, n):
+        g = ground_set(n)
+        lat = lattice(g)
+        for size in range(1, n + 1):
+            for u in combinations(g, size):
+                sub = lattice(u)
+                expected = [sub.index[restrict(p, u)] for p in lat.parts]
+                assert np.array_equal(lat.restriction_index(u), expected), u
+
+    def test_restriction_index_rejects_foreign_sites(self):
+        with pytest.raises(ValueError):
+            lattice(ground_set(3)).restriction_index((2, 4))
 
 
 class TestMeet:

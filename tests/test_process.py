@@ -19,6 +19,17 @@ from recomb.process import (
 from conftest import random_rates
 
 
+def splitting_rate_oracle(rates, u):
+    """Total rate of events whose partition separates the sites of u, by a
+    scan for the block of each rated partition that holds u's first site."""
+    total = 0.0
+    for p, r in rates.rates.items():
+        block = next(b for b in p.blocks if u[0] in b)
+        if not set(u) <= set(block):
+            total += r
+    return total
+
+
 def two_site_rates(rho=1.0):
     g = ground_set(2)
     return RateSystem(g, {Partition.singletons(g): rho})
@@ -40,9 +51,9 @@ class TestExitRate:
         rates = random_rates(4, seed=2)
         g = ground_set(4)
         for c in lattice(g).parts:
-            assert exit_rate(rates, c) == pytest.approx(
-                decay_rate(rates, g, c), abs=1e-12
-            )
+            expected = sum(splitting_rate_oracle(rates, block) for block in c.blocks)
+            assert exit_rate(rates, c) == pytest.approx(expected, abs=1e-12)
+            assert decay_rate(rates, g, c) == pytest.approx(expected, abs=1e-12)
 
     def test_ground_mismatch(self):
         rates = random_rates(3, seed=3)
