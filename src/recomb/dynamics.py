@@ -61,7 +61,7 @@ class RateSystem:
         "_splitting",
         "_coeff_program",
         "_measure_programs",
-        "_catalogs",
+        "_chain",
     )
 
     def __init__(self, ground, rates: Mapping[Partition, float]):
@@ -83,7 +83,7 @@ class RateSystem:
         self._splitting: dict[tuple[int, ...], float] = {}
         self._coeff_program = None
         self._measure_programs: dict[TypeSpace, _GatherProgram] = {}
-        self._catalogs: dict[Partition, object] = {}
+        self._chain: dict[int, tuple[list[int], list[float]]] = {}
 
     @classmethod
     def from_strings(cls, ground, rates: Mapping[str, float]) -> "RateSystem":

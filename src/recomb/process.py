@@ -7,28 +7,30 @@ marginal rate, independently across blocks.  Its distribution at time t
 matches the coefficient vector of the forward dynamics, which is what the
 estimator here is compared against.
 
-Sampling uses competing exponentials over a flat per-state catalog of block
-refinements (direct method).  The generator is counter-based (numpy Philox),
-so seeded replicate streams are reproducible and independent by construction.
+The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
+``_final_index``, samples it by the direct method: an exponential waiting time
+at the state's exit rate, then a successor drawn from a lazily built
+per-index catalog of block refinements.  The generator is counter-based
+(numpy Philox), so seeded replicate streams are reproducible and independent
+by construction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
 from recomb.dynamics import RateSystem
-from recomb.partitions import Partition, is_refinement, restrict
+from recomb.partitions import Partition, is_refinement, lattice, restrict
 
 __all__ = [
     "GENERATOR_NAME",
     "make_rng",
-    "ProcessState",
     "EmpiricalDistribution",
-    "exit_rate",
-    "step",
     "simulate_path",
     "estimate_distribution",
     "transition_product_check",
@@ -42,14 +44,6 @@ GENERATOR_NAME = "philox"
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator; stream identity goes into metadata."""
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-@dataclass
-class ProcessState:
-    """Current partition and elapsed time of one chain."""
-
-    current: Partition
-    time: float = 0.0
 
 
 @dataclass
@@ -85,57 +79,58 @@ class EmpiricalDistribution:
         )
 
 
-@dataclass
-class _Catalog:
-    """Flat refinement catalog of one partition state."""
-
-    successors: list[Partition]
-    cumulative: np.ndarray
-    total: float
-
-
-def exit_rate(rates: RateSystem, c: Partition) -> float:
-    """Total rate of leaving the state c: each block contributes the rate of
-    events that split it."""
-    if c.ground != rates.ground:
-        raise ValueError("partition is not on the rate system's ground set")
-    return float(sum(rates.splitting_rate(block) for block in c.blocks))
-
-
-def _catalog(rates: RateSystem, c: Partition) -> _Catalog:
-    cached = rates._catalogs.get(c)
+def _catalog(rates: RateSystem, i: int) -> tuple[list[int], list[float]]:
+    """Jumps out of lattice state i: the successor indices and the cumulative
+    jump rates.  Each block is split by every proper partition of it at its
+    marginal rate; blocks in order, each block's partitions sorted by text."""
+    cached = rates._chain.get(i)
     if cached is None:
-        successors: list[Partition] = []
+        lat = lattice(rates.ground)
+        blocks = lat.parts[i].blocks
+        successors: list[int] = []
         weights: list[float] = []
-        for k, block in enumerate(c.blocks):
+        for k, block in enumerate(blocks):
             if len(block) == 1:
                 continue
-            rest = c.blocks[:k] + c.blocks[k + 1 :]
+            rest = blocks[:k] + blocks[k + 1 :]
             for sigma, r in sorted(
                 rates.marginal(block).items(), key=lambda kv: str(kv[0])
             ):
                 if r <= 0.0 or sigma.block_count == 1:
                     continue
-                successors.append(Partition(rest + sigma.blocks))
+                successors.append(lat.index[Partition(rest + sigma.blocks)])
                 weights.append(r)
-        cumulative = np.cumsum(weights) if weights else np.zeros(0)
-        total = float(cumulative[-1]) if weights else 0.0
-        cached = _Catalog(successors, cumulative, total)
-        rates._catalogs[c] = cached
+        cached = rates._chain[i] = (successors, list(accumulate(weights)))
     return cached
 
 
-def step(rates: RateSystem, state: ProcessState, rng: np.random.Generator) -> ProcessState:
-    """One jump of the chain: exponential waiting time at the exit rate, then
-    a block refinement drawn proportionally to its marginal rate.  The result
-    strictly refines the input."""
-    cat = _catalog(rates, state.current)
-    if cat.total <= 0.0:
-        raise ValueError(f"state {state.current} is absorbing")
-    dt = rng.exponential(1.0 / cat.total)
-    k = int(np.searchsorted(cat.cumulative, rng.random() * cat.total, side="right"))
-    k = min(k, len(cat.successors) - 1)
-    return ProcessState(cat.successors[k], state.time + dt)
+def _final_index(rates: RateSystem, i: int, t_end: float, rng: np.random.Generator) -> int:
+    """Lattice index of the chain at t_end, started from index i.  Each jump
+    draws an exponential waiting time at the exit rate, then a successor
+    with probability proportional to its rate; a state without successors
+    is absorbing."""
+    t = 0.0
+    while True:
+        successors, cumulative = _catalog(rates, i)
+        if not successors:
+            return i
+        total = cumulative[-1]
+        t += rng.exponential(1.0 / total)
+        if t > t_end:
+            return i
+        k = bisect_right(cumulative, rng.random() * total)
+        i = successors[min(k, len(successors) - 1)]
+
+
+def _start_index(rates: RateSystem, t_end: float, start: Partition | None) -> int:
+    if t_end < 0:
+        raise ValueError("time horizon must be nonnegative")
+    lat = lattice(rates.ground)
+    if start is None:
+        return lat.top_index
+    if start.ground != rates.ground:
+        raise ValueError("start partition is not on the ground set")
+    return lat.index[start]
 
 
 def simulate_path(
@@ -146,22 +141,8 @@ def simulate_path(
 ) -> Partition:
     """Value of the chain at t_end, started from the single-block partition
     (or from ``start``)."""
-    if t_end < 0:
-        raise ValueError("time horizon must be nonnegative")
-    current = Partition.whole(rates.ground) if start is None else start
-    if current.ground != rates.ground:
-        raise ValueError("start partition is not on the ground set")
-    t = 0.0
-    while True:
-        cat = _catalog(rates, current)
-        if cat.total <= 0.0:
-            return current
-        t += rng.exponential(1.0 / cat.total)
-        if t > t_end:
-            return current
-        k = int(np.searchsorted(cat.cumulative, rng.random() * cat.total, side="right"))
-        k = min(k, len(cat.successors) - 1)
-        current = cat.successors[k]
+    i = _start_index(rates, t_end, start)
+    return lattice(rates.ground).parts[_final_index(rates, i, t_end, rng)]
 
 
 def estimate_distribution(
@@ -174,11 +155,16 @@ def estimate_distribution(
     """Relative frequencies over independent replicates of the chain at time t."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    i = _start_index(rates, t, start)
     rng = make_rng(seed)
-    counts: dict[Partition, int] = {}
-    for _ in range(n_samples):
-        p = simulate_path(rates, t, rng, start=start)
-        counts[p] = counts.get(p, 0) + 1
+    ends = np.fromiter(
+        (_final_index(rates, i, t, rng) for _ in range(n_samples)),
+        dtype=np.intp,
+        count=n_samples,
+    )
+    parts = lattice(rates.ground).parts
+    tally = np.bincount(ends)
+    counts = {parts[j]: int(tally[j]) for j in np.flatnonzero(tally)}
     return EmpiricalDistribution(counts, n_samples, t=t, seed=seed)
 
 
@@ -232,13 +218,7 @@ def transition_product_check(
 
     if not is_refinement(d, c):
         raise ValueError("end partition must refine the start partition")
-    if t < 0:
-        raise ValueError("time horizon must be nonnegative")
-    rng = make_rng(seed)
-    hits = 0
-    for _ in range(n_samples):
-        if simulate_path(rates, t, rng, start=c) == d:
-            hits += 1
+    hits = estimate_distribution(rates, t, n_samples, seed, start=c).counts.get(d, 0)
     empirical = hits / n_samples
     sol = build_closed_form(rates)
     predicted = 1.0

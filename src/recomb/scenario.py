@@ -32,13 +32,21 @@ import numpy as np
 from recomb.dynamics import CoefficientTrajectory, MeasureTrajectory, RateSystem
 from recomb.dynamics import check_step
 from recomb.measures import (
+    MAX_STATES,
     Measure,
     TypeSpace,
     measure_from_csv,
     product_measure,
     uniform_measure,
 )
-from recomb.partitions import MAX_SITES, Partition, ground_set, lattice, parse_partition
+from recomb.partitions import (
+    MAX_SITES,
+    Partition,
+    bell_number,
+    ground_set,
+    lattice,
+    parse_partition,
+)
 from recomb.process import EmpiricalDistribution
 
 __all__ = [
@@ -127,11 +135,6 @@ class Scenario:
             raise ScenarioError(f"n must be between 1 and {MAX_SITES}, got {n}")
         ground = ground_set(n)
 
-        sizes = doc.get("alphabet_sizes")
-        sizes = (2,) * n if sizes is None else tuple(int(s) for s in sizes)
-        if len(sizes) != n or any(s < 1 for s in sizes):
-            raise ScenarioError("alphabet_sizes must list one positive size per site")
-
         raw_rates = doc.get("rates", {})
         if not isinstance(raw_rates, dict):
             raise ScenarioError("rates must be a mapping of partition keys to numbers")
@@ -152,42 +155,56 @@ class Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad rates: {exc}") from exc
 
-        grid_doc = doc.get("time_grid", {"start": 0.0, "end": 1.0, "points": 11})
-        grid = TimeGrid(
-            float(grid_doc.get("start", 0.0)),
-            float(grid_doc.get("end", 1.0)),
-            int(grid_doc.get("points", 11)),
-        )
-        grid.array()  # validate now
-
-        step = doc.get("step")
-        step = None if step is None else float(step)
-
-        mc_doc = doc.get("monte_carlo")
-        monte_carlo = None
-        if mc_doc is not None:
-            try:
-                monte_carlo = MonteCarloBlock(
-                    int(mc_doc["samples"]),
-                    int(mc_doc["seed"]),
-                    None if mc_doc.get("t") is None else float(mc_doc["t"]),
-                )
-            except KeyError as exc:
-                raise ScenarioError("monte_carlo block needs samples and seed") from exc
-
-        tol_doc = doc.get("tolerances", {})
-        tolerances = Tolerances(
-            float(tol_doc.get("closed_vs_integrated", 1e-6)),
-            None
-            if tol_doc.get("monte_carlo_tv") is None
-            else float(tol_doc["monte_carlo_tv"]),
-        )
-
         measure_spec = doc.get("initial_measure")
         if measure_spec is not None and not isinstance(measure_spec, (str, list)):
             raise ScenarioError(
                 "initial_measure must be a string spec or an inline tensor"
             )
+
+        for key in ("time_grid", "monte_carlo", "tolerances"):
+            if not isinstance(doc.get(key), (dict, type(None))):
+                raise ScenarioError(f"{key} must be a mapping")
+        grid_doc = doc.get("time_grid") or {}
+        mc_doc = doc.get("monte_carlo")
+        tol_doc = doc.get("tolerances") or {}
+        try:
+            sizes = doc.get("alphabet_sizes")
+            sizes = (2,) * n if sizes is None else tuple(int(s) for s in sizes)
+            grid = TimeGrid(
+                float(grid_doc.get("start", 0.0)),
+                float(grid_doc.get("end", 1.0)),
+                int(grid_doc.get("points", 11)),
+            )
+            step = doc.get("step")
+            step = None if step is None else float(step)
+            monte_carlo = None
+            if mc_doc is not None:
+                monte_carlo = MonteCarloBlock(
+                    int(mc_doc["samples"]),
+                    int(mc_doc["seed"]),
+                    None if mc_doc.get("t") is None else float(mc_doc["t"]),
+                )
+            tolerances = Tolerances(
+                float(tol_doc.get("closed_vs_integrated", 1e-6)),
+                None
+                if tol_doc.get("monte_carlo_tv") is None
+                else float(tol_doc["monte_carlo_tv"]),
+            )
+        except KeyError as exc:
+            raise ScenarioError("monte_carlo block needs samples and seed") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"scenario values must be numbers: {exc}") from exc
+        if len(sizes) != n or any(s < 1 for s in sizes):
+            raise ScenarioError("alphabet_sizes must list one positive size per site")
+
+        # a trajectory holds one value per partition, and one per type on the
+        # measure route, at every grid point
+        width = max(bell_number(n), math.prod(sizes) if measure_spec is not None else 1)
+        if grid.points * width > MAX_STATES:
+            raise ScenarioError(
+                f"time grid of {grid.points} points x {width} values exceeds {MAX_STATES}"
+            )
+        grid.array()  # validate now
 
         scenario = cls(
             n=n,

@@ -322,10 +322,21 @@ class TestScenarioValidation:
             {"time_grid": {"start": 0, "end": float("nan"), "points": 3}},
             {"n": MAX_SITES + 1},
             {"n": 30},
+            {"alphabet_sizes": ["a", 2, 2]},
+            {"monte_carlo": {"samples": "many", "seed": 1}},
+            {"time_grid": {"start": 0, "end": "two", "points": 3}},
+            {"tolerances": {"closed_vs_integrated": [1]}},
+            {"time_grid": 5},
+            {"monte_carlo": [100, 1]},
+            {"tolerances": "tight"},
+            # rejected before the grid is allocated (about 15 GiB)
+            {"time_grid": {"start": 0, "end": 2.0, "points": 2_000_000_000}},
         ],
         ids=[
             "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
             "negative-mc-time", "nan-grid-end", "n-above-cap", "n-30",
+            "text-alphabet-size", "text-samples", "text-grid-end", "list-tolerance",
+            "scalar-time-grid", "list-monte-carlo", "text-tolerances", "huge-grid",
         ],
     )
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):

@@ -1,17 +1,16 @@
 import math
+from collections import Counter
 
 import pytest
 
 from recomb.closed_form import build_closed_form, decay_rate
 from recomb.dynamics import RateSystem
-from recomb.partitions import Partition, ground_set, is_refinement, lattice
+from recomb.partitions import Partition, ground_set, lattice
 from recomb.process import (
-    ProcessState,
+    _catalog,
     estimate_distribution,
-    exit_rate,
     make_rng,
     simulate_path,
-    step,
     transition_product_check,
     tv_distance,
 )
@@ -36,15 +35,18 @@ def two_site_rates(rho=1.0):
 
 
 class TestExitRate:
+    """The chain's exit rate out of a state is its decay rate."""
+
     def test_bottom_is_absorbing(self):
         rates = random_rates(4, seed=0)
-        assert exit_rate(rates, Partition.singletons(ground_set(4))) == 0.0
+        g = ground_set(4)
+        assert decay_rate(rates, g, Partition.singletons(g)) == 0.0
 
     def test_top_rate_formula(self):
         rates = random_rates(4, seed=1)
         g = ground_set(4)
         expected = rates.total - rates.rate(Partition.whole(g))
-        assert exit_rate(rates, Partition.whole(g)) == pytest.approx(expected)
+        assert decay_rate(rates, g, Partition.whole(g)) == pytest.approx(expected)
 
     def test_matches_decay_rate_everywhere(self):
         # independent computation paths: block splitting scan vs marginal sums
@@ -52,42 +54,28 @@ class TestExitRate:
         g = ground_set(4)
         for c in lattice(g).parts:
             expected = sum(splitting_rate_oracle(rates, block) for block in c.blocks)
-            assert exit_rate(rates, c) == pytest.approx(expected, abs=1e-12)
             assert decay_rate(rates, g, c) == pytest.approx(expected, abs=1e-12)
 
     def test_ground_mismatch(self):
         rates = random_rates(3, seed=3)
         with pytest.raises(ValueError):
-            exit_rate(rates, Partition.whole((1, 2)))
+            decay_rate(rates, ground_set(3), Partition.whole((1, 2)))
 
 
-class TestStep:
-    def test_result_strictly_refines(self):
-        rates = random_rates(4, seed=4)
-        rng = make_rng(0)
-        state = ProcessState(Partition.whole(ground_set(4)))
-        for _ in range(50):
-            nxt = step(rates, state, rng)
-            assert nxt.current != state.current
-            assert is_refinement(nxt.current, state.current)
-            assert nxt.time > state.time
-
-    def test_two_sites_single_successor(self):
-        rates = two_site_rates()
-        nxt = step(rates, ProcessState(Partition.whole(ground_set(2))), make_rng(5))
-        assert nxt.current == Partition.singletons(ground_set(2))
-
-    def test_absorbing_state_rejected(self):
-        rates = random_rates(3, seed=6)
-        with pytest.raises(ValueError):
-            step(rates, ProcessState(Partition.singletons(ground_set(3))), make_rng(0))
-
-    def test_fixed_seed_reproducible(self):
-        rates = random_rates(4, seed=7)
-        a = step(rates, ProcessState(Partition.whole(ground_set(4))), make_rng(42))
-        b = step(rates, ProcessState(Partition.whole(ground_set(4))), make_rng(42))
-        assert a.current == b.current
-        assert a.time == b.time
+class TestChainTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_state_exhaustive(self, n):
+        # successors strictly refine, and their rates add up to the exit rate
+        rates = random_rates(n, seed=30 + n)
+        lat = lattice(ground_set(n))
+        for i, c in enumerate(lat.parts):
+            successors, cumulative = _catalog(rates, i)
+            assert len(successors) == len(cumulative)
+            assert all(lat.finer[j, i] and j != i for j in successors)
+            exit_total = cumulative[-1] if cumulative else 0.0
+            expected = sum(splitting_rate_oracle(rates, block) for block in c.blocks)
+            assert exit_total == pytest.approx(expected, abs=1e-12)
+        assert _catalog(rates, lat.bottom_index) == ([], [])
 
 
 class TestSimulatePath:
@@ -109,22 +97,6 @@ class TestSimulatePath:
             for _ in range(200)
         )
         assert hits == 200
-
-    def test_paths_are_decreasing_chains(self):
-        rates = random_rates(4, seed=10)
-        rng = make_rng(3)
-        for _ in range(100):
-            state = ProcessState(Partition.whole(ground_set(4)))
-            t_end = 2.0
-            while True:
-                if exit_rate(rates, state.current) <= 0.0:
-                    break
-                nxt = step(rates, state, rng)
-                if nxt.time > t_end:
-                    break
-                assert is_refinement(nxt.current, state.current)
-                assert nxt.current != state.current
-                state = nxt
 
     def test_negative_horizon_rejected(self):
         rates = random_rates(2, seed=11)
@@ -165,6 +137,13 @@ class TestEstimateDistribution:
         a = estimate_distribution(rates, 1.0, 3000, seed=8)
         b = estimate_distribution(rates, 1.0, 3000, seed=8)
         assert a.counts == b.counts
+
+    def test_counts_match_a_loop_of_simulate_path(self):
+        rates = random_rates(4, seed=24)
+        dist = estimate_distribution(rates, 0.7, 2000, seed=25)
+        rng = make_rng(25)
+        loop = Counter(simulate_path(rates, 0.7, rng) for _ in range(2000))
+        assert dist.counts == dict(loop)
 
     def test_metadata(self):
         rates = random_rates(2, seed=16)
@@ -211,11 +190,11 @@ class TestKolmogorovBackwardConsistency:
 
 class TestBlockIndependence:
     def test_survival_probability(self):
-        # staying put has probability exp(-exit_rate * t)
+        # staying put has probability exp(-decay_rate * t)
         rates = random_rates(3, seed=18, total=3.0)
         c = Partition([[1, 2], [3]])
         report = transition_product_check(rates, c, c, 0.7, 50_000, seed=11)
-        expected = math.exp(-exit_rate(rates, c) * 0.7)
+        expected = math.exp(-decay_rate(rates, ground_set(3), c) * 0.7)
         assert report.predicted == pytest.approx(expected, abs=1e-12)
         assert abs(report.z_score) <= 3.0
 
