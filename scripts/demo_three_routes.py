@@ -16,7 +16,9 @@ from recomb.closed_form import build_closed_form
 from recomb.dynamics import CoefficientVector, RateSystem, integrate_coefficients
 from recomb.partitions import ground_set, lattice
 from recomb.process import estimate_distribution, tv_distance
-from recomb.scenario import Scenario
+from recomb.scenario import Scenario, ScenarioError
+
+USAGE = "usage: python scripts/demo_three_routes.py [scenario.json]"
 
 
 def random_scenario(n=4, seed=1, total=3.0):
@@ -28,8 +30,15 @@ def random_scenario(n=4, seed=1, total=3.0):
 
 
 def main(argv):
+    if len(argv) > 1 or argv[:1] in (["-h"], ["--help"]):
+        print(USAGE, file=sys.stderr)
+        return 2
     if argv:
-        scenario = Scenario.from_file(Path(argv[0]))
+        try:
+            scenario = Scenario.from_file(Path(argv[0]))
+        except ScenarioError as exc:
+            print(f"{USAGE} ({exc})", file=sys.stderr)
+            return 2
         rates, grid = scenario.rates, scenario.grid.array()
         mc = scenario.monte_carlo
         samples, seed = (mc.samples, mc.seed) if mc else (100_000, 0)

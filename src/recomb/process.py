@@ -8,18 +8,19 @@ matches the coefficient vector of the forward dynamics, which is what the
 estimator here is compared against.
 
 The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
-``_final_index``, samples it by the direct method: an exponential waiting time
-at the state's exit rate, then a successor drawn from a lazily built
-per-index catalog of block refinements.  The generator is counter-based
-(numpy Philox), so seeded replicate streams are reproducible and independent
-by construction.
+``_final_indices``, samples it by the direct method: an exponential waiting
+time at the state's exit rate, then a successor drawn from a lazily built
+per-index catalog of block refinements.  All replicates advance together, in
+blocks of 4096, one vectorised waiting-time and jump round at a time; every
+jump strictly refines, so n sites take at most n - 1 rounds.  The generator
+is counter-based (numpy Philox), so seeded replicate streams are
+reproducible and independent by construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping
 
 import numpy as np
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "philox"
+
+# replicates advanced together; bounds the sampler's temporaries
+_BLOCK = 4096
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -104,22 +108,58 @@ def _catalog(rates: RateSystem, i: int) -> tuple[list[int], list[float]]:
     return cached
 
 
-def _final_index(rates: RateSystem, i: int, t_end: float, rng: np.random.Generator) -> int:
-    """Lattice index of the chain at t_end, started from index i.  Each jump
-    draws an exponential waiting time at the exit rate, then a successor
-    with probability proportional to its rate; a state without successors
-    is absorbing."""
-    t = 0.0
-    while True:
-        successors, cumulative = _catalog(rates, i)
-        if not successors:
-            return i
-        total = cumulative[-1]
-        t += rng.exponential(1.0 / total)
-        if t > t_end:
-            return i
-        k = bisect_right(cumulative, rng.random() * total)
-        i = successors[min(k, len(successors) - 1)]
+def _flat_catalogs(rates: RateSystem, states: np.ndarray):
+    """Catalogs of the given lattice states laid end to end: the successor
+    indices, the cumulative rates, and each state's [start, stop) slice."""
+    catalogs = [_catalog(rates, s) for s in states.tolist()]
+    stop = np.cumsum([len(successors) for successors, _ in catalogs])
+    start = np.concatenate(([0], stop[:-1]))
+    successors = np.fromiter(chain.from_iterable(c[0] for c in catalogs), np.intp)
+    cumulative = np.fromiter(chain.from_iterable(c[1] for c in catalogs), float)
+    return successors, cumulative, start, stop
+
+
+def _final_indices(
+    rates: RateSystem, i: int, t_end: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Lattice indices at t_end of n replicates of the chain, each started
+    from index i.
+
+    The replicates advance together, in blocks of ``_BLOCK``.  Each round
+    draws, for every live replicate, an exponential waiting time at its
+    state's exit rate, then, for those still before t_end, a successor with
+    probability proportional to its rate.  A state without successors is
+    absorbing and retires without a draw.  Every jump strictly refines, so a
+    block takes at most one round fewer than there are sites."""
+    ends = np.full(n, i, dtype=np.intp)
+    for first in range(0, n, _BLOCK):
+        block = ends[first : first + _BLOCK]  # a view: jumps write into ends
+        live = np.arange(block.size)
+        clock = np.zeros(block.size)
+        while live.size:
+            states, slot = np.unique(block[live], return_inverse=True)
+            successors, cumulative, start, stop = _flat_catalogs(rates, states)
+            lo, hi = start[slot], stop[slot]
+            moving = lo < hi
+            live, clock, lo, hi = live[moving], clock[moving], lo[moving], hi[moving]
+            total = cumulative[hi - 1]
+            clock = clock + rng.exponential(1.0 / total)
+            jumps = clock <= t_end
+            live, clock, lo, hi, total = (
+                a[jumps] for a in (live, clock, lo, hi, total)
+            )
+            # bisect_right of each draw in its own slice of the cumulative
+            # rates, clipped to the slice's last entry
+            u = rng.random(live.size) * total
+            last = hi - 1
+            for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+                mid = (lo + hi) >> 1
+                right = cumulative.take(mid, mode="clip") <= u
+                searching = lo < hi
+                lo = np.where(searching & right, mid + 1, lo)
+                hi = np.where(searching & ~right, mid, hi)
+            block[live] = successors[np.minimum(lo, last)]
+    return ends
 
 
 def _start_index(rates: RateSystem, t_end: float, start: Partition | None) -> int:
@@ -142,7 +182,7 @@ def simulate_path(
     """Value of the chain at t_end, started from the single-block partition
     (or from ``start``)."""
     i = _start_index(rates, t_end, start)
-    return lattice(rates.ground).parts[_final_index(rates, i, t_end, rng)]
+    return lattice(rates.ground).parts[_final_indices(rates, i, t_end, 1, rng)[0]]
 
 
 def estimate_distribution(
@@ -156,12 +196,7 @@ def estimate_distribution(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     i = _start_index(rates, t, start)
-    rng = make_rng(seed)
-    ends = np.fromiter(
-        (_final_index(rates, i, t, rng) for _ in range(n_samples)),
-        dtype=np.intp,
-        count=n_samples,
-    )
+    ends = _final_indices(rates, i, t, n_samples, make_rng(seed))
     parts = lattice(rates.ground).parts
     tally = np.bincount(ends)
     counts = {parts[j]: int(tally[j]) for j in np.flatnonzero(tally)}

@@ -70,6 +70,16 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer, or an integral number such as 1e5; never a bool, a
+    fractional number or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     start: float
@@ -125,12 +135,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "Scenario":
-        try:
-            n = int(doc["n"])
-        except KeyError as exc:
-            raise ScenarioError("scenario needs a site count 'n'") from exc
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"n must be an integer: {exc}") from exc
+        if "n" not in doc:
+            raise ScenarioError("scenario needs a site count 'n'")
+        n = _integer(doc["n"], "n")
         if not 1 <= n <= MAX_SITES:
             raise ScenarioError(f"n must be between 1 and {MAX_SITES}, got {n}")
         ground = ground_set(n)
@@ -169,19 +176,24 @@ class Scenario:
         tol_doc = doc.get("tolerances") or {}
         try:
             sizes = doc.get("alphabet_sizes")
-            sizes = (2,) * n if sizes is None else tuple(int(s) for s in sizes)
+            if sizes is None:
+                sizes = (2,) * n
+            elif isinstance(sizes, list):
+                sizes = tuple(_integer(s, "alphabet_sizes entry") for s in sizes)
+            else:
+                raise ScenarioError("alphabet_sizes must be a list")
             grid = TimeGrid(
                 float(grid_doc.get("start", 0.0)),
                 float(grid_doc.get("end", 1.0)),
-                int(grid_doc.get("points", 11)),
+                _integer(grid_doc.get("points", 11), "time_grid points"),
             )
             step = doc.get("step")
             step = None if step is None else float(step)
             monte_carlo = None
             if mc_doc is not None:
                 monte_carlo = MonteCarloBlock(
-                    int(mc_doc["samples"]),
-                    int(mc_doc["seed"]),
+                    _integer(mc_doc["samples"], "monte_carlo samples"),
+                    _integer(mc_doc["seed"], "monte_carlo seed"),
                     None if mc_doc.get("t") is None else float(mc_doc["t"]),
                 )
             tolerances = Tolerances(
@@ -192,6 +204,8 @@ class Scenario:
             )
         except KeyError as exc:
             raise ScenarioError("monte_carlo block needs samples and seed") from exc
+        except ScenarioError:
+            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"scenario values must be numbers: {exc}") from exc
         if len(sizes) != n or any(s < 1 for s in sizes):

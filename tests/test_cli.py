@@ -309,6 +309,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario.from_dict({"n": 0})
 
+    def test_integral_floats_read_as_integers(self):
+        doc = {**GENERIC_N3, "n": 3.0, "alphabet_sizes": [2.0, 3, 2]}
+        doc["monte_carlo"] = {"samples": 1e5, "seed": 11.0, "t": 1.0}
+        doc["time_grid"] = {"start": 0, "end": 2.0, "points": 5.0}
+        s = Scenario.from_dict(doc)
+        assert (s.n, s.alphabet_sizes, s.grid.points) == (3, (2, 3, 2), 5)
+        assert (s.monte_carlo.samples, s.monte_carlo.seed) == (100_000, 11)
+        assert all(type(v) is int for v in (s.n, s.grid.points, *s.alphabet_sizes))
+
     @pytest.mark.parametrize("command", ["solve", "integrate", "simulate", "compare"])
     @pytest.mark.parametrize(
         "change",
@@ -331,12 +340,20 @@ class TestScenarioValidation:
             {"tolerances": "tight"},
             # rejected before the grid is allocated (about 15 GiB)
             {"time_grid": {"start": 0, "end": 2.0, "points": 2_000_000_000}},
+            # integers are never truncated, iterated or read from a bool
+            {"alphabet_sizes": "232"},
+            {"time_grid": {"start": 0, "end": 2.0, "points": 2.9}},
+            {"monte_carlo": {"samples": 10.7, "seed": 1}},
+            {"monte_carlo": {"samples": 100, "seed": True}},
+            {"n": 3.5},
         ],
         ids=[
             "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
             "negative-mc-time", "nan-grid-end", "n-above-cap", "n-30",
             "text-alphabet-size", "text-samples", "text-grid-end", "list-tolerance",
             "scalar-time-grid", "list-monte-carlo", "text-tolerances", "huge-grid",
+            "text-alphabet-sizes", "fractional-points", "fractional-samples",
+            "bool-seed", "fractional-n",
         ],
     )
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):

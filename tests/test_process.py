@@ -1,12 +1,13 @@
 import math
-from collections import Counter
+from bisect import bisect_right
 
 import pytest
 
 from recomb.closed_form import build_closed_form, decay_rate
 from recomb.dynamics import RateSystem
-from recomb.partitions import Partition, ground_set, lattice
+from recomb.partitions import Partition, ground_set, is_refinement, lattice
 from recomb.process import (
+    _BLOCK,
     _catalog,
     estimate_distribution,
     make_rng,
@@ -27,6 +28,24 @@ def splitting_rate_oracle(rates, u):
         if not set(u) <= set(block):
             total += r
     return total
+
+
+def direct_method_oracle(rates, start, t_end, rng):
+    """The chain at t_end by the direct method, one replicate at a time: an
+    exponential waiting time at the exit rate, then a successor with
+    probability proportional to its rate."""
+    lat = lattice(rates.ground)
+    i, t = lat.index[start], 0.0
+    while True:
+        successors, cumulative = _catalog(rates, i)
+        if not successors:
+            return lat.parts[i]
+        total = cumulative[-1]
+        t += rng.exponential(1.0 / total)
+        if t > t_end:
+            return lat.parts[i]
+        k = bisect_right(cumulative, rng.random() * total)
+        i = successors[min(k, len(successors) - 1)]
 
 
 def two_site_rates(rho=1.0):
@@ -103,6 +122,15 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             simulate_path(rates, -1.0, make_rng(0))
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_direct_method_oracle(self, n):
+        # the same draws from the same stream, path for path
+        rates = random_rates(n, seed=24)
+        top = Partition.whole(ground_set(n))
+        a, b = make_rng(25), make_rng(25)
+        for _ in range(2000):
+            assert simulate_path(rates, 0.7, a) == direct_method_oracle(rates, top, 0.7, b)
+
 
 class TestEstimateDistribution:
     def test_frequencies_sum_to_one(self):
@@ -138,12 +166,41 @@ class TestEstimateDistribution:
         b = estimate_distribution(rates, 1.0, 3000, seed=8)
         assert a.counts == b.counts
 
-    def test_counts_match_a_loop_of_simulate_path(self):
-        rates = random_rates(4, seed=24)
-        dist = estimate_distribution(rates, 0.7, 2000, seed=25)
-        rng = make_rng(25)
-        loop = Counter(simulate_path(rates, 0.7, rng) for _ in range(2000))
-        assert dist.counts == dict(loop)
+    @pytest.mark.parametrize(
+        "n_samples", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+    )
+    def test_block_edges(self, n_samples):
+        rates = random_rates(3, seed=24)
+        a = estimate_distribution(rates, 0.7, n_samples, seed=25)
+        b = estimate_distribution(rates, 0.7, n_samples, seed=25)
+        assert sum(a.counts.values()) == n_samples
+        assert a.counts == b.counts
+
+    @pytest.mark.parametrize(
+        "start, rates, reachable",
+        [
+            # two live 3-block states after the first round, the bottom after
+            # the second
+            ([[1, 4], [2, 3]], random_rates(4, seed=26), 4),
+            # the second round holds the absorbing bottom beside the live
+            # state [[1], [2, 3, 4]]
+            (
+                [[1, 2, 3, 4]],
+                RateSystem(
+                    ground_set(4),
+                    {Partition([[1], [2], [3], [4]]): 1.0, Partition([[1], [2, 3, 4]]): 1.0},
+                ),
+                3,
+            ),
+        ],
+        ids=["two-blocks", "absorbing-beside-live"],
+    )
+    def test_mixed_rounds_refine_the_start(self, start, rates, reachable):
+        c = Partition(start)
+        dist = estimate_distribution(rates, 0.8, 3 * _BLOCK, seed=27, start=c)
+        assert sum(dist.counts.values()) == 3 * _BLOCK
+        assert all(is_refinement(d, c) for d in dist.counts)
+        assert len(dist.counts) == reachable
 
     def test_metadata(self):
         rates = random_rates(2, seed=16)
