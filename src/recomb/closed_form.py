@@ -129,8 +129,8 @@ def linear_decay_rate(rates: RateSystem, u, a: Partition) -> float:
     g = as_ground(u)
     if a.ground != g:
         raise ValueError("partition is not on the requested subset")
-    marg = rates.marginal(g)
-    kept = sum(r for p, r in marg.items() if a.refines(p))
+    lat = lattice(g)
+    kept = lat.finer[lat.index[a]].astype(float) @ rates.marginal(g)
     return float(rates.total - kept)
 
 
@@ -158,7 +158,7 @@ def linear_solution(rates: RateSystem, u, t: float) -> CoefficientVector:
         raise ValueError("time must be nonnegative")
     g = as_ground(u)
     lat = lattice(g)
-    rvec = rates.rate_vector(g)
+    rvec = rates.marginal(g)
     chi = rates.total - lat.finer.astype(float) @ rvec
     vals = lat.mobius_matrix @ np.exp(-chi * t)
     return CoefficientVector(g, vals)
@@ -206,7 +206,7 @@ def _scan_degeneracies(
         if lat.size < 2:
             continue
         top = lat.top_index
-        rvec = rates.rate_vector(u)
+        rvec = rates.marginal(u)
         finer = lat.finer
         # mass of the upward interval [B, top), per partition B
         interval_mass = finer.astype(float) @ rvec - rvec[top]
@@ -375,7 +375,7 @@ def build_closed_form(
         psi = decay[u]
         top = lat.top_index
         finer = lat.finer
-        rvec = rates.rate_vector(u)
+        rvec = rates.marginal(u)
         psi_top = psi[top]
         for jb in range(B):
             if jb == top:

@@ -25,7 +25,6 @@ from recomb.partitions import (
     as_ground,
     is_refinement,
     lattice,
-    restrict,
 )
 
 __all__ = [
@@ -57,8 +56,9 @@ class RateSystem:
         "ground",
         "rates",
         "total",
+        "_indices",
+        "_weights",
         "_marginals",
-        "_splitting",
         "_coeff_program",
         "_measure_programs",
         "_chain",
@@ -79,8 +79,11 @@ class RateSystem:
         self.ground = g
         self.rates = clean
         self.total = float(sum(clean.values()))
-        self._marginals: dict[tuple[int, ...], dict[Partition, float]] = {}
-        self._splitting: dict[tuple[int, ...], float] = {}
+        # lattice indices and weights of the rates, in the order given
+        index = lattice(g).index
+        self._indices = np.array([index[p] for p in clean], dtype=np.intp)
+        self._weights = np.array(list(clean.values()), dtype=float)
+        self._marginals: dict[tuple[int, ...], np.ndarray] = {}
         self._coeff_program = None
         self._measure_programs: dict[TypeSpace, _GatherProgram] = {}
         self._chain: dict[int, tuple[list[int], list[float]]] = {}
@@ -98,29 +101,20 @@ class RateSystem:
     def support(self) -> list[Partition]:
         return [p for p, r in self.rates.items() if r > 0]
 
-    def marginal(self, u) -> dict[Partition, float]:
-        """Rates induced on the subsystem u by summing over restriction fibers."""
+    def marginal(self, u) -> np.ndarray:
+        """Rates induced on the subsystem u, as a read-only vector in
+        ``lattice(u)`` order: the sums over the fibers of restriction to u,
+        accumulated in the order the rates were given."""
         g = as_ground(u)
         cached = self._marginals.get(g)
         if cached is None:
-            if not set(g) <= set(self.ground):
-                raise ValueError(f"{g} is not a subset of the ground set")
-            out: dict[Partition, float] = {}
-            for p, r in self.rates.items():
-                q = restrict(p, g)
-                out[q] = out.get(q, 0.0) + r
-            self._marginals[g] = cached = out
-        return dict(cached)
-
-    def rate_vector(self, u=None) -> np.ndarray:
-        """Marginal rates on u in lattice enumeration order (u defaults to S)."""
-        g = self.ground if u is None else as_ground(u)
-        lat = lattice(g)
-        marg = self.marginal(g)
-        vec = np.zeros(lat.size)
-        for p, r in marg.items():
-            vec[lat.index[p]] = r
-        return vec
+            ridx = lattice(self.ground).restriction_index(g)
+            cached = np.bincount(
+                ridx[self._indices], weights=self._weights, minlength=lattice(g).size
+            )
+            cached.flags.writeable = False
+            self._marginals[g] = cached
+        return cached
 
     def splitting_rate(self, u) -> float:
         """Total rate of events whose partition separates the sites of u: the
@@ -128,11 +122,7 @@ class RateSystem:
         rate of the single-block partition of u; a partition's decay (exit)
         rate is the sum over its blocks."""
         g = as_ground(u)
-        cached = self._splitting.get(g)
-        if cached is None:
-            cached = self.total - self.marginal(g).get(Partition.whole(g), 0.0)
-            self._splitting[g] = cached
-        return cached
+        return float(self.total - self.marginal(g)[lattice(g).top_index])
 
     def __repr__(self) -> str:
         return f"RateSystem(n={len(self.ground)}, total={self.total:.6g})"

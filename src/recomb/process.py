@@ -97,13 +97,12 @@ def _catalog(rates: RateSystem, i: int) -> tuple[list[int], list[float]]:
             if len(block) == 1:
                 continue
             rest = blocks[:k] + blocks[k + 1 :]
-            for sigma, r in sorted(
-                rates.marginal(block).items(), key=lambda kv: str(kv[0])
-            ):
-                if r <= 0.0 or sigma.block_count == 1:
-                    continue
-                successors.append(lat.index[Partition(rest + sigma.blocks)])
-                weights.append(r)
+            sub = lattice(block)
+            marg = rates.marginal(block)
+            split = [j for j in np.flatnonzero(marg).tolist() if j != sub.top_index]
+            for j in sorted(split, key=lambda j: str(sub.parts[j])):
+                successors.append(lat.index[Partition(rest + sub.parts[j].blocks)])
+                weights.append(float(marg[j]))
         cached = rates._chain[i] = (successors, list(accumulate(weights)))
     return cached
 

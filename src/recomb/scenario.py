@@ -208,6 +208,12 @@ class Scenario:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"scenario values must be numbers: {exc}") from exc
+        for name in ("closed_vs_integrated", "monte_carlo_tv"):
+            tol = getattr(tolerances, name)
+            if tol is not None and not (math.isfinite(tol) and tol >= 0):
+                raise ScenarioError(
+                    f"tolerances {name} must be finite and nonnegative, got {tol}"
+                )
         if len(sizes) != n or any(s < 1 for s in sizes):
             raise ScenarioError("alphabet_sizes must list one positive size per site")
 
@@ -246,8 +252,11 @@ class Scenario:
         mc = self.monte_carlo
         if mc is None:
             return
-        if mc.samples < 1:
-            raise ScenarioError(f"monte_carlo samples must be positive, got {mc.samples}")
+        # the sampler holds one end state per sample
+        if not 1 <= mc.samples <= MAX_STATES:
+            raise ScenarioError(
+                f"monte_carlo samples must be between 1 and {MAX_STATES}, got {mc.samples}"
+            )
         if not 0 <= mc.seed < 2**128:  # the Philox key range
             raise ScenarioError(f"monte_carlo seed must be in [0, 2**128), got {mc.seed}")
         if mc.t is not None and not (math.isfinite(mc.t) and mc.t >= 0):

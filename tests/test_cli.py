@@ -346,6 +346,12 @@ class TestScenarioValidation:
             {"monte_carlo": {"samples": 10.7, "seed": 1}},
             {"monte_carlo": {"samples": 100, "seed": True}},
             {"n": 3.5},
+            # one sampler end state per sample
+            {"monte_carlo": {"samples": 10**15, "seed": 1}},
+            {"tolerances": {"closed_vs_integrated": float("nan")}},
+            {"tolerances": {"closed_vs_integrated": -1}},
+            {"tolerances": {"monte_carlo_tv": float("nan")}},
+            {"tolerances": {"monte_carlo_tv": -0.5}},
         ],
         ids=[
             "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
@@ -353,7 +359,8 @@ class TestScenarioValidation:
             "text-alphabet-size", "text-samples", "text-grid-end", "list-tolerance",
             "scalar-time-grid", "list-monte-carlo", "text-tolerances", "huge-grid",
             "text-alphabet-sizes", "fractional-points", "fractional-samples",
-            "bool-seed", "fractional-n",
+            "bool-seed", "fractional-n", "huge-samples", "nan-route-tolerance",
+            "negative-route-tolerance", "nan-tv-tolerance", "negative-tv-tolerance",
         ],
     )
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):
@@ -377,6 +384,8 @@ class TestScenarioValidation:
             ["simulate", "--samples", "-5"],
             ["compare", "--samples", "-5"],
             ["simulate", "--samples", "0"],
+            ["simulate", "--samples", "1000000000000000"],
+            ["compare", "--samples", "1000000000000000"],
         ],
     )
     def test_bad_override_rejected(self, tmp_path, capsys, argv):
