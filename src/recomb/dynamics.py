@@ -7,8 +7,11 @@ The coefficient system:
 
 where the gain factor is the blockwise marginal product defined below.  The
 measure system applies block-product operators instead.  Both right-hand
-sides are compiled once per rate system into a stacked-marginal gather
-program so integration stays cheap at desk scale.
+sides share one gain term, compiled once per rate system (and per type
+space) into flat (state, partition) pairs: every block marginal is one
+``np.bincount`` over the states' block cells, and the gain is one more over
+the pairs.  On the lattice the pairs are the comparable ones, a finer than
+p; on a measure every state pairs with every rated partition.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ MAX_STEP_FRACTION = 0.25  # step * rho_total must stay below this
 class RateSystem:
     """Nonnegative recombination rates on the partitions of a ground set.
 
-    Immutable by convention; derived tables (marginal rates per subset,
-    compiled right-hand sides, simulation catalogs) are cached on first use.
+    Immutable by convention; derived tables are cached on first use: the
+    marginal rates per subset, the compiled gain term per state space (None
+    for the coefficient system, a ``TypeSpace`` for the measure system) and
+    the simulation catalogs.
     """
 
     __slots__ = (
@@ -59,8 +64,7 @@ class RateSystem:
         "_indices",
         "_weights",
         "_marginals",
-        "_coeff_program",
-        "_measure_programs",
+        "_programs",
         "_chain",
     )
 
@@ -84,8 +88,7 @@ class RateSystem:
         self._indices = np.array([index[p] for p in clean], dtype=np.intp)
         self._weights = np.array(list(clean.values()), dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
-        self._coeff_program = None
-        self._measure_programs: dict[TypeSpace, _GatherProgram] = {}
+        self._programs: dict[TypeSpace | None, _PairProgram] = {}
         self._chain: dict[int, tuple[list[int], list[float]]] = {}
 
     @classmethod
@@ -222,119 +225,93 @@ def meet_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
     return float(q.values[col == lat.index[a]].sum())
 
 
-class _GatherProgram:
-    """Compiled right-hand side: one stacked marginalization matmul, one
-    gathered block product per supported partition, one weighted reduction.
+@dataclass(frozen=True)
+class _PairProgram:
+    """Compiled gain term of one right-hand side.
+
+    Each rated partition p with at least two blocks feeds the state x by
+    r_p * s * prod_U (m_U(x|U) / s) over the blocks U of p, where s is the
+    mass and m_U the marginal on U.  The (state, p) pairs that can gain are
+    stored sorted by descending block count, with one cell array per block
+    position, so the product over positions is a run of shrinking in-place
+    multiplies.  Single-block rates act as the identity and cancel their
+    share of the loss, so the loss rate is the sum of the kept rates.
     """
 
-    __slots__ = ("stack", "gather", "weights", "powers", "total", "width")
-
-    def __init__(self, stack, gather, weights, powers, total, width):
-        self.stack = stack      # (Q, N) stacked marginalization matrix
-        self.gather = gather    # (K, rmax, N) indices into the extended marginal vector
-        self.weights = weights  # (K, N) or (K, 1) rate weights, zero where no gain
-        self.powers = powers    # (K,) exponent 1 - block_count for the mass prefactor
-        self.total = total      # rho_total
-        self.width = width      # N
+    loss: float               # sum of the kept rates
+    state_cells: np.ndarray   # (N * blocks,) each state's cell per block marginal, state-major
+    n_blocks: int
+    n_cells: int              # cells of all block marginals together
+    rows: np.ndarray          # (P,) state fed by each pair
+    rate: np.ndarray          # (P,) rate of each pair's partition
+    cells: list               # per block position, the cells of the pairs that have it
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        loss = -self.total * vec
-        if self.gather.size == 0:
-            return loss
+        out = -self.loss * vec
         s = float(vec.sum())
-        if s <= 0.0:
-            return loss
-        marg = np.empty(self.stack.shape[0] + 1)
-        marg[:-1] = self.stack @ vec
-        marg[-1] = 1.0
-        prod = marg[self.gather].prod(axis=1)
-        scale = s ** self.powers
-        gain = ((self.weights * scale[:, None]) * prod).sum(axis=0)
-        return gain + loss
+        if s <= 0.0 or not self.rows.size:
+            return out
+        # unit mass first, as in measures.recombinator
+        marg = np.bincount(self.state_cells, (vec / s).repeat(self.n_blocks), self.n_cells)
+        prod = self.rate * marg[self.cells[0]]
+        for cells in self.cells[1:]:
+            head = prod[: cells.size]
+            head *= marg[cells]
+        out += s * np.bincount(self.rows, prod, vec.size)
+        return out
 
 
-def _compile(supported, block_index, weight, total, width) -> _GatherProgram:
-    """Shared compile step of both right-hand sides.
+def _program(rates: RateSystem, space: TypeSpace | None = None) -> _PairProgram:
+    """The gain term of the coefficient system (space None) or of the
+    measure system on space, compiled on first use and cached on the rates.
 
-    ``block_index(u)`` gives, for each of the ``width`` states, its cell in
-    the marginal on the block u, together with the number of cells;
-    ``weight(p, r)`` gives the weight row of the supported pair (p, r).  The
-    marginals of all blocks are stacked as 0/1 rows in sorted block order, and
-    each supported partition gathers one stacked row per block, padded with
-    the trailing constant-1 slot.
+    On the lattice a partition a gains from p only when a refines p, and its
+    cell in the marginal on a block U is the restriction of a to U; on a
+    measure every state gains, and its cell is its letters on U.
     """
-    if not supported:
-        return _GatherProgram(
-            np.zeros((0, width)),
-            np.zeros((0, 0, width), dtype=np.int64),
-            np.zeros((0, 1)),
-            np.zeros(0),
-            total,
-            width,
-        )
-    blocks = sorted({block for p, _ in supported for block in p.blocks})
-    cells: dict[tuple[int, ...], np.ndarray] = {}
-    rows = []
-    q = 0
-    for u in blocks:
-        idx, n_cells = block_index(u)
-        m = np.zeros((n_cells, width))
-        m[idx, np.arange(width)] = 1.0
-        cells[u] = q + idx
-        rows.append(m)
-        q += n_cells
-    stack = np.vstack(rows)
-    rmax = max(p.block_count for p, _ in supported)
-    gather = np.full((len(supported), rmax, width), q, dtype=np.int64)
-    for k, (p, _) in enumerate(supported):
-        for i, u in enumerate(p.blocks):
-            gather[k, i] = cells[u]
-    weights = np.array([weight(p, r) for p, r in supported])
-    powers = np.array([1.0 - p.block_count for p, _ in supported])
-    return _GatherProgram(stack, gather, weights, powers, total, width)
-
-
-def _build_coefficient_program(rates: RateSystem) -> _GatherProgram:
-    lat = lattice(rates.ground)
-    supported = [(p, r) for p, r in rates.rates.items() if r > 0]
-    return _compile(
-        supported,
-        lambda u: (lat.restriction_index(u), lattice(u).size),
-        lambda p, r: r * lat.finer[:, lat.index[p]],
-        rates.total,
-        lat.size,
+    prog = rates._programs.get(space)
+    if prog is not None:
+        return prog
+    kept = sorted(
+        ((p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1),
+        key=lambda pr: -pr[0].block_count,
     )
-
-
-def _coefficient_program(rates: RateSystem) -> _GatherProgram:
-    if rates._coeff_program is None:
-        rates._coeff_program = _build_coefficient_program(rates)
-    return rates._coeff_program
-
-
-def _build_measure_program(rates: RateSystem, space: TypeSpace) -> _GatherProgram:
-    if space.sites != rates.ground:
-        raise ValueError("measure sites must match the rate system ground set")
-    supported = [(p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1]
-    kept = rates.total - sum(r for _, r in supported)  # identity-acting mass
-    coords = np.indices(space.sizes).reshape(len(space.sizes), -1)  # (n, N)
-
-    def block_index(u):
-        axes = [space.axis(s) for s in u]
-        sizes_u = tuple(space.sizes[ax] for ax in axes)
-        idx = np.ravel_multi_index([coords[ax] for ax in axes], sizes_u)
-        return idx, int(np.prod(sizes_u))
-
-    # single-block rates act as the identity, cancelling part of the loss term
-    return _compile(
-        supported, block_index, lambda p, r: [r], rates.total - kept, space.n_states
-    )
-
-
-def _measure_program(rates: RateSystem, space: TypeSpace) -> _GatherProgram:
-    prog = rates._measure_programs.get(space)
-    if prog is None:
-        rates._measure_programs[space] = prog = _build_measure_program(rates, space)
+    blocks = sorted({u for p, _ in kept for u in p.blocks})
+    if space is None:
+        lat = lattice(rates.ground)
+        width = lat.size
+        gains = lat.finer[:, [lat.index[p] for p, _ in kept]].T
+        marginals = [(lat.restriction_index(u), lattice(u).size) for u in blocks]
+    else:
+        if space.sites != rates.ground:
+            raise ValueError("measure sites must match the rate system ground set")
+        width = space.n_states
+        gains = np.ones((len(kept), width), dtype=bool)
+        coords = np.indices(space.sizes).reshape(len(space.sizes), -1)
+        marginals = []
+        for u in blocks:
+            sub = space.subspace(u)
+            axes = [space.axis(x) for x in u]
+            marginals.append((np.ravel_multi_index(coords[axes], sub.sizes), sub.n_states))
+    state_cells = np.zeros((width, len(blocks)), dtype=np.intp)
+    n_cells = 0
+    for i, (idx, size) in enumerate(marginals):
+        state_cells[:, i] = n_cells + idx
+        n_cells += size
+    block_id = {u: i for i, u in enumerate(blocks)}
+    ids = np.full((len(kept), max((p.block_count for p, _ in kept), default=0)), -1)
+    for k, (p, _) in enumerate(kept):
+        ids[k, : p.block_count] = [block_id[u] for u in p.blocks]
+    part, rows = np.nonzero(gains)  # partition-major, so by descending block count
+    cells = []
+    for position in ids.T:
+        block = position[part]
+        m = int(np.count_nonzero(block >= 0))  # a prefix of the pairs
+        cells.append(state_cells[rows[:m], block[:m]])
+    rate = np.array([r for _, r in kept])[part]
+    loss = float(sum(r for _, r in kept))
+    prog = _PairProgram(loss, state_cells.reshape(-1), len(blocks), n_cells, rows, rate, cells)
+    rates._programs[space] = prog
     return prog
 
 
@@ -348,7 +325,7 @@ def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVecto
     v = a.values
     if v.min() < -_NEG_TOL * max(1.0, abs(v).max()):
         raise ValueError("coefficient vector must be nonnegative")
-    return CoefficientVector(a.ground, _coefficient_program(rates).rhs(v))
+    return CoefficientVector(a.ground, _program(rates).rhs(v))
 
 
 def measure_rhs(omega: Measure, rates: RateSystem) -> np.ndarray:
@@ -357,7 +334,7 @@ def measure_rhs(omega: Measure, rates: RateSystem) -> np.ndarray:
     w = omega.weights
     if w.min() < -_NEG_TOL * max(1.0, abs(w).max()):
         raise ValueError("measure must be nonnegative")
-    prog = _measure_program(rates, omega.space)
+    prog = _program(rates, omega.space)
     return prog.rhs(w.reshape(-1)).reshape(w.shape)
 
 
@@ -465,7 +442,7 @@ def integrate_coefficients(
         raise ValueError("ground-set mismatch")
     g = _validate_grid(grid)
     h = _validate_step(step, rates, float(g[-1] - g[0]) if g.size > 1 else 1.0)
-    prog = _coefficient_program(rates)
+    prog = _program(rates)
     values = _rk4(prog.rhs, a0.values, g, h)
     return CoefficientTrajectory(rates.ground, g, values, step=h)
 
@@ -479,7 +456,7 @@ def integrate_measure(
     """Fixed-step integration of the measure-valued system."""
     g = _validate_grid(grid)
     h = _validate_step(step, rates, float(g[-1] - g[0]) if g.size > 1 else 1.0)
-    prog = _measure_program(rates, omega0.space)
+    prog = _program(rates, omega0.space)
     flat = _rk4(prog.rhs, omega0.weights.reshape(-1), g, h)
     tensors = flat.reshape((g.size,) + tuple(omega0.space.sizes))
     return MeasureTrajectory(omega0.space, g, tensors, step=h)

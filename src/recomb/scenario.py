@@ -224,6 +224,15 @@ class Scenario:
             raise ScenarioError(
                 f"time grid of {grid.points} points x {width} values exceeds {MAX_STATES}"
             )
+        if measure_spec is not None:
+            # the measure right-hand side holds one cell index per block of
+            # each rated multi-block partition and per type
+            cells = sum(p.block_count for p in rates.support() if p.block_count > 1)
+            cells *= math.prod(sizes)
+            if cells > MAX_STATES:
+                raise ScenarioError(
+                    f"measure program of {cells} cell indices exceeds {MAX_STATES}"
+                )
         grid.array()  # validate now
 
         scenario = cls(

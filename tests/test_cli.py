@@ -1,19 +1,22 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recomb.cli import main
-from recomb.partitions import MAX_SITES
+from recomb.partitions import MAX_SITES, Partition
 from recomb.scenario import (
     Scenario,
     ScenarioError,
     read_coefficient_csv,
     read_empirical_csv,
 )
-from recomb.partitions import ground_set
+from recomb.partitions import ground_set, lattice
 
 
 GENERIC_N3 = {
@@ -30,6 +33,15 @@ BAD_DEGENERATE_N4 = {
     "initial_measure": "uniform",
     "time_grid": {"start": 0, "end": 1.0, "points": 3},
     "monte_carlo": {"samples": 20000, "seed": 3, "t": 0.5},
+}
+
+# every partition of six sites rated on 8**6 types: 262,144 states pass the
+# grid bound, but the measure right-hand side would hold 673 cell indices
+# per type (176 million)
+HUGE_MEASURE_PROGRAM = {
+    "n": 6,
+    "rates": {str(p): 1.0 for p in lattice(ground_set(6)).parts},
+    "alphabet_sizes": [8] * 6,
 }
 
 SINGLE_CROSSOVER_N4 = {
@@ -352,6 +364,7 @@ class TestScenarioValidation:
             {"tolerances": {"closed_vs_integrated": -1}},
             {"tolerances": {"monte_carlo_tv": float("nan")}},
             {"tolerances": {"monte_carlo_tv": -0.5}},
+            HUGE_MEASURE_PROGRAM,
         ],
         ids=[
             "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
@@ -361,6 +374,7 @@ class TestScenarioValidation:
             "text-alphabet-sizes", "fractional-points", "fractional-samples",
             "bool-seed", "fractional-n", "huge-samples", "nan-route-tolerance",
             "negative-route-tolerance", "nan-tv-tolerance", "negative-tv-tolerance",
+            "huge-measure-program",
         ],
     )
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):
@@ -371,6 +385,8 @@ class TestScenarioValidation:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
+        if change is HUGE_MEASURE_PROGRAM:
+            assert "measure program" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -411,3 +427,58 @@ class TestCsvFormat:
             for cell in row:
                 x = float(cell)
                 assert format(x, ".17g") == cell
+
+
+@st.composite
+def scenario_docs(draw):
+    """Small scenario documents: sizes, alphabets, rate supports (none, the
+    single block only, or any set), steps, grids, samples and seeds."""
+    n = draw(st.integers(1, 4))
+    g = ground_set(n)
+    support = draw(
+        st.one_of(
+            st.just([]),
+            st.just([Partition.whole(g)]),
+            st.lists(st.sampled_from(lattice(g).parts), unique=True),
+        )
+    )
+    doc = {
+        "n": n,
+        "rates": {str(p): draw(st.floats(0.0, 3.0)) for p in support},
+        "alphabet_sizes": draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+        "initial_measure": draw(st.sampled_from([None, "uniform"])),
+        "time_grid": {
+            "start": 0,
+            "end": draw(st.floats(0.1, 3.0)),
+            "points": draw(st.integers(1, 5)),
+        },
+        "monte_carlo": {
+            "samples": draw(st.integers(1, 2000)),
+            "seed": draw(st.integers(0, 2**64)),
+            "t": draw(st.one_of(st.none(), st.floats(0.0, 3.0))),
+        },
+    }
+    step = draw(st.one_of(st.none(), st.floats(0.005, 1.0)))
+    if step is not None:
+        doc["step"] = step
+    return doc
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(doc=scenario_docs())
+def test_compare_exit_code_and_finite_csv(doc):
+    # every scenario ends in a known exit code, and no CSV holds a
+    # non-finite number
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) in (0, 2, 3, 4)
+        for path in out.rglob("*.csv"):
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    for cell in row:
+                        try:
+                            x = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(x), f"{path.name}: {cell}"

@@ -33,6 +33,25 @@ def random_probability(n, seed):
     return CoefficientVector(ground_set(n), v / v.sum())
 
 
+RATE_KINDS = ["dense", "with-zeros", "top-only", "empty"]
+
+
+def rate_system(n, kind, seed=12):
+    """Rates of one kind on n sites: every partition rated, every other one
+    at rate zero (listed finest first), only the single block, or none."""
+    g = ground_set(n)
+    if kind == "dense":
+        return random_rates(n, seed=seed)
+    if kind == "with-zeros":
+        parts = lattice(g).parts[::-1]
+        draw = np.random.default_rng(seed).uniform(0.1, 1.0, len(parts))
+        draw[::2] = 0.0
+        return RateSystem(g, dict(zip(parts, draw)))
+    if kind == "top-only":
+        return RateSystem(g, {Partition.whole(g): 1.5})
+    return RateSystem(g, {})
+
+
 class TestRateSystem:
     def test_total(self):
         rates = random_rates(3, seed=0, total=3.0)
@@ -226,10 +245,12 @@ class TestCoefficientRhs:
         rhs = coefficient_rhs(random_probability(4, seed=11), rates)
         assert rhs.values.sum() == pytest.approx(0.0, abs=1e-13)
 
-    def test_matches_direct_gain_formula(self):
-        rates = random_rates(3, seed=12)
-        q = random_probability(3, seed=13)
-        lat = lattice(ground_set(3))
+    @pytest.mark.parametrize("kind", RATE_KINDS)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_direct_gain_formula(self, n, kind):
+        rates = rate_system(n, kind)
+        q = random_probability(n, seed=13)
+        lat = lattice(ground_set(n))
         rhs = coefficient_rhs(q, rates)
         for i, a in enumerate(lat.parts):
             direct = -rates.total * q.value(a) + sum(
@@ -277,17 +298,24 @@ class TestMeasureRhs:
         rates = random_rates(3, seed=19)
         assert measure_rhs(nu, rates).sum() == pytest.approx(0.0, abs=1e-13)
 
-    def test_matches_direct_operator_sum(self):
+    @pytest.mark.parametrize("kind", RATE_KINDS)
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2,), (3,), (2, 2), (3, 1), (2, 2, 2), (3, 1, 2), (2, 2, 2, 2), (2, 3, 2, 2), (2, 1, 3, 2, 2)],
+        ids=lambda sizes: "x".join(map(str, sizes)),
+    )
+    def test_matches_direct_operator_sum(self, sizes, kind):
         from recomb.measures import recombinator
 
-        space = TypeSpace.regular(3, 2)
+        n = len(sizes)
+        space = TypeSpace(ground_set(n), sizes)
         rng = np.random.default_rng(20)
-        nu = Measure(space, rng.random((2, 2, 2)))
-        rates = random_rates(3, seed=21)
-        direct = np.zeros((2, 2, 2))
+        nu = Measure(space, rng.random(sizes))
+        rates = rate_system(n, kind, seed=21)
+        direct = np.zeros(sizes)
         for p, r in rates.rates.items():
             direct += r * (recombinator(p, nu).weights - nu.weights)
-        np.testing.assert_allclose(measure_rhs(nu, rates), direct, atol=1e-13)
+        np.testing.assert_allclose(measure_rhs(nu, rates), direct, rtol=0, atol=1e-13)
 
 
 class TestIntegration:
