@@ -5,11 +5,14 @@ rates and mixing coefficients so that the coefficient vector at time t is
 
     a_t(A) = sum_{B coarser than A} coeff(A, B) * exp(-decay(B) * t)
 
-built bottom-up over subsets by the block recursion.  The build requires
-all decay rates of a subsystem to be distinct; coincidences are classified
-and either reported (harmless: pairs away from the top element, where the
-coefficients extend continuously) or fatal (a pair hitting the top decay
-rate, which breaks the pure-exponential form).
+built smallest subset first.  Below the top, coeff(A, B) sums over the
+chains A <= B <= C, with C rated at r(C) and not the top, the terms
+r(C) * prod over the blocks U of C of coeff_U(A|U, B|U), and is divided by
+decay(top) - decay(B); one pass per rated C adds all its chains.  The build
+requires all decay rates of a subsystem to be distinct; coincidences are
+classified and either reported (harmless: pairs away from the top element,
+where the coefficients extend continuously) or fatal (a pair hitting the
+top decay rate, which breaks the pure-exponential form).
 """
 
 from __future__ import annotations
@@ -256,17 +259,8 @@ class ClosedFormSolution:
     def decay_table(self, u) -> np.ndarray:
         return self._decay[self._key(u)]
 
-    def decay(self, u, a: Partition) -> float:
-        g = self._key(u)
-        return float(self._decay[g][lattice(g).index[a]])
-
     def coefficient_table(self, u) -> np.ndarray:
         return self._coeff[self._key(u)]
-
-    def coefficient(self, u, a: Partition, b: Partition) -> float:
-        g = self._key(u)
-        lat = lattice(g)
-        return float(self._coeff[g][lat.index[a], lat.index[b]])
 
     def evaluate(self, u, t: float) -> CoefficientVector:
         """The probability vector at time t on the subsystem u."""
@@ -290,11 +284,6 @@ class ClosedFormSolution:
                 )
             self._inverse[g] = cached = lattice(g).incidence_inverse(theta)
         return cached
-
-    def inverse_coefficient(self, u, a: Partition, b: Partition) -> float:
-        g = self._key(u)
-        lat = lattice(g)
-        return float(self.inverse_table(g)[lat.index[a], lat.index[b]])
 
     def decoupled_coefficient(self, u, a: Partition, t: float) -> float:
         """Inverse-transformed coefficient; decays as a pure exponential
@@ -324,17 +313,13 @@ class ClosedFormSolution:
             lat = lattice(u)
             theta = self._coeff[u]
             key = ",".join(str(x) for x in u)
-            rows = {}
-            for i, a in enumerate(lat.parts):
-                nz = {
-                    str(lat.parts[j]): theta[i, j]
-                    for j in range(lat.size)
-                    if theta[i, j] != 0.0
-                }
-                rows[str(a)] = nz
+            names = [str(p) for p in lat.parts]
             out["subsets"][key] = {
-                "decay": {str(p): float(psi[i]) for i, p in enumerate(lat.parts)},
-                "coeff": rows,
+                "decay": {name: float(psi[i]) for i, name in enumerate(names)},
+                "coeff": {
+                    name: {names[j]: theta[i, j] for j in np.flatnonzero(theta[i])}
+                    for i, name in enumerate(names)
+                },
             }
         return out
 
@@ -366,35 +351,29 @@ def build_closed_form(
     coeff: dict[tuple[int, ...], np.ndarray] = {}
     for u in _subsets(ground):
         lat = lattice(u)
-        B = lat.size
-        theta = np.zeros((B, B))
-        if B == 1:
-            theta[0, 0] = 1.0
-            coeff[u] = theta
-            continue
-        psi = decay[u]
         top = lat.top_index
         finer = lat.finer
         rvec = rates.marginal(u)
-        psi_top = psi[top]
-        for jb in range(B):
-            if jb == top:
+        gap = decay[u][top] - decay[u]
+        # a harmless top collision has no rate mass in [b, top), so its whole
+        # column vanishes and the exponential set stays valid
+        cols = np.abs(gap) > tol_abs
+        cols[top] = False
+        theta = np.zeros((lat.size, lat.size))
+        for c in np.flatnonzero(rvec):
+            if c == top:
                 continue
-            if abs(psi_top - psi[jb]) <= tol_abs:
-                # harmless top collision: no rate mass in [B, top), so the
-                # whole column vanishes and the exponential set stays valid
-                continue
-            col = np.zeros(B)
-            for jc in np.nonzero(finer[jb])[0]:
-                if jc == top or rvec[jc] == 0.0:
-                    continue
-                prod = np.ones(B)
-                for block in lat.parts[jc].blocks:
-                    ridx = lat.restriction_index(block)
-                    sub = coeff[block]
-                    prod *= sub[:, ridx[jb]][ridx]
-                col += rvec[jc] * prod
-            theta[:, jb] = np.where(finer[:, jb], col / (psi_top - psi[jb]), 0.0)
+            # the chains a <= b <= c over the kept columns b; all stay below c
+            down = np.flatnonzero(finer[:, c])
+            b = down[cols[down]]
+            a, k = np.nonzero(finer[np.ix_(down, b)])
+            a, b = down[a], b[k]
+            prod = np.ones(a.size)
+            for block in lat.parts[c].blocks:
+                ridx = lat.restriction_index(block)
+                prod *= coeff[block][ridx[a], ridx[b]]
+            theta[a, b] += rvec[c] * prod
+        theta[:, cols] /= gap[cols]
         theta[:, top] = -theta.sum(axis=1)
         theta[top, top] = 1.0
         coeff[u] = theta

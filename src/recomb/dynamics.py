@@ -174,9 +174,6 @@ class CoefficientVector:
     def sum(self) -> float:
         return float(self.values.sum())
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return bool(self.values.min() >= -tol and abs(self.sum() - 1.0) <= tol)
-
     def marginal(self, u) -> "CoefficientVector":
         """Sums over restriction fibers: the induced vector on the subsystem u."""
         g = as_ground(u)

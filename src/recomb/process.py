@@ -142,7 +142,9 @@ def _final_indices(
             moving = lo < hi
             live, clock, lo, hi = live[moving], clock[moving], lo[moving], hi[moving]
             total = cumulative[hi - 1]
-            clock = clock + rng.exponential(1.0 / total)
+            with np.errstate(over="ignore"):  # subnormal total: infinite wait
+                scale = 1.0 / total
+            clock = clock + rng.exponential(scale)
             jumps = clock <= t_end
             live, clock, lo, hi, total = (
                 a[jumps] for a in (live, clock, lo, hi, total)

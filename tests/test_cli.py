@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import recomb
 from recomb.cli import main
 from recomb.partitions import MAX_SITES, Partition
 from recomb.scenario import (
@@ -49,6 +53,15 @@ SINGLE_CROSSOVER_N4 = {
     "two_block_only": True,
     "rates": {"1|2,3,4": 0.37, "1,2|3,4": 0.81, "1,2,3|4": 0.55},
     "time_grid": {"start": 0, "end": 3.0, "points": 7},
+}
+
+# a subnormal total rate: the exponential waiting-time scale overflows to
+# infinity, so every replicate retires at the start state
+SUBNORMAL_RATE_N2 = {
+    "n": 2,
+    "rates": {"1|2": 5e-324},
+    "time_grid": {"start": 0, "end": 1.0, "points": 2},
+    "monte_carlo": {"samples": 100, "seed": 1, "t": 1.0},
 }
 
 
@@ -241,6 +254,22 @@ class TestCompareCommand:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_subnormal_rate_runs_quietly(tmp_path, command):
+    # a fresh interpreter, so that numpy's warnings reach stderr; this
+    # package first on its path and no log level from the environment
+    cfg = write_config(tmp_path, SUBNORMAL_RATE_N2)
+    env = {k: v for k, v in os.environ.items() if k != "RECOMB_LOG"}
+    src = str(Path(recomb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "recomb.cli", command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 class TestScenarioValidation:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from recomb.closed_form import (
+    DEGENERACY_TOL,
     DegeneracyError,
     NonInvertibleError,
     build_closed_form,
@@ -59,6 +60,51 @@ def linear_solution_oracle(rates, u, t):
                 term *= math.exp(-rate_of[i] * t)
         out[meet_of_set(chosen, u)] += term
     return out
+
+
+def closed_form_loop_oracle(rates, decay, tol_degeneracy=DEGENERACY_TOL):
+    """Coefficient tables by the column-by-column loop: for each column b,
+    each rated c coarser than b and each block of c, gather a full vector
+    from the sub-tables, then mask off the partitions not finer than b."""
+    tol_abs = tol_degeneracy * max(rates.total, 1.0)
+    coeff = {}
+    for u in all_subsets(rates.ground):
+        lat = lattice(u)
+        B = lat.size
+        theta = np.zeros((B, B))
+        if B == 1:
+            theta[0, 0] = 1.0
+            coeff[u] = theta
+            continue
+        psi = decay[u]
+        top = lat.top_index
+        finer = lat.finer
+        rvec = rates.marginal(u)
+        psi_top = psi[top]
+        for jb in range(B):
+            if jb == top or abs(psi_top - psi[jb]) <= tol_abs:
+                continue
+            col = np.zeros(B)
+            for jc in np.nonzero(finer[jb])[0]:
+                if jc == top or rvec[jc] == 0.0:
+                    continue
+                prod = np.ones(B)
+                for block in lat.parts[jc].blocks:
+                    ridx = lat.restriction_index(block)
+                    prod *= coeff[block][:, ridx[jb]][ridx]
+                col += rvec[jc] * prod
+            theta[:, jb] = np.where(finer[:, jb], col / (psi_top - psi[jb]), 0.0)
+        theta[:, top] = -theta.sum(axis=1)
+        theta[top, top] = 1.0
+        coeff[u] = theta
+    return coeff
+
+
+def every_other_rate_zero(n):
+    g = ground_set(n)
+    return RateSystem(
+        g, {p: 0.3 + 0.01 * i for i, p in enumerate(lattice(g).parts) if i % 2}
+    )
 
 
 class TestMarginals:
@@ -392,6 +438,24 @@ class TestBuild:
             sol.evaluate(ground_set(3), -1.0)
 
 
+ORACLE_SYSTEMS = {
+    **{f"random-n{n}": (lambda n=n: random_rates(n, seed=40 + n)) for n in range(1, 7)},
+    "zero-mix-n5": lambda: every_other_rate_zero(5),
+    "single-crossover-n4": lambda: single_crossover_rates(4, [0.37, 0.81, 0.55]),
+    "linear-n6": lambda: single_crossover_rates(6, [0.37, 0.81, 0.55, 0.23, 0.64]),
+}
+
+
+@pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+def test_tables_equal_loop_oracle(system):
+    rates = ORACLE_SYSTEMS[system]()
+    sol = build_closed_form(rates)
+    decay = {u: sol.decay_table(u) for u in all_subsets(rates.ground)}
+    oracle = closed_form_loop_oracle(rates, decay)
+    for u, theta in oracle.items():
+        assert np.array_equal(sol.coefficient_table(u), theta), u
+
+
 class TestInverseCoefficients:
     def test_two_sided_inverse(self):
         rates = random_rates(4, seed=29)
@@ -601,6 +665,10 @@ class TestExpKernels:
             (1.0, 0.0, 5, 4.0),
             (6.0, 0.5, 8, 3.0),
             (0.5, 6.0, 8, 3.0),
+            # x = (sigma - rho) t just below and above m + 1, where the
+            # Poisson tail switches from the upper sum to one minus the head
+            (0.0, 1.0, 20, 21.0 - 1e-9),
+            (0.0, 1.0, 20, 21.0 + 1e-9),
         ]
         for rho, sigma, m, t in cases:
             oracle = math.exp(-rho * t) * quad(
