@@ -35,8 +35,9 @@ from recomb.dynamics import (
     CoefficientVector,
     integrate_coefficients,
     integrate_measure,
+    rk4_plan,
 )
-from recomb.measures import mixture, tv_deviation
+from recomb.measures import recombinator
 from recomb.partitions import (
     MAX_SITES,
     Partition,
@@ -107,16 +108,25 @@ def _linear_regime(scenario: Scenario) -> bool:
     return bool(support) and all(_is_interval_two_block(p, g) for p in support)
 
 
+def _check_substeps(scenario: Scenario, grid) -> None:
+    """Refuse an integration over grid that would take more than
+    MAX_SUBSTEPS RK4 substeps, before any of it runs."""
+    try:
+        rk4_plan(scenario.rates, grid, scenario.step)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 def _measure_route(scenario: Scenario, omega0, grid, traj):
     """The measure trajectory from omega0 and, at each grid time, its total
-    variation deviation from the mixture of the coefficient trajectory."""
+    variation deviation from the mixture of the coefficient trajectory, with
+    each partition's block-product operator on omega0 computed once."""
     mtraj = integrate_measure(scenario.rates, omega0, grid, step=scenario.step)
-    dev = np.array(
-        [
-            tv_deviation(mtraj.state(k), mixture(traj.state(k), omega0))
-            for k in range(grid.size)
-        ]
-    )
+    parts = lattice(scenario.ground).parts
+    mix = np.zeros((grid.size, omega0.space.n_states))
+    for i in np.flatnonzero(np.any(traj.values != 0.0, axis=0)):
+        mix += np.outer(traj.values[:, i], recombinator(parts[i], omega0).weights)
+    dev = np.abs(mtraj.tensors.reshape(grid.size, -1) - mix).sum(axis=1)
     return mtraj, dev
 
 
@@ -177,6 +187,8 @@ def cmd_integrate(args) -> int:
     out = _out_dir(args)
     grid = scenario.grid.array()
     g = scenario.ground
+    _check_substeps(scenario, grid)
+    omega0 = scenario.build_measure()
     traj = integrate_coefficients(
         scenario.rates, CoefficientVector.delta_top(g), grid, step=scenario.step
     )
@@ -185,7 +197,6 @@ def cmd_integrate(args) -> int:
         "step": traj.step,
         "max_drift": float(np.abs(traj.drift).max()),
     }
-    omega0 = scenario.build_measure()
     if omega0 is not None:
         mtraj, dev = _measure_route(scenario, omega0, grid, traj)
         write_measure_trajectory_csv(out / "measure_trajectory.csv", mtraj, dev)
@@ -239,6 +250,14 @@ def cmd_compare(args) -> int:
         report["degeneracy"] = exc.report.to_json_dict()
         report["fallback"] = "numerical"
 
+    _check_substeps(scenario, grid)
+    if sol is None and scenario.monte_carlo is not None:
+        # the Monte Carlo reference is then integrated over [0, t]
+        t = scenario.mc_time()
+        ref_grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
+        _check_substeps(scenario, ref_grid)
+    omega0 = scenario.build_measure()
+
     traj = integrate_coefficients(
         scenario.rates, CoefficientVector.delta_top(g), grid, step=scenario.step
     )
@@ -260,7 +279,6 @@ def cmd_compare(args) -> int:
             lin = np.array([linear_solution(scenario.rates, g, t).values for t in grid])
             report["closed_vs_linear_max"] = float(np.abs(closed - lin).max())
 
-    omega0 = scenario.build_measure()
     if omega0 is not None:
         _, dev = _measure_route(scenario, omega0, grid, traj)
         report["measure_vs_mixture"] = {
@@ -278,10 +296,7 @@ def cmd_compare(args) -> int:
             reference = sol.evaluate(g, t)
         else:
             ref_traj = integrate_coefficients(
-                scenario.rates,
-                CoefficientVector.delta_top(g),
-                np.array([0.0, t]) if t > 0 else np.array([0.0]),
-                step=scenario.step,
+                scenario.rates, CoefficientVector.delta_top(g), ref_grid, step=scenario.step
             )
             reference = ref_traj.state(-1)
         gate = scenario.tolerances.tv_gate(lat.size, samples)

@@ -228,12 +228,12 @@ def _scan_degeneracies(
     return report
 
 
-def detect_degeneracy(rates: RateSystem, tol: float = DEGENERACY_TOL) -> DegeneracyReport:
+def detect_degeneracy(rates: RateSystem) -> DegeneracyReport:
     """List all decay-rate coincidences, classified bad or harmless.
 
     Comparison is relative to max(rho_total, 1)."""
     decay = _decay_tables(rates)
-    return _scan_degeneracies(rates, decay, tol * max(rates.total, 1.0))
+    return _scan_degeneracies(rates, decay, DEGENERACY_TOL * max(rates.total, 1.0))
 
 
 class ClosedFormSolution:
@@ -324,9 +324,7 @@ class ClosedFormSolution:
         return out
 
 
-def build_closed_form(
-    rates: RateSystem, tol_degeneracy: float = DEGENERACY_TOL
-) -> ClosedFormSolution:
+def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
     """Build decay and coefficient tables for every nonempty subset.
 
     Raises DegeneracyError when a decay rate collides with the top decay
@@ -335,7 +333,7 @@ def build_closed_form(
     coefficients extend continuously there.
     """
     ground = rates.ground
-    tol_abs = tol_degeneracy * max(rates.total, 1.0)
+    tol_abs = DEGENERACY_TOL * max(rates.total, 1.0)
     decay = _decay_tables(rates)
     report = _scan_degeneracies(rates, decay, tol_abs)
     if report.has_bad:

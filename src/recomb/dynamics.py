@@ -42,10 +42,12 @@ __all__ = [
     "integrate_coefficients",
     "integrate_measure",
     "default_step",
+    "rk4_plan",
 ]
 
 _NEG_TOL = 1e-8
 MAX_STEP_FRACTION = 0.25  # step * rho_total must stay below this
+MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole grid
 
 
 class RateSystem:
@@ -366,19 +368,36 @@ def check_step(step, rates: RateSystem) -> float:
     return step
 
 
-def _validate_step(step, rates: RateSystem, span: float) -> float:
-    return default_step(rates, span) if step is None else check_step(step, rates)
+def rk4_plan(
+    rates: RateSystem, grid, step: float | None = None
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The checked grid, the integrator step (``step``, or ``default_step``)
+    and the number of RK4 substeps in each grid interval.
+
+    The counts are floats, so an integration without bound reads as inf
+    instead of overflowing; a total above MAX_SUBSTEPS raises ValueError.
+    """
+    g = _validate_grid(grid)
+    span = float(g[-1] - g[0]) if g.size > 1 else 1.0
+    h = default_step(rates, span) if step is None else check_step(step, rates)
+    with np.errstate(over="ignore"):
+        substeps = np.maximum(1.0, np.ceil(np.diff(g) / h - 1e-12))
+    total = float(substeps.sum())
+    if total > MAX_SUBSTEPS:
+        raise ValueError(
+            f"integration needs {total:.3g} RK4 substeps, more than {MAX_SUBSTEPS}; "
+            "use a larger step or a shorter time grid"
+        )
+    return g, h, substeps
 
 
-def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, step: float) -> np.ndarray:
+def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, substeps: np.ndarray) -> np.ndarray:
     out = np.empty((grid.size,) + y0.shape)
     out[0] = y0
     y = y0.astype(float).copy()
     for k in range(grid.size - 1):
-        span = grid[k + 1] - grid[k]
-        nsub = max(1, math.ceil(span / step - 1e-12))
-        h = span / nsub
-        for _ in range(nsub):
+        h = (grid[k + 1] - grid[k]) / substeps[k]
+        for _ in range(int(substeps[k])):
             k1 = rhs(y)
             k2 = rhs(y + 0.5 * h * k1)
             k3 = rhs(y + 0.5 * h * k2)
@@ -437,10 +456,9 @@ def integrate_coefficients(
     """Classical 4th-order fixed-step integration of the coefficient system."""
     if a0.ground != rates.ground:
         raise ValueError("ground-set mismatch")
-    g = _validate_grid(grid)
-    h = _validate_step(step, rates, float(g[-1] - g[0]) if g.size > 1 else 1.0)
+    g, h, substeps = rk4_plan(rates, grid, step)
     prog = _program(rates)
-    values = _rk4(prog.rhs, a0.values, g, h)
+    values = _rk4(prog.rhs, a0.values, g, substeps)
     return CoefficientTrajectory(rates.ground, g, values, step=h)
 
 
@@ -451,9 +469,8 @@ def integrate_measure(
     step: float | None = None,
 ) -> MeasureTrajectory:
     """Fixed-step integration of the measure-valued system."""
-    g = _validate_grid(grid)
-    h = _validate_step(step, rates, float(g[-1] - g[0]) if g.size > 1 else 1.0)
+    g, h, substeps = rk4_plan(rates, grid, step)
     prog = _program(rates, omega0.space)
-    flat = _rk4(prog.rhs, omega0.weights.reshape(-1), g, h)
+    flat = _rk4(prog.rhs, omega0.weights.reshape(-1), g, substeps)
     tensors = flat.reshape((g.size,) + tuple(omega0.space.sizes))
     return MeasureTrajectory(omega0.space, g, tensors, step=h)

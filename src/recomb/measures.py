@@ -20,7 +20,6 @@ from recomb.partitions import Partition, as_ground, lattice, meet_of_set
 __all__ = [
     "TypeSpace",
     "Measure",
-    "norm",
     "tv_deviation",
     "project",
     "recombinator",
@@ -85,8 +84,14 @@ class Measure:
         w = np.asarray(weights, dtype=float)
         if w.shape != tuple(space.sizes):
             raise ValueError(f"weights must have shape {tuple(space.sizes)}")
-        if validate and w.size and w.min() < -_NEG_TOL * max(1.0, abs(w).max()):
-            raise ValueError("measure weights must be nonnegative")
+        if validate:
+            if w.min() < -_NEG_TOL * max(1.0, abs(w).max()):
+                raise ValueError("measure weights must be nonnegative")
+            with np.errstate(over="ignore"):
+                total = w.sum()
+            # NaN passes the sign check, and huge weights can sum past the float range
+            if not np.isfinite(total):
+                raise ValueError(f"measure weights must have a finite total, got {total}")
         self.space = space
         self.weights = w
 
@@ -95,11 +100,6 @@ class Measure:
 
     def __repr__(self) -> str:
         return f"Measure(space={self.space.sites}, norm={self.norm():.6g})"
-
-
-def norm(nu: Measure) -> float:
-    """Total mass; the total variation norm of a nonnegative measure."""
-    return nu.norm()
 
 
 def tv_deviation(a: Measure | np.ndarray, b: Measure | np.ndarray) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -36,11 +36,6 @@ __all__ = [
     "parse_partition",
     "Lattice",
     "lattice",
-    "IncidenceElement",
-    "convolve",
-    "delta_element",
-    "zeta_element",
-    "mobius_element",
 ]
 
 # largest site count the command line and scenario files accept: Bell(10) is
@@ -113,12 +108,6 @@ class Partition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def refines(self, other: "Partition") -> bool:
-        return is_refinement(self, other)
-
-    def restrict(self, u) -> "Partition":
-        return restrict(self, u)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.blocks == other.blocks
@@ -381,9 +370,6 @@ class Lattice:
             self._mobius = self.incidence_inverse(self.finer)
         return self._mobius
 
-    def zeta_matrix(self) -> np.ndarray:
-        return self.finer.astype(float)
-
     def restriction_index(self, u) -> np.ndarray:
         """restriction_index(u)[j] = index of parts[j] restricted to u, in lattice(u)."""
         g = as_ground(u)
@@ -407,64 +393,3 @@ def mobius(a: Partition, b: Partition) -> int:
     _check_same_ground(a, b)
     lat = lattice(a.ground)
     return int(lat.mobius_matrix[lat.index[a], lat.index[b]])
-
-
-class IncidenceElement:
-    """A real function on ordered pairs a <= b of partitions, stored densely.
-
-    Entries outside the refinement order are forced to zero.
-    """
-
-    __slots__ = ("ground", "matrix")
-
-    def __init__(self, ground, matrix):
-        lat = lattice(as_ground(ground))
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (lat.size, lat.size):
-            raise ValueError(f"matrix must be {lat.size}x{lat.size}")
-        self.ground = lat.ground
-        self.matrix = np.where(lat.finer, m, 0.0)
-
-    @classmethod
-    def from_pairs(
-        cls, ground, pairs: Mapping[tuple[Partition, Partition], float]
-    ) -> "IncidenceElement":
-        lat = lattice(as_ground(ground))
-        m = np.zeros((lat.size, lat.size))
-        for (a, b), v in pairs.items():
-            if not is_refinement(a, b):
-                if v != 0:
-                    raise ValueError(f"nonzero value on non-comparable pair ({a}, {b})")
-                continue
-            m[lat.index[a], lat.index[b]] = v
-        return cls(ground, m)
-
-    def value(self, a: Partition, b: Partition) -> float:
-        lat = lattice(self.ground)
-        return float(self.matrix[lat.index[a], lat.index[b]])
-
-
-def _check_element_grounds(x: IncidenceElement, y: IncidenceElement) -> None:
-    if x.ground != y.ground:
-        raise ValueError("ground-set mismatch")
-
-
-def convolve(x: IncidenceElement, y: IncidenceElement) -> IncidenceElement:
-    """Incidence-algebra convolution: sum over the interval [a, b]."""
-    _check_element_grounds(x, y)
-    return IncidenceElement(x.ground, x.matrix @ y.matrix)
-
-
-def delta_element(ground) -> IncidenceElement:
-    lat = lattice(as_ground(ground))
-    return IncidenceElement(ground, np.eye(lat.size))
-
-
-def zeta_element(ground) -> IncidenceElement:
-    lat = lattice(as_ground(ground))
-    return IncidenceElement(ground, lat.zeta_matrix())
-
-
-def mobius_element(ground) -> IncidenceElement:
-    lat = lattice(as_ground(ground))
-    return IncidenceElement(ground, lat.mobius_matrix.astype(float))

@@ -66,22 +66,6 @@ class EmpiricalDistribution:
     def frequencies(self) -> dict[Partition, float]:
         return {p: c / self.n_samples for p, c in self.counts.items()}
 
-    def merge(self, other: "EmpiricalDistribution") -> "EmpiricalDistribution":
-        """Pool replicates from independent streams; associative and
-        commutative, so parallel workers can combine in any order."""
-        if self.t != other.t:
-            raise ValueError("cannot merge estimates at different horizons")
-        counts = dict(self.counts)
-        for p, c in other.counts.items():
-            counts[p] = counts.get(p, 0) + c
-        return EmpiricalDistribution(
-            counts,
-            self.n_samples + other.n_samples,
-            t=self.t,
-            seed=None,
-            generator=self.generator,
-        )
-
 
 def _catalog(rates: RateSystem, i: int) -> tuple[list[int], list[float]]:
     """Jumps out of lattice state i: the successor indices and the cumulative
@@ -224,17 +208,6 @@ class BlockIndependenceReport:
     empirical: float
     predicted: float
     z_score: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "start": str(self.start),
-            "end": str(self.end),
-            "t": self.t,
-            "n_samples": self.n_samples,
-            "empirical": self.empirical,
-            "predicted": self.predicted,
-            "z_score": self.z_score,
-        }
 
 
 def transition_product_check(

@@ -88,7 +88,7 @@ def test_criterion_1_lattice_suite():
                     common = f[:, i] & f[:, j]
                     assert not np.any(common & ~f[:, m])
             # Moebius inversion on every interval, both orders
-            zeta = lat.zeta_matrix()
+            zeta = lat.finer.astype(float)
             mob = lat.mobius_matrix.astype(float)
             eye = np.eye(lat.size)
             assert np.array_equal(zeta @ mob, eye)

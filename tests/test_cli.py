@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import recomb
 from recomb.cli import main
+from recomb.measures import Measure, TypeSpace, measure_to_csv
 from recomb.partitions import MAX_SITES, Partition
 from recomb.scenario import (
     Scenario,
@@ -65,10 +66,40 @@ SUBNORMAL_RATE_N2 = {
 }
 
 
+# integrations without a practical bound on their RK4 substeps: a tiny
+# given step (1e9 substeps), a huge rate under the default step 0.05 / rho
+# (2e10), and a default step so small that the count overflows to inf
+UNBOUNDED_INTEGRATIONS = [
+    {**GENERIC_N3, "n": 2, "rates": {"1|2": 1.0}, "step": 1e-9},
+    {**GENERIC_N3, "n": 2, "rates": {"1|2": 1e9}},
+    {**GENERIC_N3, "rates": {"1|2,3": 1e307, "1,2|3": 1e307}},
+]
+
+# initial measures on GENERIC_N3's 2 x 2 x 2 types whose total mass is not a
+# finite number; the file spec names a CSV the test writes
+_ONES = [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]
+NON_FINITE_MEASURES = {
+    "inline-nan": [[[float("nan"), 1.0], [1.0, 1.0]], _ONES[1]],
+    "inline-inf": [[[float("inf"), 1.0], [1.0, 1.0]], _ONES[1]],
+    "product-nan": "product:nan,1;1,1;1,1",
+    "file-nan": "file:nan.csv",
+    "inline-sum-overflow": [[[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [0.0, 0.0]]],
+}
+
+
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def assert_refused_before_output(capsys, out, word):
+    """After exit 2: one stderr line naming the cause, no traceback, and no
+    file in the output directory."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert word in err
+    assert not list(out.iterdir())
 
 
 class TestLatticeCommand:
@@ -441,6 +472,37 @@ class TestScenarioValidation:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["integrate", "compare"])
+    @pytest.mark.parametrize(
+        "doc", UNBOUNDED_INTEGRATIONS, ids=["tiny-step", "huge-rate", "overflowing-count"]
+    )
+    def test_unbounded_integration_rejected(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_refused_before_output(capsys, out, "substeps")
+
+    def test_unbounded_fallback_integration_rejected(self, tmp_path, capsys):
+        # without a closed form, compare integrates the Monte Carlo
+        # reference over [0, t]: 4e10 substeps at t = 1e9
+        doc = {**BAD_DEGENERATE_N4, "monte_carlo": {"samples": 100, "seed": 3, "t": 1e9}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_refused_before_output(capsys, out, "substeps")
+
+    @pytest.mark.parametrize("command", ["integrate", "compare"])
+    @pytest.mark.parametrize("spec", NON_FINITE_MEASURES.values(), ids=NON_FINITE_MEASURES)
+    def test_non_finite_measure_rejected(self, tmp_path, capsys, command, spec):
+        w = np.ones((2, 2, 2))
+        w[0, 0, 0] = np.nan
+        measure_to_csv(Measure(TypeSpace.regular(3, 2), w, validate=False), tmp_path / "nan.csv")
+        # json writes NaN and Infinity literals, which the scenario loader reads
+        cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": spec})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_refused_before_output(capsys, out, "finite total")
+
 
 class TestCsvFormat:
     def test_trajectory_float_precision(self, tmp_path):
@@ -496,13 +558,19 @@ def scenario_docs(draw):
 @settings(max_examples=50, deadline=None, database=None)
 @given(doc=scenario_docs())
 def test_compare_exit_code_and_finite_csv(doc):
-    # every scenario ends in a known exit code, and no CSV holds a
-    # non-finite number
+    # every scenario ends in a known exit code, and neither compare's JSON
+    # nor integrate's CSVs and JSON hold a non-finite number
+    def no_constant(name):
+        raise AssertionError(f"non-finite number {name} in JSON output")
+
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), doc)
-        out = Path(tmp) / "out"
-        assert main(["compare", "--config", str(cfg), "--out", str(out)]) in (0, 2, 3, 4)
-        for path in out.rglob("*.csv"):
+        compared, integrated = Path(tmp) / "compare", Path(tmp) / "integrate"
+        assert main(["compare", "--config", str(cfg), "--out", str(compared)]) in (0, 2, 3, 4)
+        assert main(["integrate", "--config", str(cfg), "--out", str(integrated)]) in (0, 2)
+        for path in [*compared.rglob("*.json"), *integrated.rglob("*.json")]:
+            json.loads(path.read_text(), parse_constant=no_constant)
+        for path in integrated.rglob("*.csv"):
             with open(path, newline="") as fh:
                 for row in csv.reader(fh):
                     for cell in row:

@@ -399,7 +399,7 @@ class TestBuild:
                 sol.coefficient_table(u), lat.mobius_matrix.astype(float), atol=1e-11
             )
             np.testing.assert_allclose(
-                sol.inverse_table(u), lat.zeta_matrix(), atol=1e-10
+                sol.inverse_table(u), lat.finer.astype(float), atol=1e-10
             )
 
     def test_marginal_consistency(self):

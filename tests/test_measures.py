@@ -10,7 +10,6 @@ from recomb.measures import (
     measure_from_csv,
     measure_to_csv,
     mixture,
-    norm,
     product_measure,
     project,
     recombinator,
@@ -33,14 +32,14 @@ SUBSETS_3 = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 class TestNorm:
     def test_zero_measure(self):
         space = TypeSpace.regular(2, 2)
-        assert norm(Measure(space, np.zeros((2, 2)))) == 0.0
+        assert Measure(space, np.zeros((2, 2))).norm() == 0.0
 
     def test_uniform_probability(self):
-        assert norm(uniform_measure(TypeSpace.regular(2, 2))) == pytest.approx(1.0)
+        assert uniform_measure(TypeSpace.regular(2, 2)).norm() == pytest.approx(1.0)
 
     def test_plain_sum(self):
         space = TypeSpace((1,), (3,))
-        assert norm(Measure(space, [0.2, 0.3, 0.5])) == pytest.approx(1.0)
+        assert Measure(space, [0.2, 0.3, 0.5]).norm() == pytest.approx(1.0)
 
 
 class TestProject:

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recomb.partitions import (
-    IncidenceElement,
     Partition,
     bell_number,
-    convolve,
     count_two_block,
-    delta_element,
     enumerate_partitions,
     ground_set,
     is_refinement,
@@ -21,10 +18,8 @@ from recomb.partitions import (
     meet,
     meet_of_set,
     mobius,
-    mobius_element,
     parse_partition,
     restrict,
-    zeta_element,
 )
 
 from conftest import partition_of
@@ -259,7 +254,7 @@ class TestMobius:
 
     def test_bottom_top_n3_against_matrix_inverse(self):
         lat = lattice(ground_set(3))
-        inv = np.linalg.inv(lat.zeta_matrix())
+        inv = np.linalg.inv(lat.finer.astype(float))
         assert np.allclose(lat.mobius_matrix, np.round(inv))
         assert mobius(Partition.singletons((1, 2, 3)), Partition.whole((1, 2, 3))) == 2
 
@@ -273,7 +268,7 @@ class TestMobius:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_inversion_identities_exhaustive(self, n):
         lat = lattice(ground_set(n))
-        zeta = lat.zeta_matrix()
+        zeta = lat.finer.astype(float)
         mob = lat.mobius_matrix.astype(float)
         eye = np.eye(lat.size)
         assert np.array_equal(zeta @ mob, eye)
@@ -281,23 +276,10 @@ class TestMobius:
 
 
 class TestIncidenceAlgebra:
-    def test_delta_is_unit(self):
-        g = ground_set(3)
-        x = mobius_element(g)
-        d = delta_element(g)
-        assert np.array_equal(convolve(d, x).matrix, x.matrix)
-        assert np.array_equal(convolve(x, d).matrix, x.matrix)
-
-    def test_zeta_mobius_inverse(self):
-        g = ground_set(3)
-        d = delta_element(g)
-        assert np.array_equal(convolve(zeta_element(g), mobius_element(g)).matrix, d.matrix)
-        assert np.array_equal(convolve(mobius_element(g), zeta_element(g)).matrix, d.matrix)
-
     def test_zeta_squared_counts_intervals(self):
-        g = ground_set(4)
-        lat = lattice(g)
-        zz = convolve(zeta_element(g), zeta_element(g))
+        lat = lattice(ground_set(4))
+        zeta = lat.finer.astype(np.int64)
+        zz = zeta @ zeta
         for i, a in enumerate(lat.parts):
             for j, b in enumerate(lat.parts):
                 interval = sum(
@@ -305,20 +287,7 @@ class TestIncidenceAlgebra:
                     for c in lat.parts
                     if is_refinement(a, c) and is_refinement(c, b)
                 )
-                assert zz.matrix[i, j] == interval
-
-    def test_from_pairs_rejects_off_order(self):
-        g = ground_set(3)
-        a = Partition([[1, 2], [3]])
-        b = Partition([[1], [2, 3]])
-        with pytest.raises(ValueError):
-            IncidenceElement.from_pairs(g, {(a, b): 1.0})
-
-    def test_value_accessor(self):
-        g = ground_set(3)
-        z = zeta_element(g)
-        a = Partition.singletons(g)
-        assert z.value(a, Partition.whole(g)) == 1.0
+                assert zz[i, j] == interval
 
 
 class TestTextFormat:

@@ -209,18 +209,6 @@ class TestEstimateDistribution:
         assert dist.seed == 9
         assert dist.t == 0.3
 
-    def test_merge_pools_independent_streams(self):
-        rates = random_rates(3, seed=23)
-        a = estimate_distribution(rates, 0.5, 1000, seed=1)
-        b = estimate_distribution(rates, 0.5, 2000, seed=2)
-        merged = a.merge(b)
-        assert merged.n_samples == 3000
-        assert sum(merged.counts.values()) == 3000
-        # commutative
-        assert b.merge(a).counts == merged.counts
-        with pytest.raises(ValueError):
-            a.merge(estimate_distribution(rates, 0.7, 10, seed=3))
-
 
 class TestKolmogorovBackwardConsistency:
     def test_short_time_derivative_matches_rates(self):
