@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        if name in ("solve", "integrate", "compare"):
+        if name in ("integrate", "compare"):
             p.add_argument("--step", type=float, default=None)
         if name in ("simulate", "compare"):
             p.add_argument("--seed", type=int, default=None)

@@ -10,15 +10,15 @@ chains A <= B <= C, with C rated at r(C) and not the top, the terms
 r(C) * prod over the blocks U of C of coeff_U(A|U, B|U), and is divided by
 decay(top) - decay(B); one pass per rated C adds all its chains.  The build
 requires all decay rates of a subsystem to be distinct; coincidences are
-classified and either reported (harmless: pairs away from the top element,
-where the coefficients extend continuously) or fatal (a pair hitting the
-top decay rate, which breaks the pure-exponential form).
+grouped into equal-decay classes and either reported (harmless: away from
+the top element, where the coefficients extend continuously) or fatal (a
+member hitting the top decay rate, which breaks the pure-exponential form).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
@@ -31,6 +31,7 @@ from recomb.partitions import Partition, as_ground, lattice
 __all__ = [
     "DEGENERACY_TOL",
     "DegeneracyPair",
+    "DegeneracyClass",
     "DegeneracyReport",
     "DegeneracyError",
     "NonInvertibleError",
@@ -66,34 +67,61 @@ class DegeneracyPair:
     classification: str  # "bad" | "harmless"
 
 
-@dataclass
-class DegeneracyReport:
-    """Coinciding decay-rate pairs per subsystem, smallest subsystem first."""
+@dataclass(frozen=True)
+class DegeneracyClass:
+    """A maximal run of one subsystem's sorted decay rates with no step above
+    the tolerance, in lattice order; the bad members collide badly with the top."""
 
-    pairs: list[DegeneracyPair] = field(default_factory=list)
+    subset: tuple[int, ...]
+    members: tuple[Partition, ...]
+    decay: tuple[float, ...]
+    bad: tuple[Partition, ...]
+
+
+@dataclass(frozen=True)
+class DegeneracyReport:
+    """Equal-decay classes per subsystem, smallest subsystem first, and the
+    absolute tolerance that joined them."""
+
+    classes: tuple[DegeneracyClass, ...]
+    tolerance: float
 
     @property
     def degenerate(self) -> bool:
-        return bool(self.pairs)
+        return bool(self.classes)
 
     @property
     def has_bad(self) -> bool:
-        return any(p.classification == "bad" for p in self.pairs)
+        return any(c.bad for c in self.classes)
+
+    @property
+    def pairs(self) -> list[DegeneracyPair]:
+        """Every pair of one class within the tolerance; a pair is bad when
+        it joins the top to a bad member."""
+        out = []
+        for c in self.classes:
+            top = Partition.whole(c.subset)
+            d = np.array(c.decay)
+            close = np.abs(d[:, None] - d[None, :]) <= self.tolerance
+            for i, j in zip(*np.nonzero(np.triu(close, 1))):
+                a, b = c.members[i], c.members[j]
+                kind = "bad" if top in (a, b) and (a in c.bad or b in c.bad) else "harmless"
+                out.append(DegeneracyPair(c.subset, a, b, c.decay[i], c.decay[j], kind))
+        return out
 
     def to_json_dict(self) -> dict:
         return {
             "degenerate": self.degenerate,
             "bad": self.has_bad,
-            "pairs": [
+            "tolerance": self.tolerance,
+            "classes": [
                 {
-                    "subset": ",".join(str(x) for x in p.subset),
-                    "a": str(p.a),
-                    "b": str(p.b),
-                    "decay_a": p.value_a,
-                    "decay_b": p.value_b,
-                    "classification": p.classification,
+                    "subset": ",".join(str(x) for x in c.subset),
+                    "decay": min(c.decay),
+                    "partitions": [str(p) for p in c.members],
+                    "bad": [str(p) for p in c.bad],
                 }
-                for p in self.pairs
+                for c in self.classes
             ],
         }
 
@@ -102,9 +130,9 @@ class DegeneracyError(RuntimeError):
     """Raised when a decay rate collides with the top decay rate."""
 
     def __init__(self, report: DegeneracyReport):
-        bad = [p for p in report.pairs if p.classification == "bad"]
+        bad = sum(len(c.bad) for c in report.classes)
         super().__init__(
-            f"{len(bad)} bad decay-rate coincidence(s); closed form unavailable"
+            f"{bad} bad decay-rate coincidence(s); closed form unavailable"
         )
         self.report = report
 
@@ -199,33 +227,26 @@ def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
 def _scan_degeneracies(
     rates: RateSystem, decay: dict[tuple[int, ...], np.ndarray], tol_abs: float
 ) -> DegeneracyReport:
-    """Pairwise coincidence scan.  A pair hitting the top decay rate is bad
-    exactly when rate mass sits strictly between the partition and the top;
-    the coefficient column then cannot vanish and monomial terms would be
+    """Equal-decay classes, the components of |psi_a - psi_b| <= tol_abs, as
+    runs of one sort per subsystem.  A member near the top decay rate is bad
+    exactly when rate mass sits strictly between it and the top; the
+    coefficient column then cannot vanish and monomial terms would be
     needed.  All other coincidences leave the exponential ansatz intact."""
-    report = DegeneracyReport()
+    classes = []
     for u, psi in decay.items():
         lat = lattice(u)
-        if lat.size < 2:
-            continue
         top = lat.top_index
+        order = np.argsort(psi, kind="stable")
+        runs = np.split(order, np.flatnonzero(np.diff(psi[order]) > tol_abs) + 1)
+        near = np.flatnonzero(np.abs(psi[top] - psi) <= tol_abs)
         rvec = rates.marginal(u)
-        finer = lat.finer
-        # mass of the upward interval [B, top), per partition B
-        interval_mass = finer.astype(float) @ rvec - rvec[top]
-        close = np.abs(psi[:, None] - psi[None, :]) <= tol_abs
-        for i, j in zip(*np.nonzero(np.triu(close, 1))):
-            if top in (i, j):
-                other = i if j == top else j
-                kind = "bad" if interval_mass[other] > 0.0 else "harmless"
-            else:
-                kind = "harmless"
-            report.pairs.append(
-                DegeneracyPair(
-                    u, lat.parts[i], lat.parts[j], float(psi[i]), float(psi[j]), kind
-                )
-            )
-    return report
+        # mass of the upward interval [B, top) for the B near the top; none at the top
+        bad = set(near[lat.finer[near] @ rvec - rvec[top] > 0.0].tolist())
+        for run in (np.sort(r) for r in runs if r.size > 1):
+            parts = [lat.parts[i] for i in run]
+            bad_parts = tuple(p for i, p in zip(run, parts) if i in bad)
+            classes.append(DegeneracyClass(u, tuple(parts), tuple(psi[run].tolist()), bad_parts))
+    return DegeneracyReport(tuple(classes), tol_abs)
 
 
 def detect_degeneracy(rates: RateSystem) -> DegeneracyReport:
@@ -340,7 +361,7 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
         raise DegeneracyError(report)
     # distinctness is inherited downward from the full system: a collision in
     # a subsystem forces one with the identical decay gap at the top level
-    if report.pairs and not any(p.subset == ground for p in report.pairs):
+    if report.classes and not any(c.subset == ground for c in report.classes):
         raise AssertionError(
             "subsystem decay collision without a top-level one; "
             "marginal rates are inconsistent"

@@ -471,6 +471,10 @@ def integrate_measure(
     """Fixed-step integration of the measure-valued system."""
     g, h, substeps = rk4_plan(rates, grid, step)
     prog = _program(rates, omega0.space)
-    flat = _rk4(prog.rhs, omega0.weights.reshape(-1), g, substeps)
+    # run at a total below one, scaled by a power of two: exact for a finite
+    # run, and a total near the float limit cannot overflow inside a substep
+    weights = omega0.weights.reshape(-1)
+    exp = math.frexp(float(weights.sum()))[1]
+    flat = np.ldexp(_rk4(prog.rhs, np.ldexp(weights, -exp), g, substeps), exp)
     tensors = flat.reshape((g.size,) + tuple(omega0.space.sizes))
     return MeasureTrajectory(omega0.space, g, tensors, step=h)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,28 @@ SUBNORMAL_RATE_N2 = {
 }
 
 
+# a finite initial measure near the float limit: its total (6e307) passes
+# the measure check, and an unscaled RK4 substep overflows
+HUGE_FINITE_MEASURE_N2 = {
+    "n": 2,
+    "rates": {"1|2": 3.0},
+    "initial_measure": [[3e307, 0], [0, 3e307]],
+    "time_grid": {"start": 0, "end": 1.0, "points": 3},
+}
+
+# six ordered two-block rates at n = 7 (the linear regime): 13,621 harmless
+# coinciding decay-rate pairs in 811 equal-decay classes
+LINEAR_N7 = {
+    "n": 7,
+    "rates": {
+        "1|2,3,4,5,6,7": 0.37, "1,2|3,4,5,6,7": 0.81, "1,2,3|4,5,6,7": 0.55,
+        "1,2,3,4|5,6,7": 0.23, "1,2,3,4,5|6,7": 0.64, "1,2,3,4,5,6|7": 0.45,
+    },
+    "time_grid": {"start": 0, "end": 1.0, "points": 2},
+    "monte_carlo": {"samples": 1000, "seed": 5, "t": 1.0},
+}
+
+
 # integrations without a practical bound on their RK4 substeps: a tiny
 # given step (1e9 substeps), a huge rate under the default step 0.05 / rho
 # (2e10), and a default step so small that the count overflows to inf
@@ -91,6 +114,26 @@ def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def assert_finite_outputs(*dirs):
+    """Every JSON file under dirs parses without NaN or infinity literals,
+    and every numeric CSV cell is finite."""
+    def no_constant(name):
+        raise AssertionError(f"non-finite number {name} in JSON output")
+
+    for d in dirs:
+        for path in d.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=no_constant)
+        for path in d.rglob("*.csv"):
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    for cell in row:
+                        try:
+                            x = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(x), f"{path.name}: {cell}"
 
 
 def assert_refused_before_output(capsys, out, word):
@@ -172,11 +215,34 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
         doc = json.loads((out / "degeneracy.json").read_text())
         assert doc["bad"] is True
-        assert any(p["classification"] == "bad" for p in doc["pairs"])
+        # the bad pair is the subset's top and a bad member of its class
+        (top_class,) = [
+            c for c in doc["classes"]
+            if c["subset"] == "1,2,3,4" and "1,2,3,4" in c["partitions"]
+        ]
+        assert "1,2|3,4" in top_class["bad"]
         assert not (out / "trajectory.csv").exists()
+
+    def test_solve_has_no_step_flag(self, tmp_path):
+        # solve never integrates, so it takes no step
+        cfg = write_config(tmp_path, GENERIC_N3)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--step", "0.01"])
+        assert exc.value.code == 2
 
 
 class TestIntegrateCommand:
+    def test_huge_finite_measure_stays_finite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, HUGE_FINITE_MEASURE_N2)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "measure_trajectory.csv").exists()
+        assert_finite_outputs(out)
+
     def test_drift_and_mixture_metadata(self, tmp_path):
         cfg = write_config(tmp_path, GENERIC_N3)
         out = tmp_path / "out"
@@ -260,6 +326,15 @@ class TestCompareCommand:
         assert doc["closed_vs_integrated"]["max"] <= 1e-6
         assert doc["measure_vs_mixture"]["max"] <= 1e-6
         assert doc["monte_carlo"]["pass"] is True
+
+    def test_linear_n7_degeneracy_report_is_compact(self, tmp_path):
+        # one entry per equal-decay class, not per coinciding pair
+        cfg = write_config(tmp_path, LINEAR_N7)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["linear_regime"] is True and doc["degeneracy"]["degenerate"] is True
+        assert len(json.dumps(doc["degeneracy"], indent=2)) < 250_000
 
     def test_single_crossover_flag(self, tmp_path):
         cfg = write_config(tmp_path, SINGLE_CROSSOVER_N4)
@@ -451,7 +526,6 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["solve", "--step", "1.0"],
             ["integrate", "--step", "1.0"],
             ["compare", "--step", "1.0"],
             ["integrate", "--step", "0"],
@@ -560,22 +634,9 @@ def scenario_docs(draw):
 def test_compare_exit_code_and_finite_csv(doc):
     # every scenario ends in a known exit code, and neither compare's JSON
     # nor integrate's CSVs and JSON hold a non-finite number
-    def no_constant(name):
-        raise AssertionError(f"non-finite number {name} in JSON output")
-
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), doc)
         compared, integrated = Path(tmp) / "compare", Path(tmp) / "integrate"
         assert main(["compare", "--config", str(cfg), "--out", str(compared)]) in (0, 2, 3, 4)
         assert main(["integrate", "--config", str(cfg), "--out", str(integrated)]) in (0, 2)
-        for path in [*compared.rglob("*.json"), *integrated.rglob("*.json")]:
-            json.loads(path.read_text(), parse_constant=no_constant)
-        for path in integrated.rglob("*.csv"):
-            with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    for cell in row:
-                        try:
-                            x = float(cell)
-                        except ValueError:
-                            continue
-                        assert math.isfinite(x), f"{path.name}: {cell}"
+        assert_finite_outputs(compared, integrated)

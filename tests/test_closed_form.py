@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from recomb.closed_form import (
     DEGENERACY_TOL,
     DegeneracyError,
+    DegeneracyPair,
     NonInvertibleError,
     build_closed_form,
     decay_rate,
@@ -98,6 +99,34 @@ def closed_form_loop_oracle(rates, decay, tol_degeneracy=DEGENERACY_TOL):
         theta[top, top] = 1.0
         coeff[u] = theta
     return coeff
+
+
+def pairwise_scan_oracle(rates, decay, tol_abs):
+    """Coinciding decay-rate pairs by the (B, B) difference matrix, one
+    DegeneracyPair per pair, in a plain list."""
+    pairs = []
+    for u, psi in decay.items():
+        lat = lattice(u)
+        if lat.size < 2:
+            continue
+        top = lat.top_index
+        rvec = rates.marginal(u)
+        finer = lat.finer
+        # mass of the upward interval [B, top), per partition B
+        interval_mass = finer.astype(float) @ rvec - rvec[top]
+        close = np.abs(psi[:, None] - psi[None, :]) <= tol_abs
+        for i, j in zip(*np.nonzero(np.triu(close, 1))):
+            if top in (i, j):
+                other = i if j == top else j
+                kind = "bad" if interval_mass[other] > 0.0 else "harmless"
+            else:
+                kind = "harmless"
+            pairs.append(
+                DegeneracyPair(
+                    u, lat.parts[i], lat.parts[j], float(psi[i]), float(psi[j]), kind
+                )
+            )
+    return pairs
 
 
 def every_other_rate_zero(n):
@@ -533,7 +562,48 @@ class TestRateRecovery:
         assert rec[Partition.whole(g)] == pytest.approx(3.0)
 
 
+def oracle_systems():
+    g3, g4 = ground_set(3), ground_set(4)
+    return {
+        **{f"random-n{n}": random_rates(n, 1) for n in range(1, 7)},
+        "every-other-zero-n5": every_other_rate_zero(5),
+        "single-crossover-n4": single_crossover_rates(4, [0.37, 0.81, 0.55]),
+        "single-crossover-n5": single_crossover_rates(5, [0.37, 0.81, 0.55, 0.23]),
+        "zero-rates-n3": RateSystem(g3, {}),
+        "bad-n4": RateSystem(
+            g4, {Partition.singletons(g4): 1.0, Partition([[1, 2], [3, 4]]): 1.0}
+        ),
+        "linear-n7": single_crossover_rates(7, [0.37, 0.81, 0.55, 0.23, 0.64, 0.45]),
+    }
+
+
 class TestDegeneracy:
+    @pytest.mark.parametrize("name", oracle_systems())
+    def test_pairs_match_pairwise_oracle(self, name):
+        rates = oracle_systems()[name]
+        report = detect_degeneracy(rates)
+        decay = {
+            u: np.array([decay_rate(rates, u, p) for p in lattice(u).parts])
+            for u in all_subsets(rates.ground)
+        }
+
+        def key(p):
+            return (p.subset, str(p.a), str(p.b), p.value_a, p.value_b, p.classification)
+        assert sorted(map(key, report.pairs)) == sorted(
+            map(key, pairwise_scan_oracle(rates, decay, report.tolerance))
+        )
+        assert report.tolerance == DEGENERACY_TOL * max(rates.total, 1.0)
+        # classes of one subset are disjoint, each in lattice order
+        for u in all_subsets(rates.ground):
+            index = lattice(u).index
+            classes = [c for c in report.classes if c.subset == u]
+            members = [index[p] for c in classes for p in c.members]
+            assert len(members) == len(set(members))
+            for c in classes:
+                rows = [index[p] for p in c.members]
+                assert rows == sorted(rows) and len(rows) >= 2
+                assert set(c.bad) <= set(c.members)
+
     def test_generic_rates_report_empty(self):
         rates = random_rates(4, seed=35)
         report = detect_degeneracy(rates)

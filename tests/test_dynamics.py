@@ -363,6 +363,19 @@ class TestIntegration:
             np.testing.assert_allclose(traj.tensors[k], nu.weights, atol=1e-12)
         assert np.abs(traj.drift).max() < 1e-12
 
+    @pytest.mark.parametrize("k", (-60, 5, 1022))
+    def test_measure_run_scales_by_powers_of_two(self, k):
+        # the run from omega * 2**k is the run from omega times 2**k, bit for
+        # bit, also where an unscaled RK4 substep would overflow
+        rng = np.random.default_rng(31)
+        space = TypeSpace.regular(3, 2)
+        nu = Measure(space, rng.random((2, 2, 2)))
+        rates = random_rates(3, seed=32)
+        grid = np.linspace(0, 2, 5)
+        base = integrate_measure(rates, nu, grid).tensors
+        scaled = integrate_measure(rates, Measure(space, np.ldexp(nu.weights, k)), grid)
+        np.testing.assert_array_equal(scaled.tensors, np.ldexp(base, k))
+
     def test_equivalence_with_mixture(self):
         # the measure flow equals the coefficient mixture applied to the
         # initial measure, grid point by grid point
