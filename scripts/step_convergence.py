@@ -24,7 +24,7 @@ def main():
     rates = RateSystem(g, dict(zip(lat.parts, draw)))
     sol = build_closed_form(rates)
     grid = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    exact = np.array([sol.evaluate(g, float(t)).values for t in grid])
+    exact = sol.evaluate(g, grid).values
 
     print(f"{'step':>12}  {'max error':>12}  {'order':>6}")
     prev = None

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import gammainc
 
-from recomb.dynamics import CoefficientVector, RateSystem
+from recomb.dynamics import CoefficientTrajectory, RateSystem
 from recomb.partitions import Partition, as_ground, lattice
 
 __all__ = [
@@ -160,9 +160,31 @@ def linear_decay_rate(rates: RateSystem, u, a: Partition) -> float:
     g = as_ground(u)
     if a.ground != g:
         raise ValueError("partition is not on the requested subset")
+    return float(_linear_decay(rates, g)[lattice(g).index[a]])
+
+
+def _linear_decay(rates: RateSystem, g: tuple[int, ...]) -> np.ndarray:
+    """chi on lattice(g): the total minus the rate mass coarser than each
+    partition."""
+    return rates.total - lattice(g).finer @ rates.marginal(g)
+
+
+def _exp_sum(g, theta, psi, times) -> CoefficientTrajectory:
+    """sum_B theta(A, B) exp(-psi(B) t) at every grid time t, as one product
+    over the whole grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(times >= 0):
+        raise ValueError("times must be a 1-d array of nonnegative times")
+    return CoefficientTrajectory(g, times, np.exp(-np.multiply.outer(times, psi)) @ theta.T)
+
+
+def _rates_from_decay(g, theta, psi, total: float) -> dict[Partition, float]:
+    """Rates -theta @ psi, with the total added on the top: the rates whose
+    solution has coefficient table theta and decay rates psi."""
     lat = lattice(g)
-    kept = lat.finer[lat.index[a]].astype(float) @ rates.marginal(g)
-    return float(rates.total - kept)
+    vals = -(theta @ psi)
+    vals[lat.top_index] += total
+    return {p: float(vals[i]) for i, p in enumerate(lat.parts)}
 
 
 def split_block_count(a: Partition, b: Partition) -> int:
@@ -179,20 +201,15 @@ def split_block_count(a: Partition, b: Partition) -> int:
     return sum(1 for block in a.blocks if len({owner[x] for x in block}) > 1)
 
 
-def linear_solution(rates: RateSystem, u, t: float) -> CoefficientVector:
-    """Solution of the linearized system at time t, as a probability vector.
+def linear_solution(rates: RateSystem, u, times) -> CoefficientTrajectory:
+    """Solution of the linearized system at the grid times, as probability
+    vectors.
 
     Evaluated through the Moebius form over interval-complement decay rates;
     the defining sum over subsets of the lattice serves as a test oracle.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
     g = as_ground(u)
-    lat = lattice(g)
-    rvec = rates.marginal(g)
-    chi = rates.total - lat.finer.astype(float) @ rvec
-    vals = lat.mobius_matrix @ np.exp(-chi * t)
-    return CoefficientVector(g, vals)
+    return _exp_sum(g, lattice(g).mobius_matrix, _linear_decay(rates, g), times)
 
 
 def rates_from_linear_decay(
@@ -207,9 +224,7 @@ def rates_from_linear_decay(
     if set(chi_table) != set(lat.parts):
         raise ValueError("decay table must cover every partition of the subset")
     chi = np.array([chi_table[p] for p in lat.parts])
-    vals = -(lat.mobius_matrix @ chi)
-    vals[lat.top_index] += rho_total
-    return {p: float(vals[i]) for i, p in enumerate(lat.parts)}
+    return _rates_from_decay(g, lat.mobius_matrix, chi, rho_total)
 
 
 def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
@@ -258,7 +273,8 @@ def detect_degeneracy(rates: RateSystem) -> DegeneracyReport:
 
 
 class ClosedFormSolution:
-    """Per-subset decay and coefficient tables with O(1) evaluation.
+    """Per-subset decay and coefficient tables, evaluated on a whole time
+    grid by one product.
 
     Immutable once built; evaluation is pure.  Inverse coefficient tables
     are filled in lazily and cached.
@@ -283,13 +299,10 @@ class ClosedFormSolution:
     def coefficient_table(self, u) -> np.ndarray:
         return self._coeff[self._key(u)]
 
-    def evaluate(self, u, t: float) -> CoefficientVector:
-        """The probability vector at time t on the subsystem u."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
+    def evaluate(self, u, times) -> CoefficientTrajectory:
+        """The probability vectors on the subsystem u at the grid times."""
         g = self._key(u)
-        vals = self._coeff[g] @ np.exp(-self._decay[g] * t)
-        return CoefficientVector(g, vals)
+        return _exp_sum(g, self._coeff[g], self._decay[g], times)
 
     def inverse_table(self, u) -> np.ndarray:
         """Inverse of the coefficient table in the incidence algebra."""
@@ -312,16 +325,13 @@ class ClosedFormSolution:
         g = self._key(u)
         lat = lattice(g)
         row = self.inverse_table(g)[lat.index[a]]
-        return float(row @ self.evaluate(g, t).values)
+        return float(row @ self.evaluate(g, [t]).values[0])
 
     def recovered_rates(self, u) -> dict[Partition, float]:
         """Rates reconstructed from decay rates and coefficients; round-trips
         with the marginal input rates."""
         g = self._key(u)
-        lat = lattice(g)
-        vals = -(self._coeff[g] @ self._decay[g])
-        vals[lat.top_index] += self.rates.total
-        return {p: float(vals[i]) for i, p in enumerate(lat.parts)}
+        return _rates_from_decay(g, self._coeff[g], self._decay[g], self.rates.total)
 
     def to_json_dict(self) -> dict:
         out = {

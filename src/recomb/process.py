@@ -232,7 +232,7 @@ def transition_product_check(
     sol = build_closed_form(rates)
     predicted = 1.0
     for block in c.blocks:
-        predicted *= sol.evaluate(block, t).value(restrict(d, block))
+        predicted *= sol.evaluate(block, [t]).state(0).value(restrict(d, block))
     se = (predicted * (1.0 - predicted) / n_samples) ** 0.5
     if se > 0:
         z = (empirical - predicted) / se

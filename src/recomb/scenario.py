@@ -366,26 +366,20 @@ def read_coefficient_csv(path) -> tuple[np.ndarray, list[str], np.ndarray]:
     return np.array(times), keys, np.array(rows)
 
 
-def write_measure_trajectory_csv(
-    path, traj: MeasureTrajectory, mixture_dev: np.ndarray | None = None
-) -> None:
+def write_measure_trajectory_csv(path, traj: MeasureTrajectory, mixture_dev: np.ndarray) -> None:
     """Columns: t, one per state (letters joined by '.'), drift, and the
-    deviation from the coefficient-mixture representation when supplied."""
+    deviation from the coefficient-mixture representation."""
     space = traj.space
     labels = [".".join(str(c) for c in coords) for coords in np.ndindex(*space.sizes)]
     drift = traj.drift
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t"] + labels + ["drift"]
-        if mixture_dev is not None:
-            header.append("mixture_dev")
-        writer.writerow(header)
+        writer.writerow(["t"] + labels + ["drift", "mixture_dev"])
         flat = traj.tensors.reshape(traj.tensors.shape[0], -1)
         for k, t in enumerate(traj.times):
-            row = [_fmt(t)] + [_fmt(v) for v in flat[k]] + [_fmt(drift[k])]
-            if mixture_dev is not None:
-                row.append(_fmt(mixture_dev[k]))
-            writer.writerow(row)
+            writer.writerow(
+                [_fmt(t)] + [_fmt(v) for v in flat[k]] + [_fmt(drift[k]), _fmt(mixture_dev[k])]
+            )
 
 
 def write_empirical_csv(path, dist: EmpiricalDistribution) -> None:

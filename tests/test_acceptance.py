@@ -157,10 +157,9 @@ def test_criterion_4_closed_form_vs_oracle():
                     grid,
                     step=0.01 / rates.total,
                 )
+                closed = sol.evaluate(g, grid).values
                 for i, t in enumerate(grid):
-                    dev = np.abs(
-                        sol.evaluate(g, float(t)).values - traj.values[i]
-                    ).max()
+                    dev = np.abs(closed[i] - traj.values[i]).max()
                     assert dev <= 1e-6, (n, k, t, dev)
 
 
@@ -171,12 +170,11 @@ def test_criterion_5_linear_regime_exactness():
         for n in (1, 2, 3):
             rates = random_rates(n, seed=300 + n, total=2.0)
             sol = build_closed_form(rates)
-            for t in ts:
-                dev = np.abs(
-                    sol.evaluate(ground_set(n), float(t)).values
-                    - linear_solution(rates, ground_set(n), float(t)).values
-                ).max()
-                assert dev <= 1e-10
+            dev = np.abs(
+                sol.evaluate(ground_set(n), ts).values
+                - linear_solution(rates, ground_set(n), ts).values
+            ).max()
+            assert dev <= 1e-10
         # single-crossover support: linear for every partition at n = 4, 5
         for n, values in ((4, (0.37, 0.81, 0.55)), (5, (0.37, 0.81, 0.55, 0.23))):
             g = ground_set(n)
@@ -184,12 +182,10 @@ def test_criterion_5_linear_regime_exactness():
                 g, {Partition([g[:k], g[k:]]): v for k, v in zip(range(1, n), values)}
             )
             sol = build_closed_form(rates)
-            for t in ts:
-                dev = np.abs(
-                    sol.evaluate(g, float(t)).values
-                    - linear_solution(rates, g, float(t)).values
-                ).max()
-                assert dev <= 1e-10
+            dev = np.abs(
+                sol.evaluate(g, ts).values - linear_solution(rates, g, ts).values
+            ).max()
+            assert dev <= 1e-10
 
 
 def test_criterion_6_marginalization():
@@ -199,6 +195,7 @@ def test_criterion_6_marginalization():
         rates = random_rates(n, seed=400, total=4.0)
         sol = build_closed_form(rates)
         ts = (0.1, 0.7, 2.0, 6.0)
+        closed = sol.evaluate(g, ts)
         for size in range(1, n):
             for u in combinations(g, size):
                 sub = RateSystem(u, dict(zip(lattice(u).parts, rates.marginal(u))))
@@ -206,10 +203,10 @@ def test_criterion_6_marginalization():
                 np.testing.assert_allclose(
                     direct.decay_table(u), sol.decay_table(u), atol=1e-10
                 )
-                for t in ts:
-                    lhs = sol.evaluate(g, t).marginal(u).values
-                    rhs = direct.evaluate(u, t).values
-                    assert np.abs(lhs - rhs).max() <= 1e-10
+                sub_closed = direct.evaluate(u, ts)
+                for k in range(len(ts)):
+                    lhs = closed.state(k).marginal(u).values
+                    assert np.abs(lhs - sub_closed.values[k]).max() <= 1e-10
 
 
 def test_criterion_7_coefficient_structure():
@@ -233,9 +230,9 @@ def test_criterion_7_coefficient_structure():
             assert np.abs(theta @ eta - eye).max() <= 1e-9
             assert np.abs(eta[:, lat.top_index] - 1.0).max() <= 1e-9
             assert np.abs(eta[lat.bottom_index] - 1.0).max() <= 1e-9
-            for t in (0.0, 0.5, 2.0):
-                b = eta @ np.array(sol.evaluate(g, t).values)
-                assert np.abs(b - np.exp(-psi * t)).max() <= 1e-9
+            ts = np.array([0.0, 0.5, 2.0])
+            b = sol.evaluate(g, ts).values @ eta.T
+            assert np.abs(b - np.exp(-np.multiply.outer(ts, psi))).max() <= 1e-9
             recovered = sol.recovered_rates(g)
             for p in lat.parts:
                 assert abs(recovered[p] - rates.rate(p)) <= 1e-9
@@ -250,7 +247,7 @@ def test_criterion_8_monte_carlo_gate():
             sol = build_closed_form(rates)
             for t, mc_seed in ((0.5, 11), (2.0, 12)):
                 dist = estimate_distribution(rates, t, n_samples, seed=mc_seed)
-                tv = tv_distance(dist.frequencies(), sol.evaluate(g, t))
+                tv = tv_distance(dist.frequencies(), sol.evaluate(g, [t]).state(0))
                 assert tv <= 0.01, (n, t, tv)
         # exact two-site chain within 3 sigma
         g2 = ground_set(2)
@@ -343,9 +340,6 @@ def test_criterion_10_asymptotic_decay():
             psi_min = psi[psi > 1e-12].min()
             # tail mass away from the absorbing partition, summed without
             # cancellation against 1
-            tail = []
-            for t in ts:
-                v = sol.evaluate(g, float(t)).values
-                tail.append(np.delete(v, lat.bottom_index).sum())
-            slope = np.polyfit(ts, np.log(np.array(tail)), 1)[0]
+            tail = np.delete(sol.evaluate(g, ts).values, lat.bottom_index, axis=1).sum(axis=1)
+            slope = np.polyfit(ts, np.log(tail), 1)[0]
             assert abs(-slope - psi_min) <= 0.05 * psi_min, (seed, -slope, psi_min)

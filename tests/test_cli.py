@@ -110,6 +110,20 @@ NON_FINITE_MEASURES = {
 }
 
 
+def run_cli(argv, **env_vars):
+    """The command line in a fresh interpreter, so that numpy's warnings and
+    log records reach its stderr: this package first on its path, and the
+    log level only from env_vars."""
+    env = {k: v for k, v in os.environ.items() if k != "RECOMB_LOG"}
+    src = str(Path(recomb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run(
+        [sys.executable, "-m", "recomb.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -162,6 +176,11 @@ class TestLatticeCommand:
 
     def test_out_of_range(self):
         assert main(["lattice", "11"]) == 2
+        # reported whatever the log level
+        proc = run_cli(["lattice", "11"], RECOMB_LOG="critical")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("configuration error: lattice size")
 
     def test_full_json(self, capsys):
         assert main(["lattice", "3", "--full", "--format", "json"]) == 0
@@ -242,6 +261,10 @@ class TestIntegrateCommand:
         assert capsys.readouterr().err == ""
         assert (out / "measure_trajectory.csv").exists()
         assert_finite_outputs(out)
+        # deviations are relative to the initial mass (6e307)
+        meta = json.loads((out / "integrate_meta.json").read_text())
+        assert meta["max_mixture_dev"] <= 1e-10
+        assert meta["max_measure_drift"] <= 1e-10
 
     def test_drift_and_mixture_metadata(self, tmp_path):
         cfg = write_config(tmp_path, GENERIC_N3)
@@ -336,6 +359,18 @@ class TestCompareCommand:
         assert doc["linear_regime"] is True and doc["degeneracy"]["degenerate"] is True
         assert len(json.dumps(doc["degeneracy"], indent=2)) < 250_000
 
+    def test_large_measure_total_passes(self, tmp_path):
+        # the measure deviation is relative to the initial mass (4e100), so
+        # rounding at that scale does not fail the gate
+        cfg = write_config(
+            tmp_path, {**GENERIC_N3, "initial_measure": "product:1e100,3e100;1,2;1,1"}
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["measure_vs_mixture"]["max"] <= 1e-6
+        assert doc["measure_vs_mixture"]["pass"]
+
     def test_single_crossover_flag(self, tmp_path):
         cfg = write_config(tmp_path, SINGLE_CROSSOVER_N4)
         out = tmp_path / "out"
@@ -364,16 +399,8 @@ class TestCompareCommand:
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_subnormal_rate_runs_quietly(tmp_path, command):
-    # a fresh interpreter, so that numpy's warnings reach stderr; this
-    # package first on its path and no log level from the environment
     cfg = write_config(tmp_path, SUBNORMAL_RATE_N2)
-    env = {k: v for k, v in os.environ.items() if k != "RECOMB_LOG"}
-    src = str(Path(recomb.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["-m", "recomb.cli", command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert proc.returncode == 0
     assert proc.stderr == ""
 

@@ -129,6 +129,11 @@ def pairwise_scan_oracle(rates, decay, tol_abs):
     return pairs
 
 
+def exp_sum_loop_oracle(theta, psi, times):
+    """The exponential sum one grid time at a time: theta @ exp(-psi * t)."""
+    return np.array([theta @ np.exp(-psi * t) for t in times])
+
+
 def every_other_rate_zero(n):
     g = ground_set(n)
     return RateSystem(
@@ -155,7 +160,7 @@ class TestMarginals:
 
     def test_vector_marginal_full_set(self):
         rates = random_rates(3, seed=2)
-        q = linear_solution(rates, (1, 2, 3), 0.7)
+        q = linear_solution(rates, (1, 2, 3), [0.7]).state(0)
         np.testing.assert_array_equal(q.marginal((1, 2, 3)).values, q.values)
 
     def test_delta_top_marginalizes_to_delta_top(self):
@@ -168,7 +173,7 @@ class TestMarginals:
 
     def test_tower_property(self):
         rates = random_rates(4, seed=3)
-        q = linear_solution(rates, ground_set(4), 0.9)
+        q = linear_solution(rates, ground_set(4), [0.9]).state(0)
         for v in [(1, 2, 3), (2, 3, 4)]:
             qv = q.marginal(v)
             for u in [(v[0],), v[:2]]:
@@ -265,7 +270,7 @@ class TestLinearSolution:
     def test_initial_condition(self):
         rates = random_rates(4, seed=10)
         g = ground_set(4)
-        v = linear_solution(rates, g, 0.0)
+        v = linear_solution(rates, g, [0.0]).state(0)
         assert v.value(Partition.whole(g)) == pytest.approx(1.0)
         assert v.sum() == pytest.approx(1.0)
 
@@ -273,40 +278,41 @@ class TestLinearSolution:
     def test_matches_subset_product_oracle(self, n):
         rates = random_rates(n, seed=11)
         g = ground_set(n)
-        for t in (0.0, 0.3, 1.7):
+        ts = (0.0, 0.3, 1.7)
+        got = linear_solution(rates, g, ts)
+        for k, t in enumerate(ts):
             oracle = linear_solution_oracle(rates, g, t)
-            got = linear_solution(rates, g, t)
             for p, expected in oracle.items():
-                assert got.value(p) == pytest.approx(expected, abs=1e-12)
+                assert got.state(k).value(p) == pytest.approx(expected, abs=1e-12)
 
     def test_oracle_on_subsets_of_larger_system(self):
         rates = random_rates(4, seed=12)
+        ts = (0.5, 2.0)
         for u in [(1, 3), (2, 3, 4)]:
-            for t in (0.5, 2.0):
+            got = linear_solution(rates, u, ts)
+            for k, t in enumerate(ts):
                 oracle = linear_solution_oracle(rates, u, t)
-                got = linear_solution(rates, u, t)
                 for p, expected in oracle.items():
-                    assert got.value(p) == pytest.approx(expected, abs=1e-12)
+                    assert got.state(k).value(p) == pytest.approx(expected, abs=1e-12)
 
     def test_probability_vector_for_all_times(self):
         rates = random_rates(4, seed=13)
         g = ground_set(4)
-        for t in np.linspace(0, 8, 9):
-            v = linear_solution(rates, g, float(t))
-            assert v.sum() == pytest.approx(1.0, abs=1e-12)
-            assert v.values.min() >= -1e-12
+        values = linear_solution(rates, g, np.linspace(0, 8, 9)).values
+        np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert values.min() >= -1e-12
 
     def test_long_time_limit_hits_bottom(self):
         # support meets to the finest partition, so everything decouples
         rates = random_rates(3, seed=14)
         g = ground_set(3)
-        v = linear_solution(rates, g, 200.0)
+        v = linear_solution(rates, g, [200.0]).state(0)
         assert v.value(Partition.singletons(g)) == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_time_rejected(self):
         rates = random_rates(2, seed=15)
         with pytest.raises(ValueError):
-            linear_solution(rates, ground_set(2), -0.1)
+            linear_solution(rates, ground_set(2), [-0.1])
 
 
 class TestLinearDecayInversion:
@@ -384,14 +390,14 @@ class TestBuild:
     def test_evaluate_initial_condition(self):
         rates = random_rates(4, seed=20)
         sol = build_closed_form(rates)
-        v = sol.evaluate(ground_set(4), 0.0)
+        v = sol.evaluate(ground_set(4), [0.0]).state(0)
         assert v.value(Partition.whole(ground_set(4))) == pytest.approx(1.0)
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_long_time_limit(self):
         rates = random_rates(4, seed=21)
         sol = build_closed_form(rates)
-        v = sol.evaluate(ground_set(4), 300.0)
+        v = sol.evaluate(ground_set(4), [300.0]).state(0)
         assert v.value(Partition.singletons(ground_set(4))) == pytest.approx(
             1.0, abs=1e-10
         )
@@ -404,20 +410,17 @@ class TestBuild:
         traj = integrate_coefficients(
             rates, CoefficientVector.delta_top(g), grid, step=0.01 / rates.total
         )
-        for k, t in enumerate(grid):
-            dev = np.abs(sol.evaluate(g, float(t)).values - traj.values[k]).max()
-            assert dev < 1e-8
+        dev = np.abs(sol.evaluate(g, grid).values - traj.values).max(axis=1)
+        assert np.all(dev < 1e-8)
 
     def test_small_systems_match_linear_solution(self):
         rates = random_rates(4, seed=23)
         sol = build_closed_form(rates)
+        ts = np.linspace(0, 5, 6)
         for u in [(1,), (2, 4), (1, 3, 4)]:
-            for t in np.linspace(0, 5, 6):
-                np.testing.assert_allclose(
-                    sol.evaluate(u, float(t)).values,
-                    linear_solution(rates, u, float(t)).values,
-                    atol=1e-11,
-                )
+            np.testing.assert_allclose(
+                sol.evaluate(u, ts).values, linear_solution(rates, u, ts).values, atol=1e-11
+            )
 
     def test_small_systems_coefficients_are_mobius(self):
         rates = random_rates(4, seed=24)
@@ -435,11 +438,13 @@ class TestBuild:
         rates = random_rates(4, seed=25)
         g = ground_set(4)
         sol = build_closed_form(rates)
+        ts = (0.2, 1.0, 4.0)
+        full = sol.evaluate(g, ts)
         for u in all_subsets(g)[:-1]:
-            for t in (0.2, 1.0, 4.0):
-                lhs = sol.evaluate(g, t).marginal(u).values
-                rhs = sol.evaluate(u, t).values
-                np.testing.assert_allclose(lhs, rhs, atol=1e-11)
+            sub = sol.evaluate(u, ts)
+            for k in range(len(ts)):
+                lhs = full.state(k).marginal(u).values
+                np.testing.assert_allclose(lhs, sub.values[k], atol=1e-11)
 
     def test_marginal_equals_direct_subsystem_build(self):
         rates = random_rates(4, seed=26)
@@ -458,13 +463,13 @@ class TestBuild:
         rates = random_rates(3, seed=27)
         sol = build_closed_form(rates)
         with pytest.raises(ValueError):
-            sol.evaluate((4,), 1.0)
+            sol.evaluate((4,), [1.0])
 
     def test_negative_time_rejected(self):
         rates = random_rates(3, seed=28)
         sol = build_closed_form(rates)
         with pytest.raises(ValueError):
-            sol.evaluate(ground_set(3), -1.0)
+            sol.evaluate(ground_set(3), [-1.0])
 
 
 ORACLE_SYSTEMS = {
@@ -483,6 +488,60 @@ def test_tables_equal_loop_oracle(system):
     oracle = closed_form_loop_oracle(rates, decay)
     for u, theta in oracle.items():
         assert np.array_equal(sol.coefficient_table(u), theta), u
+
+
+GRID_SYSTEMS = {
+    **{f"random-n{n}": (lambda n=n: random_rates(n, 1)) for n in range(1, 7)},
+    "every-other-zero-n5": lambda: every_other_rate_zero(5),
+    "single-crossover-n4": lambda: single_crossover_rates(4, [0.37, 0.81, 0.55]),
+    "linear-n7": lambda: single_crossover_rates(7, [0.37, 0.81, 0.55, 0.23, 0.64, 0.45]),
+}
+GRID = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 7.0])
+
+
+class TestGridEvaluation:
+    @pytest.mark.parametrize("system", sorted(GRID_SYSTEMS))
+    def test_evaluate_matches_per_time_loop(self, system):
+        rates = GRID_SYSTEMS[system]()
+        sol = build_closed_form(rates)
+        for u in all_subsets(rates.ground):
+            theta, psi = sol.coefficient_table(u), sol.decay_table(u)
+            got = sol.evaluate(u, GRID)
+            assert got.ground == u and np.array_equal(got.times, GRID)
+            bound = 1e-13 * max(1.0, np.abs(theta).max())
+            assert np.abs(got.values - exp_sum_loop_oracle(theta, psi, GRID)).max() <= bound, u
+
+    @pytest.mark.parametrize("system", sorted(GRID_SYSTEMS))
+    def test_linear_solution_matches_per_time_loop(self, system):
+        rates = GRID_SYSTEMS[system]()
+        for u in all_subsets(rates.ground):
+            lat = lattice(u)
+            chi = rates.total - lat.finer.astype(float) @ rates.marginal(u)
+            oracle = exp_sum_loop_oracle(lat.mobius_matrix.astype(float), chi, GRID)
+            got = linear_solution(rates, u, GRID)
+            assert np.abs(got.values - oracle).max() <= 1e-11, u
+            assert [linear_decay_rate(rates, u, p) for p in lat.parts] == chi.tolist()
+
+    def test_one_point_grid(self):
+        rates = random_rates(4, 1)
+        sol = build_closed_form(rates)
+        g = ground_set(4)
+        theta, psi = sol.coefficient_table(g), sol.decay_table(g)
+        got = sol.evaluate(g, [1.3])
+        assert got.values.shape == (1, lattice(g).size)
+        assert np.abs(got.values - exp_sum_loop_oracle(theta, psi, [1.3])).max() <= 1e-13 * max(
+            1.0, np.abs(theta).max()
+        )
+        assert linear_solution(rates, g, [1.3]).values.shape == (1, lattice(g).size)
+
+    @pytest.mark.parametrize("bad", (-0.5, math.nan))
+    def test_negative_time_in_grid_rejected(self, bad):
+        rates = random_rates(3, 1)
+        sol = build_closed_form(rates)
+        with pytest.raises(ValueError):
+            sol.evaluate(ground_set(3), [0.0, 1.0, bad])
+        with pytest.raises(ValueError):
+            linear_solution(rates, ground_set(3), [0.0, 1.0, bad])
 
 
 class TestInverseCoefficients:
@@ -624,7 +683,7 @@ class TestDegeneracy:
         report = detect_degeneracy(rates)
         assert report.degenerate and not report.has_bad
         sol = build_closed_form(rates)
-        v = sol.evaluate(g, 7.0)
+        v = sol.evaluate(g, [7.0]).state(0)
         assert v.value(Partition.whole(g)) == pytest.approx(1.0)
 
     def test_constructed_bad_collision(self):
@@ -656,12 +715,10 @@ class TestDegeneracy:
             rates = single_crossover_rates(n, values)
             sol = build_closed_form(rates)
             g = ground_set(n)
-            for t in np.linspace(0.0, 6.0, 10):
-                np.testing.assert_allclose(
-                    sol.evaluate(g, float(t)).values,
-                    linear_solution(rates, g, float(t)).values,
-                    atol=1e-10,
-                )
+            ts = np.linspace(0.0, 6.0, 10)
+            np.testing.assert_allclose(
+                sol.evaluate(g, ts).values, linear_solution(rates, g, ts).values, atol=1e-10
+            )
 
 
 class TestLinearAgreementAtSpecialPartitions:
@@ -680,11 +737,11 @@ class TestLinearAgreementAtSpecialPartitions:
             if p.block_count == 2 and min(len(b) for b in p.blocks) == 1
         ]
         assert len(special) == 1 + n
-        for t in np.linspace(0.0, 5.0, 8):
-            got = sol.evaluate(g, float(t))
-            lin = linear_solution(rates, g, float(t))
-            for p in special:
-                assert abs(got.value(p) - lin.value(p)) <= 1e-10
+        ts = np.linspace(0.0, 5.0, 8)
+        cols = [lat.index[p] for p in special]
+        got = sol.evaluate(g, ts).values[:, cols]
+        lin = linear_solution(rates, g, ts).values[:, cols]
+        assert np.abs(got - lin).max() <= 1e-10
 
 
 class TestExpKernels:

@@ -157,7 +157,7 @@ class TestEstimateDistribution:
         sol = build_closed_form(rates)
         n = 100_000
         dist = estimate_distribution(rates, 1.0, n, seed=7)
-        tv = tv_distance(dist.frequencies(), sol.evaluate(ground_set(3), 1.0))
+        tv = tv_distance(dist.frequencies(), sol.evaluate(ground_set(3), [1.0]).state(0))
         assert tv <= 0.01
 
     def test_reproducible(self):
@@ -269,7 +269,7 @@ class TestTvDistance:
     def test_identical_distributions(self):
         rates = random_rates(3, seed=22)
         sol = build_closed_form(rates)
-        v = sol.evaluate(ground_set(3), 1.0)
+        v = sol.evaluate(ground_set(3), [1.0]).state(0)
         assert tv_distance(v.as_dict(), v) == pytest.approx(0.0)
 
     def test_disjoint_distributions(self):
