@@ -54,9 +54,8 @@ class RateSystem:
     """Nonnegative recombination rates on the partitions of a ground set.
 
     Immutable by convention; derived tables are cached on first use: the
-    marginal rates per subset, the compiled gain term per state space (None
-    for the coefficient system, a ``TypeSpace`` for the measure system) and
-    the simulation catalogs.
+    marginal rates per subset and the compiled gain term per state space
+    (None for the coefficient system, a ``TypeSpace`` for the measure system).
     """
 
     __slots__ = (
@@ -67,7 +66,6 @@ class RateSystem:
         "_weights",
         "_marginals",
         "_programs",
-        "_chain",
     )
 
     def __init__(self, ground, rates: Mapping[Partition, float]):
@@ -91,7 +89,6 @@ class RateSystem:
         self._weights = np.array(list(clean.values()), dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
         self._programs: dict[TypeSpace | None, _PairProgram] = {}
-        self._chain: dict[int, tuple[list[int], list[float]]] = {}
 
     @classmethod
     def from_strings(cls, ground, rates: Mapping[str, float]) -> "RateSystem":

@@ -187,7 +187,7 @@ def _canonical(labels: np.ndarray) -> np.ndarray:
     """Relabel every row to its restricted growth string: same blocks, numbered
     in order of first appearance."""
     rows = np.arange(labels.shape[0])
-    number = np.full((labels.shape[0], int(labels.max()) + 1), -1, dtype=np.int64)
+    number = np.full((len(labels), int(labels.max(initial=0)) + 1), -1, np.int64)
     used = np.zeros(labels.shape[0], dtype=np.int64)
     out = np.empty(labels.shape, dtype=np.int64)
     for s in range(labels.shape[1]):

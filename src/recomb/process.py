@@ -9,18 +9,17 @@ estimator here is compared against.
 
 The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
 ``_final_indices``, samples it by the direct method: an exponential waiting
-time at the state's exit rate, then a successor drawn from a lazily built
-per-index catalog of block refinements.  All replicates advance together, in
-blocks of 4096, one vectorised waiting-time and jump round at a time; every
-jump strictly refines, so n sites take at most n - 1 rounds.  The generator
-is counter-based (numpy Philox), so seeded replicate streams are
-reproducible and independent by construction.
+time at the state's exit rate, then a successor drawn from a CSR jump table
+built per call over the states reachable from the start.  All replicates
+advance together, in blocks of 4096, one vectorised waiting-time and jump
+round at a time; every jump strictly refines, so n sites take at most n - 1
+rounds.  The generator is counter-based (numpy Philox), so seeded replicate
+streams are reproducible and independent by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from typing import Mapping
 
 import numpy as np
@@ -67,39 +66,44 @@ class EmpiricalDistribution:
         return {p: c / self.n_samples for p, c in self.counts.items()}
 
 
-def _catalog(rates: RateSystem, i: int) -> tuple[list[int], list[float]]:
-    """Jumps out of lattice state i: the successor indices and the cumulative
-    jump rates.  Each block is split by every proper partition of it at its
-    marginal rate; blocks in order, each block's partitions sorted by text."""
-    cached = rates._chain.get(i)
-    if cached is None:
-        lat = lattice(rates.ground)
-        blocks = lat.parts[i].blocks
-        successors: list[int] = []
-        weights: list[float] = []
-        for k, block in enumerate(blocks):
-            if len(block) == 1:
-                continue
-            rest = blocks[:k] + blocks[k + 1 :]
-            sub = lattice(block)
-            marg = rates.marginal(block)
-            split = [j for j in np.flatnonzero(marg).tolist() if j != sub.top_index]
-            for j in sorted(split, key=lambda j: str(sub.parts[j])):
-                successors.append(lat.index[Partition(rest + sub.parts[j].blocks)])
-                weights.append(float(marg[j]))
-        cached = rates._chain[i] = (successors, list(accumulate(weights)))
-    return cached
-
-
-def _flat_catalogs(rates: RateSystem, states: np.ndarray):
-    """Catalogs of the given lattice states laid end to end: the successor
-    indices, the cumulative rates, and each state's [start, stop) slice."""
-    catalogs = [_catalog(rates, s) for s in states.tolist()]
-    stop = np.cumsum([len(successors) for successors, _ in catalogs])
-    start = np.concatenate(([0], stop[:-1]))
-    successors = np.fromiter(chain.from_iterable(c[0] for c in catalogs), np.intp)
-    cumulative = np.fromiter(chain.from_iterable(c[1] for c in catalogs), float)
-    return successors, cumulative, start, stop
+def _jump_table(rates: RateSystem, start: int):
+    """The chain's generator as CSR arrays over ``lattice(rates.ground)``:
+    row s lists successors[indptr[s]:indptr[s + 1]] and their cumulative
+    rates.  Each block U of s is replaced by every rated proper partition of
+    U at U's marginal rate; blocks in order, each block's partitions sorted
+    by text.  Only states reachable from start have rows, each found in the
+    frontier round of its first jump; every other row is empty."""
+    lat, n = lattice(rates.ground), len(rates.ground)
+    bits = 1 << np.arange(n)
+    seen, reached = np.zeros((2, lat.size), dtype=bool)
+    reached[start] = True
+    jumps = []  # per round: states, block positions, text ranks, successors, rates
+    while (frontier := np.flatnonzero(reached & ~seen)).size:
+        seen[frontier] = True
+        lab = lat.labels[frontier]
+        masks = (lab[:, None, :] == np.arange(n)[:, None]) @ bits  # sites of block k
+        row, k = np.nonzero(masks & (masks - 1))  # blocks of two or more sites
+        pieces = [(row[:0],) * 3 + (lab[:0], np.empty(0))]  # for a round with no split
+        for u in np.unique(masks[row, k]).tolist():
+            cols = np.flatnonzero(u & bits)
+            sub = lattice(tuple(rates.ground[c] for c in cols))
+            marg = rates.marginal(sub.ground)
+            j = [j for j in np.flatnonzero(marg).tolist() if j != sub.top_index]
+            j.sort(key=lambda j: str(sub.parts[j]))
+            hit = np.flatnonzero(masks[row, k] == u)
+            at, rank = np.repeat(hit, len(j)), np.tile(np.arange(len(j)), hit.size)
+            new = lab[row[at]]
+            new[:, cols] = n + sub.labels[j][rank]  # fresh labels on U's sites
+            pieces.append((frontier[row[at]], k[at], rank, new, marg[j][rank]))
+        state, position, rank, new, rate = map(np.concatenate, zip(*pieces))
+        jumps.append((state, position, rank, lat._lookup(new), rate))
+        reached[jumps[-1][3]] = True
+    state, position, rank, successors, rate = map(np.concatenate, zip(*jumps))
+    order = np.lexsort((rank, position, state))
+    state, successors, rate = state[order], successors[order], rate[order]
+    rows = np.split(rate, np.flatnonzero(np.diff(state)) + 1)  # summed one row at a time
+    indptr = np.searchsorted(state, np.arange(lat.size + 1))
+    return indptr, successors, np.concatenate([np.cumsum(r) for r in rows])
 
 
 def _final_indices(
@@ -114,15 +118,14 @@ def _final_indices(
     probability proportional to its rate.  A state without successors is
     absorbing and retires without a draw.  Every jump strictly refines, so a
     block takes at most one round fewer than there are sites."""
+    indptr, successors, cumulative = _jump_table(rates, i)
     ends = np.full(n, i, dtype=np.intp)
     for first in range(0, n, _BLOCK):
         block = ends[first : first + _BLOCK]  # a view: jumps write into ends
         live = np.arange(block.size)
         clock = np.zeros(block.size)
         while live.size:
-            states, slot = np.unique(block[live], return_inverse=True)
-            successors, cumulative, start, stop = _flat_catalogs(rates, states)
-            lo, hi = start[slot], stop[slot]
+            lo, hi = indptr[block[live]], indptr[block[live] + 1]
             moving = lo < hi
             live, clock, lo, hi = live[moving], clock[moving], lo[moving], hi[moving]
             total = cumulative[hi - 1]

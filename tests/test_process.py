@@ -1,6 +1,8 @@
 import math
 from bisect import bisect_right
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from recomb.closed_form import build_closed_form, decay_rate
@@ -8,7 +10,7 @@ from recomb.dynamics import RateSystem
 from recomb.partitions import Partition, ground_set, is_refinement, lattice
 from recomb.process import (
     _BLOCK,
-    _catalog,
+    _jump_table,
     estimate_distribution,
     make_rng,
     simulate_path,
@@ -30,14 +32,49 @@ def splitting_rate_oracle(rates, u):
     return total
 
 
-def direct_method_oracle(rates, start, t_end, rng):
+def catalog_oracle(rates, i):
+    """Jumps out of lattice state i, built from Partition objects without a
+    cache: the successor indices and the cumulative jump rates.  Each block
+    is split by every rated proper partition of it at its marginal rate;
+    blocks in order, each block's partitions sorted by text."""
+    lat = lattice(rates.ground)
+    blocks = lat.parts[i].blocks
+    successors: list[int] = []
+    weights: list[float] = []
+    for k, block in enumerate(blocks):
+        if len(block) == 1:
+            continue
+        rest = blocks[:k] + blocks[k + 1 :]
+        sub = lattice(block)
+        marg = rates.marginal(block)
+        split = [j for j in np.flatnonzero(marg).tolist() if j != sub.top_index]
+        for j in sorted(split, key=lambda j: str(sub.parts[j])):
+            successors.append(lat.index[Partition(rest + sub.parts[j].blocks)])
+            weights.append(float(marg[j]))
+    return successors, list(accumulate(weights))
+
+
+def reachable_oracle(rates, start):
+    """Lattice states the chain can visit from index start, by a search over
+    the oracle catalogs."""
+    seen, stack = {start}, [start]
+    while stack:
+        for j in catalog_oracle(rates, stack.pop())[0]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def direct_method_oracle(catalogs, start, t_end, rng):
     """The chain at t_end by the direct method, one replicate at a time: an
     exponential waiting time at the exit rate, then a successor with
-    probability proportional to its rate."""
-    lat = lattice(rates.ground)
+    probability proportional to its rate.  catalogs[i] is
+    ``catalog_oracle(rates, i)`` for every lattice index i."""
+    lat = lattice(start.ground)
     i, t = lat.index[start], 0.0
     while True:
-        successors, cumulative = _catalog(rates, i)
+        successors, cumulative = catalogs[i]
         if not successors:
             return lat.parts[i]
         total = cumulative[-1]
@@ -88,13 +125,64 @@ class TestChainTable:
         rates = random_rates(n, seed=30 + n)
         lat = lattice(ground_set(n))
         for i, c in enumerate(lat.parts):
-            successors, cumulative = _catalog(rates, i)
+            successors, cumulative = catalog_oracle(rates, i)
             assert len(successors) == len(cumulative)
             assert all(lat.finer[j, i] and j != i for j in successors)
             exit_total = cumulative[-1] if cumulative else 0.0
             expected = sum(splitting_rate_oracle(rates, block) for block in c.blocks)
             assert exit_total == pytest.approx(expected, abs=1e-12)
-        assert _catalog(rates, lat.bottom_index) == ([], [])
+        assert catalog_oracle(rates, lat.bottom_index) == ([], [])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("where", ["top", "middle", "bottom"])
+    def test_jump_table_matches_catalog_oracle(self, n, where):
+        # rows of the reachable, non-absorbing states only, each equal to the
+        # oracle's catalog in successor order and in cumulative rates
+        rates = random_rates(n, seed=40 + n)
+        lat = lattice(ground_set(n))
+        start = {
+            "top": lat.top_index, "middle": lat.size // 2, "bottom": lat.bottom_index
+        }[where]
+        indptr, successors, cumulative = _jump_table(rates, start)
+        assert indptr.shape == (lat.size + 1,) and indptr[-1] == successors.size
+        rows = set(np.flatnonzero(np.diff(indptr)).tolist())
+        live = {s for s in reachable_oracle(rates, start) if catalog_oracle(rates, s)[0]}
+        assert rows == live
+        for s in rows:
+            oracle_successors, oracle_cumulative = catalog_oracle(rates, s)
+            row = slice(indptr[s], indptr[s + 1])
+            assert np.array_equal(successors[row], oracle_successors)
+            assert np.array_equal(cumulative[row], oracle_cumulative)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_exit_rates_are_closed_form_decay_rates(self, n):
+        # the generator's row sums and the closed form's decay table are one
+        # exit rate; every state is reachable from the top under random_rates
+        rates = random_rates(n, seed=50 + n)
+        g = ground_set(n)
+        lat = lattice(g)
+        indptr, _, cumulative = _jump_table(rates, lat.top_index)
+        rows = np.diff(indptr) > 0
+        exit_rates = np.zeros(lat.size)
+        exit_rates[rows] = cumulative[indptr[1:][rows] - 1]
+        np.testing.assert_allclose(
+            exit_rates, build_closed_form(rates).decay_table(g), rtol=1e-12, atol=0
+        )
+        assert indptr[lat.bottom_index] == indptr[lat.bottom_index + 1]
+
+    def test_table_covers_only_reachable_states(self):
+        # one rated partition at n = 9: the top has one jump and its target is
+        # absorbing, so a table over every state would hold many more rows
+        g = ground_set(9)
+        split = Partition([[1, 2, 3, 4], [5, 6, 7, 8, 9]])
+        rates = RateSystem(g, {split: 1.0})
+        lat = lattice(g)
+        indptr, successors, cumulative = _jump_table(rates, lat.top_index)
+        assert np.flatnonzero(np.diff(indptr)).tolist() == [lat.top_index]
+        assert successors.tolist() == [lat.index[split]]
+        assert cumulative.tolist() == [1.0]
+        dist = estimate_distribution(rates, 1.0, 20_000, seed=3)
+        assert set(dist.counts) == {Partition.whole(g), split}
 
 
 class TestSimulatePath:
@@ -127,9 +215,10 @@ class TestSimulatePath:
         # the same draws from the same stream, path for path
         rates = random_rates(n, seed=24)
         top = Partition.whole(ground_set(n))
+        catalogs = [catalog_oracle(rates, i) for i in range(lattice(top.ground).size)]
         a, b = make_rng(25), make_rng(25)
         for _ in range(2000):
-            assert simulate_path(rates, 0.7, a) == direct_method_oracle(rates, top, 0.7, b)
+            assert simulate_path(rates, 0.7, a) == direct_method_oracle(catalogs, top, 0.7, b)
 
 
 class TestEstimateDistribution:
