@@ -37,7 +37,7 @@ from recomb.dynamics import (
     integrate_measure,
     rk4_plan,
 )
-from recomb.measures import recombinator
+from recomb.measures import MAX_STATES, recombinator
 from recomb.partitions import (
     MAX_SITES,
     Partition,
@@ -117,6 +117,17 @@ def _check_substeps(scenario: Scenario, grid) -> None:
         raise ScenarioError(str(exc)) from exc
 
 
+def _check_closed_form(scenario: Scenario) -> None:
+    """Refuse a closed form whose dense (B, B) tables would hold more than
+    MAX_STATES entries each, before any of them is allocated."""
+    entries = bell_number(len(scenario.ground)) ** 2
+    if entries > MAX_STATES:
+        raise ScenarioError(
+            f"the closed form at n = {len(scenario.ground)} needs (B, B) tables of "
+            f"{entries} entries, above {MAX_STATES}"
+        )
+
+
 def _measure_route(scenario: Scenario, omega0, grid, traj):
     """The measure trajectory from omega0 and, at each grid time, its total
     variation deviation from the mixture of the coefficient trajectory and
@@ -170,6 +181,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_solve(args) -> int:
     scenario = _load(args)
+    _check_closed_form(scenario)
     out = _out_dir(args)
     try:
         sol = build_closed_form(scenario.rates)
@@ -232,6 +244,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _load(args)
+    _check_closed_form(scenario)
     out = _out_dir(args)
     grid = scenario.grid.array()
     g = scenario.ground

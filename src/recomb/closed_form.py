@@ -169,20 +169,19 @@ def _linear_decay(rates: RateSystem, g: tuple[int, ...]) -> np.ndarray:
     return rates.total - lattice(g).finer @ rates.marginal(g)
 
 
-def _exp_sum(g, theta, psi, times) -> CoefficientTrajectory:
-    """sum_B theta(A, B) exp(-psi(B) t) at every grid time t, as one product
-    over the whole grid."""
+def _times(times) -> np.ndarray:
+    """The grid as a float array, checked to be 1-d and nonnegative."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(times >= 0):
         raise ValueError("times must be a 1-d array of nonnegative times")
-    return CoefficientTrajectory(g, times, np.exp(-np.multiply.outer(times, psi)) @ theta.T)
+    return times
 
 
-def _rates_from_decay(g, theta, psi, total: float) -> dict[Partition, float]:
-    """Rates -theta @ psi, with the total added on the top: the rates whose
-    solution has coefficient table theta and decay rates psi."""
+def _rates_from_decay(g, product: np.ndarray, total: float) -> dict[Partition, float]:
+    """Rates -product, product = theta @ psi, with the total added on the top:
+    the rates whose solution has coefficient table theta and decay rates psi."""
     lat = lattice(g)
-    vals = -(theta @ psi)
+    vals = -product
     vals[lat.top_index] += total
     return {p: float(vals[i]) for i, p in enumerate(lat.parts)}
 
@@ -205,11 +204,14 @@ def linear_solution(rates: RateSystem, u, times) -> CoefficientTrajectory:
     """Solution of the linearized system at the grid times, as probability
     vectors.
 
-    Evaluated through the Moebius form over interval-complement decay rates;
-    the defining sum over subsets of the lattice serves as a test oracle.
+    Moebius inversion of exp(-chi t), chi the interval-complement decay
+    rates, by one substitution over the whole grid; the defining sum over
+    subsets of the lattice serves as a test oracle.
     """
-    g = as_ground(u)
-    return _exp_sum(g, lattice(g).mobius_matrix, _linear_decay(rates, g), times)
+    g, times = as_ground(u), _times(times)
+    lat = lattice(g)
+    survival = np.exp(-np.multiply.outer(_linear_decay(rates, g), times))
+    return CoefficientTrajectory(g, times, lat.incidence_solve(lat.finer, survival).T)
 
 
 def rates_from_linear_decay(
@@ -223,8 +225,8 @@ def rates_from_linear_decay(
     lat = lattice(g)
     if set(chi_table) != set(lat.parts):
         raise ValueError("decay table must cover every partition of the subset")
-    chi = np.array([chi_table[p] for p in lat.parts])
-    return _rates_from_decay(g, lat.mobius_matrix, chi, rho_total)
+    chi = np.array([chi_table[p] for p in lat.parts], dtype=float)
+    return _rates_from_decay(g, lat.incidence_solve(lat.finer, chi), rho_total)
 
 
 def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
@@ -276,8 +278,7 @@ class ClosedFormSolution:
     """Per-subset decay and coefficient tables, evaluated on a whole time
     grid by one product.
 
-    Immutable once built; evaluation is pure.  Inverse coefficient tables
-    are filled in lazily and cached.
+    Immutable once built; evaluation is pure.
     """
 
     def __init__(self, rates, decay, coeff, report):
@@ -285,7 +286,6 @@ class ClosedFormSolution:
         self._decay: dict[tuple[int, ...], np.ndarray] = decay
         self._coeff: dict[tuple[int, ...], np.ndarray] = coeff
         self.report: DegeneracyReport = report
-        self._inverse: dict[tuple[int, ...], np.ndarray] = {}
 
     def _key(self, u) -> tuple[int, ...]:
         g = as_ground(u)
@@ -301,23 +301,21 @@ class ClosedFormSolution:
 
     def evaluate(self, u, times) -> CoefficientTrajectory:
         """The probability vectors on the subsystem u at the grid times."""
-        g = self._key(u)
-        return _exp_sum(g, self._coeff[g], self._decay[g], times)
+        g, times = self._key(u), _times(times)
+        factors = np.exp(-np.multiply.outer(times, self._decay[g]))
+        return CoefficientTrajectory(g, times, factors @ self._coeff[g].T)
 
     def inverse_table(self, u) -> np.ndarray:
         """Inverse of the coefficient table in the incidence algebra."""
         g = self._key(u)
-        cached = self._inverse.get(g)
-        if cached is None:
-            theta = self._coeff[g]
-            scale = max(1.0, float(np.abs(theta).max()))
-            if np.abs(np.diag(theta)).min() <= _DIAG_TOL * scale:
-                raise NonInvertibleError(
-                    "coefficient table has a vanishing diagonal entry; "
-                    "inverse requires positive rates on all two-block partitions"
-                )
-            self._inverse[g] = cached = lattice(g).incidence_inverse(theta)
-        return cached
+        theta = self._coeff[g]
+        scale = max(1.0, float(np.abs(theta).max()))
+        if np.abs(np.diag(theta)).min() <= _DIAG_TOL * scale:
+            raise NonInvertibleError(
+                "coefficient table has a vanishing diagonal entry; "
+                "inverse requires positive rates on all two-block partitions"
+            )
+        return lattice(g).incidence_solve(theta, np.eye(theta.shape[0]))
 
     def decoupled_coefficient(self, u, a: Partition, t: float) -> float:
         """Inverse-transformed coefficient; decays as a pure exponential
@@ -331,7 +329,7 @@ class ClosedFormSolution:
         """Rates reconstructed from decay rates and coefficients; round-trips
         with the marginal input rates."""
         g = self._key(u)
-        return _rates_from_decay(g, self._coeff[g], self._decay[g], self.rates.total)
+        return _rates_from_decay(g, self._coeff[g] @ self._decay[g], self.rates.total)
 
     def to_json_dict(self) -> dict:
         out = {

@@ -344,30 +344,30 @@ class Lattice:
             self._meet_table = m
         return self._meet_table
 
-    def incidence_inverse(self, theta: np.ndarray) -> np.ndarray:
-        """Inverse of an incidence-algebra element given as a (B, B) table
-        that vanishes off the order and has a nonzero diagonal.
+    def incidence_solve(self, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solution x of theta @ x = rhs, for an incidence-algebra element
+        given as a (B, B) table that vanishes off the order and has a nonzero
+        diagonal, and a right-hand side of B rows, a vector or a table.
 
-        Coarsest-first row recursion over the strictly coarser elements up(i):
-        eta[i] = (e_i - theta[i, up(i)] @ eta[up(i)]) / theta[i, i].  A
-        boolean table (the zeta function) is inverted exactly in int64.
+        Coarsest-first substitution over the strictly coarser elements up(i):
+        x[i] = (rhs[i] - theta[i, up(i)] @ x[up(i)]) / theta[i, i].  For a
+        boolean table (the zeta function) x keeps the dtype of rhs, so an
+        integer right-hand side is solved exactly.
         """
         finer = self.finer
-        eta = np.zeros(theta.shape, dtype=np.int64 if theta.dtype == bool else float)
+        x = np.zeros(rhs.shape, dtype=rhs.dtype if theta.dtype == bool else float)
         for i in np.argsort(self.block_counts, kind="stable"):
             up = np.flatnonzero(finer[i])
             up = up[up != i]
-            row = -(theta[i, up] @ eta[up])
-            row[i] += 1
-            eta[i] = row / theta[i, i]
-        return eta
+            x[i] = (rhs[i] - theta[i, up] @ x[up]) / theta[i, i]
+        return x
 
     @property
     def mobius_matrix(self) -> np.ndarray:
         """Integer matrix of the Moebius function, the inverse of zeta; zero
         outside the order."""
         if self._mobius is None:
-            self._mobius = self.incidence_inverse(self.finer)
+            self._mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
         return self._mobius
 
     def restriction_index(self, u) -> np.ndarray:

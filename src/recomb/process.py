@@ -10,11 +10,12 @@ estimator here is compared against.
 The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
 ``_final_indices``, samples it by the direct method: an exponential waiting
 time at the state's exit rate, then a successor drawn from a CSR jump table
-built per call over the states reachable from the start.  All replicates
-advance together, in blocks of 4096, one vectorised waiting-time and jump
-round at a time; every jump strictly refines, so n sites take at most n - 1
-rounds.  The generator is counter-based (numpy Philox), so seeded replicate
-streams are reproducible and independent by construction.
+over the states reachable from the start, which each sampler call builds
+once and passes in.  All replicates advance together, in blocks of 4096, one
+vectorised waiting-time and jump round at a time; every jump strictly
+refines, so n sites take at most n - 1 rounds.  The generator is
+counter-based (numpy Philox), so seeded replicate streams are reproducible
+and independent by construction.
 """
 
 from __future__ import annotations
@@ -106,11 +107,10 @@ def _jump_table(rates: RateSystem, start: int):
     return indptr, successors, np.concatenate([np.cumsum(r) for r in rows])
 
 
-def _final_indices(
-    rates: RateSystem, i: int, t_end: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
+def _final_indices(table, i: int, t_end: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Lattice indices at t_end of n replicates of the chain, each started
-    from index i.
+    from index i, with ``table`` the (indptr, successors, cumulative) arrays
+    of ``_jump_table`` for a start from which i is reachable.
 
     The replicates advance together, in blocks of ``_BLOCK``.  Each round
     draws, for every live replicate, an exponential waiting time at its
@@ -118,7 +118,7 @@ def _final_indices(
     probability proportional to its rate.  A state without successors is
     absorbing and retires without a draw.  Every jump strictly refines, so a
     block takes at most one round fewer than there are sites."""
-    indptr, successors, cumulative = _jump_table(rates, i)
+    indptr, successors, cumulative = table
     ends = np.full(n, i, dtype=np.intp)
     for first in range(0, n, _BLOCK):
         block = ends[first : first + _BLOCK]  # a view: jumps write into ends
@@ -170,7 +170,7 @@ def simulate_path(
     """Value of the chain at t_end, started from the single-block partition
     (or from ``start``)."""
     i = _start_index(rates, t_end, start)
-    return lattice(rates.ground).parts[_final_indices(rates, i, t_end, 1, rng)[0]]
+    return lattice(rates.ground).parts[_final_indices(_jump_table(rates, i), i, t_end, 1, rng)[0]]
 
 
 def estimate_distribution(
@@ -184,7 +184,7 @@ def estimate_distribution(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     i = _start_index(rates, t, start)
-    ends = _final_indices(rates, i, t, n_samples, make_rng(seed))
+    ends = _final_indices(_jump_table(rates, i), i, t, n_samples, make_rng(seed))
     parts = lattice(rates.ground).parts
     tally = np.bincount(ends)
     counts = {parts[j]: int(tally[j]) for j in np.flatnonzero(tally)}

@@ -50,6 +50,14 @@ HUGE_MEASURE_PROGRAM = {
     "alphabet_sizes": [8] * 6,
 }
 
+# one rated partition of nine sites: the Monte Carlo route serves it, but the
+# closed form's dense tables would need B(9)**2 = 447 million entries each
+N9_ONE_RATE = {
+    "n": 9,
+    "rates": {"1,2,3,4|5,6,7,8,9": 1.0},
+    "monte_carlo": {"samples": 20000, "seed": 1, "t": 1.0},
+}
+
 SINGLE_CROSSOVER_N4 = {
     "n": 4,
     "two_block_only": True,
@@ -110,17 +118,24 @@ NON_FINITE_MEASURES = {
 }
 
 
-def run_cli(argv, **env_vars):
+def run_cli(argv, address_space=None, **env_vars):
     """The command line in a fresh interpreter, so that numpy's warnings and
     log records reach its stderr: this package first on its path, and the
-    log level only from env_vars."""
+    log level only from env_vars.  address_space caps the child's virtual
+    memory in bytes (RLIMIT_AS), in the child only."""
     env = {k: v for k, v in os.environ.items() if k != "RECOMB_LOG"}
     src = str(Path(recomb.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
+    limit = None
+    if address_space is not None:
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run(
         [sys.executable, "-m", "recomb.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
     )
 
 
@@ -395,6 +410,19 @@ class TestCompareCommand:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_oversized_closed_form_refused(tmp_path, command):
+    # B(9)**2 table entries are above MAX_STATES: refused before any (B, B)
+    # table exists, in a child whose address space could not hold one
+    cfg = write_config(tmp_path, N9_ONE_RATE)
+    out = tmp_path / "out"
+    proc = run_cli([command, "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("configuration error: the closed form at n = 9")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

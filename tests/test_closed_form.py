@@ -22,6 +22,7 @@ from recomb.closed_form import (
 )
 from recomb.dynamics import CoefficientVector, RateSystem, integrate_coefficients
 from recomb.partitions import (
+    Lattice,
     Partition,
     ground_set,
     is_refinement,
@@ -355,6 +356,14 @@ class TestLinearDecayInversion:
         with pytest.raises(ValueError):
             rates_from_linear_decay({Partition.whole(g): 0.0}, 1.0, g)
 
+    def test_integer_decay_table(self):
+        # integer decay rates are solved in floats, so the top keeps the
+        # fractional part of the total
+        g = ground_set(3)
+        chi = {p: 2 * p.block_count - 2 for p in lattice(g).parts}
+        as_float = {p: float(v) for p, v in chi.items()}
+        assert rates_from_linear_decay(chi, 2.5, g) == rates_from_linear_decay(as_float, 2.5, g)
+
 
 class TestBuild:
     def test_structure_identities(self):
@@ -542,6 +551,31 @@ class TestGridEvaluation:
             sol.evaluate(ground_set(3), [0.0, 1.0, bad])
         with pytest.raises(ValueError):
             linear_solution(rates, ground_set(3), [0.0, 1.0, bad])
+
+
+class TestLinearSubstitution:
+    SYSTEMS = {"random-n4": lambda: random_rates(4, 1), "linear-n7": GRID_SYSTEMS["linear-n7"]}
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_never_reads_mobius_matrix(self, system, monkeypatch):
+        def refuse(lat):
+            raise AssertionError("the dense Moebius matrix was read")
+
+        monkeypatch.setattr(Lattice, "mobius_matrix", property(refuse))
+        rates = self.SYSTEMS[system]()
+        g = rates.ground
+        lat = lattice(g)
+        values = linear_solution(rates, g, GRID).values
+        assert values.shape == (GRID.size, lat.size)
+        chi = rates.total - lat.finer.astype(float) @ rates.marginal(g)
+        recovered = rates_from_linear_decay(dict(zip(lat.parts, chi)), rates.total, g)
+        assert np.abs(np.array(list(recovered.values())) - rates.marginal(g)).max() <= 1e-10
+
+    @pytest.mark.parametrize("system", ["random-n7", "linear-n7"])
+    def test_rows_sum_to_one(self, system):
+        rates = random_rates(7, 1) if system == "random-n7" else GRID_SYSTEMS[system]()
+        values = linear_solution(rates, rates.ground, GRID).values
+        assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-14
 
 
 class TestInverseCoefficients:

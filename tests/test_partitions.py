@@ -289,6 +289,28 @@ class TestIncidenceAlgebra:
                 )
                 assert zz[i, j] == interval
 
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_solve_matches_dense_solver(self, n, columns):
+        # a random element: arbitrary values on the order, zero off it
+        rng = np.random.default_rng(100 + n)
+        lat = lattice(ground_set(n))
+        theta = lat.finer * rng.uniform(0.5, 1.5, (lat.size, lat.size))
+        rhs = rng.uniform(-1.0, 1.0, (lat.size,) if columns is None else (lat.size, columns))
+        x = lat.incidence_solve(theta, rhs)
+        reference = np.linalg.solve(theta, rhs)
+        assert x.shape == rhs.shape
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zeta_solve_keeps_integers(self, n):
+        lat = lattice(ground_set(n))
+        rhs = np.arange(lat.size, dtype=np.int64) - lat.size // 2
+        x = lat.incidence_solve(lat.finer, rhs)
+        assert x.dtype == np.int64
+        assert np.array_equal(x, lat.mobius_matrix @ rhs)
+        assert lat.mobius_matrix.dtype == np.int64
+
 
 class TestTextFormat:
     def test_parse_basic(self):

@@ -10,6 +10,7 @@ from recomb.dynamics import RateSystem
 from recomb.partitions import Partition, ground_set, is_refinement, lattice
 from recomb.process import (
     _BLOCK,
+    _final_indices,
     _jump_table,
     estimate_distribution,
     make_rng,
@@ -212,12 +213,18 @@ class TestSimulatePath:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_direct_method_oracle(self, n):
-        # the same draws from the same stream, path for path
+        # the same draws from the same stream, path for path, through one
+        # table; then simulate_path, which builds its own, continues the streams
         rates = random_rates(n, seed=24)
-        top = Partition.whole(ground_set(n))
-        catalogs = [catalog_oracle(rates, i) for i in range(lattice(top.ground).size)]
+        lat = lattice(ground_set(n))
+        top = Partition.whole(lat.ground)
+        catalogs = [catalog_oracle(rates, i) for i in range(lat.size)]
+        table = _jump_table(rates, lat.top_index)
         a, b = make_rng(25), make_rng(25)
         for _ in range(2000):
+            end = _final_indices(table, lat.top_index, 0.7, 1, a)[0]
+            assert lat.parts[end] == direct_method_oracle(catalogs, top, 0.7, b)
+        for _ in range(5):
             assert simulate_path(rates, 0.7, a) == direct_method_oracle(catalogs, top, 0.7, b)
 
 
