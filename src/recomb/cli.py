@@ -110,7 +110,8 @@ def _linear_regime(scenario: Scenario) -> bool:
 
 def _check_substeps(scenario: Scenario, grid) -> None:
     """Refuse an integration over grid that would take more than
-    MAX_SUBSTEPS RK4 substeps, before any of it runs."""
+    MAX_SUBSTEPS RK4 substeps, or whose coefficient program would hold more
+    than MAX_STATES cell indices, before any of it runs."""
     try:
         rk4_plan(scenario.rates, grid, scenario.step)
     except ValueError as exc:

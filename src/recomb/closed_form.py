@@ -400,7 +400,7 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
                 ridx = lat.restriction_index(block)
                 prod *= coeff[block][ridx[a], ridx[b]]
             theta[a, b] += rvec[c] * prod
-        theta[:, cols] /= gap[cols]
+        theta /= np.where(cols, gap, 1.0)  # in place: columns outside cols are still zero
         theta[:, top] = -theta.sum(axis=1)
         theta[top, top] = 1.0
         coeff[u] = theta

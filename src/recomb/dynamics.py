@@ -22,10 +22,11 @@ from typing import Mapping
 
 import numpy as np
 
-from recomb.measures import Measure, TypeSpace
+from recomb.measures import MAX_STATES, Measure, TypeSpace
 from recomb.partitions import (
     Partition,
     as_ground,
+    bell_number,
     is_refinement,
     lattice,
 )
@@ -276,13 +277,18 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _PairProgram:
     if space is None:
         lat = lattice(rates.ground)
         width = lat.size
-        gains = lat.finer[:, [lat.index[p] for p, _ in kept]].T
         marginals = [(lat.restriction_index(u), lattice(u).size) for u in blocks]
+        # a refines p exactly when p cuts no block of a, that is when the
+        # block counts of a's restrictions to the blocks of p add up to a's
+        count = {u: lattice(u).block_counts[idx] for u, (idx, _) in zip(blocks, marginals)}
+        gains = [
+            np.flatnonzero(sum(count[u] for u in p.blocks) == lat.block_counts) for p, _ in kept
+        ]
     else:
         if space.sites != rates.ground:
             raise ValueError("measure sites must match the rate system ground set")
         width = space.n_states
-        gains = np.ones((len(kept), width), dtype=bool)
+        gains = [np.arange(width)] * len(kept)
         coords = np.indices(space.sizes).reshape(len(space.sizes), -1)
         marginals = []
         for u in blocks:
@@ -298,7 +304,8 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _PairProgram:
     ids = np.full((len(kept), max((p.block_count for p, _ in kept), default=0)), -1)
     for k, (p, _) in enumerate(kept):
         ids[k, : p.block_count] = [block_id[u] for u in p.blocks]
-    part, rows = np.nonzero(gains)  # partition-major, so by descending block count
+    part = np.repeat(np.arange(len(kept)), [g.size for g in gains])  # by descending block count
+    rows = np.concatenate([part[:0], *gains])  # states ascending; part[:0] when nothing is kept
     cells = []
     for position in ids.T:
         block = position[part]
@@ -309,6 +316,22 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _PairProgram:
     prog = _PairProgram(loss, state_cells.reshape(-1), len(blocks), n_cells, rows, rate, cells)
     rates._programs[space] = prog
     return prog
+
+
+def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
+    """The number of cell indices ``_program(rates, space)`` stores, from
+    block sizes alone: one per state and distinct block, and one per block of
+    each gain pair.  Every state of a measure gains from a rated partition p;
+    on the lattice the prod_V B(|V|) partitions finer than p do."""
+    kept = [p for p, r in rates.rates.items() if r > 0 and p.block_count > 1]
+    if space is None:
+        states = bell_number(len(rates.ground))
+        gaining = [math.prod(bell_number(len(u)) for u in p.blocks) for p in kept]
+    else:
+        states = space.n_states
+        gaining = [states] * len(kept)
+    blocks = {u for p in kept for u in p.blocks}
+    return states * len(blocks) + sum(p.block_count * m for p, m in zip(kept, gaining))
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:
@@ -366,14 +389,20 @@ def check_step(step, rates: RateSystem) -> float:
 
 
 def rk4_plan(
-    rates: RateSystem, grid, step: float | None = None
+    rates: RateSystem, grid, step: float | None = None, space: TypeSpace | None = None
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """The checked grid, the integrator step (``step``, or ``default_step``)
-    and the number of RK4 substeps in each grid interval.
+    and the number of RK4 substeps in each grid interval, for the coefficient
+    system (space None) or the measure system on space.
 
     The counts are floats, so an integration without bound reads as inf
-    instead of overflowing; a total above MAX_SUBSTEPS raises ValueError.
+    instead of overflowing; a total above MAX_SUBSTEPS raises ValueError, and
+    so does a gain term above MAX_STATES cell indices (``program_cells``).
     """
+    cells = program_cells(rates, space)
+    if cells > MAX_STATES:
+        kind = "coefficient" if space is None else "measure"
+        raise ValueError(f"{kind} program of {cells} cell indices exceeds {MAX_STATES}")
     g = _validate_grid(grid)
     span = float(g[-1] - g[0]) if g.size > 1 else 1.0
     h = default_step(rates, span) if step is None else check_step(step, rates)
@@ -466,7 +495,7 @@ def integrate_measure(
     step: float | None = None,
 ) -> MeasureTrajectory:
     """Fixed-step integration of the measure-valued system."""
-    g, h, substeps = rk4_plan(rates, grid, step)
+    g, h, substeps = rk4_plan(rates, grid, step, omega0.space)
     prog = _program(rates, omega0.space)
     # run at a total below one, scaled by a power of two: exact for a finite
     # run, and a total near the float limit cannot overflow inside a substep

@@ -78,13 +78,13 @@ def _jump_table(rates: RateSystem, start: int):
     bits = 1 << np.arange(n)
     seen, reached = np.zeros((2, lat.size), dtype=bool)
     reached[start] = True
-    jumps = []  # per round: states, block positions, text ranks, successors, rates
+    jumps = []  # per round: states, block positions, successors, rates
     while (frontier := np.flatnonzero(reached & ~seen)).size:
         seen[frontier] = True
         lab = lat.labels[frontier]
         masks = (lab[:, None, :] == np.arange(n)[:, None]) @ bits  # sites of block k
         row, k = np.nonzero(masks & (masks - 1))  # blocks of two or more sites
-        pieces = [(row[:0],) * 3 + (lab[:0], np.empty(0))]  # for a round with no split
+        pieces = [(row[:0],) * 2 + (lab[:0], np.empty(0))]  # for a round with no split
         for u in np.unique(masks[row, k]).tolist():
             cols = np.flatnonzero(u & bits)
             sub = lattice(tuple(rates.ground[c] for c in cols))
@@ -95,12 +95,12 @@ def _jump_table(rates: RateSystem, start: int):
             at, rank = np.repeat(hit, len(j)), np.tile(np.arange(len(j)), hit.size)
             new = lab[row[at]]
             new[:, cols] = n + sub.labels[j][rank]  # fresh labels on U's sites
-            pieces.append((frontier[row[at]], k[at], rank, new, marg[j][rank]))
-        state, position, rank, new, rate = map(np.concatenate, zip(*pieces))
-        jumps.append((state, position, rank, lat._lookup(new), rate))
-        reached[jumps[-1][3]] = True
-    state, position, rank, successors, rate = map(np.concatenate, zip(*jumps))
-    order = np.lexsort((rank, position, state))
+            pieces.append((frontier[row[at]], k[at], new, marg[j][rank]))
+        state, position, new, rate = map(np.concatenate, zip(*pieces))
+        jumps.append((state, position, lat._lookup(new), rate))
+        reached[jumps[-1][2]] = True
+    state, position, successors, rate = map(np.concatenate, zip(*jumps))
+    order = np.lexsort((position, state))  # stable, so each block's splits stay in text order
     state, successors, rate = state[order], successors[order], rate[order]
     rows = np.split(rate, np.flatnonzero(np.diff(state)) + 1)  # summed one row at a time
     indptr = np.searchsorted(state, np.arange(lat.size + 1))

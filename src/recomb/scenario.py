@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from recomb.dynamics import CoefficientTrajectory, MeasureTrajectory, RateSystem
-from recomb.dynamics import check_step
+from recomb.dynamics import check_step, program_cells
 from recomb.measures import (
     MAX_STATES,
     Measure,
@@ -220,15 +220,12 @@ class Scenario:
         # a trajectory holds one value per partition, and one per type on the
         # measure route, at every grid point
         width = max(bell_number(n), math.prod(sizes) if measure_spec is not None else 1)
-        if grid.points * width > MAX_STATES:
+        if max(grid.points, 1) * width > MAX_STATES:
             raise ScenarioError(
                 f"time grid of {grid.points} points x {width} values exceeds {MAX_STATES}"
             )
         if measure_spec is not None:
-            # the measure right-hand side holds one cell index per block of
-            # each rated multi-block partition and per type
-            cells = sum(p.block_count for p in rates.support() if p.block_count > 1)
-            cells *= math.prod(sizes)
+            cells = program_cells(rates, TypeSpace(ground, sizes))
             if cells > MAX_STATES:
                 raise ScenarioError(
                     f"measure program of {cells} cell indices exceeds {MAX_STATES}"

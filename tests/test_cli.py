@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,8 @@ BAD_DEGENERATE_N4 = {
 }
 
 # every partition of six sites rated on 8**6 types: 262,144 states pass the
-# grid bound, but the measure right-hand side would hold 673 cell indices
-# per type (176 million)
+# grid bound, but the measure right-hand side would hold 735 cell indices
+# per type (193 million)
 HUGE_MEASURE_PROGRAM = {
     "n": 6,
     "rates": {str(p): 1.0 for p in lattice(ground_set(6)).parts},
@@ -56,6 +57,20 @@ N9_ONE_RATE = {
     "n": 9,
     "rates": {"1,2,3,4|5,6,7,8,9": 1.0},
     "monte_carlo": {"samples": 20000, "seed": 1, "t": 1.0},
+}
+
+# one rated partition of ten sites: the coefficient program of its
+# B(10) = 115,975 partitions holds 238,040 cell indices
+N10_ONE_RATE = {"n": 10, "rates": {"1,2,3,4|5,6,7,8,9,10": 1.0}}
+
+# all 511 two-block partitions of ten sites rated: the coefficient program
+# would hold 122,707,298 cell indices
+N10_TWO_BLOCK = {
+    "n": 10,
+    "rates": {
+        ",".join(map(str, a)) + "|" + ",".join(str(s) for s in range(1, 11) if s not in a): 1.0
+        for a in ((1, *rest) for k in range(9) for rest in combinations(range(2, 11), k))
+    },
 }
 
 SINGLE_CROSSOVER_N4 = {
@@ -425,6 +440,28 @@ def test_oversized_closed_form_refused(tmp_path, command):
     assert not out.exists()
 
 
+def test_ten_site_integration_runs(tmp_path):
+    # the coefficient program reads restriction indices only: no (B, B)
+    # table of the 115,975 partitions, in a child that could not hold one
+    cfg = write_config(tmp_path, N10_ONE_RATE)
+    out = tmp_path / "out"
+    proc = run_cli(["integrate", "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "coefficients.csv").stat().st_size > 0
+    assert_finite_outputs(out)
+
+
+def test_oversized_coefficient_program_refused(tmp_path):
+    assert len(N10_TWO_BLOCK["rates"]) == 511
+    cfg = write_config(tmp_path, N10_TWO_BLOCK)
+    out = tmp_path / "out"
+    proc = run_cli(["integrate", "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("configuration error: coefficient program of 122707298")
+    assert not list(out.rglob("*"))
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_subnormal_rate_runs_quietly(tmp_path, command):
     cfg = write_config(tmp_path, SUBNORMAL_RATE_N2)
@@ -542,6 +579,8 @@ class TestScenarioValidation:
             {"tolerances": "tight"},
             # rejected before the grid is allocated (about 15 GiB)
             {"time_grid": {"start": 0, "end": 2.0, "points": 2_000_000_000}},
+            # a grid of no points does not hide 10**9 types
+            {"time_grid": {"start": 0, "end": 2.0, "points": 0}, "alphabet_sizes": [1000] * 3},
             # integers are never truncated, iterated or read from a bool
             {"alphabet_sizes": "232"},
             {"time_grid": {"start": 0, "end": 2.0, "points": 2.9}},
@@ -561,6 +600,7 @@ class TestScenarioValidation:
             "negative-mc-time", "nan-grid-end", "n-above-cap", "n-30",
             "text-alphabet-size", "text-samples", "text-grid-end", "list-tolerance",
             "scalar-time-grid", "list-monte-carlo", "text-tolerances", "huge-grid",
+            "no-points-huge-types",
             "text-alphabet-sizes", "fractional-points", "fractional-samples",
             "bool-seed", "fractional-n", "huge-samples", "nan-route-tolerance",
             "negative-route-tolerance", "nan-tv-tolerance", "negative-tv-tolerance",

@@ -842,6 +842,26 @@ class TestExpKernels:
             got = exp_monomial_convolution(rho, sigma, m, t)
             assert got == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "rho, sigma, m, t",
+        [(40.0, 1.0, 0, 1.0), (40.0, 1.0, 3, 1.0), (31.0, 0.5, 5, 1.0), (100.0, 2.0, 20, 0.5),
+         (60.0, 20.0, 4, 1.0)],
+    )
+    def test_monomial_alternating_branch_relative(self, rho, sigma, m, t):
+        # (rho - sigma) t >= 30 takes the alternating sum; some of these
+        # values (down to 1e-27) lie far below an absolute bound, so the
+        # error is checked relative to the value
+        assert (rho - sigma) * t >= 30.0
+        oracle = math.exp(-rho * t) * quad(
+            lambda s: s**m / math.factorial(m) * math.exp((rho - sigma) * s),
+            0.0,
+            t,
+            epsabs=0.0,
+            epsrel=1e-13,
+        )[0]
+        got = exp_monomial_convolution(rho, sigma, m, t)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
     def test_monomial_rejects_bad_input(self):
         with pytest.raises(ValueError):
             exp_monomial_convolution(1.0, 1.0, -1, 1.0)

@@ -6,16 +6,27 @@ import pytest
 from recomb.dynamics import (
     CoefficientVector,
     RateSystem,
+    _program,
     coefficient_rhs,
     default_step,
     integrate_coefficients,
     integrate_measure,
     measure_rhs,
     meet_gain,
+    program_cells,
     refinement_gain,
+    rk4_plan,
 )
-from recomb.measures import Measure, TypeSpace, mixture, product_measure, tv_deviation
+from recomb.measures import (
+    MAX_STATES,
+    Measure,
+    TypeSpace,
+    mixture,
+    product_measure,
+    tv_deviation,
+)
 from recomb.partitions import (
+    Lattice,
     Partition,
     ground_set,
     is_refinement,
@@ -418,3 +429,93 @@ class TestIntegration:
         bad = CoefficientVector(g, np.array([1.2, -0.2]))
         with pytest.raises(ValueError):
             coefficient_rhs(bad, rates)
+
+
+# the ordered two-block rates of seven sites (the linear regime)
+LINEAR_N7 = {
+    "1|2,3,4,5,6,7": 0.37, "1,2|3,4,5,6,7": 0.81, "1,2,3|4,5,6,7": 0.55,
+    "1,2,3,4|5,6,7": 0.23, "1,2,3,4,5|6,7": 0.64, "1,2,3,4,5,6|7": 0.45,
+}
+
+
+# the ordered two-block rates of four sites, one crossover per event
+SINGLE_CROSSOVER_N4 = {"1|2,3,4": 0.37, "1,2|3,4": 0.81, "1,2,3|4": 0.55}
+
+
+def half_rated(n, seed=3):
+    """random_rates(n, 1) with a random half of the partitions at rate zero."""
+    rates = random_rates(n, 1)
+    off = np.random.default_rng(seed).random(len(rates.rates)) < 0.5
+    draw = [0.0 if o else r for r, o in zip(rates.rates.values(), off)]
+    return RateSystem(rates.ground, dict(zip(rates.rates, draw)))
+
+
+def dense_order_pairs(rates):
+    """The coefficient program's rows, rates and per-position cells, with the
+    gain pairs read from the dense order ``Lattice.finer``: the construction
+    the restriction indices replace, kept as an oracle."""
+    lat = lattice(rates.ground)
+    kept = sorted(
+        ((p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1),
+        key=lambda pr: -pr[0].block_count,
+    )
+    part, rows = np.nonzero(lat.finer[:, [lat.index[p] for p, _ in kept]].T)
+    blocks = sorted({u for p, _ in kept for u in p.blocks})
+    offset = dict(zip(blocks, np.cumsum([0] + [lattice(u).size for u in blocks])))
+    cells = [[] for _ in range(max((p.block_count for p, _ in kept), default=0))]
+    for k, (p, _) in enumerate(kept):
+        for j, u in enumerate(p.blocks):
+            cells[j].append(offset[u] + lat.restriction_index(u)[rows[part == k]])
+    rate = np.array([r for _, r in kept])[part]
+    return rows, rate, [np.concatenate(c) for c in cells]
+
+
+class TestPairProgram:
+    @pytest.mark.parametrize(
+        "rates",
+        [random_rates(n, 1) for n in range(1, 8)]
+        + [half_rated(n) for n in range(1, 8)]
+        + [RateSystem.from_strings(ground_set(4), SINGLE_CROSSOVER_N4)],
+        ids=[f"all-{n}" for n in range(1, 8)] + [f"half-{n}" for n in range(1, 8)]
+        + ["single-crossover-4"],
+    )
+    def test_pairs_match_dense_order(self, rates):
+        prog = _program(rates)
+        rows, rate, cells = dense_order_pairs(rates)
+        assert np.array_equal(prog.rows, rows)
+        assert np.array_equal(prog.rate, rate)
+        assert len(prog.cells) == len(cells)
+        for got, want in zip(prog.cells, cells):
+            assert np.array_equal(got, want)
+
+    def test_integration_reads_no_dense_order(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the coefficient program read Lattice.finer")
+
+        monkeypatch.setattr(Lattice, "finer", property(refuse))
+        for rates in (random_rates(6, 1), RateSystem.from_strings(ground_set(7), LINEAR_N7)):
+            a0 = CoefficientVector.delta_top(rates.ground)
+            traj = integrate_coefficients(rates, a0, np.linspace(0.0, 1.0, 3))
+            assert np.abs(traj.drift).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cells_count_the_stored_indices(self, n):
+        for rates in (random_rates(n, 1), half_rated(n)):
+            for space in (None, TypeSpace.regular(n, 3)):
+                prog = _program(rates, space)
+                stored = prog.state_cells.size + sum(c.size for c in prog.cells)
+                assert program_cells(rates, space) == stored
+
+    def test_plan_refuses_a_program_above_the_bound(self):
+        # every partition of six sites rated, on 8**6 types: 192,675,840 cell
+        # indices (the coefficient bound is tested at n = 10 in a child
+        # process, see test_cli)
+        rates = random_rates(6, 1)
+        space = TypeSpace.regular(6, 8)
+        assert program_cells(rates, space) > MAX_STATES
+        with pytest.raises(ValueError, match="measure program"):
+            rk4_plan(rates, [0.0, 1.0], space=space)
+        omega0 = Measure(space, np.ones(space.sizes), validate=False)
+        with pytest.raises(ValueError, match="measure program"):
+            integrate_measure(rates, omega0, [0.0, 1.0])
+        assert space not in rates._programs
