@@ -201,11 +201,11 @@ def cmd_solve(args) -> int:
 
 def cmd_integrate(args) -> int:
     scenario = _load(args)
-    out = _out_dir(args)
     grid = scenario.grid.array()
     g = scenario.ground
     _check_substeps(scenario, grid)
     omega0 = scenario.build_measure()
+    out = _out_dir(args)
     traj = integrate_coefficients(
         scenario.rates, CoefficientVector.delta_top(g), grid, step=scenario.step
     )
@@ -246,7 +246,6 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _load(args)
     _check_closed_form(scenario)
-    out = _out_dir(args)
     grid = scenario.grid.array()
     g = scenario.ground
     lat = lattice(g)
@@ -279,6 +278,7 @@ def cmd_compare(args) -> int:
         if sol is None:
             _check_substeps(scenario, ref_grid)
     omega0 = scenario.build_measure()
+    out = _out_dir(args)
 
     traj = integrate(grid)
     report["integrated"] = traj.values.tolist()

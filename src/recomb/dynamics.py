@@ -8,17 +8,20 @@ The coefficient system:
 where the gain factor is the blockwise marginal product defined below.  The
 measure system applies block-product operators instead.  Both right-hand
 sides share one gain term, compiled once per rate system (and per type
-space) into flat (state, partition) pairs: every block marginal is one
-``np.bincount`` over the states' block cells, and the gain is one more over
-the pairs.  On the lattice the pairs are the comparable ones, a finer than
-p; on a measure every state pairs with every rated partition.
+space): every block marginal is one ``np.bincount`` over the states' block
+cells, and the sum over rated partitions p of r_p times the product of the
+marginals on p's blocks is factored over the prefix trie of those blocks,
+so partitions that begin with the same blocks share the partial product
+(the distributive law; Aji & McEliece, "The generalized distributive law",
+2000).  The trie is summed from the leaves up, one ``np.bincount`` per node
+height.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,14 +52,16 @@ __all__ = [
 _NEG_TOL = 1e-8
 MAX_STEP_FRACTION = 0.25  # step * rho_total must stay below this
 MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole grid
+_RUN_STATES = 1 << 20  # candidate states per run of trie edges compiled at once
 
 
 class RateSystem:
     """Nonnegative recombination rates on the partitions of a ground set.
 
     Immutable by convention; derived tables are cached on first use: the
-    marginal rates per subset and the compiled gain term per state space
-    (None for the coefficient system, a ``TypeSpace`` for the measure system).
+    marginal rates per subset, the prefix trie of the rated partitions' blocks
+    and the compiled gain term per state space (None for the coefficient
+    system, a ``TypeSpace`` for the measure system).
     """
 
     __slots__ = (
@@ -67,6 +72,7 @@ class RateSystem:
         "_weights",
         "_marginals",
         "_programs",
+        "_trie",
     )
 
     def __init__(self, ground, rates: Mapping[Partition, float]):
@@ -89,7 +95,8 @@ class RateSystem:
         self._indices = np.array([index[p] for p in clean], dtype=np.intp)
         self._weights = np.array(list(clean.values()), dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
-        self._programs: dict[TypeSpace | None, _PairProgram] = {}
+        self._programs: dict[TypeSpace | None, _TrieProgram] = {}
+        self._trie: tuple | None = None
 
     @classmethod
     def from_strings(cls, ground, rates: Mapping[str, float]) -> "RateSystem":
@@ -222,116 +229,276 @@ def meet_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
     return float(q.values[col == lat.index[a]].sum())
 
 
+class _Level(NamedTuple):
+    """The edges into the trie nodes of one height, whose values are
+    ``values[lo:hi]``.  ``sum`` gathers each edge cell's child value at
+    ``child``, multiplies in the marginal cell of each of its edge's blocks
+    (``cells``, one array per block position, a shrinking prefix of the edge
+    cells) and adds it into its parent's value at ``parent`` (relative to
+    lo)."""
+
+    lo: int
+    hi: int
+    child: np.ndarray
+    parent: np.ndarray
+    cells: list
+
+    def sum(self, values: np.ndarray, marg: np.ndarray) -> np.ndarray:
+        prod = values[self.child]
+        for c in self.cells:
+            head = prod[: c.size]
+            head *= marg[c]
+        return np.bincount(self.parent, prod, self.hi - self.lo)
+
+
 @dataclass(frozen=True)
-class _PairProgram:
+class _TrieProgram:
     """Compiled gain term of one right-hand side.
 
     Each rated partition p with at least two blocks feeds the state x by
     r_p * s * prod_U (m_U(x|U) / s) over the blocks U of p, where s is the
-    mass and m_U the marginal on U.  The (state, p) pairs that can gain are
-    stored sorted by descending block count, with one cell array per block
-    position, so the product over positions is a run of shrinking in-place
-    multiplies.  Single-block rates act as the identity and cancel their
-    share of the loss, so the loss rate is the sum of the kept rates.
+    mass and m_U the marginal on U.  The sum over p is factored over the
+    prefix trie of the blocks (``_trie``): a node's value F lives on the
+    states of its remainder C, a leaf holds r_p, and
+
+        F(x) = sum over the edges to children c of prod_U m_U(x|U) * F_c(x|C_c)
+
+    over the states x of C that neither the edge's blocks nor C_c cut (all of
+    them on a measure).  The values sit in one vector, leaves first and the
+    root last, and are filled one node height at a time: per level, one
+    gather of child values, one gather-multiply per block position (edges
+    sorted by descending block count, so the positions are shrinking
+    prefixes) and one ``np.bincount`` into the parents.  Single-block rates
+    act as the identity and cancel their share of the loss, so the loss rate
+    is the sum of the kept rates.
     """
 
     loss: float               # sum of the kept rates
     state_cells: np.ndarray   # (N * blocks,) each state's cell per block marginal, state-major
     n_blocks: int
     n_cells: int              # cells of all block marginals together
-    rows: np.ndarray          # (P,) state fed by each pair
-    rate: np.ndarray          # (P,) rate of each pair's partition
-    cells: list               # per block position, the cells of the pairs that have it
+    values: np.ndarray        # every node value but the root's, with r_p at the leaf of each kept p
+    levels: list              # one _Level per node height, the root's last
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
         out = -self.loss * vec
         s = float(vec.sum())
-        if s <= 0.0 or not self.rows.size:
+        if s <= 0.0 or not self.levels:
             return out
         # unit mass first, as in measures.recombinator
         marg = np.bincount(self.state_cells, (vec / s).repeat(self.n_blocks), self.n_cells)
-        prod = self.rate * marg[self.cells[0]]
-        for cells in self.cells[1:]:
-            head = prod[: cells.size]
-            head *= marg[cells]
-        out += s * np.bincount(self.rows, prod, vec.size)
+        *inner, root = self.levels
+        values = self.values.copy() if inner else self.values
+        for level in inner:
+            values[level.lo : level.hi] = level.sum(values, marg)
+        out += s * root.sum(values, marg)
         return out
 
 
-def _program(rates: RateSystem, space: TypeSpace | None = None) -> _PairProgram:
-    """The gain term of the coefficient system (space None) or of the
-    measure system on space, compiled on first use and cached on the rates.
+def _trie(rates: RateSystem) -> tuple[list, list, dict]:
+    """The rated partitions of at least two blocks, by descending block
+    count, and the prefix trie of their blocks (canonical order, by least
+    site) with each single-child chain merged into one edge; built on first
+    use and cached on the rates.
 
-    On the lattice a partition a gains from p only when a refines p, and its
-    cell in the marginal on a block U is the restriction of a to U; on a
-    measure every state gains, and its cell is its letters on U.
-    """
-    prog = rates._programs.get(space)
-    if prog is not None:
-        return prog
+    Nodes are named by their prefix: the root is ``()`` and the leaf of the
+    k-th kept partition is its ``blocks``.  The edges (parent, blocks, child)
+    come in post-order, so the edges out of one node follow the first
+    appearance of their first block among the kept partitions.  Each node
+    maps to its height (0 at the leaves) and its remainder, the sites its
+    prefix leaves uncovered."""
+    if rates._trie is not None:
+        return rates._trie
     kept = sorted(
         ((p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1),
         key=lambda pr: -pr[0].block_count,
     )
-    blocks = sorted({u for p, _ in kept for u in p.blocks})
+    root: dict = {}
+    for p, _ in kept:
+        node = root
+        for u in p.blocks:
+            node = node.setdefault(u, {})
+    edges: list = []
+    nodes: dict = {}
+
+    def visit(prefix, rest, node):
+        h = 0
+        for u, child in node.items():
+            blocks = (u,)
+            while len(child) == 1:
+                ((v, child),) = child.items()
+                blocks += (v,)
+            end = prefix + blocks
+            covered = {x for v in blocks for x in v}
+            left = tuple(x for x in rest if x not in covered)
+            if child:
+                visit(end, left, child)
+            else:
+                nodes[end] = (0, left)
+            h = max(h, nodes[end][0] + 1)
+            edges.append((prefix, blocks, end))
+        nodes[prefix] = (h, rest)
+
+    if kept:
+        visit((), rates.ground, root)
+    rates._trie = kept, edges, nodes
+    return rates._trie
+
+
+def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
+    """The gain term of the coefficient system (space None) or of the
+    measure system on space, compiled on first use and cached on the rates.
+
+    A node of the trie with remainder C holds one value per state of C: the
+    partitions ``lattice(C)`` on the coefficient side, the product of C's
+    alphabets on a measure.  An edge carrying the blocks U_1..U_j to a child
+    with remainder C' feeds the states of C that none of U_1..U_j, C' cuts:
+    all of them on a measure; on the lattice those whose block count is the
+    sum of the counts of their restrictions.  Such a state's cell in the
+    marginal on U is its restriction to U, and its child value the one at
+    its restriction to C'.
+    """
+    prog = rates._programs.get(space)
+    if prog is not None:
+        return prog
+    ground = rates.ground
     if space is None:
-        lat = lattice(rates.ground)
-        width = lat.size
-        marginals = [(lat.restriction_index(u), lattice(u).size) for u in blocks]
-        # a refines p exactly when p cuts no block of a, that is when the
-        # block counts of a's restrictions to the blocks of p add up to a's
-        count = {u: lattice(u).block_counts[idx] for u, (idx, _) in zip(blocks, marginals)}
-        gains = [
-            np.flatnonzero(sum(count[u] for u in p.blocks) == lat.block_counts) for p, _ in kept
-        ]
+        n_states = lambda c: bell_number(len(c))  # noqa: E731
     else:
-        if space.sites != rates.ground:
+        if space.sites != ground:
             raise ValueError("measure sites must match the rate system ground set")
-        width = space.n_states
-        gains = [np.arange(width)] * len(kept)
-        coords = np.indices(space.sizes).reshape(len(space.sizes), -1)
-        marginals = []
-        for u in blocks:
-            sub = space.subspace(u)
-            axes = [space.axis(x) for x in u]
-            marginals.append((np.ravel_multi_index(coords[axes], sub.sizes), sub.n_states))
-    state_cells = np.zeros((width, len(blocks)), dtype=np.intp)
+        alphabet = dict(zip(space.sites, space.sizes))
+        n_states = lambda c: math.prod(alphabet[x] for x in c)  # noqa: E731
+    kept, edges, nodes = _trie(rates)
+    blocks = sorted({u for p, _ in kept for u in p.blocks})
+    # the subsets each remainder is restricted to: every block at the root,
+    # and on each edge its blocks and its child's remainder (empty at a leaf)
+    wanted: dict = {ground: dict.fromkeys(blocks)} if kept else {}
+    for prefix, edge_blocks, end in edges:
+        subsets = wanted.setdefault(nodes[prefix][1], {})
+        subsets.update(dict.fromkeys(edge_blocks + (nodes[end][1],)))
+    # (c, u) -> each state of c restricted to u, and on the lattice the block
+    # count of that restriction; the empty u has one state
+    size_of = {c: n_states(c) for c in wanted}
+    restricted: dict = {}
+    whole = lattice(ground)
+    from_ground: dict = {}
+    for c, subsets in wanted.items():
+        if space is None:
+            # a partition of the ground set above each partition x of c: its
+            # restriction to u is x's
+            for u in (c, *subsets):
+                if u and u not in from_ground:
+                    from_ground[u] = whole.restriction_index(u)
+            above = np.empty(size_of[c], np.intp)
+            above[from_ground[c]] = np.arange(whole.size)
+            for u in subsets:
+                if u:
+                    idx = from_ground[u] if c == ground else from_ground[u][above]
+                    restricted[c, u] = idx, lattice(u).block_counts[idx].astype(np.int8)
+                else:
+                    restricted[c, u] = (np.zeros(size_of[c], np.intp),) * 2
+        else:
+            # mixed-radix strides of u's letters at their axes in c, one row
+            # per subset: one product gives every restriction of c's states
+            strides = []
+            for u in subsets:
+                row, stride = [0] * len(c), 1
+                for x in reversed(u):
+                    row[c.index(x)], stride = stride, stride * alphabet[x]
+                strides.append(row)
+            letters = np.array(np.unravel_index(np.arange(size_of[c]), [alphabet[x] for x in c]))
+            at = np.array(strides, dtype=np.intp) @ letters
+            for u, idx in zip(subsets, at):
+                restricted[c, u] = idx, None
+    state_cells = np.zeros((n_states(ground), len(blocks)), dtype=np.intp)
+    start = {}
     n_cells = 0
-    for i, (idx, size) in enumerate(marginals):
-        state_cells[:, i] = n_cells + idx
-        n_cells += size
-    block_id = {u: i for i, u in enumerate(blocks)}
-    ids = np.full((len(kept), max((p.block_count for p, _ in kept), default=0)), -1)
-    for k, (p, _) in enumerate(kept):
-        ids[k, : p.block_count] = [block_id[u] for u in p.blocks]
-    part = np.repeat(np.arange(len(kept)), [g.size for g in gains])  # by descending block count
-    rows = np.concatenate([part[:0], *gains])  # states ascending; part[:0] when nothing is kept
-    cells = []
-    for position in ids.T:
-        block = position[part]
-        m = int(np.count_nonzero(block >= 0))  # a prefix of the pairs
-        cells.append(state_cells[rows[:m], block[:m]])
-    rate = np.array([r for _, r in kept])[part]
+    for i, u in enumerate(blocks):
+        state_cells[:, i] = n_cells + restricted[ground, u][0]
+        start[u] = n_cells
+        n_cells += n_states(u)
+    # node values: leaves first, then inner nodes by height, the root last
+    offset = {p.blocks: k for k, (p, _) in enumerate(kept)}
+    lo: dict = {}
+    size = len(kept)
+    for prefix in sorted((p for p in nodes if nodes[p][0]), key=lambda p: nodes[p][0]):
+        offset[prefix] = size
+        lo.setdefault(nodes[prefix][0], size)
+        size += size_of[nodes[prefix][1]]
+    by_height: dict = {}
+    for edge in edges:
+        by_height.setdefault(nodes[edge[0]][0], []).append(edge)
+
+    def feed(run, lo):
+        # the edge cells of a run of edges: every state of each parent's
+        # remainder, edge-major, and on the lattice only those that no block
+        # or child remainder of the edge cuts
+        rests = [nodes[prefix][1] for prefix, _, _ in run]
+        fan = np.array([size_of[c] for c in rests])
+        first = np.repeat(np.cumsum(fan) - fan, fan)
+        parent = np.arange(first.size) - first
+        parent += np.repeat([offset[prefix] - lo for prefix, _, _ in run], fan)
+        tails = [restricted[c, nodes[end][1]] for c, (_, _, end) in zip(rests, run)]
+        child = np.concatenate([i for i, _ in tails])
+        child += np.repeat([offset[end] for _, _, end in run], fan)
+        count = np.concatenate([k for _, k in tails]) if space is None else None
+        cells = []
+        for j in range(len(run[0][1])):
+            have = [(c, e[1][j]) for c, e in zip(rests, run) if len(e[1]) > j]
+            heads = [restricted[c, u] for c, u in have]
+            cells.append(np.concatenate([i for i, _ in heads]))
+            cells[j] += np.repeat([start[u] for _, u in have], fan[: len(have)])
+            if count is not None:
+                count[: cells[j].size] += np.concatenate([k for _, k in heads])
+        if count is None:
+            return child, parent, cells
+        keep = np.flatnonzero(count == np.concatenate([lattice(c).block_counts for c in rests]))
+        return child[keep], parent[keep], [c[keep[: np.searchsorted(keep, c.size)]] for c in cells]
+
+    levels = []
+    for h in sorted(by_height):
+        level = sorted(by_height[h], key=lambda e: -len(e[1]))
+        # runs of about _RUN_STATES candidate states bound the arrays the
+        # lattice filters; a position's cells stay a prefix across runs,
+        # since the edges keep their order
+        ends = np.cumsum([size_of[nodes[prefix][1]] for prefix, _, _ in level])
+        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _RUN_STATES), "right"))
+        runs = [feed(level[i:k], lo[h]) for i, k in zip(cuts, [*cuts[1:], len(level)])]
+        child, parent = (np.concatenate([run[f] for run in runs]) for f in (0, 1))
+        cells = [
+            np.concatenate([run[2][j] for run in runs if len(run[2]) > j])
+            for j in range(len(level[0][1]))
+        ]
+        levels.append(_Level(lo[h], lo.get(h + 1, size), child, parent, cells))
+    values = np.zeros(offset.get((), 0))  # all but the root, placed last: its values are the gain
+    values[: len(kept)] = [r for _, r in kept]
     loss = float(sum(r for _, r in kept))
-    prog = _PairProgram(loss, state_cells.reshape(-1), len(blocks), n_cells, rows, rate, cells)
+    prog = _TrieProgram(loss, state_cells.reshape(-1), len(blocks), n_cells, values, levels)
     rates._programs[space] = prog
     return prog
 
 
 def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
     """The number of cell indices ``_program(rates, space)`` stores, from
-    block sizes alone: one per state and distinct block, and one per block of
-    each gain pair.  Every state of a measure gains from a rated partition p;
-    on the lattice the prod_V B(|V|) partitions finer than p do."""
-    kept = [p for p, r in rates.rates.items() if r > 0 and p.block_count > 1]
+    the trie and block sizes alone: one per state and distinct block, and one
+    per block of each edge cell.  An edge out of a node with remainder C
+    feeds every state of C on a measure; on the lattice it feeds the
+    prod_V B(|V|) partitions of C that its blocks and its child's remainder
+    V do not cut."""
+    kept, edges, nodes = _trie(rates)
     if space is None:
         states = bell_number(len(rates.ground))
-        gaining = [math.prod(bell_number(len(u)) for u in p.blocks) for p in kept]
+        fed = [
+            math.prod(bell_number(len(v)) for v in blocks + (nodes[end][1],))
+            for _, blocks, end in edges
+        ]
     else:
         states = space.n_states
-        gaining = [states] * len(kept)
-    blocks = {u for p in kept for u in p.blocks}
-    return states * len(blocks) + sum(p.block_count * m for p, m in zip(kept, gaining))
+        alphabet = dict(zip(space.sites, space.sizes))
+        fed = [math.prod(alphabet[x] for x in nodes[prefix][1]) for prefix, _, _ in edges]
+    blocks = {u for p, _ in kept for u in p.blocks}
+    return states * len(blocks) + sum(len(e[1]) * m for e, m in zip(edges, fed))
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:

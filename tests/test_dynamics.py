@@ -450,24 +450,62 @@ def half_rated(n, seed=3):
     return RateSystem(rates.ground, dict(zip(rates.rates, draw)))
 
 
-def dense_order_pairs(rates):
-    """The coefficient program's rows, rates and per-position cells, with the
-    gain pairs read from the dense order ``Lattice.finer``: the construction
-    the restriction indices replace, kept as an oracle."""
+def dense_order_pairs(rates, space=None):
+    """The pair program's rows, rates, per-position cells and block
+    marginals, one (state, partition) pair per gaining state of each kept
+    partition: on the lattice the gain pairs are read from the dense order
+    ``Lattice.finer``, on a measure every state pairs with every kept
+    partition.  Kept as an oracle for the trie program."""
     lat = lattice(rates.ground)
     kept = sorted(
         ((p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1),
         key=lambda pr: -pr[0].block_count,
     )
-    part, rows = np.nonzero(lat.finer[:, [lat.index[p] for p, _ in kept]].T)
     blocks = sorted({u for p, _ in kept for u in p.blocks})
-    offset = dict(zip(blocks, np.cumsum([0] + [lattice(u).size for u in blocks])))
+    if space is None:
+        part, rows = np.nonzero(lat.finer[:, [lat.index[p] for p, _ in kept]].T)
+        marginals = [(lat.restriction_index(u), lattice(u).size) for u in blocks]
+    else:
+        part, rows = np.divmod(np.arange(len(kept) * space.n_states), space.n_states)
+        coords = np.indices(space.sizes).reshape(len(space.sizes), -1)
+        marginals = []
+        for u in blocks:
+            sub = space.subspace(u)
+            letters = coords[[space.axis(x) for x in u]]
+            marginals.append((np.ravel_multi_index(letters, sub.sizes), sub.n_states))
+    offset = dict(zip(blocks, np.cumsum([0] + [size for _, size in marginals])))
+    index = dict(zip(blocks, [idx for idx, _ in marginals]))
     cells = [[] for _ in range(max((p.block_count for p, _ in kept), default=0))]
     for k, (p, _) in enumerate(kept):
         for j, u in enumerate(p.blocks):
-            cells[j].append(offset[u] + lat.restriction_index(u)[rows[part == k]])
+            cells[j].append(offset[u] + index[u][rows[part == k]])
     rate = np.array([r for _, r in kept])[part]
-    return rows, rate, [np.concatenate(c) for c in cells]
+    return rows, rate, [np.concatenate(c) for c in cells], marginals
+
+
+def pair_rhs(rates, vec, space=None):
+    """The right-hand side of the pair program on ``dense_order_pairs``:
+    each pair's rate times its block marginals, one position at a time,
+    summed into its state."""
+    rows, rate, cells, marginals = dense_order_pairs(rates, space)
+    loss = sum(r for p, r in rates.rates.items() if r > 0 and p.block_count > 1)
+    out = -loss * vec
+    s = vec.sum()
+    if s <= 0.0 or not rows.size:
+        return out
+    marg = np.concatenate([np.bincount(idx, vec / s, size) for idx, size in marginals])
+    prod = rate * marg[cells[0]]
+    for c in cells[1:]:
+        prod[: c.size] *= marg[c]
+    return out + s * np.bincount(rows, prod, vec.size)
+
+
+def assert_matches_pairs(rates, space=None):
+    width = lattice(rates.ground).size if space is None else space.n_states
+    vec = np.random.default_rng(width).random(width)
+    want = pair_rhs(rates, vec, space)
+    got = _program(rates, space).rhs(vec)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestPairProgram:
@@ -480,13 +518,12 @@ class TestPairProgram:
         + ["single-crossover-4"],
     )
     def test_pairs_match_dense_order(self, rates):
-        prog = _program(rates)
-        rows, rate, cells = dense_order_pairs(rates)
-        assert np.array_equal(prog.rows, rows)
-        assert np.array_equal(prog.rate, rate)
-        assert len(prog.cells) == len(cells)
-        for got, want in zip(prog.cells, cells):
-            assert np.array_equal(got, want)
+        assert_matches_pairs(rates)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_measure_matches_pairs(self, n):
+        for rates in (random_rates(n, 1), half_rated(n)):
+            assert_matches_pairs(rates, TypeSpace.regular(n, 3))
 
     def test_integration_reads_no_dense_order(self, monkeypatch):
         def refuse(self):
@@ -503,15 +540,17 @@ class TestPairProgram:
         for rates in (random_rates(n, 1), half_rated(n)):
             for space in (None, TypeSpace.regular(n, 3)):
                 prog = _program(rates, space)
-                stored = prog.state_cells.size + sum(c.size for c in prog.cells)
+                blocks = sum(c.size for level in prog.levels for c in level.cells)
+                stored = prog.state_cells.size + blocks
                 assert program_cells(rates, space) == stored
 
     def test_plan_refuses_a_program_above_the_bound(self):
-        # every partition of six sites rated, on 8**6 types: 192,675,840 cell
-        # indices (the coefficient bound is tested at n = 10 in a child
-        # process, see test_cli)
+        # every partition of six sites rated, on 12**6 types: the state-cell
+        # table alone holds 185,131,008 indices, 299,202,336 with the trie
+        # (the coefficient bound is tested at n = 10 in a child process, see
+        # test_cli)
         rates = random_rates(6, 1)
-        space = TypeSpace.regular(6, 8)
+        space = TypeSpace.regular(6, 12)
         assert program_cells(rates, space) > MAX_STATES
         with pytest.raises(ValueError, match="measure program"):
             rk4_plan(rates, [0.0, 1.0], space=space)
