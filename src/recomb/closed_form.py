@@ -8,7 +8,10 @@ rates and mixing coefficients so that the coefficient vector at time t is
 built smallest subset first.  Below the top, coeff(A, B) sums over the
 chains A <= B <= C, with C rated at r(C) and not the top, the terms
 r(C) * prod over the blocks U of C of coeff_U(A|U, B|U), and is divided by
-decay(top) - decay(B); one pass per rated C adds all its chains.  The build
+decay(top) - decay(B).  The subsets of one size share one lattice core, so
+one scatter adds the chains of all of them: one gather per block position
+from a flat store of the smaller subsets' tables, and one np.add.at that
+sums each entry's terms in C order.  The build
 requires all decay rates of a subsystem to be distinct; coincidences are
 grouped into equal-decay classes and either reported (harmless: away from
 the top element, where the coefficients extend continuously) or fatal (a
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from recomb.dynamics import CoefficientTrajectory, RateSystem
-from recomb.partitions import Partition, as_ground, lattice
+from recomb.partitions import Partition, as_ground, bell_number, lattice
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -137,10 +141,9 @@ class DegeneracyError(RuntimeError):
         self.report = report
 
 
-def _subsets(ground: tuple[int, ...]):
-    """All nonempty subsets, smallest first, lexicographic within a size."""
-    for size in range(1, len(ground) + 1):
-        yield from combinations(ground, size)
+def _sizes(ground: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """All nonempty subsets by size, smallest first, lexicographic within a size."""
+    return [list(combinations(ground, k)) for k in range(1, len(ground) + 1)]
 
 
 def decay_rate(rates: RateSystem, u, a: Partition) -> float:
@@ -229,15 +232,33 @@ def rates_from_linear_decay(
     return _rates_from_decay(g, lat.incidence_solve(lat.finer, chi), rho_total)
 
 
+@lru_cache(maxsize=None)
+def _global_masks(n: int, k: int) -> np.ndarray:
+    """(C(n, k), 2^k) masks over the n positions of a ground set: row i
+    holds those of the subsets of its i-th k-subset (in ``_sizes`` order),
+    indexed by their masks over that subset's positions."""
+    local = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    masks = (local @ (1 << np.array(list(combinations(range(n), k)), dtype=np.int64).T)).T
+    masks.flags.writeable = False
+    return masks
+
+
 def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
-    ground = rates.ground
-    tops = {u: rates.splitting_rate(u) for u in _subsets(ground)}
+    """psi_u on lattice(u) for every subset u: the splitting rates of the
+    blocks, added one block position at a time in block order, for all
+    subsets of one size at once."""
+    n = len(rates.ground)
+    split = np.zeros(1 << n)  # by the mask of a subset; 0 for none
     tables: dict[tuple[int, ...], np.ndarray] = {}
-    for u in _subsets(ground):
-        lat = lattice(u)
-        tables[u] = np.array(
-            [sum(tops[block] for block in p.blocks) for p in lat.parts]
-        )
+    for k, us in enumerate(_sizes(rates.ground), 1):
+        # the blocks of a k-subset's partitions have at most k sites
+        split[_global_masks(n, k)[:, -1]] = [rates.splitting_rate(u) for u in us]
+        lat = lattice(us[0])
+        gather = split[_global_masks(n, k)]
+        psi = np.zeros((len(us), lat.size))
+        for masks in lat.block_masks.T:
+            psi += gather[:, masks]
+        tables.update(zip(us, psi))
     return tables
 
 
@@ -251,15 +272,21 @@ def _scan_degeneracies(
     needed.  All other coincidences leave the exponential ansatz intact."""
     classes = []
     for u, psi in decay.items():
+        order = np.argsort(psi, kind="stable")
+        cuts = np.flatnonzero(np.diff(psi[order]) > tol_abs) + 1
+        if cuts.size == psi.size - 1:
+            continue  # no two rates within the tolerance
         lat = lattice(u)
         top = lat.top_index
-        order = np.argsort(psi, kind="stable")
-        runs = np.split(order, np.flatnonzero(np.diff(psi[order]) > tol_abs) + 1)
+        bounds = np.concatenate(([0], cuts, [psi.size]))
         near = np.flatnonzero(np.abs(psi[top] - psi) <= tol_abs)
         rvec = rates.marginal(u)
         # mass of the upward interval [B, top) for the B near the top; none at the top
         bad = set(near[lat.finer[near] @ rvec - rvec[top] > 0.0].tolist())
-        for run in (np.sort(r) for r in runs if r.size > 1):
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi - lo < 2:
+                continue
+            run = np.sort(order[lo:hi])
             parts = [lat.parts[i] for i in run]
             bad_parts = tuple(p for i, p in zip(run, parts) if i in bad)
             classes.append(DegeneracyClass(u, tuple(parts), tuple(psi[run].tolist()), bad_parts))
@@ -305,9 +332,8 @@ class ClosedFormSolution:
         factors = np.exp(-np.multiply.outer(times, self._decay[g]))
         return CoefficientTrajectory(g, times, factors @ self._coeff[g].T)
 
-    def inverse_table(self, u) -> np.ndarray:
-        """Inverse of the coefficient table in the incidence algebra."""
-        g = self._key(u)
+    def _invertible(self, g: tuple[int, ...]) -> np.ndarray:
+        """The coefficient table of g, checked to have no vanishing diagonal."""
         theta = self._coeff[g]
         scale = max(1.0, float(np.abs(theta).max()))
         if np.abs(np.diag(theta)).min() <= _DIAG_TOL * scale:
@@ -315,15 +341,21 @@ class ClosedFormSolution:
                 "coefficient table has a vanishing diagonal entry; "
                 "inverse requires positive rates on all two-block partitions"
             )
+        return theta
+
+    def inverse_table(self, u) -> np.ndarray:
+        """Inverse of the coefficient table in the incidence algebra."""
+        g = self._key(u)
+        theta = self._invertible(g)
         return lattice(g).incidence_solve(theta, np.eye(theta.shape[0]))
 
     def decoupled_coefficient(self, u, a: Partition, t: float) -> float:
         """Inverse-transformed coefficient; decays as a pure exponential
-        exp(-decay(a) * t)."""
+        exp(-decay(a) * t).  One substitution solves for the whole vector."""
         g = self._key(u)
         lat = lattice(g)
-        row = self.inverse_table(g)[lat.index[a]]
-        return float(row @ self.evaluate(g, [t]).values[0])
+        x = lat.incidence_solve(self._invertible(g), self.evaluate(g, [t]).values[0])
+        return float(x[lat.index[a]])
 
     def recovered_rates(self, u) -> dict[Partition, float]:
         """Rates reconstructed from decay rates and coefficients; round-trips
@@ -353,6 +385,59 @@ class ClosedFormSolution:
         return out
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i], ..., starts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
+# chains per run of the chain scatter; bounds its temporaries at n = 8
+_RUN_CHAINS = 1 << 15
+
+
+def _add_chains(flat, lat, rvec, cols, store, offset) -> None:
+    """Add r_u(c) * prod over the blocks V of c of coeff_V(a|V, b|V) to
+    theta_u[a, b] for every subset u of one size and every chain
+    a <= b <= c of lat with c rated and not the top and b a kept column of
+    u; each entry sums its terms in c order.
+
+    flat holds the row-major theta_u one after another; rvec and cols are
+    (subsets, B) and offset[u, m] is the start in store of the table of u's
+    sites at mask m."""
+    size = lat.size
+    ptr, down = lat.down_sets
+    u, c = np.nonzero(rvec)  # by subset, then c
+    u, c = u[c != lat.top_index], c[c != lat.top_index]
+    fan = ptr[c + 1] - ptr[c]
+    b = down[_ranges(ptr[c], fan)]
+    u, c = np.repeat(u, fan), np.repeat(c, fan)
+    keep = cols[u, b]
+    u, b, c = u[keep], b[keep], c[keep]
+    if not b.size:
+        return
+    fan = ptr[b + 1] - ptr[b]
+    masks = lat.block_masks
+    table = lat.restriction_table
+    stride = np.array([bell_number(m.bit_count()) for m in range(len(table))])  # B of each mask
+    ends = np.cumsum(fan)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _RUN_CHAINS), "right"))
+    for lo, hi in zip(cuts, [*cuts[1:], b.size]):
+        us, bs, cs, fs = u[lo:hi], b[lo:hi], c[lo:hi], fan[lo:hi]
+        a = down[_ranges(ptr[bs], fs)]
+        prod = None
+        for j in range(int(lat.block_counts[cs].max())):
+            m = masks[cs, j]
+            at = np.repeat(offset[us, m] + table[m, bs], fs)
+            m = np.repeat(m, fs)
+            at += table[m, a] * stride[m]
+            if prod is None:
+                prod = store[at]
+            else:
+                prod *= store[at]
+        at = np.repeat(us * size * size + bs, fs) + a * size
+        np.add.at(flat, at, np.repeat(rvec[us, cs], fs) * prod)
+
+
 def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
     """Build decay and coefficient tables for every nonempty subset.
 
@@ -375,35 +460,41 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
             "marginal rates are inconsistent"
         )
 
+    # one flat store of the proper subsets' tables, in subset order, and
+    # their starts by ground mask; its first cell is a 1.0 that stands in
+    # for the blocks a partition lacks (mask 0)
+    n, sizes = len(ground), _sizes(ground)
+    offset = np.zeros(1 << n, dtype=np.intp)
+    cells = 1
+    for k, us in enumerate(sizes[:-1], 1):
+        offset[_global_masks(n, k)[:, -1]] = cells + bell_number(k) ** 2 * np.arange(len(us))
+        cells += bell_number(k) ** 2 * len(us)
+    store = np.empty(cells)
+    store[0] = 1.0
     coeff: dict[tuple[int, ...], np.ndarray] = {}
-    for u in _subsets(ground):
-        lat = lattice(u)
+    for k, us in enumerate(sizes, 1):
+        lat = lattice(us[0])
+        size = lat.size
         top = lat.top_index
-        finer = lat.finer
-        rvec = rates.marginal(u)
-        gap = decay[u][top] - decay[u]
+        if k == n:
+            flat = np.zeros(size * size)
+        else:
+            at = offset[_global_masks(n, k)[0, -1]]
+            flat = store[at : at + len(us) * size * size]
+            flat[:] = 0.0
+        theta = flat.reshape(len(us), size, size)
+        rvec = np.stack([rates.marginal(u) for u in us])
+        psi = np.stack([decay[u] for u in us])
+        gap = psi[:, top, None] - psi
         # a harmless top collision has no rate mass in [b, top), so its whole
         # column vanishes and the exponential set stays valid
         cols = np.abs(gap) > tol_abs
-        cols[top] = False
-        theta = np.zeros((lat.size, lat.size))
-        for c in np.flatnonzero(rvec):
-            if c == top:
-                continue
-            # the chains a <= b <= c over the kept columns b; all stay below c
-            down = np.flatnonzero(finer[:, c])
-            b = down[cols[down]]
-            a, k = np.nonzero(finer[np.ix_(down, b)])
-            a, b = down[a], b[k]
-            prod = np.ones(a.size)
-            for block in lat.parts[c].blocks:
-                ridx = lat.restriction_index(block)
-                prod *= coeff[block][ridx[a], ridx[b]]
-            theta[a, b] += rvec[c] * prod
-        theta /= np.where(cols, gap, 1.0)  # in place: columns outside cols are still zero
-        theta[:, top] = -theta.sum(axis=1)
-        theta[top, top] = 1.0
-        coeff[u] = theta
+        cols[:, top] = False
+        _add_chains(flat, lat, rvec, cols, store, offset[_global_masks(n, k)])
+        theta /= np.where(cols, gap, 1.0)[:, None, :]  # in place: other columns are still zero
+        theta[:, :, top] = -theta.sum(axis=2)
+        theta[:, top, top] = 1.0
+        coeff.update(zip(us, theta))
     return ClosedFormSolution(rates, decay, coeff, report)
 
 

@@ -8,13 +8,19 @@ subsystems never relabels anything.
 Text format used in configs and CSV keys: blocks joined by ``|``, elements
 by ``,``, e.g. ``1,2|3,4``.  Whitespace is ignored.
 
+A lattice of k sites is the lattice of {1..k} with its sites renamed, so all
+lattices of one size share one core: the label arrays, the order, meet and
+Moebius tables, and the restriction indices, keyed by the position mask of the
+sub-block.  Only ``Lattice.parts`` and ``Lattice.index`` name the sites; they
+are built on first use.
+
 All objects here are immutable after construction and safe to share across
-threads; the per-ground-set cache is at worst rebuilt on a race.
+threads; a cached core, lattice or table is at worst built twice on a race.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable
 
@@ -41,6 +47,9 @@ __all__ = [
 # largest site count the command line and scenario files accept: Bell(10) is
 # 115975 partitions, and the dense (B, B) tables grow with its square
 MAX_SITES = 10
+# largest lattice whose restriction indices are kept as one (2^n, B) table
+# (8.5 MB at n = 8); a larger one looks up and keeps each restriction alone
+_TABLE_SITES = 8
 
 
 def ground_set(n: int) -> tuple[int, ...]:
@@ -282,39 +291,75 @@ def join_disjoint(parts: Iterable[Partition]) -> Partition:
     return Partition(blocks)
 
 
+class _Core:
+    """What every lattice of a k-set shares: the arrays of ``Lattice``, and
+    its lazy tables, which ``Lattice`` fills on first use.  Restriction
+    indices are keyed by the position mask of the sub-block (bit s for the
+    s-th site)."""
+
+    def __init__(self, k: int):
+        self.labels = _rgs_labels(k)
+        self.codes = _encode(self.labels)
+        self.block_counts = self.labels.max(axis=1).astype(np.int64) + 1
+        self.finer: np.ndarray | None = None
+        self.meet_table: np.ndarray | None = None
+        self.mobius: np.ndarray | None = None
+        self.order: tuple[np.ndarray, ...] | None = None
+        self.block_masks: np.ndarray | None = None
+        self.restriction_table: np.ndarray | None = None
+        self.restriction: dict[int, np.ndarray] = {}
+
+
+@lru_cache(maxsize=None)
+def _core(k: int) -> _Core:
+    return _Core(k)
+
+
+def _lookup(labels: np.ndarray) -> np.ndarray:
+    """Index of each row of a (rows, k) block-label array in the lattice of
+    a k-set."""
+    return np.searchsorted(_core(labels.shape[1]).codes, _encode(_canonical(labels)))
+
+
 class Lattice:
     """Enumeration, order, meet and Moebius tables for one ground set.
 
     The single representation is ``labels``, the (B, n) array of restricted
     growth strings in enumeration order; every table is derived from it with
-    array operations.  Heavy tables are built lazily and kept for the
-    lifetime of the cache entry; everything is read-only after construction.
+    array operations.  Lattices of one size share these arrays and tables
+    through one core.  In this order the top is the first partition and the
+    bottom the last.  Heavy tables are built lazily and kept for the
+    lifetime of the process; everything is read-only after construction.
     """
 
     def __init__(self, ground: tuple[int, ...]):
         self.ground = ground
-        self.labels = _rgs_labels(len(ground))
-        self.codes = _encode(self.labels)
-        parts = []
+        self._core = core = _core(len(ground))
+        self.labels = core.labels
+        self.codes = core.codes
+        self.block_counts = core.block_counts
+        self.size = len(self.labels)
+        self.top_index = 0
+        self.bottom_index = self.size - 1
+
+    @cached_property
+    def parts(self) -> tuple[Partition, ...]:
+        """The partitions in enumeration order, named by the ground set."""
+        ground, parts = self.ground, []
         for row in self.labels.tolist():
             blocks: list[list[int]] = [[] for _ in range(max(row) + 1)]
             for site, lab in zip(ground, row):
                 blocks[lab].append(site)
             parts.append(Partition._from_canonical(tuple(map(tuple, blocks)), ground))
-        self.parts: tuple[Partition, ...] = tuple(parts)
-        self.size = len(self.parts)
-        self.index: dict[Partition, int] = {p: i for i, p in enumerate(self.parts)}
-        self.top_index = self.index[Partition.whole(ground)]
-        self.bottom_index = self.index[Partition.singletons(ground)]
-        self.block_counts = self.labels.max(axis=1).astype(np.int64) + 1
-        self._finer: np.ndarray | None = None
-        self._meet_table: np.ndarray | None = None
-        self._mobius: np.ndarray | None = None
-        self._restrict_index: dict[tuple[int, ...], np.ndarray] = {}
+        return tuple(parts)
+
+    @cached_property
+    def index(self) -> dict[Partition, int]:
+        return {p: i for i, p in enumerate(self.parts)}
 
     def _lookup(self, labels: np.ndarray) -> np.ndarray:
         """Lattice index of each row of a (k, n) block-label array."""
-        return np.searchsorted(self.codes, _encode(_canonical(labels)))
+        return _lookup(labels)
 
     @property
     def finer(self) -> np.ndarray:
@@ -322,27 +367,64 @@ class Lattice:
 
         a refines b iff b's labels are constant on each block of a, that is,
         every site carries b's label of the first site of its a-block."""
-        if self._finer is None:
+        core = self._core
+        if core.finer is None:
             lab = self.labels
             first = np.argmax(lab[:, :, None] == lab[:, None, :], axis=2)
             f = np.ones((self.size, self.size), dtype=bool)
             for s in range(1, lab.shape[1]):
                 f &= (lab[:, first[:, s]] == lab[:, s, None]).T
-            self._finer = f
-        return self._finer
+            core.finer = f
+        return core.finer
+
+    def _order(self) -> tuple[np.ndarray, ...]:
+        core = self._core
+        if core.order is None:
+            a, c = np.nonzero(self.finer)  # the up-sets: by a, then c
+            by_c = np.argsort(c, kind="stable")  # the down-sets: by c, then a
+            starts = lambda rows: np.searchsorted(rows, np.arange(self.size + 1))  # noqa: E731
+            core.order = starts(c[by_c]), a[by_c], starts(a), c
+        return core.order
+
+    @property
+    def down_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The order as CSR rows by the coarser element: indices[indptr[c]:
+        indptr[c + 1]] are the partitions that refine parts[c], ascending;
+        parts[c] itself comes first."""
+        return self._order()[:2]
+
+    @property
+    def up_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The transpose of ``down_sets``: the partitions coarser than
+        parts[a], ascending, with parts[a] itself last (a coarser partition
+        has a smaller label at every site, so it comes earlier)."""
+        return self._order()[2:]
+
+    @property
+    def block_masks(self) -> np.ndarray:
+        """(B, n) block masks: bit s of entry [i, j] is set iff the s-th site
+        of the ground set lies in the j-th block of parts[i]; zero past the
+        last block."""
+        core = self._core
+        if core.block_masks is None:
+            n = len(self.ground)
+            blocks = self.labels[:, None, :] == np.arange(n)[None, :, None]
+            core.block_masks = blocks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+        return core.block_masks
 
     @property
     def meet_table(self) -> np.ndarray:
         """meet_table[i, j] = index of parts[i] meet parts[j]: the blocks of
         the meet are the sites sharing both labels."""
-        if self._meet_table is None:
+        core = self._core
+        if core.meet_table is None:
             n = len(self.ground)
             lab = self.labels.astype(np.int64)
             m = np.empty((self.size, self.size), dtype=np.int64)
             for i in range(self.size):
                 m[i] = self._lookup(lab[i] * n + lab)
-            self._meet_table = m
-        return self._meet_table
+            core.meet_table = m
+        return core.meet_table
 
     def incidence_solve(self, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solution x of theta @ x = rhs, for an incidence-algebra element
@@ -354,11 +436,10 @@ class Lattice:
         boolean table (the zeta function) x keeps the dtype of rhs, so an
         integer right-hand side is solved exactly.
         """
-        finer = self.finer
+        ptr, ups = self.up_sets
         x = np.zeros(rhs.shape, dtype=rhs.dtype if theta.dtype == bool else float)
         for i in np.argsort(self.block_counts, kind="stable"):
-            up = np.flatnonzero(finer[i])
-            up = up[up != i]
+            up = ups[ptr[i] : ptr[i + 1] - 1]
             x[i] = (rhs[i] - theta[i, up] @ x[up]) / theta[i, i]
         return x
 
@@ -366,21 +447,52 @@ class Lattice:
     def mobius_matrix(self) -> np.ndarray:
         """Integer matrix of the Moebius function, the inverse of zeta; zero
         outside the order."""
-        if self._mobius is None:
-            self._mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
-        return self._mobius
+        core = self._core
+        if core.mobius is None:
+            core.mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
+        return core.mobius
 
     def restriction_index(self, u) -> np.ndarray:
         """restriction_index(u)[j] = index of parts[j] restricted to u, in lattice(u)."""
         g = as_ground(u)
-        cached = self._restrict_index.get(g)
+        if not set(g) <= set(self.ground):
+            raise ValueError(f"{g} is not a subset of the ground set {self.ground}")
+        mask = sum(1 << self.ground.index(x) for x in g)
+        if len(self.ground) <= _TABLE_SITES:
+            return self.restriction_table[mask]
+        cached = self._core.restriction.get(mask)
         if cached is None:
-            if not set(g) <= set(self.ground):
-                raise ValueError(f"{g} is not a subset of the ground set {self.ground}")
-            cols = [self.ground.index(x) for x in g]
-            cached = lattice(g)._lookup(self.labels[:, cols])
-            self._restrict_index[g] = cached
+            cols = [s for s in range(len(self.ground)) if mask >> s & 1]
+            cached = self._core.restriction[mask] = _lookup(self.labels[:, cols])
         return cached
+
+    @property
+    def restriction_table(self) -> np.ndarray:
+        """(2^n, B) table whose row m is the restriction index to the sites
+        at mask m (as in ``block_masks``); row 0 is zero.
+
+        Built from n lookups, one per dropped site: every other row drops
+        one more site from a row with one site more, through the table of
+        the smaller lattice."""
+        core = self._core
+        if core.restriction_table is None:
+            n = len(self.ground)
+            full = (1 << n) - 1
+            table = np.zeros((1 << n, self.size), dtype=np.intp)
+            table[full] = np.arange(self.size)
+            for m in range(full - 1, 0, -1):
+                s = (~m & (m + 1)).bit_length() - 1  # the lowest site outside m
+                up = m | 1 << s
+                if up == full:
+                    table[m] = _lookup(np.delete(self.labels, s, axis=1))
+                else:
+                    # restrict to up, then drop s, the i-th of up's k sites
+                    k, i = up.bit_count(), (up & ((1 << s) - 1)).bit_count()
+                    drop = lattice(ground_set(k)).restriction_table[((1 << k) - 1) ^ 1 << i]
+                    table[m] = drop[table[up]]
+            table.flags.writeable = False
+            core.restriction_table = table
+        return core.restriction_table
 
 
 @lru_cache(maxsize=None)

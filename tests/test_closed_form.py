@@ -499,6 +499,29 @@ def test_tables_equal_loop_oracle(system):
         assert np.array_equal(sol.coefficient_table(u), theta), u
 
 
+def decay_table_loop_oracle(rates):
+    """psi of every partition of every subset by a Python loop: the splitting
+    rates of its blocks added one block at a time, in block order."""
+    tables = {}
+    for u in all_subsets(rates.ground):
+        psi = []
+        for p in lattice(u).parts:
+            acc = 0.0
+            for block in p.blocks:
+                acc += rates.splitting_rate(block)
+            psi.append(acc)
+        tables[u] = np.array(psi)
+    return tables
+
+
+@pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+def test_decay_tables_equal_loop_oracle(system):
+    rates = ORACLE_SYSTEMS[system]()
+    sol = build_closed_form(rates)
+    for u, psi in decay_table_loop_oracle(rates).items():
+        assert np.array_equal(sol.decay_table(u), psi), u
+
+
 GRID_SYSTEMS = {
     **{f"random-n{n}": (lambda n=n: random_rates(n, 1)) for n in range(1, 7)},
     "every-other-zero-n5": lambda: every_other_rate_zero(5),
@@ -620,6 +643,19 @@ class TestInverseCoefficients:
                 prod *= sol.decoupled_coefficient(block, Partition.whole(block), t)
             assert sol.decoupled_coefficient(g, p, t) == pytest.approx(prod, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_decoupled_coefficient_matches_inverse_table(self, n):
+        rates = random_rates(n, seed=35)
+        sol = build_closed_form(rates)
+        g = ground_set(n)
+        eta = sol.inverse_table(g)
+        for t in (0.0, 0.7, 2.5):
+            a_t = sol.evaluate(g, [t]).values[0]
+            for i, p in enumerate(lattice(g).parts):
+                expected = eta[i] @ a_t
+                got = sol.decoupled_coefficient(g, p, t)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (t, p)
+
     def test_noninvertible_without_two_block_rates(self):
         # single-crossover support leaves most two-block partitions rateless,
         # so the coefficient diagonal vanishes there
@@ -627,6 +663,8 @@ class TestInverseCoefficients:
         sol = build_closed_form(rates)
         with pytest.raises(NonInvertibleError):
             sol.inverse_table(ground_set(4))
+        with pytest.raises(NonInvertibleError):
+            sol.decoupled_coefficient(ground_set(4), Partition.whole(ground_set(4)), 1.0)
 
 
 class TestRateRecovery:

@@ -142,6 +142,46 @@ class TestLatticeTables:
             lattice(ground_set(3)).restriction_index((2, 4))
 
 
+class TestSharedCore:
+    """Every lattice of a k-set shares one core with the lattice of {1..k}."""
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_subset_lattices_share_the_size_core(self, size):
+        core = lattice(ground_set(size))
+        for u in combinations(ground_set(6), size):
+            lat = lattice(u)
+            assert lat.labels is core.labels and lat.finer is core.finer
+            assert lat.top_index == 0 and lat.bottom_index == lat.size - 1
+            assert lat.parts[0] == Partition.whole(u)
+            assert lat.parts[-1] == Partition.singletons(u)
+            for k in range(1, size + 1):
+                for v in combinations(u, k):
+                    sub = lattice(v)
+                    expected = [sub.index[restrict(p, v)] for p in lat.parts]
+                    assert np.array_equal(lat.restriction_index(v), expected), (u, v)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_down_and_up_sets_match_finer(self, n):
+        lat = lattice(ground_set(n))
+        (dptr, down), (uptr, up) = lat.down_sets, lat.up_sets
+        for i in range(lat.size):
+            below = down[dptr[i] : dptr[i + 1]]
+            above = up[uptr[i] : uptr[i + 1]]
+            assert below.tolist() == np.flatnonzero(lat.finer[:, i]).tolist()
+            assert above.tolist() == np.flatnonzero(lat.finer[i]).tolist()
+            assert below[0] == i and above[-1] == i
+
+    def test_restriction_above_the_table_size(self):
+        # n = 9 keeps each restriction alone instead of in one table
+        g = ground_set(9)
+        lat = lattice(g)
+        rows = np.random.default_rng(9).choice(lat.size, 300, replace=False)
+        for u in [(2,), (1, 4, 9), (1, 2, 3, 5, 6, 7, 8, 9), g]:
+            sub = lattice(u)
+            expected = [sub.index[restrict(lat.parts[i], u)] for i in rows]
+            assert np.array_equal(lat.restriction_index(u)[rows], expected), u
+
+
 class TestMeet:
     def test_identity_with_top(self):
         g = ground_set(4)
