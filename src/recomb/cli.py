@@ -29,6 +29,7 @@ import numpy as np
 from recomb.closed_form import (
     DegeneracyError,
     build_closed_form,
+    closed_form_size,
     linear_solution,
 )
 from recomb.dynamics import (
@@ -119,13 +120,13 @@ def _check_substeps(scenario: Scenario, grid) -> None:
 
 
 def _check_closed_form(scenario: Scenario) -> None:
-    """Refuse a closed form whose dense (B, B) tables would hold more than
-    MAX_STATES entries each, before any of them is allocated."""
-    entries = bell_number(len(scenario.ground)) ** 2
-    if entries > MAX_STATES:
+    """Refuse a closed form whose stored comparable pairs and expanded
+    chains together exceed MAX_STATES, before any table is allocated."""
+    pairs, chains = closed_form_size(scenario.rates)
+    if pairs + chains > MAX_STATES:
         raise ScenarioError(
-            f"the closed form at n = {len(scenario.ground)} needs (B, B) tables of "
-            f"{entries} entries, above {MAX_STATES}"
+            f"the closed form at n = {len(scenario.ground)} would store {pairs} "
+            f"comparable pairs and expand {chains} chains, above {MAX_STATES}"
         )
 
 
@@ -194,7 +195,8 @@ def cmd_solve(args) -> int:
         return EXIT_DEGENERACY
     traj = sol.evaluate(scenario.ground, scenario.grid.array())
     write_coefficient_csv(out / "trajectory.csv", traj)
-    (out / "solution.json").write_text(json.dumps(sol.to_json_dict(), indent=2))
+    # compact: the indented form takes the pure-Python encoder
+    (out / "solution.json").write_text(json.dumps(sol.to_json_dict()))
     log.info("wrote %s and %s", out / "trajectory.csv", out / "solution.json")
     return EXIT_OK
 

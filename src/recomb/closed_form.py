@@ -8,10 +8,12 @@ rates and mixing coefficients so that the coefficient vector at time t is
 built smallest subset first.  Below the top, coeff(A, B) sums over the
 chains A <= B <= C, with C rated at r(C) and not the top, the terms
 r(C) * prod over the blocks U of C of coeff_U(A|U, B|U), and is divided by
-decay(top) - decay(B).  The subsets of one size share one lattice core, so
-one scatter adds the chains of all of them: one gather per block position
-from a flat store of the smaller subsets' tables, and one np.add.at that
-sums each entry's terms in C order.  The build
+decay(top) - decay(B).  Every table lives on the comparable pairs A <= B of
+its lattice (``Lattice.up_sets``), the only entries that can be nonzero.
+The subsets of one size share one lattice core, so one scatter adds the
+chains of all of them: one gather per block position from a flat store of
+the smaller subsets' pair tables, and one np.add.at that sums each entry's
+terms in C order.  The build
 requires all decay rates of a subsystem to be distinct; coincidences are
 grouped into equal-decay classes and either reported (harmless: away from
 the top element, where the coefficients extend continuously) or fatal (a
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from recomb.dynamics import CoefficientTrajectory, RateSystem
-from recomb.partitions import Partition, as_ground, bell_number, lattice
+from recomb.partitions import Partition, as_ground, bell_number, ground_set, lattice
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -46,6 +48,7 @@ __all__ = [
     "linear_solution",
     "rates_from_linear_decay",
     "detect_degeneracy",
+    "closed_form_size",
     "build_closed_form",
     "exp_convolution",
     "exp_monomial_convolution",
@@ -163,13 +166,45 @@ def linear_decay_rate(rates: RateSystem, u, a: Partition) -> float:
     g = as_ground(u)
     if a.ground != g:
         raise ValueError("partition is not on the requested subset")
-    return float(_linear_decay(rates, g)[lattice(g).index[a]])
+    lat = lattice(g)
+    return float(rates.total - _up_sums(lat, rates.marginal(g), np.array([lat.index[a]]))[0])
 
 
 def _linear_decay(rates: RateSystem, g: tuple[int, ...]) -> np.ndarray:
     """chi on lattice(g): the total minus the rate mass coarser than each
     partition."""
-    return rates.total - lattice(g).finer @ rates.marginal(g)
+    return rates.total - _apply(lattice(g), 1.0, rates.marginal(g))
+
+
+def _up_sums(lat, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """For each partition index in at, the sum of values over its up-set,
+    in ascending order: one bincount."""
+    ptr, ups = lat.up_sets
+    fan = ptr[at + 1] - ptr[at]
+    terms = values[ups[_ranges(ptr[at], fan)]]
+    return np.bincount(np.repeat(np.arange(at.size), fan), terms, at.size)
+
+
+def _zeta_solve(lat, rhs: np.ndarray) -> np.ndarray:
+    """Moebius inversion: x with the sum of x over each up-set equal to rhs,
+    for a vector or a table of B rows.  Coarsest first, one block count at
+    a time: x[a] = rhs[a] - the sum of x over the b strictly above a, one
+    reduceat per block count.  Summing the nonnegative terms of a linear
+    solution keeps its rounding near the unit roundoff, where weighting by
+    the Moebius function would cancel terms up to (n - 1)! in size."""
+    ptr, ups = lat.up_sets
+    x = np.array(rhs, dtype=float)
+    for k in range(2, len(lat.ground) + 1):
+        a = np.flatnonzero(lat.block_counts == k)
+        fan = ptr[a + 1] - ptr[a] - 1
+        x[a] -= np.add.reduceat(x[ups[_ranges(ptr[a], fan)]], np.cumsum(fan) - fan, axis=0)
+    return x
+
+
+def _apply(lat, table, vector: np.ndarray) -> np.ndarray:
+    """table @ vector for a table on the comparable pairs (1.0 for the zeta
+    function): one bincount, each row summed in ascending order."""
+    return np.bincount(lat.pair_rows, table * vector[lat.up_sets[1]], lat.size)
 
 
 def _times(times) -> np.ndarray:
@@ -208,13 +243,12 @@ def linear_solution(rates: RateSystem, u, times) -> CoefficientTrajectory:
     vectors.
 
     Moebius inversion of exp(-chi t), chi the interval-complement decay
-    rates, by one substitution over the whole grid; the defining sum over
-    subsets of the lattice serves as a test oracle.
+    rates, by one substitution over the whole grid (``_zeta_solve``); the
+    defining sum over subsets of the lattice serves as a test oracle.
     """
     g, times = as_ground(u), _times(times)
-    lat = lattice(g)
     survival = np.exp(-np.multiply.outer(_linear_decay(rates, g), times))
-    return CoefficientTrajectory(g, times, lat.incidence_solve(lat.finer, survival).T)
+    return CoefficientTrajectory(g, times, _zeta_solve(lattice(g), survival).T)
 
 
 def rates_from_linear_decay(
@@ -229,7 +263,7 @@ def rates_from_linear_decay(
     if set(chi_table) != set(lat.parts):
         raise ValueError("decay table must cover every partition of the subset")
     chi = np.array([chi_table[p] for p in lat.parts], dtype=float)
-    return _rates_from_decay(g, lat.incidence_solve(lat.finer, chi), rho_total)
+    return _rates_from_decay(g, _zeta_solve(lat, chi), rho_total)
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +316,7 @@ def _scan_degeneracies(
         near = np.flatnonzero(np.abs(psi[top] - psi) <= tol_abs)
         rvec = rates.marginal(u)
         # mass of the upward interval [B, top) for the B near the top; none at the top
-        bad = set(near[lat.finer[near] @ rvec - rvec[top] > 0.0].tolist())
+        bad = set(near[_up_sums(lat, rvec, near) - rvec[top] > 0.0].tolist())
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if hi - lo < 2:
                 continue
@@ -302,8 +336,9 @@ def detect_degeneracy(rates: RateSystem) -> DegeneracyReport:
 
 
 class ClosedFormSolution:
-    """Per-subset decay and coefficient tables, evaluated on a whole time
-    grid by one product.
+    """Per-subset decay tables, and coefficient tables on the comparable
+    pairs of each subset's lattice (``Lattice.up_sets`` order), evaluated on
+    a whole time grid by one bincount per time.
 
     Immutable once built; evaluation is pure.
     """
@@ -324,24 +359,39 @@ class ClosedFormSolution:
         return self._decay[self._key(u)]
 
     def coefficient_table(self, u) -> np.ndarray:
-        return self._coeff[self._key(u)]
+        """The coefficient table of u as a dense (B, B) array, zero off the
+        order: a view built on demand for tests and small lattices."""
+        g = self._key(u)
+        lat = lattice(g)
+        table = np.zeros((lat.size, lat.size))
+        table[lat.pair_rows, lat.up_sets[1]] = self._coeff[g]
+        return table
 
     def evaluate(self, u, times) -> CoefficientTrajectory:
-        """The probability vectors on the subsystem u at the grid times."""
+        """The probability vectors on the subsystem u at the grid times:
+        the sum of theta(a, b) exp(-decay(b) t) over the nonzero pairs, one
+        bincount per time, each entry in ascending b."""
         g, times = self._key(u), _times(times)
-        factors = np.exp(-np.multiply.outer(times, self._decay[g]))
-        return CoefficientTrajectory(g, times, factors @ self._coeff[g].T)
+        lat = lattice(g)
+        theta = self._coeff[g]
+        nz = np.flatnonzero(theta)
+        rows, cols, theta = lat.pair_rows[nz], lat.up_sets[1][nz], theta[nz]
+        values = np.empty((times.size, lat.size))
+        for i, factors in enumerate(np.exp(-np.multiply.outer(times, self._decay[g]))):
+            values[i] = np.bincount(rows, theta * factors[cols], lat.size)
+        return CoefficientTrajectory(g, times, values)
 
     def _invertible(self, g: tuple[int, ...]) -> np.ndarray:
-        """The coefficient table of g, checked to have no vanishing diagonal."""
+        """The dense coefficient table of g, checked to have no vanishing
+        diagonal."""
         theta = self._coeff[g]
         scale = max(1.0, float(np.abs(theta).max()))
-        if np.abs(np.diag(theta)).min() <= _DIAG_TOL * scale:
+        if np.abs(theta[lattice(g).up_sets[0][1:] - 1]).min() <= _DIAG_TOL * scale:
             raise NonInvertibleError(
                 "coefficient table has a vanishing diagonal entry; "
                 "inverse requires positive rates on all two-block partitions"
             )
-        return theta
+        return self.coefficient_table(g)
 
     def inverse_table(self, u) -> np.ndarray:
         """Inverse of the coefficient table in the incidence algebra."""
@@ -361,7 +411,8 @@ class ClosedFormSolution:
         """Rates reconstructed from decay rates and coefficients; round-trips
         with the marginal input rates."""
         g = self._key(u)
-        return _rates_from_decay(g, self._coeff[g] @ self._decay[g], self.rates.total)
+        product = _apply(lattice(g), self._coeff[g], self._decay[g])
+        return _rates_from_decay(g, product, self.rates.total)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -373,14 +424,16 @@ class ClosedFormSolution:
         for u, psi in self._decay.items():
             lat = lattice(u)
             theta = self._coeff[u]
-            key = ",".join(str(x) for x in u)
             names = [str(p) for p in lat.parts]
-            out["subsets"][key] = {
-                "decay": {name: float(psi[i]) for i, name in enumerate(names)},
-                "coeff": {
-                    name: {names[j]: theta[i, j] for j in np.flatnonzero(theta[i])}
-                    for i, name in enumerate(names)
-                },
+            coeff: dict[str, dict[str, float]] = {name: {} for name in names}
+            nz = np.flatnonzero(theta)
+            for a, b, value in zip(
+                lat.pair_rows[nz].tolist(), lat.up_sets[1][nz].tolist(), theta[nz].tolist()
+            ):
+                coeff[names[a]][names[b]] = value
+            out["subsets"][",".join(str(x) for x in u)] = {
+                "decay": dict(zip(names, psi.tolist())),
+                "coeff": coeff,
             }
         return out
 
@@ -391,51 +444,119 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-# chains per run of the chain scatter; bounds its temporaries at n = 8
+# chains per run of the chain scatter; bounds its temporaries at n = 9
 _RUN_CHAINS = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _pair_pointers(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The up-set pointers of the lattices of 0, ..., k - 1 sites, one after
+    another, and for each mask of k sites where those of the lattice of its
+    sites start; the lattice of no sites has one pair."""
+    ptrs = [np.zeros(1, dtype=np.intp)]
+    ptrs += [lattice(ground_set(s)).up_sets[0][:-1] for s in range(1, k)]
+    starts = np.cumsum([0] + [len(p) for p in ptrs])
+    return np.concatenate(ptrs), starts[[m.bit_count() for m in range(1 << k)]]
 
 
 def _add_chains(flat, lat, rvec, cols, store, offset) -> None:
     """Add r_u(c) * prod over the blocks V of c of coeff_V(a|V, b|V) to
-    theta_u[a, b] for every subset u of one size and every chain
+    theta_u(a, b) for every subset u of one size and every chain
     a <= b <= c of lat with c rated and not the top and b a kept column of
     u; each entry sums its terms in c order.
 
-    flat holds the row-major theta_u one after another; rvec and cols are
-    (subsets, B) and offset[u, m] is the start in store of the table of u's
-    sites at mask m."""
-    size = lat.size
-    ptr, down = lat.down_sets
+    flat holds the theta_u on the pairs of lat one after another; rvec and
+    cols are (subsets, B) and offset[u, m] is the start in store of the pair
+    table of u's sites at mask m (0, a cell holding 1.0, for mask 0).
+
+    The chains are taken by a, in the lattice q of a's k_a blocks: the b
+    between a and c are the pi o a for pi below the partition s that c
+    induces on a's blocks.  In q, (a|V, b|V) is (bottom, pi) restricted to
+    the blocks of s inside V, so its pair sits at a|V's up-set pointer plus
+    q's restriction index of pi to the sites at s's block mask."""
+    ptr, ups = lat.up_sets
+    dptr, below, at = lat.down_pairs
     u, c = np.nonzero(rvec)  # by subset, then c
     u, c = u[c != lat.top_index], c[c != lat.top_index]
-    fan = ptr[c + 1] - ptr[c]
-    b = down[_ranges(ptr[c], fan)]
-    u, c = np.repeat(u, fan), np.repeat(c, fan)
-    keep = cols[u, b]
-    u, b, c = u[keep], b[keep], c[keep]
-    if not b.size:
-        return
-    fan = ptr[b + 1] - ptr[b]
-    masks = lat.block_masks
-    table = lat.restriction_table
-    stride = np.array([bell_number(m.bit_count()) for m in range(len(table))])  # B of each mask
-    ends = np.cumsum(fan)
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _RUN_CHAINS), "right"))
-    for lo, hi in zip(cuts, [*cuts[1:], b.size]):
-        us, bs, cs, fs = u[lo:hi], b[lo:hi], c[lo:hi], fan[lo:hi]
-        a = down[_ranges(ptr[bs], fs)]
-        prod = None
-        for j in range(int(lat.block_counts[cs].max())):
-            m = masks[cs, j]
-            at = np.repeat(offset[us, m] + table[m, bs], fs)
-            m = np.repeat(m, fs)
-            at += table[m, a] * stride[m]
-            if prod is None:
-                prod = store[at]
-            else:
-                prod *= store[at]
-        at = np.repeat(us * size * size + bs, fs) + a * size
-        np.add.at(flat, at, np.repeat(rvec[us, cs], fs) * prod)
+    fan = dptr[c + 1] - dptr[c]
+    i = _ranges(dptr[c], fan)
+    # a target pair (a, b) has one k_a, so grouping by k_a (stably) keeps
+    # each entry's terms in c order
+    a = below[i]
+    order = np.argsort(lat.block_counts[a], kind="stable")
+    u, c, a, s = np.repeat(u, fan)[order], np.repeat(c, fan)[order], a[order], at[i][order]
+    s -= ptr[a]  # c over a's blocks, as an index of q
+    bounds = np.searchsorted(lat.block_counts[a], np.arange(len(lat.ground) + 2))
+    sub_ptr, sub_start = _pair_pointers(len(lat.ground))
+    masks, starts = lat.block_masks.T, offset.ravel()
+    for k in range(2, len(lat.ground) + 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi:
+            continue
+        q = lattice(ground_set(k))
+        qptr, qbelow = q.down_sets
+        qmasks = q.block_masks.T
+        ends = np.cumsum(qptr[s[lo:hi] + 1] - qptr[s[lo:hi]])
+        cuts = [lo]
+        if ends[-1] > _RUN_CHAINS:
+            at_runs = np.searchsorted(ends, np.arange(0, ends[-1], _RUN_CHAINS), "right")
+            cuts = (lo + np.unique(at_runs)).tolist()
+        for lo, hi in zip(cuts, [*cuts[1:], hi]):
+            ru, rc, ra, rs = u[lo:hi], c[lo:hi], a[lo:hi], s[lo:hi]
+            rf = qptr[rs + 1] - qptr[rs]
+            run = np.repeat(np.arange(hi - lo), rf)
+            pi = qbelow[_ranges(qptr[rs], rf)]
+            pair = ptr[ra][run] + pi
+            keep = cols.ravel()[ru[run] * lat.size + ups[pair]]
+            if not keep.all():
+                run, pi, pair = run[keep], pi[keep], pair[keep]
+                if not run.size:
+                    continue
+            prod = None
+            for j in range(int(lat.block_counts[rc].max())):
+                v = masks[j][rc]  # 0 past c's last block
+                table, row = lat.restriction_rows(v)
+                sub = table.ravel()[row * lat.size + ra]
+                start = starts[ru * offset.shape[1] + v] + sub_ptr[sub_start[v] + sub]
+                table, row = q.restriction_rows(qmasks[j][rs])
+                cell = store[start[run] + table.ravel()[(row * q.size)[run] + pi]]
+                if prod is None:
+                    prod = cell
+                else:
+                    prod *= cell
+            np.add.at(flat, ru[run] * ups.size + pair, rvec[ru, rc][run] * prod)
+
+
+@lru_cache(maxsize=None)
+def _chains_below(k: int) -> np.ndarray:
+    """Chains a <= b <= c below each partition c of k sites: the product
+    over c's blocks V of the comparable pairs of V's lattice."""
+    pairs = np.array([1] + [_pair_count(s) for s in range(1, k + 1)])
+    labels = lattice(ground_set(k)).labels
+    sizes = (labels[:, :, None] == np.arange(k)).sum(axis=1)
+    return pairs[sizes].prod(axis=1)
+
+
+def _pair_count(k: int) -> int:
+    """Comparable pairs of the lattice of k sites: Bell(k_a) above each a."""
+    counts = lattice(ground_set(k)).block_counts
+    return int(sum(bell_number(m) * int((counts == m).sum()) for m in range(1, k + 1)))
+
+
+def closed_form_size(rates: RateSystem) -> tuple[int, int]:
+    """(pairs, chains): the comparable pairs whose coefficients the closed
+    form stores, over every subset, and the chains a <= b <= c its scatter
+    expands, with c rated and not the top (before the decay rates drop any
+    column).  Counted from block sizes and the marginal rates; no table is
+    built."""
+    n = len(rates.ground)
+    pairs = sum(math.comb(n, k) * _pair_count(k) for k in range(1, n + 1))
+    chains = 0
+    for us in _sizes(rates.ground):
+        below = _chains_below(len(us[0]))
+        for u in us:
+            chains += int(below[1:][rates.marginal(u)[1:] != 0.0].sum())  # 0 is the top
+    return pairs, chains
 
 
 def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
@@ -460,29 +581,30 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
             "marginal rates are inconsistent"
         )
 
-    # one flat store of the proper subsets' tables, in subset order, and
+    # one flat store of the proper subsets' pair tables, in subset order, and
     # their starts by ground mask; its first cell is a 1.0 that stands in
     # for the blocks a partition lacks (mask 0)
     n, sizes = len(ground), _sizes(ground)
     offset = np.zeros(1 << n, dtype=np.intp)
     cells = 1
     for k, us in enumerate(sizes[:-1], 1):
-        offset[_global_masks(n, k)[:, -1]] = cells + bell_number(k) ** 2 * np.arange(len(us))
-        cells += bell_number(k) ** 2 * len(us)
+        pairs = lattice(us[0]).up_sets[1].size
+        offset[_global_masks(n, k)[:, -1]] = cells + pairs * np.arange(len(us))
+        cells += pairs * len(us)
     store = np.empty(cells)
     store[0] = 1.0
     coeff: dict[tuple[int, ...], np.ndarray] = {}
     for k, us in enumerate(sizes, 1):
         lat = lattice(us[0])
-        size = lat.size
+        ptr, ups = lat.up_sets
         top = lat.top_index
         if k == n:
-            flat = np.zeros(size * size)
+            flat = np.zeros(len(us) * ups.size)
         else:
             at = offset[_global_masks(n, k)[0, -1]]
-            flat = store[at : at + len(us) * size * size]
+            flat = store[at : at + len(us) * ups.size]
             flat[:] = 0.0
-        theta = flat.reshape(len(us), size, size)
+        theta = flat.reshape(len(us), ups.size)
         rvec = np.stack([rates.marginal(u) for u in us])
         psi = np.stack([decay[u] for u in us])
         gap = psi[:, top, None] - psi
@@ -491,9 +613,17 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
         cols = np.abs(gap) > tol_abs
         cols[:, top] = False
         _add_chains(flat, lat, rvec, cols, store, offset[_global_masks(n, k)])
-        theta /= np.where(cols, gap, 1.0)[:, None, :]  # in place: other columns are still zero
-        theta[:, :, top] = -theta.sum(axis=2)
-        theta[:, top, top] = 1.0
+        # divide the kept columns by their gaps (the others are still zero)
+        # and put minus each row's sum, in ascending b, in its top column;
+        # a few subsets per pass bound the temporaries
+        step = max(1, _RUN_CHAINS * 32 // ups.size)
+        for lo in range(0, len(us), step):
+            part = theta[lo : lo + step]
+            part /= np.where(cols[lo : lo + step], gap[lo : lo + step], 1.0)[:, ups]
+            rows = (np.arange(len(part))[:, None] * lat.size + lat.pair_rows).ravel()
+            sums = np.bincount(rows, part.ravel(), part.shape[0] * lat.size)
+            part[:, ptr[:-1]] = -sums.reshape(-1, lat.size)
+        theta[:, ptr[top]] = 1.0
         coeff.update(zip(us, theta))
     return ClosedFormSolution(rates, decay, coeff, report)
 

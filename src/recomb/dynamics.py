@@ -118,10 +118,8 @@ class RateSystem:
         g = as_ground(u)
         cached = self._marginals.get(g)
         if cached is None:
-            ridx = lattice(self.ground).restriction_index(g)
-            cached = np.bincount(
-                ridx[self._indices], weights=self._weights, minlength=lattice(g).size
-            )
+            ridx = lattice(self.ground).restriction_of(self._indices, g)
+            cached = np.bincount(ridx, weights=self._weights, minlength=lattice(g).size)
             cached.flags.writeable = False
             self._marginals[g] = cached
         return cached
@@ -225,7 +223,7 @@ def meet_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
     if not is_refinement(a, b):
         return 0.0
     lat = lattice(q.ground)
-    col = lat.meet_table[:, lat.index[b]]
+    col = lat.meet_row(lat.index[b])
     return float(q.values[col == lat.index[a]].sum())
 
 

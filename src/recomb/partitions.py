@@ -14,6 +14,15 @@ Moebius tables, and the restriction indices, keyed by the position mask of the
 sub-block.  Only ``Lattice.parts`` and ``Lattice.index`` name the sites; they
 are built on first use.
 
+The order is kept as its comparable pairs a <= b, grouped by a.  The up-set
+of a partition a with k blocks is {pi o a : pi in the lattice of k sites}:
+relabelling a's blocks by a restricted growth string pi of length k gives a
+restricted growth string again, so the pairs come from the labels alone, with
+no (B, B) table.  The pair (a, b) sits at a's pointer plus the index, in the
+lattice of k sites, of the partition pi that b induces on a's blocks; in that
+order b ascends, from the top to a itself.  The dense ``finer``, meet and
+Moebius tables remain as views built on demand.
+
 All objects here are immutable after construction and safe to share across
 threads; a cached core, lattice or table is at worst built twice on a race.
 """
@@ -21,7 +30,7 @@ threads; a cached core, lattice or table is at worst built twice on a race.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Iterable
 
 import numpy as np
@@ -45,10 +54,10 @@ __all__ = [
 ]
 
 # largest site count the command line and scenario files accept: Bell(10) is
-# 115975 partitions, and the dense (B, B) tables grow with its square
+# 115975 partitions with 16,733,779 comparable pairs
 MAX_SITES = 10
 # largest lattice whose restriction indices are kept as one (2^n, B) table
-# (8.5 MB at n = 8); a larger one looks up and keeps each restriction alone
+# (4.2 MB at n = 8); a larger one looks up and keeps each restriction alone
 _TABLE_SITES = 8
 
 
@@ -301,13 +310,45 @@ class _Core:
         self.labels = _rgs_labels(k)
         self.codes = _encode(self.labels)
         self.block_counts = self.labels.max(axis=1).astype(np.int64) + 1
+        self.up: tuple[np.ndarray, np.ndarray] | None = None
+        self.pair_rows: np.ndarray | None = None
+        self.down: tuple[np.ndarray, ...] | None = None
+        self.mobius_pairs: np.ndarray | None = None
         self.finer: np.ndarray | None = None
         self.meet_table: np.ndarray | None = None
         self.mobius: np.ndarray | None = None
-        self.order: tuple[np.ndarray, ...] | None = None
         self.block_masks: np.ndarray | None = None
         self.restriction_table: np.ndarray | None = None
         self.restriction: dict[int, np.ndarray] = {}
+
+
+def _up_sets(core: _Core) -> tuple[np.ndarray, np.ndarray]:
+    """The order as pairs: pointers by a and the b >= a, each up-set in the
+    order of the lattice pi that relabels a's blocks, which is ascending b.
+
+    b = pi o a has code pi @ w_a, where w_a[j] sums the base-k place values
+    of the sites in a's j-th block: one product and one searchsorted per
+    block count."""
+    labels, k = core.labels, core.labels.shape[1]
+    bell = np.array([bell_number(m) for m in range(k + 1)])
+    ptr = np.concatenate(([0], np.cumsum(bell[core.block_counts])))
+    ups = np.empty(ptr[-1], dtype=np.int32)
+    place = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for m in range(1, k + 1):
+        a = np.flatnonzero(core.block_counts == m)
+        weights = (labels[a, None, :] == np.arange(m)[:, None]) @ place
+        codes = weights @ _core(m).labels.T.astype(np.int64)
+        ups[(ptr[a, None] + np.arange(bell[m])).ravel()] = np.searchsorted(core.codes, codes.ravel())
+    return ptr, ups
+
+
+def _block_mobius(labels: np.ndarray) -> np.ndarray:
+    """Moebius function from the bottom to each partition of a lattice:
+    the product over its blocks of (-1)^(s - 1) (s - 1)!, s the block size."""
+    k = labels.shape[1]
+    sizes = (labels[:, :, None] == np.arange(k)).sum(axis=1)
+    factor = np.array([1] + [(-1) ** (s - 1) * factorial(s - 1) for s in range(1, k + 1)])
+    return factor[sizes].prod(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -328,8 +369,10 @@ class Lattice:
     growth strings in enumeration order; every table is derived from it with
     array operations.  Lattices of one size share these arrays and tables
     through one core.  In this order the top is the first partition and the
-    bottom the last.  Heavy tables are built lazily and kept for the
-    lifetime of the process; everything is read-only after construction.
+    bottom the last.  The order is kept as its comparable pairs
+    (``up_sets``); the (B, B) tables are dense views for tests and small
+    lattices.  Heavy tables are built lazily and kept for the lifetime of
+    the process; everything is read-only after construction.
     """
 
     def __init__(self, ground: tuple[int, ...]):
@@ -344,13 +387,15 @@ class Lattice:
 
     @cached_property
     def parts(self) -> tuple[Partition, ...]:
-        """The partitions in enumeration order, named by the ground set."""
-        ground, parts = self.ground, []
+        """The partitions in enumeration order, named by the ground set;
+        equal blocks are one tuple."""
+        ground, parts, shared = self.ground, [], {}
         for row in self.labels.tolist():
             blocks: list[list[int]] = [[] for _ in range(max(row) + 1)]
             for site, lab in zip(ground, row):
                 blocks[lab].append(site)
-            parts.append(Partition._from_canonical(tuple(map(tuple, blocks)), ground))
+            canon = tuple(shared.setdefault(b, b) for b in map(tuple, blocks))
+            parts.append(Partition._from_canonical(canon, ground))
         return tuple(parts)
 
     @cached_property
@@ -363,7 +408,8 @@ class Lattice:
 
     @property
     def finer(self) -> np.ndarray:
-        """Boolean matrix: finer[i, j] iff parts[i] refines parts[j].
+        """Boolean matrix: finer[i, j] iff parts[i] refines parts[j].  A
+        dense view for tests and small lattices; no route reads it.
 
         a refines b iff b's labels are constant on each block of a, that is,
         every site carries b's label of the first site of its a-block."""
@@ -377,28 +423,66 @@ class Lattice:
             core.finer = f
         return core.finer
 
-    def _order(self) -> tuple[np.ndarray, ...]:
+    @property
+    def up_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The order as CSR rows by the finer element: indices[indptr[a]:
+        indptr[a + 1]] are the partitions coarser than parts[a], ascending,
+        with parts[a] itself last (a coarser partition has a smaller label
+        at every site, so it comes earlier).  Position p of indices is the
+        comparable pair (pair_rows[p], indices[p]); tables on the pairs are
+        indexed by it."""
         core = self._core
-        if core.order is None:
-            a, c = np.nonzero(self.finer)  # the up-sets: by a, then c
-            by_c = np.argsort(c, kind="stable")  # the down-sets: by c, then a
-            starts = lambda rows: np.searchsorted(rows, np.arange(self.size + 1))  # noqa: E731
-            core.order = starts(c[by_c]), a[by_c], starts(a), c
-        return core.order
+        if core.up is None:
+            core.up = _up_sets(core)
+        return core.up
+
+    @property
+    def pair_rows(self) -> np.ndarray:
+        """The finer element of each comparable pair, in ``up_sets`` order."""
+        core = self._core
+        if core.pair_rows is None:
+            ptr = self.up_sets[0]
+            core.pair_rows = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(ptr))
+        return core.pair_rows
+
+    @property
+    def down_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transpose of ``up_sets`` as (indptr, indices, positions):
+        indices[indptr[c]: indptr[c + 1]] are the partitions that refine
+        parts[c], ascending, with parts[c] itself first, and positions are
+        those pairs' positions in ``up_sets``."""
+        core = self._core
+        if core.down is None:
+            ups = self.up_sets[1]
+            pos = np.argsort(ups, kind="stable").astype(np.int32)
+            ptr = np.concatenate(([0], np.cumsum(np.bincount(ups, minlength=self.size))))
+            core.down = ptr, self.pair_rows[pos], pos
+        return core.down
 
     @property
     def down_sets(self) -> tuple[np.ndarray, np.ndarray]:
         """The order as CSR rows by the coarser element: indices[indptr[c]:
         indptr[c + 1]] are the partitions that refine parts[c], ascending;
         parts[c] itself comes first."""
-        return self._order()[:2]
+        return self.down_pairs[:2]
 
     @property
-    def up_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The transpose of ``down_sets``: the partitions coarser than
-        parts[a], ascending, with parts[a] itself last (a coarser partition
-        has a smaller label at every site, so it comes earlier)."""
-        return self._order()[2:]
+    def mobius_pairs(self) -> np.ndarray:
+        """The Moebius function on the comparable pairs, in ``up_sets``
+        order: mu(a, b) is the product over the blocks V of b of
+        (-1)^(k_V - 1) (k_V - 1)!, k_V the number of a's blocks inside V
+        (Rota 1964), which depends only on the partition b induces on a's
+        blocks."""
+        core = self._core
+        if core.mobius_pairs is None:
+            ptr, rows = self.up_sets[0], self.pair_rows
+            counts = self.block_counts
+            k = len(self.ground)
+            per_size = [_block_mobius(_core(m).labels) for m in range(1, k + 1)]
+            base = np.concatenate(([0, 0], np.cumsum([len(v) for v in per_size])))
+            rank = np.arange(len(rows)) - ptr[rows]
+            core.mobius_pairs = np.concatenate(per_size)[base[counts[rows]] + rank]
+        return core.mobius_pairs
 
     @property
     def block_masks(self) -> np.ndarray:
@@ -412,24 +496,26 @@ class Lattice:
             core.block_masks = blocks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
         return core.block_masks
 
+    def meet_row(self, i: int) -> np.ndarray:
+        """Index of parts[i] meet each partition: the blocks of the meet are
+        the sites sharing both labels."""
+        lab = self.labels.astype(np.int64)
+        return self._lookup(lab[i] * len(self.ground) + lab)
+
     @property
     def meet_table(self) -> np.ndarray:
-        """meet_table[i, j] = index of parts[i] meet parts[j]: the blocks of
-        the meet are the sites sharing both labels."""
+        """meet_table[i, j] = index of parts[i] meet parts[j]; a dense view
+        for tests and small lattices."""
         core = self._core
         if core.meet_table is None:
-            n = len(self.ground)
-            lab = self.labels.astype(np.int64)
-            m = np.empty((self.size, self.size), dtype=np.int64)
-            for i in range(self.size):
-                m[i] = self._lookup(lab[i] * n + lab)
-            core.meet_table = m
+            core.meet_table = np.stack([self.meet_row(i) for i in range(self.size)])
         return core.meet_table
 
     def incidence_solve(self, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solution x of theta @ x = rhs, for an incidence-algebra element
-        given as a (B, B) table that vanishes off the order and has a nonzero
-        diagonal, and a right-hand side of B rows, a vector or a table.
+        given as a dense (B, B) table that vanishes off the order and has a
+        nonzero diagonal, and a right-hand side of B rows, a vector or a
+        table.  The oracle of the pair routes; no route calls it.
 
         Coarsest-first substitution over the strictly coarser elements up(i):
         x[i] = (rhs[i] - theta[i, up(i)] @ x[up(i)]) / theta[i, i].  For a
@@ -452,24 +538,48 @@ class Lattice:
             core.mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
         return core.mobius
 
-    def restriction_index(self, u) -> np.ndarray:
-        """restriction_index(u)[j] = index of parts[j] restricted to u, in lattice(u)."""
+    def _mask(self, u) -> int:
         g = as_ground(u)
         if not set(g) <= set(self.ground):
             raise ValueError(f"{g} is not a subset of the ground set {self.ground}")
-        mask = sum(1 << self.ground.index(x) for x in g)
+        return sum(1 << self.ground.index(x) for x in g)
+
+    def restriction_index(self, u) -> np.ndarray:
+        """restriction_index(u)[j] = index of parts[j] restricted to u, in lattice(u)."""
+        return self._restriction_row(self._mask(u))
+
+    def _restriction_row(self, mask: int) -> np.ndarray:
         if len(self.ground) <= _TABLE_SITES:
-            return self.restriction_table[mask]
+            return self.restriction_table[mask].astype(np.intp)
         cached = self._core.restriction.get(mask)
         if cached is None:
             cols = [s for s in range(len(self.ground)) if mask >> s & 1]
-            cached = self._core.restriction[mask] = _lookup(self.labels[:, cols])
+            cached = _lookup(self.labels[:, cols]) if cols else np.zeros(self.size, np.intp)
+            self._core.restriction[mask] = cached
         return cached
+
+    def restriction_rows(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(table, rows): table[rows[i]] is the restriction index to the
+        sites at position mask masks[i].  Up to ``_TABLE_SITES`` sites this
+        is the whole ``restriction_table``; above, only the rows asked for."""
+        if len(self.ground) <= _TABLE_SITES:
+            return self.restriction_table, masks
+        uniq, rows = np.unique(masks, return_inverse=True)
+        return np.stack([self._restriction_row(m) for m in uniq.tolist()]), rows
+
+    def restriction_of(self, rows: np.ndarray, u) -> np.ndarray:
+        """restriction_index(u)[rows], without the whole index above
+        ``_TABLE_SITES`` sites."""
+        mask = self._mask(u)
+        if len(self.ground) <= _TABLE_SITES:
+            return self.restriction_table[mask, rows]
+        cols = [s for s in range(len(self.ground)) if mask >> s & 1]
+        return _lookup(self.labels[np.ix_(rows, cols)])
 
     @property
     def restriction_table(self) -> np.ndarray:
-        """(2^n, B) table whose row m is the restriction index to the sites
-        at mask m (as in ``block_masks``); row 0 is zero.
+        """(2^n, B) int32 table whose row m is the restriction index to the
+        sites at mask m (as in ``block_masks``); row 0 is zero.
 
         Built from n lookups, one per dropped site: every other row drops
         one more site from a row with one site more, through the table of
@@ -478,7 +588,7 @@ class Lattice:
         if core.restriction_table is None:
             n = len(self.ground)
             full = (1 << n) - 1
-            table = np.zeros((1 << n, self.size), dtype=np.intp)
+            table = np.zeros((1 << n, self.size), dtype=np.int32)
             table[full] = np.arange(self.size)
             for m in range(full - 1, 0, -1):
                 s = (~m & (m + 1)).bit_length() - 1  # the lowest site outside m
@@ -504,4 +614,7 @@ def mobius(a: Partition, b: Partition) -> int:
     """Moebius function of the refinement order; zero unless a refines b."""
     _check_same_ground(a, b)
     lat = lattice(a.ground)
-    return int(lat.mobius_matrix[lat.index[a], lat.index[b]])
+    ptr, ups = lat.up_sets
+    i, j = lat.index[a], lat.index[b]
+    at = ptr[i] + np.searchsorted(ups[ptr[i] : ptr[i + 1]], j)
+    return int(lat.mobius_pairs[at]) if at < ptr[i + 1] and ups[at] == j else 0

@@ -51,8 +51,8 @@ HUGE_MEASURE_PROGRAM = {
     "alphabet_sizes": [12] * 6,
 }
 
-# one rated partition of nine sites: the Monte Carlo route serves it, but the
-# closed form's dense tables would need B(9)**2 = 447 million entries each
+# one rated partition of nine sites: the closed form stores 4,073,412
+# comparable pairs and expands 105,690 chains
 N9_ONE_RATE = {
     "n": 9,
     "rates": {"1,2,3,4|5,6,7,8,9": 1.0},
@@ -64,7 +64,8 @@ N9_ONE_RATE = {
 N10_ONE_RATE = {"n": 10, "rates": {"1,2,3,4|5,6,7,8,9,10": 1.0}}
 
 # all 511 two-block partitions of ten sites rated: the coefficient program
-# would hold 122,707,298 cell indices
+# would hold 122,707,298 cell indices, and the closed form would store
+# 43,289,930 comparable pairs and expand 243,829,119 chains
 N10_TWO_BLOCK = {
     "n": 10,
     "rates": {
@@ -253,7 +254,9 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, GENERIC_N3)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        doc = json.loads((out / "solution.json").read_text())
+        text = (out / "solution.json").read_text()
+        assert "\n" not in text  # compact, from the C encoder
+        doc = json.loads(text)
         assert doc["rho_total"] == pytest.approx(1.9)
         assert "1,2,3" in doc["subsets"]
         assert doc["subsets"]["1,2,3"]["coeff"]["1,2,3"]["1,2,3"] == 1.0
@@ -429,15 +432,29 @@ class TestCompareCommand:
 
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_oversized_closed_form_refused(tmp_path, command):
-    # B(9)**2 table entries are above MAX_STATES: refused before any (B, B)
-    # table exists, in a child whose address space could not hold one
-    cfg = write_config(tmp_path, N9_ONE_RATE)
+    # the pairs and chains are counted above MAX_STATES: refused before any
+    # table exists, in a child whose address space could not hold them
+    cfg = write_config(tmp_path, N10_TWO_BLOCK)
     out = tmp_path / "out"
     proc = run_cli([command, "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("configuration error: the closed form at n = 9")
+    assert proc.stderr.startswith(
+        "configuration error: the closed form at n = 10 would store 43289930 "
+        "comparable pairs and expand 243829119 chains"
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_nine_site_closed_form_runs(tmp_path, command):
+    # the tables live on the comparable pairs: no (B, B) table of the 21,147
+    # partitions, in a child that could not hold a dense one
+    cfg = write_config(tmp_path, N9_ONE_RATE)
+    out = tmp_path / "out"
+    proc = run_cli([command, "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert_finite_outputs(out)
 
 
 def test_ten_site_integration_runs(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from recomb.closed_form import (
     DegeneracyError,
     DegeneracyPair,
     NonInvertibleError,
+    _linear_decay,
     build_closed_form,
     decay_rate,
     detect_degeneracy,
@@ -96,7 +98,8 @@ def closed_form_loop_oracle(rates, decay, tol_degeneracy=DEGENERACY_TOL):
                     prod *= coeff[block][:, ridx[jb]][ridx]
                 col += rvec[jc] * prod
             theta[:, jb] = np.where(finer[:, jb], col / (psi_top - psi[jb]), 0.0)
-        theta[:, top] = -theta.sum(axis=1)
+        # minus each row's sum, taken in ascending column order
+        theta[:, top] = -np.cumsum(theta, axis=1)[:, -1]
         theta[top, top] = 1.0
         coeff[u] = theta
     return coeff
@@ -499,6 +502,17 @@ def test_tables_equal_loop_oracle(system):
         assert np.array_equal(sol.coefficient_table(u), theta), u
 
 
+@pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+def test_evaluate_equals_dense_product(system):
+    # one bincount per time over the pairs, against the dense product
+    rates = ORACLE_SYSTEMS[system]()
+    sol = build_closed_form(rates)
+    for u in all_subsets(rates.ground):
+        factors = np.exp(-np.multiply.outer(GRID, sol.decay_table(u)))
+        dense = factors @ sol.coefficient_table(u).T
+        assert np.abs(sol.evaluate(u, GRID).values - dense).max() <= 1e-14, u
+
+
 def decay_table_loop_oracle(rates):
     """psi of every partition of every subset by a Python loop: the splitting
     rates of its blocks added one block at a time, in block order."""
@@ -548,11 +562,24 @@ class TestGridEvaluation:
         rates = GRID_SYSTEMS[system]()
         for u in all_subsets(rates.ground):
             lat = lattice(u)
-            chi = rates.total - lat.finer.astype(float) @ rates.marginal(u)
+            # the rate mass above each partition, summed in ascending order
+            chi = rates.total - np.cumsum(lat.finer * rates.marginal(u), axis=1)[:, -1]
             oracle = exp_sum_loop_oracle(lat.mobius_matrix.astype(float), chi, GRID)
             got = linear_solution(rates, u, GRID)
             assert np.abs(got.values - oracle).max() <= 1e-11, u
             assert [linear_decay_rate(rates, u, p) for p in lat.parts] == chi.tolist()
+
+    def test_linear_decay_rate_reads_one_up_set(self):
+        rates = random_rates(7, 1)
+        g = rates.ground
+        lat = lattice(g)
+        chi = _linear_decay(rates, g)
+        assert len(lat.index) == lat.size  # built before the clock starts
+        start = time.perf_counter()
+        loop = [linear_decay_rate(rates, g, p) for p in lat.parts]
+        elapsed = time.perf_counter() - start
+        assert np.abs(np.array(loop) - chi).max() <= 1e-15
+        assert elapsed < 0.1, elapsed
 
     def test_one_point_grid(self):
         rates = random_rates(4, 1)

@@ -31,6 +31,7 @@ from recomb.partitions import (
     ground_set,
     is_refinement,
     lattice,
+    meet,
     restrict,
 )
 
@@ -154,6 +155,19 @@ class TestGainCoefficients:
         )
         bottom = Partition.singletons(g)
         assert meet_gain(q, bottom, bottom) == pytest.approx(1.0)
+
+    def test_meet_gain_reads_no_meet_table(self, monkeypatch):
+        # one meet column from the labels, against the pairwise meet
+        def refuse(lat):
+            raise AssertionError("meet_gain read the dense meet table")
+
+        monkeypatch.setattr(Lattice, "meet_table", property(refuse))
+        q = random_probability(4, seed=8)
+        lat = lattice(ground_set(4))
+        for b in lat.parts:
+            for a in lat.parts:
+                direct = sum(q.value(p) for p in lat.parts if meet(p, b) == a)
+                assert meet_gain(q, a, b) == pytest.approx(direct, abs=1e-15)
 
     def test_gains_agree_on_singleton_pair_partitions(self):
         # the two gain notions coincide at the top and on two-block

@@ -171,6 +171,19 @@ class TestSharedCore:
             assert above.tolist() == np.flatnonzero(lat.finer[i]).tolist()
             assert below[0] == i and above[-1] == i
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pairs_are_the_nonzeros_of_finer(self, n):
+        # the pairs come from the labels alone; the dense order, built by
+        # its own comparison, is the oracle
+        lat = lattice(ground_set(n))
+        rows, cols = np.nonzero(lat.finer)
+        ptr, ups = lat.up_sets
+        assert np.array_equal(lat.pair_rows, rows) and np.array_equal(ups, cols)
+        assert np.array_equal(ptr, np.searchsorted(rows, np.arange(lat.size + 1)))
+        dptr, below, at = lat.down_pairs
+        assert np.array_equal(ups[at], np.repeat(np.arange(lat.size), np.diff(dptr)))
+        assert np.array_equal(rows[at], below)
+
     def test_restriction_above_the_table_size(self):
         # n = 9 keeps each restriction alone instead of in one table
         g = ground_set(9)
@@ -283,6 +296,13 @@ class TestJoinDisjoint:
 
 
 class TestMobius:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_product_formula_equals_substitution(self, n):
+        lat = lattice(ground_set(n))
+        dense = np.zeros_like(lat.mobius_matrix)
+        dense[lat.pair_rows, lat.up_sets[1]] = lat.mobius_pairs
+        assert np.array_equal(dense, lat.mobius_matrix)
+
     def test_diagonal_is_one(self):
         for p in enumerate_partitions(ground_set(4)):
             assert mobius(p, p) == 1
