@@ -121,7 +121,12 @@ def _check_substeps(scenario: Scenario, grid) -> None:
 
 def _check_closed_form(scenario: Scenario) -> None:
     """Refuse a closed form whose stored comparable pairs and expanded
-    chains together exceed MAX_STATES, before any table is allocated."""
+    chains together exceed MAX_STATES, before any table is allocated.
+
+    Memory follows the pairs alone, which n fixes: the chain scatter runs
+    in bounded runs and solution.json is written in pieces, so at n = 10
+    one rated partition and five (about 20 million chains, near the limit)
+    both peak near 1 GB.  The chains bound the time."""
     pairs, chains = closed_form_size(scenario.rates)
     if pairs + chains > MAX_STATES:
         raise ScenarioError(
@@ -195,8 +200,9 @@ def cmd_solve(args) -> int:
         return EXIT_DEGENERACY
     traj = sol.evaluate(scenario.ground, scenario.grid.array())
     write_coefficient_csv(out / "trajectory.csv", traj)
-    # compact: the indented form takes the pure-Python encoder
-    (out / "solution.json").write_text(json.dumps(sol.to_json_dict()))
+    # compact, from the C encoder, and written in pieces
+    with open(out / "solution.json", "w") as fh:
+        fh.writelines(sol.json_chunks())
     log.info("wrote %s and %s", out / "trajectory.csv", out / "solution.json")
     return EXIT_OK
 

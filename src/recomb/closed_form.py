@@ -10,10 +10,11 @@ chains A <= B <= C, with C rated at r(C) and not the top, the terms
 r(C) * prod over the blocks U of C of coeff_U(A|U, B|U), and is divided by
 decay(top) - decay(B).  Every table lives on the comparable pairs A <= B of
 its lattice (``Lattice.up_sets``), the only entries that can be nonzero.
-The subsets of one size share one lattice core, so one scatter adds the
-chains of all of them: one gather per block position from a flat store of
-the smaller subsets' pair tables, and one np.add.at that sums each entry's
-terms in C order.  The build
+The subsets of one size share one lattice core and one list of its chains
+(kept for lattices of up to six sites), so one scatter adds the chains of
+all of them: one gather per block position from a flat store of the smaller
+subsets' pair tables, and one np.add.at that sums each entry's terms in C
+order.  The build
 requires all decay rates of a subsystem to be distinct; coincidences are
 grouped into equal-decay classes and either reported (harmless: away from
 the top element, where the coefficients extend continuously) or fatal (a
@@ -22,6 +23,7 @@ member hitting the top decay rate, which breaks the pure-exponential form).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from recomb.dynamics import CoefficientTrajectory, RateSystem
-from recomb.partitions import Partition, as_ground, bell_number, ground_set, lattice
+from recomb.partitions import Partition, as_ground, ground_set, lattice
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -338,7 +340,7 @@ def detect_degeneracy(rates: RateSystem) -> DegeneracyReport:
 class ClosedFormSolution:
     """Per-subset decay tables, and coefficient tables on the comparable
     pairs of each subset's lattice (``Lattice.up_sets`` order), evaluated on
-    a whole time grid by one bincount per time.
+    a whole time grid by one bincount per block of times.
 
     Immutable once built; evaluation is pure.
     """
@@ -370,15 +372,20 @@ class ClosedFormSolution:
     def evaluate(self, u, times) -> CoefficientTrajectory:
         """The probability vectors on the subsystem u at the grid times:
         the sum of theta(a, b) exp(-decay(b) t) over the nonzero pairs, one
-        bincount per time, each entry in ascending b."""
+        bincount per block of times, each entry in ascending b."""
         g, times = self._key(u), _times(times)
         lat = lattice(g)
         theta = self._coeff[g]
         nz = np.flatnonzero(theta)
         rows, cols, theta = lat.pair_rows[nz], lat.up_sets[1][nz], theta[nz]
         values = np.empty((times.size, lat.size))
-        for i, factors in enumerate(np.exp(-np.multiply.outer(times, self._decay[g]))):
-            values[i] = np.bincount(rows, theta * factors[cols], lat.size)
+        step = max(1, _RUN_CHAINS // max(nz.size, 1))  # times per bincount
+        for lo in range(0, times.size, step):
+            block = times[lo : lo + step]
+            factors = np.exp(-np.multiply.outer(self._decay[g], block))  # (B, times)
+            at = (rows[:, None] * block.size + np.arange(block.size)).ravel()
+            sums = np.bincount(at, (factors[cols] * theta[:, None]).ravel(), factors.size)
+            values[lo : lo + step] = sums.reshape(factors.shape).T
         return CoefficientTrajectory(g, times, values)
 
     def _invertible(self, g: tuple[int, ...]) -> np.ndarray:
@@ -414,28 +421,37 @@ class ClosedFormSolution:
         product = _apply(lattice(g), self._coeff[g], self._decay[g])
         return _rates_from_decay(g, product, self.rates.total)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "ground": ",".join(str(x) for x in self.rates.ground),
-            "rho_total": self.rates.total,
-            "degeneracy": self.report.to_json_dict(),
-            "subsets": {},
-        }
-        for u, psi in self._decay.items():
+    def json_chunks(self):
+        """The solution as compact JSON text in pieces, each subset's decay
+        table and then its coefficient rows in runs of about _RUN_CHAINS
+        pairs, so that no piece holds a whole table.  Joined, the pieces
+        are json.dumps of {"ground", "rho_total", "degeneracy", "subsets":
+        {u: {"decay": {a: psi_u(a)}, "coeff": {a: {b: theta_u(a, b) for
+        the nonzero pairs, ascending b}}}}}, every partition named in
+        the ``1,2|3`` format and listed in lattice order."""
+        dumps = json.dumps
+        yield (
+            f'{{"ground": {dumps(",".join(map(str, self.rates.ground)))}, '
+            f'"rho_total": {dumps(self.rates.total)}, '
+            f'"degeneracy": {dumps(self.report.to_json_dict())}, "subsets": {{'
+        )
+        for i, (u, psi) in enumerate(self._decay.items()):
             lat = lattice(u)
+            ptr, ups = lat.up_sets
             theta = self._coeff[u]
             names = [str(p) for p in lat.parts]
-            coeff: dict[str, dict[str, float]] = {name: {} for name in names}
-            nz = np.flatnonzero(theta)
-            for a, b, value in zip(
-                lat.pair_rows[nz].tolist(), lat.up_sets[1][nz].tolist(), theta[nz].tolist()
-            ):
-                coeff[names[a]][names[b]] = value
-            out["subsets"][",".join(str(x) for x in u)] = {
-                "decay": dict(zip(names, psi.tolist())),
-                "coeff": coeff,
-            }
-        return out
+            decay = dumps(dict(zip(names, psi.tolist())))
+            yield f'{", " if i else ""}{dumps(",".join(map(str, u)))}: {{"decay": {decay}, "coeff": {{'
+            for lo, hi in _runs(np.diff(ptr)):
+                coeff: dict[str, dict[str, float]] = {names[a]: {} for a in range(lo, hi)}
+                nz = ptr[lo] + np.flatnonzero(theta[ptr[lo] : ptr[hi]])
+                for a, b, value in zip(
+                    lat.pair_rows[nz].tolist(), ups[nz].tolist(), theta[nz].tolist()
+                ):
+                    coeff[names[a]][names[b]] = value
+                yield (", " if lo else "") + dumps(coeff)[1:-1]
+            yield "}}"
+        yield "}}"
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -444,8 +460,19 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
-# chains per run of the chain scatter; bounds its temporaries at n = 9
+# chains per run of the chain scatter; bounds its temporaries at n = 10
 _RUN_CHAINS = 1 << 15
+
+
+def _runs(counts: np.ndarray, cap: int | None = None) -> list[tuple[int, int]]:
+    """Consecutive (lo, hi) runs of items with positive counts, adding up
+    to about cap (_RUN_CHAINS) each; an item above cap runs alone."""
+    ends = np.cumsum(counts)
+    if not ends.size:
+        return []
+    cap = max(_RUN_CHAINS if cap is None else cap, 1)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], cap), "right"))
+    return list(zip(cuts.tolist(), [*cuts[1:].tolist(), len(ends)]))
 
 
 @lru_cache(maxsize=None)
@@ -459,6 +486,89 @@ def _pair_pointers(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ptrs), starts[[m.bit_count() for m in range(1 << k)]]
 
 
+def _chain_pieces(lat, c: np.ndarray):
+    """The chains a <= b <= c of lat below the ascending partitions c (none
+    the top), in pieces of up to about _RUN_CHAINS chains.  A piece lists
+    (c, a) items and their chains: (c, masks, base, first, fan, pair, b,
+    rank).  For item i, masks[j, i] is the mask of c's j-th block V and
+    base[j, i] the up-set pointer of a|V in V's lattice, both 0 past c's
+    last block; its chains are first[i], ..., first[i] + fan[i] - 1.  For
+    chain h, pair[h] is the position of (a, b) among lat's pairs and
+    base[j, i] + rank[j, h] that of (a|V, b|V) among V's.
+
+    The chains are taken by a, in the lattice q of a's k_a blocks: the b
+    between a and c are the pi o a for pi below the partition s that c
+    induces on a's blocks.  In q, (a|V, b|V) is (bottom, pi) restricted to
+    the blocks of s inside V, so its rank is q's restriction index of pi to
+    the sites at s's block mask.  A pair (a, b) has one k_a, so taking one
+    k_a after another keeps its chains in c order."""
+    n = len(lat.ground)
+    ptr, ups = lat.up_sets
+    dptr, below, at = lat.down_pairs
+    sub_ptr, sub_start = _pair_pointers(n)
+    masks = lat.block_masks.T
+    for lo, hi in _runs(dptr[c + 1] - dptr[c], 8 * _RUN_CHAINS):  # runs of (c, a) items
+        cr = c[lo:hi]
+        fan = dptr[cr + 1] - dptr[cr]
+        i = _ranges(dptr[cr], fan)
+        a = below[i]
+        order = np.argsort(lat.block_counts[a], kind="stable")
+        cs, s = np.repeat(cr, fan)[order], (at[i] - ptr[a])[order]  # s: c as an index of q
+        a = a[order]
+        bounds = np.searchsorted(lat.block_counts[a], np.arange(n + 2)).tolist()
+        for k in range(2, n + 1):  # only the top has one block
+            q = lattice(ground_set(k))
+            qptr, qbelow = q.down_sets
+            span = qptr[s[bounds[k] : bounds[k + 1]] + 1] - qptr[s[bounds[k] : bounds[k + 1]]]
+            for lo2, hi2 in _runs(span):
+                rc, ra, rs = (x[bounds[k] + lo2 : bounds[k] + hi2] for x in (cs, a, s))
+                rf = span[lo2:hi2]
+                first = np.cumsum(rf) - rf
+                run = np.repeat(np.arange(rc.size), rf)
+                pi = qbelow[_ranges(qptr[rs], rf)]
+                pair = ptr[ra][run] + pi
+                vm = masks[: int(lat.block_counts[rc].max())][:, rc]  # (J, items)
+                base = sub_ptr[sub_start[vm] + lat.restrictions(vm, ra)]
+                rank = q.restrictions(q.block_masks.T[: len(vm)][:, rs][:, run], pi)
+                # positions stay below 2^31 and ranks below 2^15: a rank
+                # indexes a lattice of at most n - 1 <= 9 sites
+                yield (
+                    *(x.astype(np.int32) for x in (rc, vm, base, first, rf, pair, ups[pair])),
+                    rank.astype(np.int16),
+                )
+
+
+def _join(pieces: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Pieces of chains one after another; block positions a piece lacks
+    get mask, base and rank 0."""
+    depth = max(len(p[1]) for p in pieces)
+    items = np.cumsum([0] + [len(p[0]) for p in pieces])
+    chains = np.cumsum([0] + [len(p[5]) for p in pieces])
+    joined = []
+    for f, piece in enumerate(zip(*pieces)):
+        if f in (1, 2, 7):  # (J, items) or (J, chains)
+            ends = items if f < 7 else chains
+            table = np.zeros((depth, ends[-1]), dtype=piece[0].dtype)
+            for x, lo, hi in zip(piece, ends[:-1], ends[1:]):
+                table[: len(x), lo:hi] = x
+            joined.append(table)
+        else:
+            shift = chains[:-1] if f == 3 else np.zeros(len(pieces), dtype=np.int32)
+            joined.append(np.concatenate([x + d for x, d in zip(piece, shift)]).astype(np.int32))
+    return tuple(joined)
+
+
+@lru_cache(maxsize=None)
+def _full_plan(k: int) -> tuple[tuple[np.ndarray, ...], ...] | None:
+    """Every chain of the lattice of k sites as one piece, when they fit in
+    one run (k <= 6); None above."""
+    below = _chains_below(k)
+    if below[1:].sum() > _RUN_CHAINS:
+        return None
+    pieces = list(_chain_pieces(lattice(ground_set(k)), np.arange(1, below.size)))
+    return (_join(pieces),) if pieces else ()
+
+
 def _add_chains(flat, lat, rvec, cols, store, offset) -> None:
     """Add r_u(c) * prod over the blocks V of c of coeff_V(a|V, b|V) to
     theta_u(a, b) for every subset u of one size and every chain
@@ -467,80 +577,42 @@ def _add_chains(flat, lat, rvec, cols, store, offset) -> None:
 
     flat holds the theta_u on the pairs of lat one after another; rvec and
     cols are (subsets, B) and offset[u, m] is the start in store of the pair
-    table of u's sites at mask m (0, a cell holding 1.0, for mask 0).
-
-    The chains are taken by a, in the lattice q of a's k_a blocks: the b
-    between a and c are the pi o a for pi below the partition s that c
-    induces on a's blocks.  In q, (a|V, b|V) is (bottom, pi) restricted to
-    the blocks of s inside V, so its pair sits at a|V's up-set pointer plus
-    q's restriction index of pi to the sites at s's block mask."""
-    ptr, ups = lat.up_sets
-    dptr, below, at = lat.down_pairs
-    u, c = np.nonzero(rvec)  # by subset, then c
-    u, c = u[c != lat.top_index], c[c != lat.top_index]
-    fan = dptr[c + 1] - dptr[c]
-    i = _ranges(dptr[c], fan)
-    # a target pair (a, b) has one k_a, so grouping by k_a (stably) keeps
-    # each entry's terms in c order
-    a = below[i]
-    order = np.argsort(lat.block_counts[a], kind="stable")
-    u, c, a, s = np.repeat(u, fan)[order], np.repeat(c, fan)[order], a[order], at[i][order]
-    s -= ptr[a]  # c over a's blocks, as an index of q
-    bounds = np.searchsorted(lat.block_counts[a], np.arange(len(lat.ground) + 2))
-    sub_ptr, sub_start = _pair_pointers(len(lat.ground))
-    masks, starts = lat.block_masks.T, offset.ravel()
-    for k in range(2, len(lat.ground) + 1):
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo == hi:
-            continue
-        q = lattice(ground_set(k))
-        qptr, qbelow = q.down_sets
-        qmasks = q.block_masks.T
-        ends = np.cumsum(qptr[s[lo:hi] + 1] - qptr[s[lo:hi]])
-        cuts = [lo]
-        if ends[-1] > _RUN_CHAINS:
-            at_runs = np.searchsorted(ends, np.arange(0, ends[-1], _RUN_CHAINS), "right")
-            cuts = (lo + np.unique(at_runs)).tolist()
-        for lo, hi in zip(cuts, [*cuts[1:], hi]):
-            ru, rc, ra, rs = u[lo:hi], c[lo:hi], a[lo:hi], s[lo:hi]
-            rf = qptr[rs + 1] - qptr[rs]
-            run = np.repeat(np.arange(hi - lo), rf)
-            pi = qbelow[_ranges(qptr[rs], rf)]
-            pair = ptr[ra][run] + pi
-            keep = cols.ravel()[ru[run] * lat.size + ups[pair]]
+    table of u's sites at mask m (0, a cell holding 1.0, for mask 0).  A
+    small lattice keeps the chains below all its partitions; a larger one
+    takes those below the partitions rated in some subset."""
+    pieces = _full_plan(len(lat.ground))
+    if pieces is None:
+        rated = np.flatnonzero(rvec.any(axis=0))
+        pieces = _chain_pieces(lat, rated[rated != lat.top_index])
+    stride = lat.pair_count
+    for c, masks, base, first, fan, pair, b, rank in pieces:
+        step = max(1, 8 * _RUN_CHAINS // pair.size)  # subsets per pass
+        for lo in range(0, len(rvec), step):
+            w = rvec[lo : lo + step, c]
+            u, i = np.nonzero(w)  # the rated items of each subset
+            if not u.size:
+                continue
+            u += lo
+            h = _ranges(first[i], fan[i])  # their chains
+            rep = np.repeat(np.arange(u.size), fan[i])
+            keep = cols[u[rep], b[h]]
             if not keep.all():
-                run, pi, pair = run[keep], pi[keep], pair[keep]
-                if not run.size:
-                    continue
-            prod = None
-            for j in range(int(lat.block_counts[rc].max())):
-                v = masks[j][rc]  # 0 past c's last block
-                table, row = lat.restriction_rows(v)
-                sub = table.ravel()[row * lat.size + ra]
-                start = starts[ru * offset.shape[1] + v] + sub_ptr[sub_start[v] + sub]
-                table, row = q.restriction_rows(qmasks[j][rs])
-                cell = store[start[run] + table.ravel()[(row * q.size)[run] + pi]]
-                if prod is None:
-                    prod = cell
-                else:
-                    prod *= cell
-            np.add.at(flat, ru[run] * ups.size + pair, rvec[ru, rc][run] * prod)
+                h, rep = h[keep], rep[keep]
+            elif h.size == pair.size:  # one subset takes every chain
+                h = slice(None)
+            start = offset[u, masks[:, i]] + base[:, i]  # (J, rated items)
+            prod = store[start[0][rep] + rank[0, h]]
+            for j in range(1, len(start)):
+                prod *= store[start[j][rep] + rank[j, h]]
+            np.add.at(flat, u[rep] * stride + pair[h], w[u - lo, i][rep] * prod)
 
 
 @lru_cache(maxsize=None)
 def _chains_below(k: int) -> np.ndarray:
     """Chains a <= b <= c below each partition c of k sites: the product
     over c's blocks V of the comparable pairs of V's lattice."""
-    pairs = np.array([1] + [_pair_count(s) for s in range(1, k + 1)])
-    labels = lattice(ground_set(k)).labels
-    sizes = (labels[:, :, None] == np.arange(k)).sum(axis=1)
-    return pairs[sizes].prod(axis=1)
-
-
-def _pair_count(k: int) -> int:
-    """Comparable pairs of the lattice of k sites: Bell(k_a) above each a."""
-    counts = lattice(ground_set(k)).block_counts
-    return int(sum(bell_number(m) * int((counts == m).sum()) for m in range(1, k + 1)))
+    pairs = np.array([1] + [lattice(ground_set(s)).pair_count for s in range(1, k + 1)])
+    return pairs[lattice(ground_set(k)).block_sizes].prod(axis=1)
 
 
 def closed_form_size(rates: RateSystem) -> tuple[int, int]:
@@ -550,7 +622,7 @@ def closed_form_size(rates: RateSystem) -> tuple[int, int]:
     column).  Counted from block sizes and the marginal rates; no table is
     built."""
     n = len(rates.ground)
-    pairs = sum(math.comb(n, k) * _pair_count(k) for k in range(1, n + 1))
+    pairs = sum(math.comb(n, k) * lattice(ground_set(k)).pair_count for k in range(1, n + 1))
     chains = 0
     for us in _sizes(rates.ground):
         below = _chains_below(len(us[0]))
@@ -615,14 +687,14 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
         _add_chains(flat, lat, rvec, cols, store, offset[_global_masks(n, k)])
         # divide the kept columns by their gaps (the others are still zero)
         # and put minus each row's sum, in ascending b, in its top column;
-        # a few subsets per pass bound the temporaries
-        step = max(1, _RUN_CHAINS * 32 // ups.size)
-        for lo in range(0, len(us), step):
-            part = theta[lo : lo + step]
-            part /= np.where(cols[lo : lo + step], gap[lo : lo + step], 1.0)[:, ups]
-            rows = (np.arange(len(part))[:, None] * lat.size + lat.pair_rows).ravel()
-            sums = np.bincount(rows, part.ravel(), part.shape[0] * lat.size)
-            part[:, ptr[:-1]] = -sums.reshape(-1, lat.size)
+        # runs of whole rows bound the temporaries
+        scale = np.where(cols, gap, 1.0)
+        for lo, hi in _runs(np.diff(ptr), 32 * _RUN_CHAINS // len(us)):
+            part = theta[:, ptr[lo] : ptr[hi]]
+            part /= scale[:, ups[ptr[lo] : ptr[hi]]]
+            rows = np.arange(len(us))[:, None] * (hi - lo) + (lat.pair_rows[ptr[lo] : ptr[hi]] - lo)
+            sums = np.bincount(rows.ravel(), part.ravel(), len(us) * (hi - lo))
+            part[:, ptr[lo:hi] - ptr[lo]] = -sums.reshape(len(us), hi - lo)
         theta[:, ptr[top]] = 1.0
         coeff.update(zip(us, theta))
     return ClosedFormSolution(rates, decay, coeff, report)

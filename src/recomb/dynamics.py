@@ -118,7 +118,8 @@ class RateSystem:
         g = as_ground(u)
         cached = self._marginals.get(g)
         if cached is None:
-            ridx = lattice(self.ground).restriction_of(self._indices, g)
+            whole = lattice(self.ground)
+            ridx = whole.restrictions(whole.mask(g), self._indices)
             cached = np.bincount(ridx, weights=self._weights, minlength=lattice(g).size)
             cached.flags.writeable = False
             self._marginals[g] = cached

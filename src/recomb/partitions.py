@@ -30,7 +30,7 @@ threads; a cached core, lattice or table is at worst built twice on a race.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -57,8 +57,8 @@ __all__ = [
 # 115975 partitions with 16,733,779 comparable pairs
 MAX_SITES = 10
 # largest lattice whose restriction indices are kept as one (2^n, B) table
-# (4.2 MB at n = 8); a larger one looks up and keeps each restriction alone
-_TABLE_SITES = 8
+# (43 MB at n = 9); a larger one looks up and keeps each restriction alone
+_TABLE_SITES = 9
 
 
 def ground_set(n: int) -> tuple[int, ...]:
@@ -313,13 +313,18 @@ class _Core:
         self.up: tuple[np.ndarray, np.ndarray] | None = None
         self.pair_rows: np.ndarray | None = None
         self.down: tuple[np.ndarray, ...] | None = None
-        self.mobius_pairs: np.ndarray | None = None
         self.finer: np.ndarray | None = None
         self.meet_table: np.ndarray | None = None
         self.mobius: np.ndarray | None = None
         self.block_masks: np.ndarray | None = None
         self.restriction_table: np.ndarray | None = None
         self.restriction: dict[int, np.ndarray] = {}
+
+
+def _fans(core: _Core) -> np.ndarray:
+    """The size of each up-set: Bell(k) above a partition with k blocks."""
+    bell = np.array([bell_number(m) for m in range(core.labels.shape[1] + 1)])
+    return bell[core.block_counts]
 
 
 def _up_sets(core: _Core) -> tuple[np.ndarray, np.ndarray]:
@@ -330,25 +335,17 @@ def _up_sets(core: _Core) -> tuple[np.ndarray, np.ndarray]:
     of the sites in a's j-th block: one product and one searchsorted per
     block count."""
     labels, k = core.labels, core.labels.shape[1]
-    bell = np.array([bell_number(m) for m in range(k + 1)])
-    ptr = np.concatenate(([0], np.cumsum(bell[core.block_counts])))
+    ptr = np.concatenate(([0], np.cumsum(_fans(core))))
     ups = np.empty(ptr[-1], dtype=np.int32)
     place = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for m in range(1, k + 1):
         a = np.flatnonzero(core.block_counts == m)
         weights = (labels[a, None, :] == np.arange(m)[:, None]) @ place
         codes = weights @ _core(m).labels.T.astype(np.int64)
-        ups[(ptr[a, None] + np.arange(bell[m])).ravel()] = np.searchsorted(core.codes, codes.ravel())
+        ups[(ptr[a, None] + np.arange(bell_number(m))).ravel()] = np.searchsorted(
+            core.codes, codes.ravel()
+        )
     return ptr, ups
-
-
-def _block_mobius(labels: np.ndarray) -> np.ndarray:
-    """Moebius function from the bottom to each partition of a lattice:
-    the product over its blocks of (-1)^(s - 1) (s - 1)!, s the block size."""
-    k = labels.shape[1]
-    sizes = (labels[:, :, None] == np.arange(k)).sum(axis=1)
-    factor = np.array([1] + [(-1) ** (s - 1) * factorial(s - 1) for s in range(1, k + 1)])
-    return factor[sizes].prod(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -437,6 +434,18 @@ class Lattice:
         return core.up
 
     @property
+    def pair_count(self) -> int:
+        """The number of comparable pairs, counted without building them."""
+        return int(_fans(self._core).sum())
+
+    @property
+    def block_sizes(self) -> np.ndarray:
+        """(B, n) block sizes: entry [i, j] is the number of sites in the
+        j-th block of parts[i]; zero past the last block."""
+        n = len(self.ground)
+        return (self.labels[:, :, None] == np.arange(n)).sum(axis=1)
+
+    @property
     def pair_rows(self) -> np.ndarray:
         """The finer element of each comparable pair, in ``up_sets`` order."""
         core = self._core
@@ -465,24 +474,6 @@ class Lattice:
         indptr[c + 1]] are the partitions that refine parts[c], ascending;
         parts[c] itself comes first."""
         return self.down_pairs[:2]
-
-    @property
-    def mobius_pairs(self) -> np.ndarray:
-        """The Moebius function on the comparable pairs, in ``up_sets``
-        order: mu(a, b) is the product over the blocks V of b of
-        (-1)^(k_V - 1) (k_V - 1)!, k_V the number of a's blocks inside V
-        (Rota 1964), which depends only on the partition b induces on a's
-        blocks."""
-        core = self._core
-        if core.mobius_pairs is None:
-            ptr, rows = self.up_sets[0], self.pair_rows
-            counts = self.block_counts
-            k = len(self.ground)
-            per_size = [_block_mobius(_core(m).labels) for m in range(1, k + 1)]
-            base = np.concatenate(([0, 0], np.cumsum([len(v) for v in per_size])))
-            rank = np.arange(len(rows)) - ptr[rows]
-            core.mobius_pairs = np.concatenate(per_size)[base[counts[rows]] + rank]
-        return core.mobius_pairs
 
     @property
     def block_masks(self) -> np.ndarray:
@@ -538,7 +529,9 @@ class Lattice:
             core.mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
         return core.mobius
 
-    def _mask(self, u) -> int:
+    def mask(self, u) -> int:
+        """The position mask of the sites of u: bit s for the s-th site of
+        the ground set."""
         g = as_ground(u)
         if not set(g) <= set(self.ground):
             raise ValueError(f"{g} is not a subset of the ground set {self.ground}")
@@ -546,35 +539,31 @@ class Lattice:
 
     def restriction_index(self, u) -> np.ndarray:
         """restriction_index(u)[j] = index of parts[j] restricted to u, in lattice(u)."""
-        return self._restriction_row(self._mask(u))
-
-    def _restriction_row(self, mask: int) -> np.ndarray:
+        mask = self.mask(u)
         if len(self.ground) <= _TABLE_SITES:
             return self.restriction_table[mask].astype(np.intp)
         cached = self._core.restriction.get(mask)
         if cached is None:
-            cols = [s for s in range(len(self.ground)) if mask >> s & 1]
-            cached = _lookup(self.labels[:, cols]) if cols else np.zeros(self.size, np.intp)
-            self._core.restriction[mask] = cached
+            cached = self._core.restriction[mask] = self.restrictions(mask, np.arange(self.size))
         return cached
 
-    def restriction_rows(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(table, rows): table[rows[i]] is the restriction index to the
-        sites at position mask masks[i].  Up to ``_TABLE_SITES`` sites this
-        is the whole ``restriction_table``; above, only the rows asked for."""
+    def restrictions(self, masks, rows) -> np.ndarray:
+        """Index of parts[rows[i]] restricted to the sites at position mask
+        masks[i], in the lattice of those sites; 0 for mask 0.  masks and
+        rows broadcast.  Up to ``_TABLE_SITES`` sites this reads
+        ``restriction_table``; above, it looks up only the entries asked
+        for, one lookup per number of sites kept."""
         if len(self.ground) <= _TABLE_SITES:
-            return self.restriction_table, masks
-        uniq, rows = np.unique(masks, return_inverse=True)
-        return np.stack([self._restriction_row(m) for m in uniq.tolist()]), rows
-
-    def restriction_of(self, rows: np.ndarray, u) -> np.ndarray:
-        """restriction_index(u)[rows], without the whole index above
-        ``_TABLE_SITES`` sites."""
-        mask = self._mask(u)
-        if len(self.ground) <= _TABLE_SITES:
-            return self.restriction_table[mask, rows]
-        cols = [s for s in range(len(self.ground)) if mask >> s & 1]
-        return _lookup(self.labels[np.ix_(rows, cols)])
+            return self.restriction_table[masks, rows]
+        masks, rows = np.broadcast_arrays(np.asarray(masks, dtype=np.int64), rows)
+        bits = masks[..., None] >> np.arange(len(self.ground)) & 1
+        kept = bits.sum(axis=-1)
+        out = np.zeros(masks.shape, dtype=np.intp)
+        for k in np.unique(kept[kept > 0]).tolist():
+            at = kept == k
+            sites = np.nonzero(bits[at])[1].reshape(-1, k)  # ascending in each row
+            out[at] = _lookup(self.labels[rows[at][:, None], sites])
+        return out
 
     @property
     def restriction_table(self) -> np.ndarray:
@@ -614,7 +603,4 @@ def mobius(a: Partition, b: Partition) -> int:
     """Moebius function of the refinement order; zero unless a refines b."""
     _check_same_ground(a, b)
     lat = lattice(a.ground)
-    ptr, ups = lat.up_sets
-    i, j = lat.index[a], lat.index[b]
-    at = ptr[i] + np.searchsorted(ups[ptr[i] : ptr[i + 1]], j)
-    return int(lat.mobius_pairs[at]) if at < ptr[i + 1] and ups[at] == j else 0
+    return int(lat.mobius_matrix[lat.index[a], lat.index[b]])

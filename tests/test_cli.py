@@ -63,6 +63,15 @@ N9_ONE_RATE = {
 # B(10) = 115,975 partitions holds 238,040 cell indices
 N10_ONE_RATE = {"n": 10, "rates": {"1,2,3,4|5,6,7,8,9,10": 1.0}}
 
+# five of the ten 9|1 splits rated: the closed form stores 43,289,930
+# comparable pairs and expands 20,367,050 chains, 95 % of MAX_STATES together
+N10_FIVE_SPLITS = {
+    "n": 10,
+    "rates": {
+        ",".join(str(s) for s in range(1, 11) if s != i) + f"|{i}": 1.0 for i in range(1, 6)
+    },
+}
+
 # all 511 two-block partitions of ten sites rated: the coefficient program
 # would hold 122,707,298 cell indices, and the closed form would store
 # 43,289,930 comparable pairs and expand 243,829,119 chains
@@ -433,7 +442,7 @@ class TestCompareCommand:
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_oversized_closed_form_refused(tmp_path, command):
     # the pairs and chains are counted above MAX_STATES: refused before any
-    # table exists, in a child whose address space could not hold them
+    # table exists, instead of scattering 243,829,119 chains
     cfg = write_config(tmp_path, N10_TWO_BLOCK)
     out = tmp_path / "out"
     proc = run_cli([command, "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
@@ -454,6 +463,17 @@ def test_nine_site_closed_form_runs(tmp_path, command):
     out = tmp_path / "out"
     proc = run_cli([command, "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
     assert proc.returncode == 0, proc.stderr
+    assert_finite_outputs(out)
+
+
+def test_ten_site_closed_form_near_the_limit_fits(tmp_path):
+    # the accepted input near the size limit peaks like a one-rate input:
+    # the chains run in bounded runs and solution.json is written in pieces
+    cfg = write_config(tmp_path, N10_FIVE_SPLITS)
+    out = tmp_path / "out"
+    proc = run_cli(["solve", "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "solution.json").stat().st_size > 0
     assert_finite_outputs(out)
 
 
