@@ -10,11 +10,11 @@ chains A <= B <= C, with C rated at r(C) and not the top, the terms
 r(C) * prod over the blocks U of C of coeff_U(A|U, B|U), and is divided by
 decay(top) - decay(B).  Every table lives on the comparable pairs A <= B of
 its lattice (``Lattice.up_sets``), the only entries that can be nonzero.
-The subsets of one size share one lattice core and one list of its chains
-(kept for lattices of up to six sites), so one scatter adds the chains of
-all of them: one gather per block position from a flat store of the smaller
-subsets' pair tables, and one np.add.at that sums each entry's terms in C
-order.  The build
+The subsets of one size share one lattice core, so one scatter adds the
+chains of all of them, streamed in pieces below the partitions rated in any
+of them: one gather per block position from a flat store of the smaller
+subsets' pair tables, and one np.add.at per piece that sums each entry's
+terms in C order.  The build
 requires all decay rates of a subsystem to be distinct; coincidences are
 grouped into equal-decay classes and either reported (harmless: away from
 the top element, where the coefficients extend continuously) or fatal (a
@@ -530,43 +530,7 @@ def _chain_pieces(lat, c: np.ndarray):
                 vm = masks[: int(lat.block_counts[rc].max())][:, rc]  # (J, items)
                 base = sub_ptr[sub_start[vm] + lat.restrictions(vm, ra)]
                 rank = q.restrictions(q.block_masks.T[: len(vm)][:, rs][:, run], pi)
-                # positions stay below 2^31 and ranks below 2^15: a rank
-                # indexes a lattice of at most n - 1 <= 9 sites
-                yield (
-                    *(x.astype(np.int32) for x in (rc, vm, base, first, rf, pair, ups[pair])),
-                    rank.astype(np.int16),
-                )
-
-
-def _join(pieces: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """Pieces of chains one after another; block positions a piece lacks
-    get mask, base and rank 0."""
-    depth = max(len(p[1]) for p in pieces)
-    items = np.cumsum([0] + [len(p[0]) for p in pieces])
-    chains = np.cumsum([0] + [len(p[5]) for p in pieces])
-    joined = []
-    for f, piece in enumerate(zip(*pieces)):
-        if f in (1, 2, 7):  # (J, items) or (J, chains)
-            ends = items if f < 7 else chains
-            table = np.zeros((depth, ends[-1]), dtype=piece[0].dtype)
-            for x, lo, hi in zip(piece, ends[:-1], ends[1:]):
-                table[: len(x), lo:hi] = x
-            joined.append(table)
-        else:
-            shift = chains[:-1] if f == 3 else np.zeros(len(pieces), dtype=np.int32)
-            joined.append(np.concatenate([x + d for x, d in zip(piece, shift)]).astype(np.int32))
-    return tuple(joined)
-
-
-@lru_cache(maxsize=None)
-def _full_plan(k: int) -> tuple[tuple[np.ndarray, ...], ...] | None:
-    """Every chain of the lattice of k sites as one piece, when they fit in
-    one run (k <= 6); None above."""
-    below = _chains_below(k)
-    if below[1:].sum() > _RUN_CHAINS:
-        return None
-    pieces = list(_chain_pieces(lattice(ground_set(k)), np.arange(1, below.size)))
-    return (_join(pieces),) if pieces else ()
+                yield rc, vm, base, first, rf, pair, ups[pair], rank
 
 
 def _add_chains(flat, lat, rvec, cols, store, offset) -> None:
@@ -577,13 +541,11 @@ def _add_chains(flat, lat, rvec, cols, store, offset) -> None:
 
     flat holds the theta_u on the pairs of lat one after another; rvec and
     cols are (subsets, B) and offset[u, m] is the start in store of the pair
-    table of u's sites at mask m (0, a cell holding 1.0, for mask 0).  A
-    small lattice keeps the chains below all its partitions; a larger one
-    takes those below the partitions rated in some subset."""
-    pieces = _full_plan(len(lat.ground))
-    if pieces is None:
-        rated = np.flatnonzero(rvec.any(axis=0))
-        pieces = _chain_pieces(lat, rated[rated != lat.top_index])
+    table of u's sites at mask m (0, a cell holding 1.0, for mask 0).  The
+    chains come in pieces from ``_chain_pieces``, below the partitions rated
+    in some subset."""
+    rated = np.flatnonzero(rvec.any(axis=0))
+    pieces = _chain_pieces(lat, rated[rated != lat.top_index])
     stride = lat.pair_count
     for c, masks, base, first, fan, pair, b, rank in pieces:
         step = max(1, 8 * _RUN_CHAINS // pair.size)  # subsets per pass

@@ -215,12 +215,19 @@ def measure_from_csv(path) -> Measure:
         if not header or header[-1] != "weight" or len(header) < 2:
             raise ValueError("expected site columns followed by a weight column")
         sites = tuple(int(name.lstrip("x")) for name in header[:-1])
-        rows = [(tuple(int(x) for x in row[:-1]), float(row[-1])) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"row {row} needs one letter per site and a weight")
+            rows.append((tuple(int(x) for x in row[:-1]), float(row[-1])))
     if not rows:
         raise ValueError("no states in measure file")
+    if any(x < 0 for c, _ in rows for x in c):
+        raise ValueError("letters must be nonnegative")
     sizes = tuple(max(c[i] for c, _ in rows) + 1 for i in range(len(sites)))
     space = TypeSpace(sites, sizes)
-    if len(rows) != space.n_states:
+    # distinct states, as many as the space holds, are every state once
+    if len({c for c, _ in rows}) != len(rows) or len(rows) != space.n_states:
         raise ValueError("measure file must list every state exactly once")
     w = np.zeros(sizes)
     for coords, value in rows:

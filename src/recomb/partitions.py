@@ -10,7 +10,7 @@ by ``,``, e.g. ``1,2|3,4``.  Whitespace is ignored.
 
 A lattice of k sites is the lattice of {1..k} with its sites renamed, so all
 lattices of one size share one core: the label arrays, the order, meet and
-Moebius tables, and the restriction indices, keyed by the position mask of the
+Moebius tables, and the restriction table, keyed by the position mask of the
 sub-block.  Only ``Lattice.parts`` and ``Lattice.index`` name the sites; they
 are built on first use.
 
@@ -57,7 +57,7 @@ __all__ = [
 # 115975 partitions with 16,733,779 comparable pairs
 MAX_SITES = 10
 # largest lattice whose restriction indices are kept as one (2^n, B) table
-# (43 MB at n = 9); a larger one looks up and keeps each restriction alone
+# (43 MB at n = 9); a larger one looks up only the restrictions asked for
 _TABLE_SITES = 9
 
 
@@ -302,9 +302,9 @@ def join_disjoint(parts: Iterable[Partition]) -> Partition:
 
 class _Core:
     """What every lattice of a k-set shares: the arrays of ``Lattice``, and
-    its lazy tables, which ``Lattice`` fills on first use.  Restriction
-    indices are keyed by the position mask of the sub-block (bit s for the
-    s-th site)."""
+    its lazy tables, which ``Lattice`` fills on first use.  The rows of the
+    restriction table are keyed by the position mask of the sub-block (bit
+    s for the s-th site)."""
 
     def __init__(self, k: int):
         self.labels = _rgs_labels(k)
@@ -318,7 +318,6 @@ class _Core:
         self.mobius: np.ndarray | None = None
         self.block_masks: np.ndarray | None = None
         self.restriction_table: np.ndarray | None = None
-        self.restriction: dict[int, np.ndarray] = {}
 
 
 def _fans(core: _Core) -> np.ndarray:
@@ -539,13 +538,7 @@ class Lattice:
 
     def restriction_index(self, u) -> np.ndarray:
         """restriction_index(u)[j] = index of parts[j] restricted to u, in lattice(u)."""
-        mask = self.mask(u)
-        if len(self.ground) <= _TABLE_SITES:
-            return self.restriction_table[mask].astype(np.intp)
-        cached = self._core.restriction.get(mask)
-        if cached is None:
-            cached = self._core.restriction[mask] = self.restrictions(mask, np.arange(self.size))
-        return cached
+        return self.restrictions(self.mask(u), np.arange(self.size)).astype(np.intp)
 
     def restrictions(self, masks, rows) -> np.ndarray:
         """Index of parts[rows[i]] restricted to the sites at position mask

@@ -80,6 +80,16 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{name} is out of range, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     start: float
@@ -145,7 +155,9 @@ class Scenario:
         raw_rates = doc.get("rates", {})
         if not isinstance(raw_rates, dict):
             raise ScenarioError("rates must be a mapping of partition keys to numbers")
-        two_block_only = bool(doc.get("two_block_only", False))
+        two_block_only = doc.get("two_block_only", False)
+        if not isinstance(two_block_only, bool):
+            raise ScenarioError(f"two_block_only must be true or false, got {two_block_only!r}")
         parsed: dict[Partition, float] = {}
         for key, value in raw_rates.items():
             try:
@@ -156,7 +168,7 @@ class Scenario:
                 raise ScenarioError(
                     f"two_block_only scenario has a non-two-block key {key!r}"
                 )
-            parsed[p] = value
+            parsed[p] = _number(value, f"rate of {key!r}")
         try:
             rates = RateSystem(ground, parsed)
         except (TypeError, ValueError) as exc:
@@ -183,31 +195,28 @@ class Scenario:
             else:
                 raise ScenarioError("alphabet_sizes must be a list")
             grid = TimeGrid(
-                float(grid_doc.get("start", 0.0)),
-                float(grid_doc.get("end", 1.0)),
+                _number(grid_doc.get("start", 0.0), "time_grid start"),
+                _number(grid_doc.get("end", 1.0), "time_grid end"),
                 _integer(grid_doc.get("points", 11), "time_grid points"),
             )
             step = doc.get("step")
-            step = None if step is None else float(step)
+            step = None if step is None else _number(step, "step")
             monte_carlo = None
             if mc_doc is not None:
                 monte_carlo = MonteCarloBlock(
                     _integer(mc_doc["samples"], "monte_carlo samples"),
                     _integer(mc_doc["seed"], "monte_carlo seed"),
-                    None if mc_doc.get("t") is None else float(mc_doc["t"]),
+                    None if mc_doc.get("t") is None else _number(mc_doc["t"], "monte_carlo t"),
                 )
+            tv = tol_doc.get("monte_carlo_tv")
             tolerances = Tolerances(
-                float(tol_doc.get("closed_vs_integrated", 1e-6)),
-                None
-                if tol_doc.get("monte_carlo_tv") is None
-                else float(tol_doc["monte_carlo_tv"]),
+                _number(
+                    tol_doc.get("closed_vs_integrated", 1e-6), "tolerances closed_vs_integrated"
+                ),
+                None if tv is None else _number(tv, "tolerances monte_carlo_tv"),
             )
         except KeyError as exc:
             raise ScenarioError("monte_carlo block needs samples and seed") from exc
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"scenario values must be numbers: {exc}") from exc
         for name in ("closed_vs_integrated", "monte_carlo_tv"):
             tol = getattr(tolerances, name)
             if tol is not None and not (math.isfinite(tol) and tol >= 0):

@@ -631,6 +631,19 @@ class TestScenarioValidation:
             {"tolerances": {"monte_carlo_tv": float("nan")}},
             {"tolerances": {"monte_carlo_tv": -0.5}},
             HUGE_MEASURE_PROGRAM,
+            # numbers are never read from a bool or a string, and a flag
+            # only from a bool
+            {"tolerances": {"closed_vs_integrated": True}},
+            {"tolerances": {"monte_carlo_tv": "0.1"}},
+            {"rates": {"1|2|3": True}},
+            {"rates": {"1|2|3": "0.5"}},
+            {"time_grid": {"start": 0, "end": "1.5", "points": 3}},
+            {"time_grid": {"start": False, "end": 2.0, "points": 3}},
+            {"step": "0.1"},
+            {"monte_carlo": {"samples": 100, "seed": 1, "t": "1"}},
+            {"two_block_only": "false", "rates": {"1|2,3": 0.3, "1,2|3": 0.7}},
+            {"two_block_only": 0},
+            {"rates": {"1|2|3": 10**400}},  # past the float range
         ],
         ids=[
             "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
@@ -642,6 +655,9 @@ class TestScenarioValidation:
             "bool-seed", "fractional-n", "huge-samples", "nan-route-tolerance",
             "negative-route-tolerance", "nan-tv-tolerance", "negative-tv-tolerance",
             "huge-measure-program",
+            "bool-route-tolerance", "text-tv-tolerance", "bool-rate", "numeric-text-rate",
+            "numeric-text-grid-end", "bool-grid-start", "text-step", "text-mc-time",
+            "text-two-block-only", "integer-two-block-only", "huge-integer-rate",
         ],
     )
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):
@@ -696,6 +712,21 @@ class TestScenarioValidation:
         out = tmp_path / "out"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
         assert_refused_before_output(capsys, out, "substeps")
+
+    @pytest.mark.parametrize("command", ["integrate", "compare"])
+    @pytest.mark.parametrize(
+        "last, word",
+        [("0,0,0", "exactly once"), ("1,1,-1", "nonnegative")],
+        ids=["duplicate-state", "negative-letter"],
+    )
+    def test_bad_measure_file_rejected(self, tmp_path, capsys, command, last, word):
+        # the state 1,1,1 is missing: its row is replaced by last
+        rows = [",".join(map(str, c)) for c in np.ndindex(2, 2, 2)][:-1] + [last]
+        (tmp_path / "m.csv").write_text("x1,x2,x3,weight\n" + "".join(f"{r},0.125\n" for r in rows))
+        cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": "file:m.csv"})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_refused_before_output(capsys, out, word)
 
     @pytest.mark.parametrize("command", ["integrate", "compare"])
     @pytest.mark.parametrize("spec", NON_FINITE_MEASURES.values(), ids=NON_FINITE_MEASURES)

@@ -504,20 +504,14 @@ def test_tables_equal_loop_oracle(system):
 
 @pytest.mark.parametrize("system", ["random-n5", "random-n6", "zero-mix-n5", "linear-n6"])
 def test_tables_do_not_depend_on_the_run_size(system, monkeypatch):
-    # runs of a few chains take the path of the larger lattices, with no
-    # chain plan kept, and every run boundary; each entry still sums its
-    # terms in the same order
+    # runs of a few chains take every run boundary; each entry still sums
+    # its terms in the same order
     import recomb.closed_form as cf
 
     rates = ORACLE_SYSTEMS[system]()
     whole = build_closed_form(rates)
-    cf._full_plan.cache_clear()
     monkeypatch.setattr(cf, "_RUN_CHAINS", 5)
-    try:
-        runs = build_closed_form(rates)
-        assert cf._full_plan(len(rates.ground)) is None
-    finally:
-        cf._full_plan.cache_clear()
+    runs = build_closed_form(rates)
     for u in all_subsets(rates.ground):
         assert np.array_equal(runs.coefficient_table(u), whole.coefficient_table(u)), u
         assert np.array_equal(runs.evaluate(u, GRID).values, whole.evaluate(u, GRID).values), u

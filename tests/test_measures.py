@@ -238,3 +238,21 @@ class TestSpaceAndIO:
         path.write_text("x1,x2,weight\n0,0,0.5\n1,1,0.5\n")
         with pytest.raises(ValueError):
             measure_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # four rows for four states, but 0.0 twice and 1.1 missing
+            "0,0,0.25\n0,1,0.25\n1,0,0.25\n0,0,0.25\n",
+            # -1 would wrap to the last letter
+            "0,0,0.25\n0,1,0.25\n1,0,0.25\n1,-1,0.25\n",
+            # a row without its weight
+            "0,0,0.25\n0,1,0.25\n1,0,0.25\n1,0.25\n",
+        ],
+        ids=["duplicate-state", "negative-letter", "short-row"],
+    )
+    def test_csv_lists_each_state_once(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,weight\n" + body)
+        with pytest.raises(ValueError):
+            measure_from_csv(path)
