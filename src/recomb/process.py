@@ -21,12 +21,13 @@ and independent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from recomb.dynamics import RateSystem
-from recomb.partitions import Partition, is_refinement, lattice, restrict
+from recomb.partitions import Partition, ground_set, is_refinement, lattice, restrict
 
 __all__ = [
     "GENERATOR_NAME",
@@ -67,13 +68,64 @@ class EmpiricalDistribution:
         return {p: c / self.n_samples for p, c in self.counts.items()}
 
 
+@lru_cache(maxsize=None)
+def _text_rank(names: tuple[str, ...]) -> np.ndarray:
+    """Rank of each partition of the sites called ``names``, in lattice
+    order, among the texts ``1,2|3`` of all of them, computed from the
+    labels with no ``Partition`` or ``str`` built.
+
+    Each text lists the sites block by block, each block ascending (a
+    stable argsort of the labels), with ``,`` inside a block and ``|``
+    between blocks.  So every text of one ground holds each name once and
+    k - 1 separators: all have one length, and their order is one lexsort
+    of the character matrix.  With one character per site that length is
+    2k - 1 and, since ``,`` < digit < ``|``, the order depends on the
+    positions only (``_text_order`` shares it); a longer name, say 10, which
+    sorts before 2, shifts the characters after it."""
+    k = len(names)
+    labels = lattice(ground_set(k)).labels
+    order = np.argsort(labels, axis=1, kind="stable")
+    tokens = np.empty((labels.shape[0], 2 * k - 1), dtype=np.int8)  # site positions, then k for ",", k + 1 for "|"
+    tokens[:, 0::2] = order
+    tokens[:, 1::2] = k + (np.diff(np.take_along_axis(labels, order, axis=1), axis=1) != 0)
+    spelled = [name.encode() for name in names] + [b",", b"|"]
+    width = max(map(len, spelled))
+    chars = np.array([list(c.ljust(width, b"\0")) for c in spelled], dtype=np.uint8)
+    lengths = np.array([len(c) for c in spelled])
+    text = np.zeros((labels.shape[0], sum(lengths[:k]) + k - 1), dtype=np.uint8)
+    cursor = np.zeros(labels.shape[0], dtype=np.intp)
+    for token in tokens.T:  # one character column at a time
+        for c in range(width):
+            at = np.flatnonzero(lengths[token] > c)
+            text[at, cursor[at] + c] = chars[token[at], c]
+        cursor += lengths[token]
+    rank = np.empty(labels.shape[0], dtype=np.intp)
+    rank[np.lexsort(text.T[::-1])] = np.arange(labels.shape[0])
+    return rank
+
+
+def _text_order(ground: tuple[int, ...]) -> np.ndarray:
+    """``_text_rank`` of the ground's site names; grounds whose sites all
+    have one character share the rank of their size."""
+    names = tuple(map(str, ground))
+    if all(len(name) == 1 for name in names):
+        names = tuple("0123456789"[: len(names)])
+    return _text_rank(names)
+
+
 def _jump_table(rates: RateSystem, start: int):
     """The chain's generator as CSR arrays over ``lattice(rates.ground)``:
     row s lists successors[indptr[s]:indptr[s + 1]] and their cumulative
     rates.  Each block U of s is replaced by every rated proper partition of
     U at U's marginal rate; blocks in order, each block's partitions sorted
-    by text.  Only states reachable from start have rows, each found in the
-    frontier round of its first jump; every other row is empty."""
+    by text (``_text_order``).  Only states reachable from start have rows,
+    each found in the frontier round of its first jump; every other row is
+    empty.
+
+    Each entry is a distinct strict refinement (s, successor), so the table
+    holds at most ``pair_count - size`` entries: 16,617,804 at ``MAX_SITES``
+    = 10 sites, below ``MAX_STATES``, and 163,754 at n = 8, where every
+    partition rated gives 68,771."""
     lat, n = lattice(rates.ground), len(rates.ground)
     bits = 1 << np.arange(n)
     seen, reached = np.zeros((2, lat.size), dtype=bool)
@@ -85,14 +137,17 @@ def _jump_table(rates: RateSystem, start: int):
         masks = (lab[:, None, :] == np.arange(n)[:, None]) @ bits  # sites of block k
         row, k = np.nonzero(masks & (masks - 1))  # blocks of two or more sites
         pieces = [(row[:0],) * 2 + (lab[:0], np.empty(0))]  # for a round with no split
-        for u in np.unique(masks[row, k]).tolist():
+        sets = masks[row, k]
+        by = np.argsort(sets)  # the blocks grouped by their sites
+        us, firsts = np.unique(sets[by], return_index=True)
+        for u, hit in zip(us.tolist(), np.split(by, firsts[1:])):
             cols = np.flatnonzero(u & bits)
             sub = lattice(tuple(rates.ground[c] for c in cols))
             marg = rates.marginal(sub.ground)
-            j = [j for j in np.flatnonzero(marg).tolist() if j != sub.top_index]
-            j.sort(key=lambda j: str(sub.parts[j]))
-            hit = np.flatnonzero(masks[row, k] == u)
-            at, rank = np.repeat(hit, len(j)), np.tile(np.arange(len(j)), hit.size)
+            j = np.flatnonzero(marg)
+            j = j[j != sub.top_index]
+            j = j[np.argsort(_text_order(sub.ground)[j])]
+            at, rank = np.repeat(hit, j.size), np.tile(np.arange(j.size), hit.size)
             new = lab[row[at]]
             new[:, cols] = n + sub.labels[j][rank]  # fresh labels on U's sites
             pieces.append((frontier[row[at]], k[at], new, marg[j][rank]))
@@ -102,9 +157,13 @@ def _jump_table(rates: RateSystem, start: int):
     state, position, successors, rate = map(np.concatenate, zip(*jumps))
     order = np.lexsort((position, state))  # stable, so each block's splits stay in text order
     state, successors, rate = state[order], successors[order], rate[order]
-    rows = np.split(rate, np.flatnonzero(np.diff(state)) + 1)  # summed one row at a time
     indptr = np.searchsorted(state, np.arange(lat.size + 1))
-    return indptr, successors, np.concatenate([np.cumsum(r) for r in rows])
+    # each row summed from its first entry, rows of one length in one cumsum
+    cumulative, sizes = np.empty_like(rate), np.diff(indptr)
+    for m in np.unique(sizes[sizes > 0]).tolist():
+        at = indptr[np.flatnonzero(sizes == m), None] + np.arange(m)
+        cumulative[at] = np.cumsum(rate[at], axis=1)
+    return indptr, successors, cumulative
 
 
 def _final_indices(table, i: int, t_end: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,42 +171,48 @@ def _final_indices(table, i: int, t_end: float, n: int, rng: np.random.Generator
     from index i, with ``table`` the (indptr, successors, cumulative) arrays
     of ``_jump_table`` for a start from which i is reachable.
 
-    The replicates advance together, in blocks of ``_BLOCK``.  Each round
-    draws, for every live replicate, an exponential waiting time at its
-    state's exit rate, then, for those still before t_end, a successor with
-    probability proportional to its rate.  A state without successors is
-    absorbing and retires without a draw.  Every jump strictly refines, so a
-    block takes at most one round fewer than there are sites."""
+    The replicates advance together, in blocks of ``_BLOCK``, each carrying
+    its state.  Each round draws, for every live replicate, an exponential
+    waiting time at its state's exit rate, then, for those still before
+    t_end, a successor with probability proportional to its rate.  A state
+    without successors is absorbing and retires without a draw.  Every jump
+    strictly refines, so a block takes at most one round fewer than there
+    are sites.  The successor is found by ``_row_search``, and the arrays of
+    the live replicates are compressed through one index array per mask."""
     indptr, successors, cumulative = table
+    starts, stops = indptr[:-1], indptr[1:]
     ends = np.full(n, i, dtype=np.intp)
     for first in range(0, n, _BLOCK):
         block = ends[first : first + _BLOCK]  # a view: jumps write into ends
-        live = np.arange(block.size)
-        clock = np.zeros(block.size)
+        live, state, clock = np.arange(block.size), block, np.zeros(block.size)
         while live.size:
-            lo, hi = indptr[block[live]], indptr[block[live] + 1]
-            moving = lo < hi
-            live, clock, lo, hi = live[moving], clock[moving], lo[moving], hi[moving]
-            total = cumulative[hi - 1]
-            with np.errstate(over="ignore"):  # subnormal total: infinite wait
-                scale = 1.0 / total
-            clock = clock + rng.exponential(scale)
-            jumps = clock <= t_end
-            live, clock, lo, hi, total = (
-                a[jumps] for a in (live, clock, lo, hi, total)
-            )
-            # bisect_right of each draw in its own slice of the cumulative
-            # rates, clipped to the slice's last entry
-            u = rng.random(live.size) * total
-            last = hi - 1
-            for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-                mid = (lo + hi) >> 1
-                right = cumulative.take(mid, mode="clip") <= u
-                searching = lo < hi
-                lo = np.where(searching & right, mid + 1, lo)
-                hi = np.where(searching & ~right, mid, hi)
-            block[live] = successors[np.minimum(lo, last)]
+            lo, last = starts.take(state), stops.take(state) - 1
+            keep = np.flatnonzero(lo <= last)
+            live, clock, lo, last = (a.take(keep) for a in (live, clock, lo, last))
+            total = cumulative.take(last)
+            with np.errstate(over="ignore", invalid="ignore"):  # subnormal total: infinite wait
+                clock += rng.standard_exponential(keep.size) * (1.0 / total)
+            keep = np.flatnonzero(clock <= t_end)
+            live, clock, lo, last, total = (a.take(keep) for a in (live, clock, lo, last, total))
+            state = successors.take(_row_search(cumulative, lo, last, rng.random(keep.size) * total))
+            block[live] = state
     return ends
+
+
+def _row_search(cumulative: np.ndarray, lo: np.ndarray, last: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each draw u, ``bisect_right`` of u in its row cumulative[lo:last
+    + 1], clipped to last, by binary lifting.
+
+    q, the last entry known to be at most the draw, starts before the row
+    and moves up by each power of two, largest first, when the entry there
+    is at most the draw; a probe past the row reads its last entry, the row
+    total.  That entry is at most the draw only when every entry is, and
+    then the answer is last, which the clip gives."""
+    q = lo - 1
+    for step in (1 << np.arange(int((last - lo).max(initial=0)).bit_length())[::-1]).tolist():
+        probe = np.minimum(q + step, last)
+        q = np.where(cumulative.take(probe) <= u, probe, q)
+    return np.minimum(q + 1, last)
 
 
 def _start_index(rates: RateSystem, t_end: float, start: Partition | None) -> int:

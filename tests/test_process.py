@@ -7,11 +7,14 @@ import pytest
 
 from recomb.closed_form import build_closed_form, decay_rate
 from recomb.dynamics import RateSystem
-from recomb.partitions import Partition, ground_set, is_refinement, lattice
+from recomb.measures import MAX_STATES
+from recomb.partitions import MAX_SITES, Partition, bell_number, ground_set, is_refinement, lattice
 from recomb.process import (
     _BLOCK,
     _final_indices,
     _jump_table,
+    _row_search,
+    _text_order,
     estimate_distribution,
     make_rng,
     simulate_path,
@@ -84,6 +87,43 @@ def direct_method_oracle(catalogs, start, t_end, rng):
             return lat.parts[i]
         k = bisect_right(cumulative, rng.random() * total)
         i = successors[min(k, len(successors) - 1)]
+
+
+def bisection_final_indices(table, i, t_end, n, rng):
+    """The jump loop of ``_final_indices`` as it was before binary lifting:
+    waiting times by ``rng.exponential`` and each row searched by
+    bisection.  The sampler must consume the same stream in the same order
+    and return the same indices."""
+    indptr, successors, cumulative = table
+    ends = np.full(n, i, dtype=np.intp)
+    for first in range(0, n, _BLOCK):
+        block = ends[first : first + _BLOCK]  # a view: jumps write into ends
+        live = np.arange(block.size)
+        clock = np.zeros(block.size)
+        while live.size:
+            lo, hi = indptr[block[live]], indptr[block[live] + 1]
+            moving = lo < hi
+            live, clock, lo, hi = live[moving], clock[moving], lo[moving], hi[moving]
+            total = cumulative[hi - 1]
+            with np.errstate(over="ignore"):  # subnormal total: infinite wait
+                scale = 1.0 / total
+            clock = clock + rng.exponential(scale)
+            jumps = clock <= t_end
+            live, clock, lo, hi, total = (
+                a[jumps] for a in (live, clock, lo, hi, total)
+            )
+            # bisect_right of each draw in its own slice of the cumulative
+            # rates, clipped to the slice's last entry
+            u = rng.random(live.size) * total
+            last = hi - 1
+            for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+                mid = (lo + hi) >> 1
+                right = cumulative.take(mid, mode="clip") <= u
+                searching = lo < hi
+                lo = np.where(searching & right, mid + 1, lo)
+                hi = np.where(searching & ~right, mid, hi)
+            block[live] = successors[np.minimum(lo, last)]
+    return ends
 
 
 def two_site_rates(rho=1.0):
@@ -171,6 +211,25 @@ class TestChainTable:
         )
         assert indptr[lat.bottom_index] == indptr[lat.bottom_index + 1]
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_entries_are_distinct_strict_refinements(self, n):
+        # every partition rated: every non-bottom state is reachable from the
+        # top and has one non-empty row, and no entry repeats a pair
+        rates = random_rates(n, seed=80 + n)
+        lat = lattice(ground_set(n))
+        indptr, successors, _ = _jump_table(rates, lat.top_index)
+        states = np.repeat(np.arange(lat.size), np.diff(indptr))
+        assert np.flatnonzero(np.diff(indptr)).tolist() == list(range(lat.size - 1))
+        assert (lat.block_counts[successors] > lat.block_counts[states]).all()
+        assert len(set(zip(states.tolist(), successors.tolist()))) == successors.size
+        assert successors.size <= lat.pair_count - lat.size
+        if n == 8:
+            assert (successors.size, lat.pair_count - lat.size) == (68_771, 163_754)
+
+    def test_size_bound_at_max_sites(self):
+        strict_pairs = lattice(ground_set(MAX_SITES)).pair_count - bell_number(MAX_SITES)
+        assert strict_pairs == 16_617_804 < MAX_STATES
+
     def test_table_covers_only_reachable_states(self):
         # one rated partition at n = 9: the top has one jump and its target is
         # absorbing, so a table over every state would hold many more rows
@@ -184,6 +243,79 @@ class TestChainTable:
         assert cumulative.tolist() == [1.0]
         dist = estimate_distribution(rates, 1.0, 20_000, seed=3)
         assert set(dist.counts) == {Partition.whole(g), split}
+
+
+class TestRowSearch:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 4139])
+    def test_matches_bisect_right(self, length):
+        # rows of one length in one CSR array, each followed by a row of tiny
+        # entries that a probe past the row would find below every draw
+        rng = np.random.default_rng(length)
+        kinds = [
+            rng.uniform(0.1, 1.0, length),
+            np.where(np.arange(length) % 3, 5e-324, 1.0),  # ties: 1 + 5e-324 == 1
+            np.full(length, 5e-324),  # a subnormal total: 0.9 of it rounds up to it
+        ]
+        rows = [r for kind in kinds for r in (np.cumsum(kind), np.full(3, 1e-300))]
+        starts = np.cumsum([0] + [r.size for r in rows[:-1]])
+        lo, last, draws, expected = [], [], [], []
+        for row, start in zip(rows[::2], starts[::2]):
+            u = np.concatenate((
+                [0.0, row[-1] * (1 - 2**-53), row[-1] * 0.9],
+                row, np.nextafter(row, -np.inf), np.nextafter(row, np.inf),
+            ))
+            listed = row.tolist()
+            lo += [start] * u.size
+            last += [start + row.size - 1] * u.size
+            draws.append(u)
+            expected += [start + min(bisect_right(listed, x), row.size - 1) for x in u.tolist()]
+        got = _row_search(np.concatenate(rows), np.array(lo), np.array(last), np.concatenate(draws))
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("n_samples", [_BLOCK - 1, _BLOCK + 1])
+    def test_counts_equal_bisection_oracle(self, n, n_samples):
+        # every partition rated, so every row of the lattice is searched
+        rates = random_rates(n, seed=60 + n)
+        lat = lattice(ground_set(n))
+        table = _jump_table(rates, lat.top_index)
+        tally = np.bincount(bisection_final_indices(table, lat.top_index, 2.0, n_samples, make_rng(61)))
+        expected = {lat.parts[j]: int(tally[j]) for j in np.flatnonzero(tally)}
+        assert estimate_distribution(rates, 2.0, n_samples, seed=61).counts == expected
+
+
+class TestTextOrder:
+    @staticmethod
+    def assert_text_order(ground):
+        parts = lattice(ground).parts
+        by_text = sorted(range(len(parts)), key=lambda i: str(parts[i]))
+        assert np.argsort(_text_order(ground)).tolist() == by_text
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_one_digit_sites(self, k):
+        self.assert_text_order(ground_set(k))
+
+    @pytest.mark.parametrize(
+        "ground", [(3, 9, 10, 12), (1, 2, 5, 10, 11, 20), (0, 7, 10, 100, 101), (-3, -1, 0, 4)]
+    )
+    def test_sites_of_several_characters(self, ground):
+        self.assert_text_order(ground)
+
+    def test_jump_table_on_sites_of_two_digits(self):
+        # "10" < "12" < "3" < "9": the text order is not the order of the sites
+        g = (3, 9, 10, 12)
+        assert not np.array_equal(_text_order(g), _text_order(ground_set(4)))
+        lat = lattice(g)
+        weights = np.random.default_rng(70).uniform(0.1, 1.0, lat.size)
+        rates = RateSystem(g, dict(zip(lat.parts, weights)))
+        indptr, successors, cumulative = _jump_table(rates, lat.top_index)
+        rows = np.flatnonzero(np.diff(indptr)).tolist()
+        assert rows == [s for s in range(lat.size) if s != lat.bottom_index]
+        for s in rows:
+            oracle_successors, oracle_cumulative = catalog_oracle(rates, s)
+            row = slice(indptr[s], indptr[s + 1])
+            assert np.array_equal(successors[row], oracle_successors)
+            assert np.array_equal(cumulative[row], oracle_cumulative)
 
 
 class TestSimulatePath:
