@@ -90,10 +90,10 @@ def direct_method_oracle(catalogs, start, t_end, rng):
 
 
 def bisection_final_indices(table, i, t_end, n, rng):
-    """The jump loop of ``_final_indices`` as it was before binary lifting:
-    waiting times by ``rng.exponential`` and each row searched by
-    bisection.  The sampler must consume the same stream in the same order
-    and return the same indices."""
+    """The jump loop of ``_final_indices`` with waiting times drawn by
+    ``rng.exponential`` and each row searched by bisection: a reference
+    that the sampler must match draw for draw, consuming the same stream in
+    the same order and returning the same indices."""
     indptr, successors, cumulative = table
     ends = np.full(n, i, dtype=np.intp)
     for first in range(0, n, _BLOCK):
@@ -254,7 +254,7 @@ class TestRowSearch:
         kinds = [
             rng.uniform(0.1, 1.0, length),
             np.where(np.arange(length) % 3, 5e-324, 1.0),  # ties: 1 + 5e-324 == 1
-            np.full(length, 5e-324),  # a subnormal total: 0.9 of it rounds up to it
+            np.full(length, 5e-324),  # subnormal: on rows of up to 5, 0.9 of the total rounds up to it
         ]
         rows = [r for kind in kinds for r in (np.cumsum(kind), np.full(3, 1e-300))]
         starts = np.cumsum([0] + [r.size for r in rows[:-1]])
