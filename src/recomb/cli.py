@@ -21,7 +21,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,10 @@ from recomb.dynamics import (
     CoefficientVector,
     integrate_coefficients,
     integrate_measure,
+    mixtures,
     rk4_plan,
 )
-from recomb.measures import MAX_STATES, recombinator
+from recomb.measures import MAX_STATES
 from recomb.partitions import (
     MAX_SITES,
     Partition,
@@ -109,12 +110,16 @@ def _linear_regime(scenario: Scenario) -> bool:
     return bool(support) and all(_is_interval_two_block(p, g) for p in support)
 
 
-def _check_substeps(scenario: Scenario, grid) -> None:
+def _check_substeps(scenario: Scenario, grid, measure: bool = False) -> None:
     """Refuse an integration over grid that would take more than
-    MAX_SUBSTEPS RK4 substeps, or whose coefficient program would hold more
-    than MAX_STATES cell indices, before any of it runs."""
+    MAX_SUBSTEPS RK4 substeps, whose coefficient program (and measure
+    program, if measure) would hold more than MAX_STATES cell indices, or
+    whose right-hand sides would visit more than MAX_RK4_WORK cell indices,
+    before any of it runs."""
     try:
         rk4_plan(scenario.rates, grid, scenario.step)
+        if measure and scenario.initial_measure is not None:
+            rk4_plan(scenario.rates, grid, scenario.step, scenario.space)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -139,13 +144,10 @@ def _measure_route(scenario: Scenario, omega0, grid, traj):
     """The measure trajectory from omega0 and, at each grid time, its total
     variation deviation from the mixture of the coefficient trajectory and
     its absolute drift, both relative to the initial mass (a zero measure
-    keeps both at 0), with each partition's block-product operator on
-    omega0 computed once."""
+    keeps both at 0).  The mixture runs through the measure program's trie
+    when its leaves hold the coefficients' support."""
     mtraj = integrate_measure(scenario.rates, omega0, grid, step=scenario.step)
-    parts = lattice(scenario.ground).parts
-    mix = np.zeros((grid.size, omega0.space.n_states))
-    for i in np.flatnonzero(np.any(traj.values != 0.0, axis=0)):
-        mix += np.outer(traj.values[:, i], recombinator(parts[i], omega0).weights)
+    mix = mixtures(traj.values, omega0, scenario.rates)
     dev = np.abs(mtraj.tensors.reshape(grid.size, -1) - mix).sum(axis=1)
     mass = omega0.norm() or 1.0
     return mtraj, dev / mass, np.abs(mtraj.drift) / mass
@@ -211,7 +213,7 @@ def cmd_integrate(args) -> int:
     scenario = _load(args)
     grid = scenario.grid.array()
     g = scenario.ground
-    _check_substeps(scenario, grid)
+    _check_substeps(scenario, grid, measure=True)
     omega0 = scenario.build_measure()
     out = _out_dir(args)
     traj = integrate_coefficients(
@@ -279,7 +281,7 @@ def cmd_compare(args) -> int:
     # the Monte Carlo reference comes from the closed form, else from RK4
     route = integrate if sol is None else partial(sol.evaluate, g)
 
-    _check_substeps(scenario, grid)
+    _check_substeps(scenario, grid, measure=True)
     if scenario.monte_carlo is not None:
         t = scenario.mc_time()
         ref_grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
@@ -364,10 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

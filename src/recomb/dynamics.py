@@ -8,13 +8,15 @@ The coefficient system:
 where the gain factor is the blockwise marginal product defined below.  The
 measure system applies block-product operators instead.  Both right-hand
 sides share one gain term, compiled once per rate system (and per type
-space): every block marginal is one ``np.bincount`` over the states' block
-cells, and the sum over rated partitions p of r_p times the product of the
-marginals on p's blocks is factored over the prefix trie of those blocks,
-so partitions that begin with the same blocks share the partial product
-(the distributive law; Aji & McEliece, "The generalized distributive law",
+space): the block marginals are summed from the states, or from the
+marginal of a smaller superset, one ``np.bincount`` per descent level, and
+the sum over rated partitions p of r_p times the product of the marginals
+on p's blocks is factored over the prefix trie of those blocks, so
+partitions that begin with the same blocks share the partial product (the
+distributive law; Aji & McEliece, "The generalized distributive law",
 2000).  The trie is summed from the leaves up, one ``np.bincount`` per node
-height.
+height.  With the coefficients of a trajectory in its leaves, the same
+program gives the mixture of block-product operators (``mixtures``).
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ __all__ = [
     "integrate_measure",
     "default_step",
     "rk4_plan",
+    "mixtures",
 ]
 
 _NEG_TOL = 1e-8
 MAX_STEP_FRACTION = 0.25  # step * rho_total must stay below this
 MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole grid
 _RUN_STATES = 1 << 20  # candidate states per run of trie edges compiled at once
+_DESCENT_CALL = 512  # cells that cost about one more np.bincount call (see _descent)
+MAX_RK4_WORK = 1 << 35  # cell indices one integration may visit: 4 * substeps * program_cells
 
 
 class RateSystem:
@@ -60,8 +65,9 @@ class RateSystem:
 
     Immutable by convention; derived tables are cached on first use: the
     marginal rates per subset, the prefix trie of the rated partitions' blocks
-    and the compiled gain term per state space (None for the coefficient
-    system, a ``TypeSpace`` for the measure system).
+    and, per state space (None for the coefficient system, a ``TypeSpace``
+    for the measure system), the compiled gain term and its plan: the
+    descent of its block marginals and its cell count.
     """
 
     __slots__ = (
@@ -72,6 +78,7 @@ class RateSystem:
         "_weights",
         "_marginals",
         "_programs",
+        "_plans",
         "_trie",
     )
 
@@ -96,6 +103,7 @@ class RateSystem:
         self._weights = np.array(list(clean.values()), dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
         self._programs: dict[TypeSpace | None, _TrieProgram] = {}
+        self._plans: dict[TypeSpace | None, tuple[list, int]] = {}
         self._trie: tuple | None = None
 
     @classmethod
@@ -270,14 +278,41 @@ class _TrieProgram:
     prefixes) and one ``np.bincount`` into the parents.  Single-block rates
     act as the identity and cancel their share of the loss, so the loss rate
     is the sum of the kept rates.
+
+    The block marginals sit in one vector too, ``blocks`` in order: the
+    first ``n_ground`` are summed from the states in one ``np.bincount``,
+    the others one descent level at a time from the marginal of a superset
+    (``_descent``).
     """
 
     loss: float               # sum of the kept rates
-    state_cells: np.ndarray   # (N * blocks,) each state's cell per block marginal, state-major
-    n_blocks: int
+    blocks: tuple             # the blocks, in the order of their marginals
+    ground_cells: np.ndarray  # (N * n_ground,) each state's cell per block summed from it, state-major
+    n_ground: int
     n_cells: int              # cells of all block marginals together
+    descent: list             # (lo, hi, src, tgt) per level: marg[lo:hi] sums marg[src] at tgt
     values: np.ndarray        # every node value but the root's, with r_p at the leaf of each kept p
     levels: list              # one _Level per node height, the root's last
+    leaves: np.ndarray        # the lattice index of each leaf's partition
+
+    def marginals(self, unit: np.ndarray) -> np.ndarray:
+        """Every block marginal of the state vector unit, in one vector."""
+        marg = np.bincount(self.ground_cells, unit.repeat(self.n_ground), self.n_cells)
+        for lo, hi, src, tgt in self.descent:
+            marg[lo:hi] = np.bincount(tgt, marg[src], hi - lo)
+        return marg
+
+    def gain(self, marg: np.ndarray, leaves: np.ndarray | None = None) -> np.ndarray:
+        """The sum over the kept partitions of their leaf value (r_p, or the
+        given leaves) times the product of their block marginals in marg."""
+        *inner, root = self.levels
+        if leaves is not None:
+            values = np.concatenate((leaves, self.values[leaves.size :]))
+        else:
+            values = self.values.copy() if inner else self.values
+        for level in inner:
+            values[level.lo : level.hi] = level.sum(values, marg)
+        return root.sum(values, marg)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
         out = -self.loss * vec
@@ -285,16 +320,11 @@ class _TrieProgram:
         if s <= 0.0 or not self.levels:
             return out
         # unit mass first, as in measures.recombinator
-        marg = np.bincount(self.state_cells, (vec / s).repeat(self.n_blocks), self.n_cells)
-        *inner, root = self.levels
-        values = self.values.copy() if inner else self.values
-        for level in inner:
-            values[level.lo : level.hi] = level.sum(values, marg)
-        out += s * root.sum(values, marg)
+        out += s * self.gain(self.marginals(vec / s))
         return out
 
 
-def _trie(rates: RateSystem) -> tuple[list, list, dict]:
+def _trie(rates: RateSystem) -> tuple[list, list, dict, np.ndarray]:
     """The rated partitions of at least two blocks, by descending block
     count, and the prefix trie of their blocks (canonical order, by least
     site) with each single-child chain merged into one edge; built on first
@@ -305,13 +335,16 @@ def _trie(rates: RateSystem) -> tuple[list, list, dict]:
     come in post-order, so the edges out of one node follow the first
     appearance of their first block among the kept partitions.  Each node
     maps to its height (0 at the leaves) and its remainder, the sites its
-    prefix leaves uncovered."""
+    prefix leaves uncovered.  Last come the kept partitions' lattice
+    indices."""
     if rates._trie is not None:
         return rates._trie
-    kept = sorted(
-        ((p, r) for p, r in rates.rates.items() if r > 0 and p.block_count > 1),
-        key=lambda pr: -pr[0].block_count,
+    items = list(rates.rates.items())
+    order = sorted(
+        (k for k, (p, r) in enumerate(items) if r > 0 and p.block_count > 1),
+        key=lambda k: -items[k][0].block_count,
     )
+    kept = [items[k] for k in order]
     root: dict = {}
     for p, _ in kept:
         node = root
@@ -340,8 +373,58 @@ def _trie(rates: RateSystem) -> tuple[list, list, dict]:
 
     if kept:
         visit((), rates.ground, root)
-    rates._trie = kept, edges, nodes
+    rates._trie = kept, edges, nodes, rates._indices[order]
     return rates._trie
+
+
+def _state_counter(ground: tuple, space: TypeSpace | None):
+    """The number of states of a subset of ground: its partitions on the
+    coefficient side (space None), the product of its alphabets on space."""
+    if space is None:
+        return lambda c: bell_number(len(c))
+    if space.sites != ground:
+        raise ValueError("measure sites must match the rate system ground set")
+    alphabet = dict(zip(space.sites, space.sizes))
+    return lambda c: math.prod(alphabet[x] for x in c)
+
+
+def _descent(ground: tuple, blocks: list, n_states) -> list:
+    """Where each block marginal is summed from, by depth: a list of levels,
+    each a list of (block, source) pairs in block order, the source being
+    the ground at depth 0 and a block of a level above otherwise.
+
+    A block's marginal is the marginal, on it, of the marginal of any
+    superset, so each block descends from its smallest kept superset (by
+    state count, found with one comparison of site masks), or from the
+    ground when no block contains it.  Descending costs one ``np.bincount``
+    per level, about as much as _DESCENT_CALL cells: from the deepest level
+    up, a level whose blocks, summed from their source's source instead,
+    would cost fewer than _DESCENT_CALL more cells is merged into the one
+    above.  Small programs so keep one flat level, and one whose flat sum
+    takes fewer than _DESCENT_CALL cells needs no search."""
+    if n_states(ground) * len(blocks) < _DESCENT_CALL:
+        return [[(u, ground) for u in blocks]]
+    at = {x: i for i, x in enumerate(ground)}
+    masks = np.array([sum(1 << at[x] for x in u) for u in blocks], dtype=np.int64)
+    # the states of each block, and of the ground at index -1
+    cost = np.array([n_states(u) for u in blocks] + [n_states(ground)], dtype=float)
+    within = (masks & masks[:, None]) == masks[:, None]  # [i, j]: block i lies in block j
+    np.fill_diagonal(within, False)
+    src = np.where(within.any(axis=1), np.where(within, cost[:-1], np.inf).argmin(axis=1), -1)
+    depth = np.zeros(len(blocks), dtype=np.intp)
+    for i in sorted(range(len(blocks)), key=lambda i: -len(blocks[i])):
+        if src[i] >= 0:
+            depth[i] = depth[src[i]] + 1  # a superset has more sites: its depth is set
+    while depth.max() > 0:
+        deepest = np.flatnonzero(depth == depth.max())
+        up = src[src[deepest]]
+        if (cost[up] - cost[src[deepest]]).sum() >= _DESCENT_CALL:
+            break
+        src[deepest], depth[deepest] = up, depth[deepest] - 1
+    return [
+        [(u, ground if s < 0 else blocks[s]) for u, s, d in zip(blocks, src, depth) if d == k]
+        for k in range(depth.max() + 1)
+    ]
 
 
 def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
@@ -355,24 +438,24 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
     all of them on a measure; on the lattice those whose block count is the
     sum of the counts of their restrictions.  Such a state's cell in the
     marginal on U is its restriction to U, and its child value the one at
-    its restriction to C'.
+    its restriction to C'.  A block marginal summed from a superset W reads
+    each state of W restricted to the block.
     """
     prog = rates._programs.get(space)
     if prog is not None:
         return prog
     ground = rates.ground
-    if space is None:
-        n_states = lambda c: bell_number(len(c))  # noqa: E731
-    else:
-        if space.sites != ground:
-            raise ValueError("measure sites must match the rate system ground set")
+    n_states = _state_counter(ground, space)
+    if space is not None:
         alphabet = dict(zip(space.sites, space.sizes))
-        n_states = lambda c: math.prod(alphabet[x] for x in c)  # noqa: E731
-    kept, edges, nodes = _trie(rates)
-    blocks = sorted({u for p, _ in kept for u in p.blocks})
-    # the subsets each remainder is restricted to: every block at the root,
-    # and on each edge its blocks and its child's remainder (empty at a leaf)
-    wanted: dict = {ground: dict.fromkeys(blocks)} if kept else {}
+    kept, edges, nodes, leaves = _trie(rates)
+    descent, _ = _plan(rates, space)
+    # the subsets each set is restricted to: each block at its source, and
+    # on each edge its blocks and its child's remainder (empty at a leaf)
+    wanted: dict = {}
+    for level in descent:
+        for u, w in level:
+            wanted.setdefault(w, {})[u] = None
     for prefix, edge_blocks, end in edges:
         subsets = wanted.setdefault(nodes[prefix][1], {})
         subsets.update(dict.fromkeys(edge_blocks + (nodes[end][1],)))
@@ -410,13 +493,20 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
             at = np.array(strides, dtype=np.intp) @ letters
             for u, idx in zip(subsets, at):
                 restricted[c, u] = idx, None
-    state_cells = np.zeros((n_states(ground), len(blocks)), dtype=np.intp)
-    start = {}
-    n_cells = 0
-    for i, u in enumerate(blocks):
-        state_cells[:, i] = n_cells + restricted[ground, u][0]
-        start[u] = n_cells
-        n_cells += n_states(u)
+    # the block marginals, level after level, and their sums
+    blocks = tuple(u for level in descent for u, _ in level)
+    ends = np.cumsum([0] + [n_states(u) for u in blocks]).tolist()
+    start, n_cells = dict(zip(blocks, ends)), ends[-1]
+    top, *deeper = descent
+    ground_cells = np.zeros((n_states(ground), len(top)), dtype=np.intp)
+    for i, (u, _) in enumerate(top):
+        ground_cells[:, i] = start[u] + restricted[ground, u][0]
+    steps = []
+    for level in deeper:
+        lo = start[level[0][0]]
+        src = np.concatenate([np.arange(start[w], start[w] + size_of[w]) for _, w in level])
+        tgt = np.concatenate([start[u] - lo + restricted[w, u][0] for u, w in level])
+        steps.append((lo, lo + sum(n_states(u) for u, _ in level), src, tgt))
     # node values: leaves first, then inner nodes by height, the root last
     offset = {p.blocks: k for k, (p, _) in enumerate(kept)}
     lo: dict = {}
@@ -473,31 +563,99 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
     values = np.zeros(offset.get((), 0))  # all but the root, placed last: its values are the gain
     values[: len(kept)] = [r for _, r in kept]
     loss = float(sum(r for _, r in kept))
-    prog = _TrieProgram(loss, state_cells.reshape(-1), len(blocks), n_cells, values, levels)
+    prog = _TrieProgram(
+        loss, blocks, ground_cells.reshape(-1), len(top), n_cells, steps, values, levels, leaves
+    )
     rates._programs[space] = prog
     return prog
 
 
-def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
-    """The number of cell indices ``_program(rates, space)`` stores, from
-    the trie and block sizes alone: one per state and distinct block, and one
-    per block of each edge cell.  An edge out of a node with remainder C
-    feeds every state of C on a measure; on the lattice it feeds the
-    prod_V B(|V|) partitions of C that its blocks and its child's remainder
-    V do not cut."""
-    kept, edges, nodes = _trie(rates)
+def _plan(rates: RateSystem, space: TypeSpace | None) -> tuple[list, int]:
+    """The descent of the block marginals (``_descent``) and the cell count
+    of the program of rates on space, from the trie and block sizes alone;
+    cached on the rates."""
+    plan = rates._plans.get(space)
+    if plan is not None:
+        return plan
+    ground = rates.ground
+    n_states = _state_counter(ground, space)
+    kept, edges, nodes, _ = _trie(rates)
     if space is None:
-        states = bell_number(len(rates.ground))
         fed = [
             math.prod(bell_number(len(v)) for v in blocks + (nodes[end][1],))
             for _, blocks, end in edges
         ]
     else:
-        states = space.n_states
-        alphabet = dict(zip(space.sites, space.sizes))
-        fed = [math.prod(alphabet[x] for x in nodes[prefix][1]) for prefix, _, _ in edges]
-    blocks = {u for p, _ in kept for u in p.blocks}
-    return states * len(blocks) + sum(len(e[1]) * m for e, m in zip(edges, fed))
+        fed = [n_states(nodes[prefix][1]) for prefix, _, _ in edges]
+    descent = _descent(ground, sorted({u for p, _ in kept for u in p.blocks}), n_states)
+    marginals = sum(
+        n_states(w) * (1 if w == ground else 2) for level in descent for _, w in level
+    )
+    plan = descent, marginals + sum(len(e[1]) * m for e, m in zip(edges, fed))
+    rates._plans[space] = plan
+    return plan
+
+
+def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
+    """The number of cell indices ``_program(rates, space)`` stores, from
+    the trie and block sizes alone, cached on the rates: for each block
+    marginal summed from the ground one per state, and for each summed from
+    a superset W two per state of W (its source and its target); and one
+    per block of each edge cell.  An edge out of a node with remainder C
+    feeds every state of C on a measure; on the lattice it feeds the
+    prod_V B(|V|) partitions of C that its blocks and its child's remainder
+    V do not cut."""
+    return _plan(rates, space)[1]
+
+
+def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = None) -> np.ndarray:
+    """The flat weights of sum_A values[t, A] * R_A(omega0) for each row t
+    of a (T, B) array of coefficients on omega0's sites, R_A being the
+    block-product operator of ``measures.recombinator``.
+
+    The top's operator is the identity; the other partitions with a nonzero
+    coefficient go through a trie program with their coefficients in its
+    leaves and no loss, on omega0's block marginals summed once.  That is
+    the program of rates on omega0's space when its leaves hold them all
+    (and it is within MAX_STATES), and otherwise one compiled on them, in runs whose programs hold at most
+    MAX_STATES cell indices each (the mixture is linear in the leaves)."""
+    space = omega0.space
+    lat = lattice(space.sites)
+    w = omega0.weights.reshape(-1)
+    out = np.outer(values[:, lat.top_index], w)
+    s = float(w.sum())
+    used = np.any(values != 0.0, axis=0)
+    used[lat.top_index] = False
+    if s == 0.0 or not used.any():  # the zero measure maps to itself
+        return out
+    held = np.zeros(lat.size, dtype=bool)
+    if rates is not None and program_cells(rates, space) <= MAX_STATES:
+        prog = _program(rates, space)
+        held[prog.leaves] = True
+    if (used & ~held).any():
+        programs = _support_programs(np.flatnonzero(used), space)
+    else:
+        programs = [prog]
+    unit = w / s
+    for prog in programs:
+        marg = prog.marginals(unit)
+        out += s * np.stack([prog.gain(marg, row) for row in values[:, prog.leaves]])
+    return out
+
+
+def _support_programs(support: np.ndarray, space: TypeSpace):
+    """Programs whose leaves are the partitions at the lattice indices
+    support, compiled one after the other: one program, or when it would
+    hold more than MAX_STATES cell indices, the programs of each half."""
+    parts = lattice(space.sites).parts
+    runs = [support]
+    while runs:
+        run = runs.pop()
+        rates = RateSystem(space.sites, {parts[i]: 1.0 for i in run})
+        if run.size > 1 and program_cells(rates, space) > MAX_STATES:
+            runs += [run[run.size // 2 :], run[: run.size // 2]]
+        else:
+            yield _program(rates, space)
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:
@@ -562,12 +720,15 @@ def rk4_plan(
     system (space None) or the measure system on space.
 
     The counts are floats, so an integration without bound reads as inf
-    instead of overflowing; a total above MAX_SUBSTEPS raises ValueError, and
-    so does a gain term above MAX_STATES cell indices (``program_cells``).
+    instead of overflowing.  ValueError is raised, before anything is
+    compiled, for a gain term above MAX_STATES cell indices
+    (``program_cells``), for a total above MAX_SUBSTEPS, and for an
+    integration whose right-hand sides would visit more than MAX_RK4_WORK
+    cell indices: four evaluations per substep.
     """
+    kind = "coefficient" if space is None else "measure"
     cells = program_cells(rates, space)
     if cells > MAX_STATES:
-        kind = "coefficient" if space is None else "measure"
         raise ValueError(f"{kind} program of {cells} cell indices exceeds {MAX_STATES}")
     g = _validate_grid(grid)
     span = float(g[-1] - g[0]) if g.size > 1 else 1.0
@@ -579,6 +740,11 @@ def rk4_plan(
         raise ValueError(
             f"integration needs {total:.3g} RK4 substeps, more than {MAX_SUBSTEPS}; "
             "use a larger step or a shorter time grid"
+        )
+    if 4 * total * cells > MAX_RK4_WORK:
+        raise ValueError(
+            f"{kind} integration of {total:.0f} RK4 substeps over {cells} cell indices "
+            f"would visit {4 * total * cells:.3g} cells, more than {MAX_RK4_WORK}"
         )
     return g, h, substeps
 

@@ -146,18 +146,27 @@ def recombinator(a: Partition, nu: Measure) -> Measure:
 
 
 def mixture(coeffs, nu0: Measure) -> Measure:
-    """Weighted combination sum_c coeffs(c) * recombinator(c, nu0).
+    """Weighted combination sum_c coeffs(c) * recombinator(c, nu0), taken
+    through a trie program on nu0's block marginals
+    (``recomb.dynamics.mixtures``).
 
     Accepts a Partition -> float mapping or any object with an as_dict()
     method producing one.
     """
+    from recomb.dynamics import mixtures  # recomb.dynamics imports this module
+
     items = coeffs.as_dict() if hasattr(coeffs, "as_dict") else dict(coeffs)
-    out = np.zeros(tuple(nu0.space.sizes))
+    space = nu0.space
+    w = nu0.weights
+    if w.size and w.min() < -_NEG_TOL * max(1.0, abs(w).max()):
+        raise ValueError("mixtures are only defined for nonnegative measures")
+    lat = lattice(space.sites)
+    values = np.zeros((1, lat.size))
     for p, c in items.items():
-        if c == 0.0:
-            continue
-        out += float(c) * recombinator(p, nu0).weights
-    return Measure(nu0.space, out, validate=False)
+        if p.ground != space.sites:
+            raise ValueError(f"partition ground {p.ground} != sites {space.sites}")
+        values[0, lat.index[p]] = float(c)
+    return Measure(space, mixtures(values, nu0)[0].reshape(space.sizes), validate=False)
 
 
 def invariant_partition_set(

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import recomb
+import recomb.cli as cli
+import recomb.dynamics as dynamics
 from recomb.cli import main
+from recomb.dynamics import default_step, program_cells, rk4_plan
 from recomb.measures import Measure, TypeSpace, measure_to_csv
 from recomb.partitions import MAX_SITES, Partition
 from recomb.scenario import (
@@ -43,8 +46,8 @@ BAD_DEGENERATE_N4 = {
 }
 
 # every partition of six sites rated on 12**6 types: 2,985,984 states pass
-# the grid bound, but the measure right-hand side would hold 299 million
-# cell indices, 185 million of them in the state-cell table alone
+# the grid bound, but the measure right-hand side would hold 140 million
+# cell indices, 26 million of them for the block marginals
 HUGE_MEASURE_PROGRAM = {
     "n": 6,
     "rates": {str(p): 1.0 for p in lattice(ground_set(6)).parts},
@@ -73,8 +76,9 @@ N10_FIVE_SPLITS = {
 }
 
 # all 511 two-block partitions of ten sites rated: the coefficient program
-# would hold 122,707,298 cell indices, and the closed form would store
-# 43,289,930 comparable pairs and expand 243,829,119 chains
+# would hold 8,734,070 cell indices and its default 10,220 RK4 substeps
+# would visit 3.57e11 of them, and the closed form would store 43,289,930
+# comparable pairs and expand 243,829,119 chains
 N10_TWO_BLOCK = {
     "n": 10,
     "rates": {
@@ -495,8 +499,60 @@ def test_oversized_coefficient_program_refused(tmp_path):
     proc = run_cli(["integrate", "--config", str(cfg), "--out", str(out)], address_space=2 << 30)
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("configuration error: coefficient program of 122707298")
+    assert proc.stderr.startswith(
+        "configuration error: coefficient integration of 10220 RK4 substeps "
+        "over 8734070 cell indices"
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["integrate", "compare"])
+def test_measure_work_refused_before_out(tmp_path, command, monkeypatch, capsys):
+    # a work bound between the coefficient and the measure integrations:
+    # the measure RK4 is refused before --out exists
+    scenario = Scenario.from_dict(GENERIC_N3)
+    _, _, substeps = rk4_plan(scenario.rates, scenario.grid.array())
+    coefficient = int(4 * substeps.sum()) * program_cells(scenario.rates)
+    assert 4 * substeps.sum() * program_cells(scenario.rates, scenario.space) > coefficient
+    monkeypatch.setattr(dynamics, "MAX_RK4_WORK", coefficient)
+    cfg = write_config(tmp_path, GENERIC_N3)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: measure integration of 76 RK4 substeps")
+    assert not out.exists()
+
+
+def test_consecutive_calls_share_no_state(tmp_path, monkeypatch):
+    # the parser is built once per process, and an option given to one call
+    # does not reach the next
+    cfg = write_config(tmp_path, GENERIC_N3)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+
+    def refuse():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    runs = {
+        "seeded": ["compare", "--seed", "5"],
+        "unseeded": ["compare"],
+        "stepped": ["integrate", "--step", "0.01"],
+        "default": ["integrate"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    seeds = [
+        json.loads((tmp_path / name / "comparison.json").read_text())["monte_carlo"]["seed"]
+        for name in ("seeded", "unseeded")
+    ]
+    assert seeds == [5, GENERIC_N3["monte_carlo"]["seed"]]
+    steps = [
+        json.loads((tmp_path / name / "integrate_meta.json").read_text())["step"]
+        for name in ("stepped", "default")
+    ]
+    rates = Scenario.from_dict(GENERIC_N3).rates
+    assert steps == [0.01, default_step(rates, GENERIC_N3["time_grid"]["end"])]
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -1,8 +1,10 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recomb.dynamics as dynamics
 from recomb.dynamics import (
     CoefficientVector,
     RateSystem,
@@ -13,6 +15,7 @@ from recomb.dynamics import (
     integrate_measure,
     measure_rhs,
     meet_gain,
+    mixtures,
     program_cells,
     refinement_gain,
     rk4_plan,
@@ -23,6 +26,7 @@ from recomb.measures import (
     TypeSpace,
     mixture,
     product_measure,
+    recombinator,
     tv_deviation,
 )
 from recomb.partitions import (
@@ -34,6 +38,7 @@ from recomb.partitions import (
     meet,
     restrict,
 )
+from recomb.scenario import Scenario
 
 from conftest import random_rates
 
@@ -555,13 +560,14 @@ class TestPairProgram:
             for space in (None, TypeSpace.regular(n, 3)):
                 prog = _program(rates, space)
                 blocks = sum(c.size for level in prog.levels for c in level.cells)
-                stored = prog.state_cells.size + blocks
+                descent = sum(src.size + tgt.size for _, _, src, tgt in prog.descent)
+                stored = prog.ground_cells.size + descent + blocks
                 assert program_cells(rates, space) == stored
 
     def test_plan_refuses_a_program_above_the_bound(self):
-        # every partition of six sites rated, on 12**6 types: the state-cell
-        # table alone holds 185,131,008 indices, 299,202,336 with the trie
-        # (the coefficient bound is tested at n = 10 in a child process, see
+        # every partition of six sites rated, on 12**6 types: the block
+        # marginals take 26,263,872 indices, 140,335,200 with the trie (the
+        # coefficient work bound is tested at n = 10 in a child process, see
         # test_cli)
         rates = random_rates(6, 1)
         space = TypeSpace.regular(6, 12)
@@ -572,3 +578,217 @@ class TestPairProgram:
         with pytest.raises(ValueError, match="measure program"):
             integrate_measure(rates, omega0, [0.0, 1.0])
         assert space not in rates._programs
+
+
+def flat_marginals(prog, unit, ground, space=None):
+    """Every block marginal of unit in the program's block order, the way
+    the program summed them before the descent: one ``np.bincount`` over
+    each state's cell in each block marginal, state-major.  Kept as an
+    oracle for the descent."""
+    columns, sizes = [], []
+    for u in prog.blocks:
+        if space is None:
+            columns.append(lattice(ground).restriction_index(u))
+            sizes.append(lattice(u).size)
+        else:
+            coords = np.indices(space.sizes).reshape(len(space.sizes), -1)
+            sub = space.subspace(u)
+            columns.append(np.ravel_multi_index(coords[[space.axis(x) for x in u]], sub.sizes))
+            sizes.append(sub.n_states)
+    start = np.cumsum([0] + sizes)
+    state_cells = np.zeros((unit.size, len(columns)), dtype=np.intp)
+    for i, idx in enumerate(columns):
+        state_cells[:, i] = start[i] + idx
+    return np.bincount(state_cells.reshape(-1), unit.repeat(len(columns)), start[-1])
+
+
+def einsum_mixture(values, omega0):
+    """sum_A values[t, A] * R_A(omega0) for each row t, one
+    ``recombinator`` einsum per partition with a nonzero coefficient, as
+    the measure check summed it before it went through the trie.  Kept as
+    an oracle for ``mixtures``."""
+    parts = lattice(omega0.space.sites).parts
+    mix = np.zeros((values.shape[0], omega0.space.n_states))
+    for i in np.flatnonzero(np.any(values != 0.0, axis=0)):
+        mix += np.outer(values[:, i], recombinator(parts[i], omega0).weights.reshape(-1))
+    return mix
+
+
+def interval_rates(n):
+    """The ordered two-block partitions of n sites (the linear regime)."""
+    g = ground_set(n)
+    return RateSystem(g, {Partition([g[:k], g[k:]]): 0.2 + 0.1 * k for k in range(1, n)})
+
+
+def one_rate(n):
+    """One rated partition: the first half of the sites against the rest."""
+    g = ground_set(n)
+    blocks = [g[: (n + 1) // 2], g[(n + 1) // 2 :]]
+    return RateSystem(g, {Partition([b for b in blocks if b]): 1.3})
+
+
+SUPPORTS = {
+    "all": lambda n: random_rates(n, 1),
+    "half": half_rated,
+    "intervals": interval_rates,
+    "one": one_rate,
+}
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
+
+def mixed_space(n):
+    """Alphabets of sizes 3 and 2 in turn, so strides differ by axis."""
+    return TypeSpace(ground_set(n), [3 - i % 2 for i in range(n)])
+
+
+class TestDescent:
+    @pytest.mark.parametrize("support", list(SUPPORTS))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_marginals_match_the_flat_sum(self, n, support):
+        for space in (None, mixed_space(n)):
+            rates = SUPPORTS[support](n)
+            prog = _program(rates, space)
+            width = lattice(rates.ground).size if space is None else space.n_states
+            unit = np.random.default_rng(n).random(width)
+            unit /= unit.sum()
+            if not prog.blocks:
+                assert prog.n_cells == 0 and not prog.descent
+                continue
+            got, want = prog.marginals(unit), flat_marginals(prog, unit, rates.ground, space)
+            ends = np.cumsum([0] + [
+                lattice(u).size if space is None else space.subspace(u).n_states
+                for u in prog.blocks
+            ])
+            for u, lo, hi in zip(prog.blocks, ends[:-1], ends[1:]):
+                assert np.abs(got[lo:hi] - want[lo:hi]).max() <= 1e-14, u
+
+    def test_large_programs_descend(self):
+        # the all-rated n = 7 programs sum most marginals from supersets,
+        # so the oracle comparison above covers the descent, not only the
+        # flat level
+        for space in (None, mixed_space(7)):
+            prog = _program(random_rates(7, 1), space)
+            assert len(prog.descent) >= 2
+            assert prog.n_ground < len(prog.blocks) / 2
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_levels_stop_where_merging_costs_a_call(self, n):
+        # the deepest level stays only if summing its blocks from their
+        # sources' sources would cost at least one call's worth of cells
+        for rates in (random_rates(n, 1), half_rated(n), interval_rates(n)):
+            for space in (None, mixed_space(n)):
+                plan, _ = dynamics._plan(rates, space)
+                states = dynamics._state_counter(rates.ground, space)
+                source = {u: w for level in plan for u, w in level}
+                if len(plan) > 1:
+                    extra = sum(states(source[w]) - states(w) for _, w in plan[-1])
+                    assert extra >= dynamics._DESCENT_CALL
+                else:
+                    assert all(w == rates.ground for w in source.values())
+
+    @pytest.mark.parametrize("name", ["n3_generic", "n4_bad_degenerate", "n4_single_crossover"])
+    def test_shipped_programs_stay_flat_and_bitwise(self, name):
+        scenario = Scenario.from_file(SCENARIOS / f"{name}.json")
+        for space in (None, scenario.space):
+            prog = _program(scenario.rates, space)
+            assert not prog.descent
+            width = lattice(scenario.ground).size if space is None else space.n_states
+            vec = np.random.default_rng(7).random(width)
+            s = float(vec.sum())
+            flat = flat_marginals(prog, vec / s, scenario.ground, space)
+            want = -prog.loss * vec + s * prog.gain(flat)
+            assert np.array_equal(prog.rhs(vec), want)
+
+
+def assert_mixture_matches(values, omega0, rates=None):
+    got = mixtures(values, omega0, rates)
+    want = einsum_mixture(values, omega0)
+    mass = omega0.norm() or 1.0
+    assert np.abs(got - want).max() <= 1e-15 * mass
+
+
+class TestMixtures:
+    def setup_method(self):
+        self.rng = np.random.default_rng(33)
+
+    def unit_measure(self, space):
+        w = self.rng.random(space.sizes)
+        return Measure(space, w / w.sum())
+
+    def coefficients(self, n, columns, times=3):
+        """Random coefficients on the lattice indices columns, and the top."""
+        values = np.zeros((times, lattice(ground_set(n)).size))
+        values[:, columns] = self.rng.random((times, len(columns)))
+        values[:, 0] = self.rng.random(times)
+        return values
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_covered_support_reuses_the_rated_program(self, n, monkeypatch):
+        rates = half_rated(n)
+        space = mixed_space(n)
+        prog = _program(rates, space)
+
+        def refuse(support, space):
+            raise AssertionError("compiled a program on the support")
+
+        monkeypatch.setattr(dynamics, "_support_programs", refuse)
+        assert_mixture_matches(self.coefficients(n, prog.leaves), self.unit_measure(space), rates)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_uncovered_support_compiles_its_own(self, n):
+        # the trajectory of interval rates reaches partitions that are not
+        # rated, and the half-rated program lacks a random half
+        space = mixed_space(n)
+        omega0 = self.unit_measure(space)
+        rates = interval_rates(n)
+        grid = np.linspace(0.0, 1.0, 4)
+        traj = integrate_coefficients(rates, CoefficientVector.delta_top(rates.ground), grid)
+        assert_mixture_matches(traj.values, omega0, rates)
+        columns = np.arange(1, lattice(ground_set(n)).size)
+        assert_mixture_matches(self.coefficients(n, columns), omega0, half_rated(n))
+        assert_mixture_matches(self.coefficients(n, columns), omega0)
+
+    def test_zero_measure_maps_to_zero(self):
+        space = mixed_space(4)
+        zero = Measure(space, np.zeros(space.sizes))
+        values = self.coefficients(4, np.arange(1, 15))
+        for rates in (None, random_rates(4, 1)):
+            assert not mixtures(values, zero, rates).any()
+        assert_mixture_matches(values, zero)
+
+    def test_support_split_into_runs(self, monkeypatch):
+        # a bound below the support program's cells: the support compiles in
+        # runs, each at most the bound unless it holds one partition
+        space = mixed_space(5)
+        omega0 = self.unit_measure(space)
+        values = self.coefficients(5, np.arange(1, 52))
+        whole = RateSystem(space.sites, {p: 1.0 for p in lattice(space.sites).parts[1:]})
+        bound = program_cells(whole, space) // 5
+        runs = []
+        compile_program = dynamics._program
+
+        def counted(rates, space=None):
+            runs.append(program_cells(rates, space))
+            return compile_program(rates, space)
+
+        monkeypatch.setattr(dynamics, "MAX_STATES", bound)
+        monkeypatch.setattr(dynamics, "_program", counted)
+        assert_mixture_matches(values, omega0)
+        assert len(runs) > 5
+        assert all(cells <= bound for cells in runs)
+
+    def test_measures_mixture_goes_through_the_trie(self, monkeypatch):
+        space = mixed_space(4)
+        omega0 = self.unit_measure(space)
+        parts = lattice(space.sites).parts
+        coeffs = dict(zip(parts, self.rng.random(len(parts))))
+
+        def refuse(a, nu):
+            raise AssertionError("mixture called the einsum operator")
+
+        want = einsum_mixture(np.array([list(coeffs.values())]), omega0)
+        monkeypatch.setattr("recomb.measures.recombinator", refuse)
+        got = mixture(coeffs, omega0).weights.reshape(1, -1)
+        assert np.abs(got - want).max() <= 1e-15
