@@ -95,19 +95,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _is_interval_two_block(p: Partition, ground: tuple[int, ...]) -> bool:
-    if p.block_count != 2:
-        return False
-    first, second = p.blocks
-    return first + second == ground
-
-
 def _linear_regime(scenario: Scenario) -> bool:
-    """Support restricted to ordered two-block partitions (the single-block
-    partition is allowed, its operator is the identity)."""
-    g = scenario.ground
-    support = [p for p in scenario.rates.support() if p.block_count > 1]
-    return bool(support) and all(_is_interval_two_block(p, g) for p in support)
+    """Support restricted to ordered two-block partitions 1..k | k+1..n,
+    whose labels ascend from 0 to 1 (the single-block partition is allowed,
+    its operator is the identity)."""
+    rates = scenario.rates
+    labels = lattice(rates.ground).labels[rates.indices[rates.weights > 0]]
+    support = labels[labels.max(axis=1) > 0]
+    return bool(support.size) and bool(
+        (support.max(axis=1) == 1).all() and (np.diff(support, axis=1) >= 0).all()
+    )
 
 
 def _check_substeps(scenario: Scenario, grid, measure: bool = False) -> None:
@@ -262,7 +259,7 @@ def cmd_compare(args) -> int:
     tol = scenario.tolerances.closed_vs_integrated
     report: dict = {
         "times": grid.tolist(),
-        "partitions": [str(p) for p in lat.parts],
+        "partitions": lat.names,
         "linear_regime": _linear_regime(scenario),
         "fallback": None,
         "tolerances": {"closed_vs_integrated": tol},
@@ -317,9 +314,7 @@ def cmd_compare(args) -> int:
             "t": t,
             "samples": samples,
             "seed": seed,
-            "frequencies": {str(p): f for p, f in sorted(
-                dist.frequencies().items(), key=lambda kv: str(kv[0])
-            )},
+            "frequencies": {name: c / samples for name, c in dist.named_counts()},
             "tv": tv,
             "gate": gate,
             "pass": bool(tv <= gate),

@@ -79,12 +79,25 @@ class DegeneracyPair:
 @dataclass(frozen=True)
 class DegeneracyClass:
     """A maximal run of one subsystem's sorted decay rates with no step above
-    the tolerance, in lattice order; the bad members collide badly with the top."""
+    the tolerance, in lattice order; the bad members collide badly with the top.
+
+    The members are kept as lattice indices of ``lattice(subset)``;
+    ``members`` and ``bad`` are their views as ``Partition``."""
 
     subset: tuple[int, ...]
-    members: tuple[Partition, ...]
+    indices: tuple[int, ...]
     decay: tuple[float, ...]
-    bad: tuple[Partition, ...]
+    bad_indices: tuple[int, ...]
+
+    @property
+    def members(self) -> tuple[Partition, ...]:
+        parts = lattice(self.subset).parts
+        return tuple(parts[i] for i in self.indices)
+
+    @property
+    def bad(self) -> tuple[Partition, ...]:
+        parts = lattice(self.subset).parts
+        return tuple(parts[i] for i in self.bad_indices)
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,7 @@ class DegeneracyReport:
 
     @property
     def has_bad(self) -> bool:
-        return any(c.bad for c in self.classes)
+        return any(c.bad_indices for c in self.classes)
 
     @property
     def pairs(self) -> list[DegeneracyPair]:
@@ -109,29 +122,30 @@ class DegeneracyReport:
         it joins the top to a bad member."""
         out = []
         for c in self.classes:
-            top = Partition.whole(c.subset)
+            lat, bad = lattice(c.subset), set(c.bad_indices)
             d = np.array(c.decay)
             close = np.abs(d[:, None] - d[None, :]) <= self.tolerance
             for i, j in zip(*np.nonzero(np.triu(close, 1))):
-                a, b = c.members[i], c.members[j]
-                kind = "bad" if top in (a, b) and (a in c.bad or b in c.bad) else "harmless"
-                out.append(DegeneracyPair(c.subset, a, b, c.decay[i], c.decay[j], kind))
+                a, b = c.indices[i], c.indices[j]
+                kind = "bad" if lat.top_index in (a, b) and (a in bad or b in bad) else "harmless"
+                out.append(DegeneracyPair(c.subset, lat.parts[a], lat.parts[b], c.decay[i], c.decay[j], kind))
         return out
 
     def to_json_dict(self) -> dict:
+        classes = []
+        for c in self.classes:
+            names = lattice(c.subset).names
+            classes.append({
+                "subset": ",".join(str(x) for x in c.subset),
+                "decay": min(c.decay),
+                "partitions": [names[i] for i in c.indices],
+                "bad": [names[i] for i in c.bad_indices],
+            })
         return {
             "degenerate": self.degenerate,
             "bad": self.has_bad,
             "tolerance": self.tolerance,
-            "classes": [
-                {
-                    "subset": ",".join(str(x) for x in c.subset),
-                    "decay": min(c.decay),
-                    "partitions": [str(p) for p in c.members],
-                    "bad": [str(p) for p in c.bad],
-                }
-                for c in self.classes
-            ],
+            "classes": classes,
         }
 
 
@@ -139,7 +153,7 @@ class DegeneracyError(RuntimeError):
     """Raised when a decay rate collides with the top decay rate."""
 
     def __init__(self, report: DegeneracyReport):
-        bad = sum(len(c.bad) for c in report.classes)
+        bad = sum(len(c.bad_indices) for c in report.classes)
         super().__init__(
             f"{bad} bad decay-rate coincidence(s); closed form unavailable"
         )
@@ -288,6 +302,7 @@ def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
     tables: dict[tuple[int, ...], np.ndarray] = {}
     for k, us in enumerate(_sizes(rates.ground), 1):
         # the blocks of a k-subset's partitions have at most k sites
+        rates.marginals(us)  # all k-subsets' marginals in one restriction lookup
         split[_global_masks(n, k)[:, -1]] = [rates.splitting_rate(u) for u in us]
         lat = lattice(us[0])
         gather = split[_global_masks(n, k)]
@@ -322,10 +337,9 @@ def _scan_degeneracies(
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if hi - lo < 2:
                 continue
-            run = np.sort(order[lo:hi])
-            parts = [lat.parts[i] for i in run]
-            bad_parts = tuple(p for i, p in zip(run, parts) if i in bad)
-            classes.append(DegeneracyClass(u, tuple(parts), tuple(psi[run].tolist()), bad_parts))
+            run = np.sort(order[lo:hi]).tolist()
+            bad_run = tuple(i for i in run if i in bad)
+            classes.append(DegeneracyClass(u, tuple(run), tuple(psi[run].tolist()), bad_run))
     return DegeneracyReport(tuple(classes), tol_abs)
 
 
@@ -439,7 +453,7 @@ class ClosedFormSolution:
             lat = lattice(u)
             ptr, ups = lat.up_sets
             theta = self._coeff[u]
-            names = [str(p) for p in lat.parts]
+            names = lat.names
             decay = dumps(dict(zip(names, psi.tolist())))
             yield f'{", " if i else ""}{dumps(",".join(map(str, u)))}: {{"decay": {decay}, "coeff": {{'
             for lo, hi in _runs(np.diff(ptr)):
@@ -588,8 +602,8 @@ def closed_form_size(rates: RateSystem) -> tuple[int, int]:
     chains = 0
     for us in _sizes(rates.ground):
         below = _chains_below(len(us[0]))
-        for u in us:
-            chains += int(below[1:][rates.marginal(u)[1:] != 0.0].sum())  # 0 is the top
+        for marg in rates.marginals(us):
+            chains += int(below[1:][marg[1:] != 0.0].sum())  # 0 is the top
     return pairs, chains
 
 

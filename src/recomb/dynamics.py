@@ -63,6 +63,9 @@ MAX_RK4_WORK = 1 << 35  # cell indices one integration may visit: 4 * substeps *
 class RateSystem:
     """Nonnegative recombination rates on the partitions of a ground set.
 
+    The rates are kept by lattice index: ``indices`` holds the lattice
+    index of each rated partition once, in the order given, and
+    ``weights`` its rate; ``rates`` is their view by ``Partition``.
     Immutable by convention; derived tables are cached on first use: the
     marginal rates per subset, the prefix trie of the rated partitions' blocks
     and, per state space (None for the coefficient system, a ``TypeSpace``
@@ -72,10 +75,10 @@ class RateSystem:
 
     __slots__ = (
         "ground",
-        "rates",
         "total",
-        "_indices",
-        "_weights",
+        "indices",
+        "weights",
+        "_rates",
         "_marginals",
         "_programs",
         "_plans",
@@ -94,17 +97,46 @@ class RateSystem:
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"rate for {p} must be finite and nonnegative, got {r}")
             clean[p] = r
+        self._setup(g, lattice(g).locate(clean), list(clean.values()))
+        self._rates = clean
+
+    @classmethod
+    def from_indices(cls, ground, indices, weights) -> "RateSystem":
+        """The rates weights[i] of the partitions at the lattice indices
+        indices[i] of ``lattice(ground)``, each index once, checked like
+        those of a mapping; no ``Partition`` is built."""
+        g = as_ground(ground)
+        weights = [float(r) for r in weights]
+        bad = next((k for k, r in enumerate(weights) if not (math.isfinite(r) and r >= 0)), None)
+        if bad is not None:
+            name = lattice(g).names[indices[bad]]
+            raise ValueError(f"rate for {name} must be finite and nonnegative, got {weights[bad]}")
+        self = object.__new__(cls)
+        self._setup(g, np.asarray(indices, dtype=np.intp), weights)
+        self._rates = None
+        return self
+
+    def _setup(self, g: tuple[int, ...], indices: np.ndarray, weights: list[float]) -> None:
         self.ground = g
-        self.rates = clean
-        self.total = float(sum(clean.values()))
-        # lattice indices and weights of the rates, in the order given
-        index = lattice(g).index
-        self._indices = np.array([index[p] for p in clean], dtype=np.intp)
-        self._weights = np.array(list(clean.values()), dtype=float)
+        self.total = float(sum(weights))
+        self.indices = indices
+        self.weights = np.array(weights, dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
         self._programs: dict[TypeSpace | None, _TrieProgram] = {}
         self._plans: dict[TypeSpace | None, tuple[list, int]] = {}
         self._trie: tuple | None = None
+
+    @property
+    def rates(self) -> dict[Partition, float]:
+        """The rates by ``Partition``, in the order given; built on first
+        use when the rates were given by index."""
+        if self._rates is None:
+            g = self.ground
+            blocks = lattice(g).blocks(self.indices)
+            self._rates = {
+                Partition._from_canonical(b, g): r for b, r in zip(blocks, self.weights.tolist())
+            }
+        return self._rates
 
     @classmethod
     def from_strings(cls, ground, rates: Mapping[str, float]) -> "RateSystem":
@@ -125,13 +157,24 @@ class RateSystem:
         accumulated in the order the rates were given."""
         g = as_ground(u)
         cached = self._marginals.get(g)
-        if cached is None:
-            whole = lattice(self.ground)
-            ridx = whole.restrictions(whole.mask(g), self._indices)
-            cached = np.bincount(ridx, weights=self._weights, minlength=lattice(g).size)
-            cached.flags.writeable = False
-            self._marginals[g] = cached
-        return cached
+        return self.marginals([g])[0] if cached is None else cached
+
+    def marginals(self, us) -> list[np.ndarray]:
+        """``marginal(u)`` for each subset u of us.  Those not cached yet
+        share one ``restrictions`` call per run of about _RUN_STATES
+        entries, so that call sees how many restrictions are asked for: a
+        few are looked up, many read the table."""
+        gs = [as_ground(u) for u in us]
+        todo = [g for g in dict.fromkeys(gs) if g not in self._marginals]
+        whole, step = lattice(self.ground), max(1, _RUN_STATES // max(self.indices.size, 1))
+        for lo in range(0, len(todo), step):
+            run = todo[lo : lo + step]
+            masks = np.array([whole.mask(g) for g in run], dtype=np.int64)
+            for g, ridx in zip(run, whole.restrictions(masks[:, None], self.indices)):
+                m = np.bincount(ridx, weights=self.weights, minlength=lattice(g).size)
+                m.flags.writeable = False
+                self._marginals[g] = m
+        return [self._marginals[g] for g in gs]
 
     def splitting_rate(self, u) -> float:
         """Total rate of events whose partition separates the sites of u: the
@@ -325,10 +368,10 @@ class _TrieProgram:
 
 
 def _trie(rates: RateSystem) -> tuple[list, list, dict, np.ndarray]:
-    """The rated partitions of at least two blocks, by descending block
-    count, and the prefix trie of their blocks (canonical order, by least
-    site) with each single-child chain merged into one edge; built on first
-    use and cached on the rates.
+    """The (blocks, rate) of the rated partitions of at least two blocks, by
+    descending block count, and the prefix trie of their blocks (canonical
+    order, by least site) with each single-child chain merged into one
+    edge; built on first use and cached on the rates.
 
     Nodes are named by their prefix: the root is ``()`` and the leaf of the
     k-th kept partition is its ``blocks``.  The edges (parent, blocks, child)
@@ -339,16 +382,15 @@ def _trie(rates: RateSystem) -> tuple[list, list, dict, np.ndarray]:
     indices."""
     if rates._trie is not None:
         return rates._trie
-    items = list(rates.rates.items())
-    order = sorted(
-        (k for k, (p, r) in enumerate(items) if r > 0 and p.block_count > 1),
-        key=lambda k: -items[k][0].block_count,
-    )
-    kept = [items[k] for k in order]
+    lat, indices, weights = lattice(rates.ground), rates.indices, rates.weights
+    count = lat.block_counts[indices]
+    order = np.flatnonzero((weights > 0) & (count > 1))
+    order = order[np.argsort(-count[order], kind="stable")]
+    kept = list(zip(lat.blocks(indices[order]), weights[order].tolist()))
     root: dict = {}
-    for p, _ in kept:
+    for blocks, _ in kept:
         node = root
-        for u in p.blocks:
+        for u in blocks:
             node = node.setdefault(u, {})
     edges: list = []
     nodes: dict = {}
@@ -373,7 +415,7 @@ def _trie(rates: RateSystem) -> tuple[list, list, dict, np.ndarray]:
 
     if kept:
         visit((), rates.ground, root)
-    rates._trie = kept, edges, nodes, rates._indices[order]
+    rates._trie = kept, edges, nodes, indices[order]
     return rates._trie
 
 
@@ -508,7 +550,7 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
         tgt = np.concatenate([start[u] - lo + restricted[w, u][0] for u, w in level])
         steps.append((lo, lo + sum(n_states(u) for u, _ in level), src, tgt))
     # node values: leaves first, then inner nodes by height, the root last
-    offset = {p.blocks: k for k, (p, _) in enumerate(kept)}
+    offset = {blocks: k for k, (blocks, _) in enumerate(kept)}
     lo: dict = {}
     size = len(kept)
     for prefix in sorted((p for p in nodes if nodes[p][0]), key=lambda p: nodes[p][0]):
@@ -587,7 +629,7 @@ def _plan(rates: RateSystem, space: TypeSpace | None) -> tuple[list, int]:
         ]
     else:
         fed = [n_states(nodes[prefix][1]) for prefix, _, _ in edges]
-    descent = _descent(ground, sorted({u for p, _ in kept for u in p.blocks}), n_states)
+    descent = _descent(ground, sorted({u for blocks, _ in kept for u in blocks}), n_states)
     marginals = sum(
         n_states(w) * (1 if w == ground else 2) for level in descent for _, w in level
     )
@@ -647,11 +689,10 @@ def _support_programs(support: np.ndarray, space: TypeSpace):
     """Programs whose leaves are the partitions at the lattice indices
     support, compiled one after the other: one program, or when it would
     hold more than MAX_STATES cell indices, the programs of each half."""
-    parts = lattice(space.sites).parts
     runs = [support]
     while runs:
         run = runs.pop()
-        rates = RateSystem(space.sites, {parts[i]: 1.0 for i in run})
+        rates = RateSystem.from_indices(space.sites, run, [1.0] * run.size)
         if run.size > 1 and program_cells(rates, space) > MAX_STATES:
             runs += [run[run.size // 2 :], run[: run.size // 2]]
         else:

@@ -10,9 +10,14 @@ by ``,``, e.g. ``1,2|3,4``.  Whitespace is ignored.
 
 A lattice of k sites is the lattice of {1..k} with its sites renamed, so all
 lattices of one size share one core: the label arrays, the order, meet and
-Moebius tables, and the restriction table, keyed by the position mask of the
-sub-block.  Only ``Lattice.parts`` and ``Lattice.index`` name the sites; they
-are built on first use.
+Moebius tables, the restriction table, keyed by the position mask of the
+sub-block, and the texts of all partitions with each site spelled by its
+position.  A lattice names its sites only at the edges: ``Lattice.names``
+spells every text from that template by one ``str.translate``, and
+``Lattice.label_row`` reads a text back to block labels, which
+``Lattice.lookup`` finds by their code.  ``Lattice.parts`` and
+``Lattice.index``, one ``Partition`` per entry, are views for callers of
+the public helpers; they are built on first use.
 
 The order is kept as its comparable pairs a <= b, grouped by a.  The up-set
 of a partition a with k blocks is {pi o a : pi in the lattice of k sites}:
@@ -24,7 +29,9 @@ order b ascends, from the top to a itself.  The dense ``finer``, meet and
 Moebius tables remain as views built on demand.
 
 All objects here are immutable after construction and safe to share across
-threads; a cached core, lattice or table is at worst built twice on a race.
+threads; a cached core, lattice or table is at worst built twice on a race,
+and a row of the restriction table, filled on first use, at worst written
+twice with the same values.
 """
 
 from __future__ import annotations
@@ -57,8 +64,16 @@ __all__ = [
 # 115975 partitions with 16,733,779 comparable pairs
 MAX_SITES = 10
 # largest lattice whose restriction indices are kept as one (2^n, B) table
-# (43 MB at n = 9); a larger one looks up only the restrictions asked for
+# (43 MB at n = 9), filled a row at a time when asked for; a larger one
+# looks up only the restrictions asked for
 _TABLE_SITES = 9
+# a call for fewer than one restriction in _FEW_RESTRICTIONS of a lattice's
+# partitions looks them up, and fills no row of the table
+_FEW_RESTRICTIONS = 64
+# the character that spells the s-th site in a core's texts, and the one
+# that stands in for a site name of two or more characters
+_POSITIONS = "0123456789"
+_PLACEHOLDERS = "ABCDEFGHIJ"
 
 
 def ground_set(n: int) -> tuple[int, ...]:
@@ -140,12 +155,9 @@ class Partition:
         return f"Partition({self})"
 
 
-def parse_partition(text: str, ground) -> Partition:
-    """Parse the ``1,2|3,4`` text format against a declared ground set.
-
-    Rejects duplicates and missing sites relative to the ground set.
-    """
-    g = as_ground(ground)
+def _text_blocks(text: str) -> list[list[int]]:
+    """The blocks of a ``1,2|3,4`` text as written, whitespace ignored;
+    empty texts and blocks and sites that are not integers are refused."""
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty partition string")
@@ -157,7 +169,16 @@ def parse_partition(text: str, ground) -> Partition:
             blocks.append([int(x) for x in chunk.split(",")])
         except ValueError as exc:
             raise ValueError(f"bad partition string {text!r}") from exc
-    p = Partition(blocks)
+    return blocks
+
+
+def parse_partition(text: str, ground) -> Partition:
+    """Parse the ``1,2|3,4`` text format against a declared ground set.
+
+    Rejects duplicates and missing sites relative to the ground set.
+    """
+    g = as_ground(ground)
+    p = Partition(_text_blocks(text))
     if p.ground != g:
         raise ValueError(
             f"partition {text!r} does not cover the ground set {g} exactly"
@@ -317,7 +338,12 @@ class _Core:
         self.meet_table: np.ndarray | None = None
         self.mobius: np.ndarray | None = None
         self.block_masks: np.ndarray | None = None
+        self.first_sites: np.ndarray | None = None
+        self.texts: str | None = None
+        # the restriction table, and which of its rows are filled (None
+        # once all are)
         self.restriction_table: np.ndarray | None = None
+        self.filled: np.ndarray | None = None
 
 
 def _fans(core: _Core) -> np.ndarray:
@@ -358,6 +384,24 @@ def _lookup(labels: np.ndarray) -> np.ndarray:
     return np.searchsorted(_core(labels.shape[1]).codes, _encode(_canonical(labels)))
 
 
+def _texts(core: _Core) -> str:
+    """Every text of the lattice of k sites, in lattice order, one line
+    each, with the s-th site spelled ``_POSITIONS[s]``: the sites block by
+    block, each block ascending (a stable argsort of the labels), with
+    ``,`` inside a block and ``|`` between blocks.  One character matrix,
+    decoded once."""
+    if core.texts is None:
+        labels = core.labels
+        k = labels.shape[1]
+        order = np.argsort(labels, axis=1, kind="stable")
+        chars = np.full((labels.shape[0], 2 * k), ord("\n"), dtype=np.uint8)
+        chars[:, 0:-1:2] = np.frombuffer(_POSITIONS.encode(), np.uint8)[order]
+        cut = np.diff(np.take_along_axis(labels, order, axis=1), axis=1) != 0
+        chars[:, 1:-1:2] = np.where(cut, ord("|"), ord(","))
+        core.texts = chars.tobytes().decode("ascii")
+    return core.texts
+
+
 class Lattice:
     """Enumeration, order, meet and Moebius tables for one ground set.
 
@@ -381,26 +425,107 @@ class Lattice:
         self.top_index = 0
         self.bottom_index = self.size - 1
 
-    @cached_property
-    def parts(self) -> tuple[Partition, ...]:
-        """The partitions in enumeration order, named by the ground set;
-        equal blocks are one tuple."""
-        ground, parts, shared = self.ground, [], {}
-        for row in self.labels.tolist():
+    def blocks(self, rows) -> list[tuple[tuple[int, ...], ...]]:
+        """The canonical blocks of the partitions at the lattice indices
+        rows, named by the ground set; equal blocks are one tuple."""
+        ground, out, shared = self.ground, [], {}
+        for row in self.labels[rows].tolist():
             blocks: list[list[int]] = [[] for _ in range(max(row) + 1)]
             for site, lab in zip(ground, row):
                 blocks[lab].append(site)
-            canon = tuple(shared.setdefault(b, b) for b in map(tuple, blocks))
-            parts.append(Partition._from_canonical(canon, ground))
-        return tuple(parts)
+            out.append(tuple(shared.setdefault(b, b) for b in map(tuple, blocks)))
+        return out
+
+    @cached_property
+    def parts(self) -> tuple[Partition, ...]:
+        """The partitions in enumeration order, named by the ground set: a
+        view for the public helpers that take or return ``Partition``."""
+        ground = self.ground
+        return tuple(Partition._from_canonical(b, ground) for b in self.blocks(slice(None)))
 
     @cached_property
     def index(self) -> dict[Partition, int]:
         return {p: i for i, p in enumerate(self.parts)}
 
-    def _lookup(self, labels: np.ndarray) -> np.ndarray:
-        """Lattice index of each row of a (k, n) block-label array."""
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The text ``1,2|3`` of each partition, in lattice order: the
+        core's texts with each position spelled by its site, in one
+        ``str.translate`` of one character per character; a longer name,
+        such as 10, goes in through a placeholder and one ``str.replace``."""
+        spelled = list(zip(_POSITIONS, _PLACEHOLDERS, map(str, self.ground)))
+        text = _texts(self._core).translate(
+            str.maketrans({pos: x if len(x) == 1 else hold for pos, hold, x in spelled})
+        )
+        for _, hold, x in spelled:
+            if len(x) > 1:
+                text = text.replace(hold, x)
+        return tuple(text.split("\n")[:-1])
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {x: s for s, x in enumerate(self.ground)}
+
+    def label_row(self, text: str) -> tuple[list[int], int]:
+        """Block labels of a ``1,2|3,4`` text of a partition of the ground
+        set, one per site with the blocks numbered as written, and the
+        number of blocks.  A text that ``parse_partition`` refuses raises
+        its error."""
+        blocks = _text_blocks(text)
+        at, row = self._positions, [-1] * len(self.ground)
+        for j, block in enumerate(blocks):
+            for x in block:
+                s = at.get(x)
+                if s is None or row[s] >= 0:
+                    parse_partition(text, self.ground)  # raises: a site outside or twice
+                row[s] = j
+        if -1 in row:
+            parse_partition(text, self.ground)  # raises: a site missing
+        return row, len(blocks)
+
+    def lookup(self, labels) -> np.ndarray:
+        """Lattice index of each row of a (rows, n) block-label array, the
+        blocks numbered in any order: the code of its canonical labels,
+        searched in ``codes``."""
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1, len(self.ground))
         return _lookup(labels)
+
+    def lookup_first_sites(self, first: np.ndarray) -> np.ndarray:
+        """Lattice index of each partition given as a (rows, n) array of the
+        position of the first site of each site's block (as in
+        ``first_sites``): a block's label is the number of blocks that
+        start before it, so the labels come from one running count of the
+        block starts, with no relabelling loop."""
+        starts = first == np.arange(first.shape[1])
+        labels = np.take_along_axis(np.cumsum(starts, axis=1) - 1, first.astype(np.intp), axis=1)
+        return np.searchsorted(self.codes, _encode(labels))
+
+    def locate(self, partitions) -> np.ndarray:
+        """Lattice index of each partition of the ground set, by its code;
+        no ``Partition`` of the lattice is built."""
+        at, rows = self._positions, []
+        for p in partitions:
+            row = [0] * len(at)
+            for j, block in enumerate(p.blocks):
+                for x in block:
+                    row[at[x]] = j
+            rows.append(row)
+        return self.lookup(rows)
+
+    @property
+    def first_sites(self) -> np.ndarray:
+        """(B, n) position of the first site of each site's block: where the
+        running maximum of the labels steps up, the block of that label
+        starts."""
+        core = self._core
+        if core.first_sites is None:
+            lab = self.labels
+            starts = np.diff(np.maximum.accumulate(lab, axis=1), axis=1, prepend=-1) > 0
+            rows, sites = np.nonzero(starts)
+            first = np.zeros(lab.shape, dtype=np.int8)
+            first[rows, lab[rows, sites]] = sites
+            core.first_sites = np.take_along_axis(first, lab.astype(np.intp), axis=1)
+        return core.first_sites
 
     @property
     def finer(self) -> np.ndarray:
@@ -411,8 +536,7 @@ class Lattice:
         every site carries b's label of the first site of its a-block."""
         core = self._core
         if core.finer is None:
-            lab = self.labels
-            first = np.argmax(lab[:, :, None] == lab[:, None, :], axis=2)
+            lab, first = self.labels, self.first_sites
             f = np.ones((self.size, self.size), dtype=bool)
             for s in range(1, lab.shape[1]):
                 f &= (lab[:, first[:, s]] == lab[:, s, None]).T
@@ -490,7 +614,7 @@ class Lattice:
         """Index of parts[i] meet each partition: the blocks of the meet are
         the sites sharing both labels."""
         lab = self.labels.astype(np.int64)
-        return self._lookup(lab[i] * len(self.ground) + lab)
+        return self.lookup(lab[i] * len(self.ground) + lab)
 
     @property
     def meet_table(self) -> np.ndarray:
@@ -544,11 +668,14 @@ class Lattice:
         """Index of parts[rows[i]] restricted to the sites at position mask
         masks[i], in the lattice of those sites; 0 for mask 0.  masks and
         rows broadcast.  Up to ``_TABLE_SITES`` sites this reads
-        ``restriction_table``; above, it looks up only the entries asked
-        for, one lookup per number of sites kept."""
-        if len(self.ground) <= _TABLE_SITES:
-            return self.restriction_table[masks, rows]
-        masks, rows = np.broadcast_arrays(np.asarray(masks, dtype=np.int64), rows)
+        ``restriction_table``, filling the rows it needs; a call for few
+        entries, and any call above, looks up only the entries asked for,
+        one lookup per number of sites kept."""
+        masks = np.asarray(masks, dtype=np.int64)
+        entries = np.broadcast(masks, rows).size
+        if len(self.ground) <= _TABLE_SITES and entries * _FEW_RESTRICTIONS >= self.size:
+            return self._restriction_rows(masks)[masks, rows]
+        masks, rows = np.broadcast_arrays(masks, rows)
         bits = masks[..., None] >> np.arange(len(self.ground)) & 1
         kept = bits.sum(axis=-1)
         out = np.zeros(masks.shape, dtype=np.intp)
@@ -558,21 +685,32 @@ class Lattice:
             out[at] = _lookup(self.labels[rows[at][:, None], sites])
         return out
 
-    @property
-    def restriction_table(self) -> np.ndarray:
-        """(2^n, B) int32 table whose row m is the restriction index to the
-        sites at mask m (as in ``block_masks``); row 0 is zero.
+    def _restriction_rows(self, masks) -> np.ndarray:
+        """The (2^n, B) restriction table with at least its rows at masks
+        filled; row 0 is zero.  It starts as zeros, whose pages the system
+        provides only once a row is written.
 
-        Built from n lookups, one per dropped site: every other row drops
-        one more site from a row with one site more, through the table of
-        the smaller lattice."""
+        Each row is one lookup, or drops one more site from a row with one
+        site more (which it fills first), through a row of the table of the
+        smaller lattice."""
         core = self._core
+        n = len(self.ground)
+        full = (1 << n) - 1
         if core.restriction_table is None:
-            n = len(self.ground)
-            full = (1 << n) - 1
             table = np.zeros((1 << n, self.size), dtype=np.int32)
             table[full] = np.arange(self.size)
-            for m in range(full - 1, 0, -1):
+            filled = np.zeros(1 << n, dtype=bool)
+            filled[[0, full]] = True
+            core.restriction_table, core.filled = table, filled
+        table, filled, masks = core.restriction_table, core.filled, np.asarray(masks)
+        if filled is None or filled[masks].all():  # None once every row is filled
+            return table
+        for m in np.unique(masks[~filled[masks]]).tolist():
+            chain = []  # m and the rows above it that are not filled, m first
+            while not filled[m]:
+                chain.append(m)
+                m |= ~m & (m + 1)  # add the lowest site outside m
+            for m in reversed(chain):
                 s = (~m & (m + 1)).bit_length() - 1  # the lowest site outside m
                 up = m | 1 << s
                 if up == full:
@@ -580,11 +718,21 @@ class Lattice:
                 else:
                     # restrict to up, then drop s, the i-th of up's k sites
                     k, i = up.bit_count(), (up & ((1 << s) - 1)).bit_count()
-                    drop = lattice(ground_set(k)).restriction_table[((1 << k) - 1) ^ 1 << i]
-                    table[m] = drop[table[up]]
-            table.flags.writeable = False
-            core.restriction_table = table
-        return core.restriction_table
+                    drop = ((1 << k) - 1) ^ 1 << i
+                    table[m] = lattice(ground_set(k))._restriction_rows(drop)[drop][table[up]]
+                filled[m] = True
+        if filled.all():
+            core.filled = None
+        return table
+
+    @property
+    def restriction_table(self) -> np.ndarray:
+        """(2^n, B) int32 table whose row m is the restriction index to the
+        sites at mask m (as in ``block_masks``); row 0 is zero.  Every row
+        filled, read-only."""
+        table = self._restriction_rows(np.arange(1 << len(self.ground))).view()
+        table.flags.writeable = False
+        return table
 
 
 @lru_cache(maxsize=None)

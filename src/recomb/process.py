@@ -21,7 +21,7 @@ and independent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -51,15 +51,30 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-@dataclass
+@dataclass(eq=False)
 class EmpiricalDistribution:
-    """Replicate counts per partition, with the sampling metadata."""
+    """Replicate counts per partition, with the sampling metadata.  The
+    counts are kept by lattice index: ``tally[i]`` replicates ended at the
+    i-th partition of ``lattice(ground)``, and ``counts`` is their view by
+    ``Partition``."""
 
-    counts: dict[Partition, int]
+    ground: tuple[int, ...]
+    tally: np.ndarray
     n_samples: int
     t: float
     seed: int | None = None
     generator: str = GENERATOR_NAME
+
+    @cached_property
+    def counts(self) -> dict[Partition, int]:
+        """The counts of the partitions reached, in lattice order."""
+        parts = lattice(self.ground).parts
+        return {parts[i]: int(self.tally[i]) for i in np.flatnonzero(self.tally)}
+
+    def named_counts(self) -> list[tuple[str, int]]:
+        """(text, count) of each partition reached, sorted by text."""
+        names = lattice(self.ground).names
+        return sorted((names[i], int(self.tally[i])) for i in np.flatnonzero(self.tally))
 
     def frequency(self, p: Partition) -> float:
         return self.counts.get(p, 0) / self.n_samples
@@ -69,48 +84,25 @@ class EmpiricalDistribution:
 
 
 @lru_cache(maxsize=None)
-def _text_rank(names: tuple[str, ...]) -> np.ndarray:
-    """Rank of each partition of the sites called ``names``, in lattice
-    order, among the texts ``1,2|3`` of all of them, computed from the
-    labels with no ``Partition`` or ``str`` built.
-
-    Each text lists the sites block by block, each block ascending (a
-    stable argsort of the labels), with ``,`` inside a block and ``|``
-    between blocks.  So every text of one ground holds each name once and
-    k - 1 separators: all have one length, and their order is one lexsort
-    of the character matrix.  With one character per site that length is
-    2k - 1 and, since ``,`` < digit < ``|``, the order depends on the
-    positions only (``_text_order`` shares it); a longer name, say 10, which
-    sorts before 2, shifts the characters after it."""
-    k = len(names)
-    labels = lattice(ground_set(k)).labels
-    order = np.argsort(labels, axis=1, kind="stable")
-    tokens = np.empty((labels.shape[0], 2 * k - 1), dtype=np.int8)  # site positions, then k for ",", k + 1 for "|"
-    tokens[:, 0::2] = order
-    tokens[:, 1::2] = k + (np.diff(np.take_along_axis(labels, order, axis=1), axis=1) != 0)
-    spelled = [name.encode() for name in names] + [b",", b"|"]
-    width = max(map(len, spelled))
-    chars = np.array([list(c.ljust(width, b"\0")) for c in spelled], dtype=np.uint8)
-    lengths = np.array([len(c) for c in spelled])
-    text = np.zeros((labels.shape[0], sum(lengths[:k]) + k - 1), dtype=np.uint8)
-    cursor = np.zeros(labels.shape[0], dtype=np.intp)
-    for token in tokens.T:  # one character column at a time
-        for c in range(width):
-            at = np.flatnonzero(lengths[token] > c)
-            text[at, cursor[at] + c] = chars[token[at], c]
-        cursor += lengths[token]
-    rank = np.empty(labels.shape[0], dtype=np.intp)
-    rank[np.lexsort(text.T[::-1])] = np.arange(labels.shape[0])
+def _text_rank(ground: tuple[int, ...]) -> np.ndarray:
+    """Rank of each partition of ground, in lattice order, among the texts
+    ``1,2|3`` of all of them (``Lattice.names``)."""
+    names = lattice(ground).names
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[np.argsort(np.array(names))] = np.arange(len(names))
     return rank
 
 
 def _text_order(ground: tuple[int, ...]) -> np.ndarray:
-    """``_text_rank`` of the ground's site names; grounds whose sites all
-    have one character share the rank of their size."""
-    names = tuple(map(str, ground))
-    if all(len(name) == 1 for name in names):
-        names = tuple("0123456789"[: len(names)])
-    return _text_rank(names)
+    """``_text_rank`` of the ground; grounds whose sites all have one
+    character share the rank of their size.  All texts of one ground hold
+    each name once and k - 1 separators, so they have one length and, since
+    ``,`` < digit < ``|``, with one character per site their order depends
+    on the positions only; a longer name, say 10, which sorts before 2,
+    shifts the characters after it."""
+    if len(ground) < 10 and all(0 <= x <= 9 for x in ground):
+        ground = ground_set(len(ground))
+    return _text_rank(ground)
 
 
 def _jump_table(rates: RateSystem, start: int):
@@ -120,7 +112,11 @@ def _jump_table(rates: RateSystem, start: int):
     U at U's marginal rate; blocks in order, each block's partitions sorted
     by text (``_text_order``).  Only states reachable from start have rows,
     each found in the frontier round of its first jump; every other row is
-    empty.
+    empty.  A successor is written as the first site of each site's block
+    (``Lattice.first_sites``): its state's row with U's sites taken from
+    the split of U, whose first site is U's, so the split's own blocks
+    start where it says and every other block keeps its start; its code
+    follows from those starts (``Lattice.lookup_first_sites``).
 
     Each entry is a distinct strict refinement (s, successor), so the table
     holds at most ``pair_count - size`` entries: 16,617,804 at ``MAX_SITES``
@@ -136,7 +132,8 @@ def _jump_table(rates: RateSystem, start: int):
         lab = lat.labels[frontier]
         masks = (lab[:, None, :] == np.arange(n)[:, None]) @ bits  # sites of block k
         row, k = np.nonzero(masks & (masks - 1))  # blocks of two or more sites
-        pieces = [(row[:0],) * 2 + (lab[:0], np.empty(0))]  # for a round with no split
+        first_site = lat.first_sites[frontier]
+        pieces = [(row[:0],) * 2 + (first_site[:0], np.empty(0))]  # for a round with no split
         sets = masks[row, k]
         by = np.argsort(sets)  # the blocks grouped by their sites
         us, firsts = np.unique(sets[by], return_index=True)
@@ -148,11 +145,11 @@ def _jump_table(rates: RateSystem, start: int):
             j = j[j != sub.top_index]
             j = j[np.argsort(_text_order(sub.ground)[j])]
             at, rank = np.repeat(hit, j.size), np.tile(np.arange(j.size), hit.size)
-            new = lab[row[at]]
-            new[:, cols] = n + sub.labels[j][rank]  # fresh labels on U's sites
+            new = first_site[row[at]]
+            new[:, cols] = cols[sub.first_sites[j]][rank]  # U's sites split as the j-th partition
             pieces.append((frontier[row[at]], k[at], new, marg[j][rank]))
         state, position, new, rate = map(np.concatenate, zip(*pieces))
-        jumps.append((state, position, lat._lookup(new), rate))
+        jumps.append((state, position, lat.lookup_first_sites(new), rate))
         reached[jumps[-1][2]] = True
     state, position, successors, rate = map(np.concatenate, zip(*jumps))
     order = np.lexsort((position, state))  # stable, so each block's splits stay in text order
@@ -250,10 +247,7 @@ def estimate_distribution(
         raise ValueError("need at least one sample")
     i = _start_index(rates, t, start)
     ends = _final_indices(_jump_table(rates, i), i, t, n_samples, make_rng(seed))
-    parts = lattice(rates.ground).parts
-    tally = np.bincount(ends)
-    counts = {parts[j]: int(tally[j]) for j in np.flatnonzero(tally)}
-    return EmpiricalDistribution(counts, n_samples, t=t, seed=seed)
+    return EmpiricalDistribution(rates.ground, np.bincount(ends), n_samples, t=t, seed=seed)
 
 
 def tv_distance(frequencies: Mapping[Partition, float], reference) -> float:

@@ -158,19 +158,24 @@ class Scenario:
         two_block_only = doc.get("two_block_only", False)
         if not isinstance(two_block_only, bool):
             raise ScenarioError(f"two_block_only must be true or false, got {two_block_only!r}")
-        parsed: dict[Partition, float] = {}
+        # each key read to block labels, and all found by code at once; a
+        # partition given twice keeps its first place and its last rate
+        lat = lattice(ground)
+        rows, values = [], []
         for key, value in raw_rates.items():
             try:
-                p = parse_partition(key, ground)
+                row, blocks = lat.label_row(key)
             except ValueError as exc:
                 raise ScenarioError(f"bad rate key {key!r}: {exc}") from exc
-            if two_block_only and p.block_count != 2:
+            if two_block_only and blocks != 2:
                 raise ScenarioError(
                     f"two_block_only scenario has a non-two-block key {key!r}"
                 )
-            parsed[p] = _number(value, f"rate of {key!r}")
+            rows.append(row)
+            values.append(_number(value, f"rate of {key!r}"))
+        parsed = dict(zip(lat.lookup(rows).tolist(), values))
         try:
-            rates = RateSystem(ground, parsed)
+            rates = RateSystem.from_indices(ground, list(parsed), list(parsed.values()))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad rates: {exc}") from exc
 
@@ -343,7 +348,7 @@ def write_coefficient_csv(
     drift = traj.drift
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t"] + [str(p) for p in lat.parts]
+        header = ["t", *lat.names]
         if include_drift:
             header.append("drift")
         writer.writerow(header)
@@ -393,9 +398,8 @@ def write_empirical_csv(path, dist: EmpiricalDistribution) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["partition", "count", "frequency"])
-        for p in sorted(dist.counts, key=str):
-            c = dist.counts[p]
-            writer.writerow([str(p), c, _fmt(c / dist.n_samples)])
+        for name, c in dist.named_counts():
+            writer.writerow([name, c, _fmt(c / dist.n_samples)])
 
 
 def read_empirical_csv(path, ground) -> dict[Partition, int]:

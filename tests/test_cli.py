@@ -203,6 +203,31 @@ def assert_refused_before_output(capsys, out, word):
     assert not out.exists()
 
 
+# each kind of bad rate key on three sites, with the message it is refused
+# with; a duplicate is named in the blocks' sorted order, not as written
+BAD_RATE_KEYS = {
+    "duplicate-site": ("1,1|2,3", "site 1 appears in more than one block"),
+    "duplicates-sorted": ("3,3|1,1|2", "site 1 appears in more than one block"),
+    "missing-site": ("1|2", "partition '1|2' does not cover the ground set (1, 2, 3) exactly"),
+    "site-outside": ("1|2,3,4", "partition '1|2,3,4' does not cover the ground set (1, 2, 3) exactly"),
+    "site-zero": ("0|1,2,3", "partition '0|1,2,3' does not cover the ground set (1, 2, 3) exactly"),
+    "empty-block": ("1||2,3", "empty block in partition string '1||2,3'"),
+    "non-integer": ("1,a|2,3", "bad partition string '1,a|2,3'"),
+    "whitespace-only": ("   ", "empty partition string"),
+}
+
+
+@pytest.mark.parametrize("key, message", BAD_RATE_KEYS.values(), ids=BAD_RATE_KEYS.keys())
+def test_bad_rate_key_refused_with_its_message(tmp_path, capsys, key, message):
+    doc = {"n": 3, "rates": {"1|2,3": 0.5, key: 1.0}, "monte_carlo": {"samples": 100, "seed": 1}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: bad rate key {key!r}: {message}\n"
+    assert not out.exists()
+
+
 class TestLatticeCommand:
     def test_counts(self, capsys):
         assert main(["lattice", "4"]) == 0
