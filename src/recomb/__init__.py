@@ -9,16 +9,11 @@ from recomb.closed_form import (
     ClosedFormSolution,
     DegeneracyError,
     DegeneracyReport,
-    NonInvertibleError,
     build_closed_form,
-    decay_rate,
     detect_degeneracy,
     exp_convolution,
     exp_monomial_convolution,
-    linear_decay_rate,
     linear_solution,
-    rates_from_linear_decay,
-    split_block_count,
 )
 from recomb.dynamics import (
     CoefficientTrajectory,
@@ -29,20 +24,14 @@ from recomb.dynamics import (
     integrate_coefficients,
     integrate_measure,
     measure_rhs,
-    meet_gain,
-    refinement_gain,
 )
 from recomb.measures import (
     Measure,
     TypeSpace,
-    invariant_partition_set,
     measure_from_csv,
-    measure_to_csv,
     mixture,
     product_measure,
-    project,
     recombinator,
-    tv_deviation,
     uniform_measure,
 )
 from recomb.partitions import (
@@ -50,23 +39,14 @@ from recomb.partitions import (
     Partition,
     bell_number,
     count_two_block,
-    enumerate_partitions,
     ground_set,
-    is_refinement,
-    join_disjoint,
     lattice,
-    meet,
-    meet_of_set,
-    mobius,
     parse_partition,
-    restrict,
 )
 from recomb.process import (
     EmpiricalDistribution,
     estimate_distribution,
     make_rng,
-    simulate_path,
-    transition_product_check,
     tv_distance,
 )
 from recomb.scenario import Scenario, ScenarioError
@@ -81,7 +61,6 @@ __all__ = [
     "Lattice",
     "Measure",
     "MeasureTrajectory",
-    "NonInvertibleError",
     "Partition",
     "RateSystem",
     "Scenario",
@@ -91,41 +70,22 @@ __all__ = [
     "build_closed_form",
     "coefficient_rhs",
     "count_two_block",
-    "decay_rate",
     "detect_degeneracy",
-    "enumerate_partitions",
     "estimate_distribution",
     "exp_convolution",
     "exp_monomial_convolution",
     "ground_set",
     "integrate_coefficients",
     "integrate_measure",
-    "invariant_partition_set",
-    "is_refinement",
-    "join_disjoint",
     "lattice",
-    "linear_decay_rate",
     "linear_solution",
     "make_rng",
     "measure_from_csv",
     "measure_rhs",
-    "measure_to_csv",
-    "meet",
-    "meet_gain",
-    "meet_of_set",
     "mixture",
-    "mobius",
     "parse_partition",
     "product_measure",
-    "project",
-    "rates_from_linear_decay",
     "recombinator",
-    "refinement_gain",
-    "restrict",
-    "simulate_path",
-    "split_block_count",
-    "transition_product_check",
-    "tv_deviation",
     "tv_distance",
     "uniform_measure",
 ]

@@ -40,15 +40,7 @@ from recomb.dynamics import (
     rk4_plan,
 )
 from recomb.measures import MAX_STATES
-from recomb.partitions import (
-    MAX_SITES,
-    Partition,
-    bell_number,
-    count_two_block,
-    ground_set,
-    lattice,
-    mobius,
-)
+from recomb.partitions import MAX_SITES, bell_number, count_two_block, ground_set, lattice
 from recomb.process import estimate_distribution, tv_distance
 from recomb.scenario import (
     Scenario,
@@ -168,11 +160,10 @@ def cmd_lattice(args) -> int:
     if args.full and not full:
         log.warning("full enumeration limited to n <= %d", MOBIUS_ROW_LIMIT)
     if full:
-        g = ground_set(n)
-        parts = lattice(g).parts
-        bottom = Partition.singletons(g)
-        info["partitions"] = [str(p) for p in parts]
-        info["mobius_bottom_row"] = {str(p): mobius(bottom, p) for p in parts}
+        lat = lattice(ground_set(n))
+        mu = lat.mobius_matrix[lat.bottom_index].tolist()  # mu(bottom, p) for each p
+        info["partitions"] = list(lat.names)
+        info["mobius_bottom_row"] = dict(zip(lat.names, mu))
     if args.format == "json":
         print(json.dumps(info, indent=2))
     else:

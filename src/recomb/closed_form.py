@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 from scipy.special import gammainc
@@ -42,13 +41,8 @@ __all__ = [
     "DegeneracyClass",
     "DegeneracyReport",
     "DegeneracyError",
-    "NonInvertibleError",
     "ClosedFormSolution",
-    "decay_rate",
-    "linear_decay_rate",
-    "split_block_count",
     "linear_solution",
-    "rates_from_linear_decay",
     "detect_degeneracy",
     "closed_form_size",
     "build_closed_form",
@@ -58,12 +52,6 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-9
 MAX_MONOMIAL_ORDER = 20
-
-_DIAG_TOL = 1e-12
-
-
-class NonInvertibleError(RuntimeError):
-    """The coefficient table has a vanishing diagonal entry."""
 
 
 @dataclass(frozen=True)
@@ -165,27 +153,6 @@ def _sizes(ground: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
     return [list(combinations(ground, k)) for k in range(1, len(ground) + 1)]
 
 
-def decay_rate(rates: RateSystem, u, a: Partition) -> float:
-    """Total transition rate out of a partition state: additive over blocks,
-    each block contributing the rate of events that split it."""
-    g = as_ground(u)
-    if a.ground != g:
-        raise ValueError("partition is not on the requested subset")
-    if not set(g) <= set(rates.ground):
-        raise ValueError("subset is not inside the ground set")
-    return float(sum(rates.splitting_rate(block) for block in a.blocks))
-
-
-def linear_decay_rate(rates: RateSystem, u, a: Partition) -> float:
-    """Decay rate of the linearized system: marginal rate mass outside the
-    interval from a to the top."""
-    g = as_ground(u)
-    if a.ground != g:
-        raise ValueError("partition is not on the requested subset")
-    lat = lattice(g)
-    return float(rates.total - _up_sums(lat, rates.marginal(g), np.array([lat.index[a]]))[0])
-
-
 def _linear_decay(rates: RateSystem, g: tuple[int, ...]) -> np.ndarray:
     """chi on lattice(g): the total minus the rate mass coarser than each
     partition."""
@@ -231,29 +198,6 @@ def _times(times) -> np.ndarray:
     return times
 
 
-def _rates_from_decay(g, product: np.ndarray, total: float) -> dict[Partition, float]:
-    """Rates -product, product = theta @ psi, with the total added on the top:
-    the rates whose solution has coefficient table theta and decay rates psi."""
-    lat = lattice(g)
-    vals = -product
-    vals[lat.top_index] += total
-    return {p: float(vals[i]) for i, p in enumerate(lat.parts)}
-
-
-def split_block_count(a: Partition, b: Partition) -> int:
-    """Number of blocks of a that b separates; zero iff b is coarser than a.
-
-    The decay rate satisfies
-    decay(a) = sum_b split_block_count(a, b) * rate(b)."""
-    if a.ground != b.ground:
-        raise ValueError("ground-set mismatch")
-    owner: dict[int, int] = {}
-    for k, block in enumerate(b.blocks):
-        for x in block:
-            owner[x] = k
-    return sum(1 for block in a.blocks if len({owner[x] for x in block}) > 1)
-
-
 def linear_solution(rates: RateSystem, u, times) -> CoefficientTrajectory:
     """Solution of the linearized system at the grid times, as probability
     vectors.
@@ -265,21 +209,6 @@ def linear_solution(rates: RateSystem, u, times) -> CoefficientTrajectory:
     g, times = as_ground(u), _times(times)
     survival = np.exp(-np.multiply.outer(_linear_decay(rates, g), times))
     return CoefficientTrajectory(g, times, _zeta_solve(lattice(g), survival).T)
-
-
-def rates_from_linear_decay(
-    chi_table: Mapping[Partition, float], rho_total: float, u
-) -> dict[Partition, float]:
-    """Invert the linear decay rates back to rates by upper Moebius inversion.
-
-    The top-element rate is not determined by the decay rates; it is fixed
-    by the supplied total."""
-    g = as_ground(u)
-    lat = lattice(g)
-    if set(chi_table) != set(lat.parts):
-        raise ValueError("decay table must cover every partition of the subset")
-    chi = np.array([chi_table[p] for p in lat.parts], dtype=float)
-    return _rates_from_decay(g, _zeta_solve(lat, chi), rho_total)
 
 
 @lru_cache(maxsize=None)
@@ -401,39 +330,6 @@ class ClosedFormSolution:
             sums = np.bincount(at, (factors[cols] * theta[:, None]).ravel(), factors.size)
             values[lo : lo + step] = sums.reshape(factors.shape).T
         return CoefficientTrajectory(g, times, values)
-
-    def _invertible(self, g: tuple[int, ...]) -> np.ndarray:
-        """The dense coefficient table of g, checked to have no vanishing
-        diagonal."""
-        theta = self._coeff[g]
-        scale = max(1.0, float(np.abs(theta).max()))
-        if np.abs(theta[lattice(g).up_sets[0][1:] - 1]).min() <= _DIAG_TOL * scale:
-            raise NonInvertibleError(
-                "coefficient table has a vanishing diagonal entry; "
-                "inverse requires positive rates on all two-block partitions"
-            )
-        return self.coefficient_table(g)
-
-    def inverse_table(self, u) -> np.ndarray:
-        """Inverse of the coefficient table in the incidence algebra."""
-        g = self._key(u)
-        theta = self._invertible(g)
-        return lattice(g).incidence_solve(theta, np.eye(theta.shape[0]))
-
-    def decoupled_coefficient(self, u, a: Partition, t: float) -> float:
-        """Inverse-transformed coefficient; decays as a pure exponential
-        exp(-decay(a) * t).  One substitution solves for the whole vector."""
-        g = self._key(u)
-        lat = lattice(g)
-        x = lat.incidence_solve(self._invertible(g), self.evaluate(g, [t]).values[0])
-        return float(x[lat.index[a]])
-
-    def recovered_rates(self, u) -> dict[Partition, float]:
-        """Rates reconstructed from decay rates and coefficients; round-trips
-        with the marginal input rates."""
-        g = self._key(u)
-        product = _apply(lattice(g), self._coeff[g], self._decay[g])
-        return _rates_from_decay(g, product, self.rates.total)
 
     def json_chunks(self):
         """The solution as compact JSON text in pieces, each subset's decay

@@ -28,21 +28,13 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from recomb.measures import MAX_STATES, Measure, TypeSpace
-from recomb.partitions import (
-    Partition,
-    as_ground,
-    bell_number,
-    is_refinement,
-    lattice,
-)
+from recomb.partitions import Partition, as_ground, bell_number, lattice
 
 __all__ = [
     "RateSystem",
     "CoefficientVector",
     "CoefficientTrajectory",
     "MeasureTrajectory",
-    "refinement_gain",
-    "meet_gain",
     "coefficient_rhs",
     "measure_rhs",
     "integrate_coefficients",
@@ -148,9 +140,6 @@ class RateSystem:
     def rate(self, p: Partition) -> float:
         return self.rates.get(p, 0.0)
 
-    def support(self) -> list[Partition]:
-        return [p for p, r in self.rates.items() if r > 0]
-
     def marginal(self, u) -> np.ndarray:
         """Rates induced on the subsystem u, as a read-only vector in
         ``lattice(u)`` order: the sums over the fibers of restriction to u,
@@ -237,46 +226,6 @@ class CoefficientVector:
         ridx = lattice(self.ground).restriction_index(g)
         sums = np.bincount(ridx, weights=self.values, minlength=lattice(g).size)
         return CoefficientVector(g, sums)
-
-
-def refinement_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
-    """Blockwise marginal product: the gain coefficient of the nonlinear system.
-
-    For a finer than b this is
-
-        ||q||_1 ** (1 - |b|) * prod_i ( sum of q over partitions restricting
-                                        to a's trace on the i-th block of b )
-
-    and zero otherwise; it is also zero for the zero vector.  Only defined
-    for nonnegative q.
-    """
-    if q.ground != a.ground or a.ground != b.ground:
-        raise ValueError("ground-set mismatch")
-    v = q.values
-    if v.min() < -_NEG_TOL * max(1.0, abs(v).max()):
-        raise ValueError("gain coefficients are only defined for nonnegative vectors")
-    if not is_refinement(a, b):
-        return 0.0
-    total = float(v.sum())
-    if total == 0.0:
-        return 0.0
-    lat = lattice(q.ground)
-    out = total ** (1 - b.block_count)
-    for block in b.blocks:
-        ridx = lat.restriction_index(block)
-        out *= float(v[ridx == ridx[lat.index[a]]].sum())
-    return out
-
-
-def meet_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
-    """Linearized gain: total mass of partitions whose meet with b equals a."""
-    if q.ground != a.ground or a.ground != b.ground:
-        raise ValueError("ground-set mismatch")
-    if not is_refinement(a, b):
-        return 0.0
-    lat = lattice(q.ground)
-    col = lat.meet_row(lat.index[b])
-    return float(q.values[col == lat.index[a]].sum())
 
 
 class _Level(NamedTuple):

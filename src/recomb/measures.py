@@ -15,19 +15,15 @@ from typing import Iterable
 
 import numpy as np
 
-from recomb.partitions import Partition, as_ground, lattice, meet_of_set
+from recomb.partitions import Partition, as_ground, lattice
 
 __all__ = [
     "TypeSpace",
     "Measure",
-    "tv_deviation",
-    "project",
     "recombinator",
     "mixture",
-    "invariant_partition_set",
     "uniform_measure",
     "product_measure",
-    "measure_to_csv",
     "measure_from_csv",
 ]
 
@@ -102,24 +98,6 @@ class Measure:
         return f"Measure(space={self.space.sites}, norm={self.norm():.6g})"
 
 
-def tv_deviation(a: Measure | np.ndarray, b: Measure | np.ndarray) -> float:
-    """Total variation norm of the (signed) difference: sum of |entries|."""
-    wa = a.weights if isinstance(a, Measure) else np.asarray(a)
-    wb = b.weights if isinstance(b, Measure) else np.asarray(b)
-    return float(np.abs(wa - wb).sum())
-
-
-def project(nu: Measure, u) -> Measure:
-    """Marginal over the sites outside u.  Preserves the total mass."""
-    g = as_ground(u)
-    space = nu.space
-    if not set(g) <= set(space.sites):
-        raise ValueError(f"{g} is not a subset of the sites {space.sites}")
-    drop = tuple(i for i, s in enumerate(space.sites) if s not in g)
-    out = nu.weights.sum(axis=drop) if drop else nu.weights.copy()
-    return Measure(space.subspace(g), out, validate=False)
-
-
 def recombinator(a: Partition, nu: Measure) -> Measure:
     """Replace nu by the mass-normalized product of its marginals over the
     blocks of a, in site order.  The zero measure maps to itself."""
@@ -169,22 +147,6 @@ def mixture(coeffs, nu0: Measure) -> Measure:
     return Measure(space, mixtures(values, nu0)[0].reshape(space.sizes), validate=False)
 
 
-def invariant_partition_set(
-    nu: Measure, eps: float = 1e-10
-) -> tuple[set[Partition], Partition]:
-    """Partitions whose block-product operator fixes nu (relative tolerance
-    eps), together with their meet."""
-    total = nu.norm()
-    if total <= 0.0:
-        raise ValueError("invariant partitions are undefined for the zero measure")
-    fixed = {
-        p
-        for p in lattice(nu.space.sites).parts
-        if tv_deviation(recombinator(p, nu), nu) <= eps * total
-    }
-    return fixed, meet_of_set(fixed, nu.space.sites)
-
-
 def uniform_measure(space: TypeSpace) -> Measure:
     w = np.full(tuple(space.sizes), 1.0 / space.n_states)
     return Measure(space, w, validate=False)
@@ -204,17 +166,6 @@ def product_measure(space: TypeSpace, site_weights: Iterable[Iterable[float]]) -
     for v in vectors[1:]:
         out = np.multiply.outer(out, v)
     return Measure(space, out)
-
-
-def measure_to_csv(nu: Measure, path) -> None:
-    """Flat CSV: one row per state, letter columns (0-based) plus weight."""
-    space = nu.space
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{s}" for s in space.sites] + ["weight"])
-        flat = nu.weights.reshape(-1)
-        for j, coords in enumerate(np.ndindex(*space.sizes)):
-            writer.writerow([*coords, format(flat[j], ".17g")])
 
 
 def measure_from_csv(path) -> Measure:

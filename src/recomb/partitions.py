@@ -9,15 +9,15 @@ Text format used in configs and CSV keys: blocks joined by ``|``, elements
 by ``,``, e.g. ``1,2|3,4``.  Whitespace is ignored.
 
 A lattice of k sites is the lattice of {1..k} with its sites renamed, so all
-lattices of one size share one core: the label arrays, the order, meet and
+lattices of one size share one core: the label arrays, the order and
 Moebius tables, the restriction table, keyed by the position mask of the
 sub-block, and the texts of all partitions with each site spelled by its
 position.  A lattice names its sites only at the edges: ``Lattice.names``
 spells every text from that template by one ``str.translate``, and
 ``Lattice.label_row`` reads a text back to block labels, which
 ``Lattice.lookup`` finds by their code.  ``Lattice.parts`` and
-``Lattice.index``, one ``Partition`` per entry, are views for callers of
-the public helpers; they are built on first use.
+``Lattice.index``, one ``Partition`` per entry, are views for the
+accessors that take or return ``Partition``; they are built on first use.
 
 The order is kept as its comparable pairs a <= b, grouped by a.  The up-set
 of a partition a with k blocks is {pi o a : pi in the lattice of k sites}:
@@ -25,7 +25,7 @@ relabelling a's blocks by a restricted growth string pi of length k gives a
 restricted growth string again, so the pairs come from the labels alone, with
 no (B, B) table.  The pair (a, b) sits at a's pointer plus the index, in the
 lattice of k sites, of the partition pi that b induces on a's blocks; in that
-order b ascends, from the top to a itself.  The dense ``finer``, meet and
+order b ascends, from the top to a itself.  The dense ``finer`` and
 Moebius tables remain as views built on demand.
 
 All objects here are immutable after construction and safe to share across
@@ -48,13 +48,6 @@ __all__ = [
     "ground_set",
     "bell_number",
     "count_two_block",
-    "enumerate_partitions",
-    "is_refinement",
-    "meet",
-    "meet_of_set",
-    "restrict",
-    "join_disjoint",
-    "mobius",
     "parse_partition",
     "Lattice",
     "lattice",
@@ -245,82 +238,6 @@ def _encode(rgs: np.ndarray) -> np.ndarray:
     return rgs.astype(np.int64) @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def enumerate_partitions(ground) -> list[Partition]:
-    """All partitions of the ground set, in restricted-growth-string order."""
-    return list(lattice(as_ground(ground)).parts)
-
-
-def _check_same_ground(a: Partition, b: Partition) -> None:
-    if a.ground != b.ground:
-        raise ValueError(f"ground-set mismatch: {a.ground} vs {b.ground}")
-
-
-def is_refinement(a: Partition, b: Partition) -> bool:
-    """True iff every block of a is contained in some block of b."""
-    _check_same_ground(a, b)
-    owner: dict[int, int] = {}
-    for k, block in enumerate(b.blocks):
-        for x in block:
-            owner[x] = k
-    for block in a.blocks:
-        k = owner[block[0]]
-        if any(owner[x] != k for x in block[1:]):
-            return False
-    return True
-
-
-def meet(a: Partition, b: Partition) -> Partition:
-    """Coarsest common refinement: all nonempty pairwise block intersections."""
-    _check_same_ground(a, b)
-    owner: dict[int, int] = {}
-    for k, block in enumerate(b.blocks):
-        for x in block:
-            owner[x] = k
-    blocks = []
-    for block in a.blocks:
-        groups: dict[int, list[int]] = {}
-        for x in block:
-            groups.setdefault(owner[x], []).append(x)
-        blocks.extend(groups.values())
-    return Partition(blocks)
-
-
-def meet_of_set(partitions: Iterable[Partition], ground) -> Partition:
-    """Iterated meet; the empty collection yields the coarsest partition."""
-    g = as_ground(ground)
-    result = Partition.whole(g)
-    for p in partitions:
-        if p.ground != g:
-            raise ValueError(f"ground-set mismatch: {p.ground} vs {g}")
-        result = meet(result, p)
-    return result
-
-
-def restrict(a: Partition, u) -> Partition:
-    """The induced partition of a nonempty subset u: nonempty traces of blocks."""
-    g = as_ground(u)
-    if not set(g) <= set(a.ground):
-        raise ValueError(f"{g} is not a subset of the ground set {a.ground}")
-    keep = set(g)
-    blocks = [tuple(x for x in block if x in keep) for block in a.blocks]
-    return Partition(b for b in blocks if b)
-
-
-def join_disjoint(parts: Iterable[Partition]) -> Partition:
-    """Combine partitions of pairwise disjoint ground sets into one partition."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one partition to join")
-    blocks: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for p in parts:
-        if seen & set(p.ground):
-            raise ValueError("ground sets overlap")
-        seen.update(p.ground)
-        blocks.extend(p.blocks)
-    return Partition(blocks)
-
-
 class _Core:
     """What every lattice of a k-set shares: the arrays of ``Lattice``, and
     its lazy tables, which ``Lattice`` fills on first use.  The rows of the
@@ -335,7 +252,6 @@ class _Core:
         self.pair_rows: np.ndarray | None = None
         self.down: tuple[np.ndarray, ...] | None = None
         self.finer: np.ndarray | None = None
-        self.meet_table: np.ndarray | None = None
         self.mobius: np.ndarray | None = None
         self.block_masks: np.ndarray | None = None
         self.first_sites: np.ndarray | None = None
@@ -403,7 +319,7 @@ def _texts(core: _Core) -> str:
 
 
 class Lattice:
-    """Enumeration, order, meet and Moebius tables for one ground set.
+    """Enumeration, order, restriction and Moebius tables for one ground set.
 
     The single representation is ``labels``, the (B, n) array of restricted
     growth strings in enumeration order; every table is derived from it with
@@ -439,7 +355,7 @@ class Lattice:
     @cached_property
     def parts(self) -> tuple[Partition, ...]:
         """The partitions in enumeration order, named by the ground set: a
-        view for the public helpers that take or return ``Partition``."""
+        view for the accessors that take or return ``Partition``."""
         ground = self.ground
         return tuple(Partition._from_canonical(b, ground) for b in self.blocks(slice(None)))
 
@@ -530,7 +446,7 @@ class Lattice:
     @property
     def finer(self) -> np.ndarray:
         """Boolean matrix: finer[i, j] iff parts[i] refines parts[j].  A
-        dense view for tests and small lattices; no route reads it.
+        dense view for small lattices; ``mobius_matrix`` reads it.
 
         a refines b iff b's labels are constant on each block of a, that is,
         every site carries b's label of the first site of its a-block."""
@@ -610,26 +526,11 @@ class Lattice:
             core.block_masks = blocks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
         return core.block_masks
 
-    def meet_row(self, i: int) -> np.ndarray:
-        """Index of parts[i] meet each partition: the blocks of the meet are
-        the sites sharing both labels."""
-        lab = self.labels.astype(np.int64)
-        return self.lookup(lab[i] * len(self.ground) + lab)
-
-    @property
-    def meet_table(self) -> np.ndarray:
-        """meet_table[i, j] = index of parts[i] meet parts[j]; a dense view
-        for tests and small lattices."""
-        core = self._core
-        if core.meet_table is None:
-            core.meet_table = np.stack([self.meet_row(i) for i in range(self.size)])
-        return core.meet_table
-
     def incidence_solve(self, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solution x of theta @ x = rhs, for an incidence-algebra element
         given as a dense (B, B) table that vanishes off the order and has a
         nonzero diagonal, and a right-hand side of B rows, a vector or a
-        table.  The oracle of the pair routes; no route calls it.
+        table.  The oracle of the pair routes; ``mobius_matrix`` calls it.
 
         Coarsest-first substitution over the strictly coarser elements up(i):
         x[i] = (rhs[i] - theta[i, up(i)] @ x[up(i)]) / theta[i, i].  For a
@@ -646,7 +547,7 @@ class Lattice:
     @property
     def mobius_matrix(self) -> np.ndarray:
         """Integer matrix of the Moebius function, the inverse of zeta; zero
-        outside the order."""
+        outside the order.  ``recomb lattice --full`` prints its bottom row."""
         core = self._core
         if core.mobius is None:
             core.mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
@@ -739,9 +640,3 @@ class Lattice:
 def lattice(ground: tuple[int, ...]) -> Lattice:
     return Lattice(as_ground(ground))
 
-
-def mobius(a: Partition, b: Partition) -> int:
-    """Moebius function of the refinement order; zero unless a refines b."""
-    _check_same_ground(a, b)
-    lat = lattice(a.ground)
-    return int(lat.mobius_matrix[lat.index[a], lat.index[b]])

@@ -27,16 +27,13 @@ from typing import Mapping
 import numpy as np
 
 from recomb.dynamics import RateSystem
-from recomb.partitions import Partition, ground_set, is_refinement, lattice, restrict
+from recomb.partitions import Partition, ground_set, lattice
 
 __all__ = [
     "GENERATOR_NAME",
     "make_rng",
     "EmpiricalDistribution",
-    "simulate_path",
     "estimate_distribution",
-    "transition_product_check",
-    "BlockIndependenceReport",
     "tv_distance",
 ]
 
@@ -223,18 +220,6 @@ def _start_index(rates: RateSystem, t_end: float, start: Partition | None) -> in
     return lat.index[start]
 
 
-def simulate_path(
-    rates: RateSystem,
-    t_end: float,
-    rng: np.random.Generator,
-    start: Partition | None = None,
-) -> Partition:
-    """Value of the chain at t_end, started from the single-block partition
-    (or from ``start``)."""
-    i = _start_index(rates, t_end, start)
-    return lattice(rates.ground).parts[_final_indices(_jump_table(rates, i), i, t_end, 1, rng)[0]]
-
-
 def estimate_distribution(
     rates: RateSystem,
     t: float,
@@ -256,48 +241,3 @@ def tv_distance(frequencies: Mapping[Partition, float], reference) -> float:
     ref = reference.as_dict() if hasattr(reference, "as_dict") else dict(reference)
     keys = set(frequencies) | set(ref)
     return 0.5 * sum(abs(frequencies.get(p, 0.0) - ref.get(p, 0.0)) for p in keys)
-
-
-@dataclass
-class BlockIndependenceReport:
-    """Empirical transition probability against the per-block product of
-    closed-form factors, with the binomial z-score."""
-
-    start: Partition
-    end: Partition
-    t: float
-    n_samples: int
-    empirical: float
-    predicted: float
-    z_score: float
-
-
-def transition_product_check(
-    rates: RateSystem,
-    c: Partition,
-    d: Partition,
-    t: float,
-    n_samples: int,
-    seed: int,
-) -> BlockIndependenceReport:
-    """Estimate the transition probability from c to d over a horizon t and
-    compare it with the product of closed-form block factors.
-
-    The end partition must refine the start; anything else has probability
-    zero and is rejected."""
-    from recomb.closed_form import build_closed_form
-
-    if not is_refinement(d, c):
-        raise ValueError("end partition must refine the start partition")
-    hits = estimate_distribution(rates, t, n_samples, seed, start=c).counts.get(d, 0)
-    empirical = hits / n_samples
-    sol = build_closed_form(rates)
-    predicted = 1.0
-    for block in c.blocks:
-        predicted *= sol.evaluate(block, [t]).state(0).value(restrict(d, block))
-    se = (predicted * (1.0 - predicted) / n_samples) ** 0.5
-    if se > 0:
-        z = (empirical - predicted) / se
-    else:
-        z = 0.0 if empirical == predicted else float("inf")
-    return BlockIndependenceReport(c, d, t, n_samples, empirical, predicted, z)

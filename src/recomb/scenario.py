@@ -39,14 +39,7 @@ from recomb.measures import (
     product_measure,
     uniform_measure,
 )
-from recomb.partitions import (
-    MAX_SITES,
-    Partition,
-    bell_number,
-    ground_set,
-    lattice,
-    parse_partition,
-)
+from recomb.partitions import MAX_SITES, bell_number, ground_set, lattice
 from recomb.process import EmpiricalDistribution
 
 __all__ = [
@@ -57,10 +50,8 @@ __all__ = [
     "Scenario",
     "FLOAT_FORMAT",
     "write_coefficient_csv",
-    "read_coefficient_csv",
     "write_measure_trajectory_csv",
     "write_empirical_csv",
-    "read_empirical_csv",
 ]
 
 FLOAT_FORMAT = ".17g"
@@ -359,24 +350,6 @@ def write_coefficient_csv(
             writer.writerow(row)
 
 
-def read_coefficient_csv(path) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Times, partition keys, and the value matrix of a trajectory CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "t":
-            raise ValueError("trajectory CSV must start with a 't' column")
-        keys = header[1:]
-        if keys and keys[-1] == "drift":
-            keys = keys[:-1]
-        width = len(keys)
-        times, rows = [], []
-        for row in reader:
-            times.append(float(row[0]))
-            rows.append([float(x) for x in row[1 : 1 + width]])
-    return np.array(times), keys, np.array(rows)
-
-
 def write_measure_trajectory_csv(path, traj: MeasureTrajectory, mixture_dev: np.ndarray) -> None:
     """Columns: t, one per state (letters joined by '.'), drift, and the
     deviation from the coefficient-mixture representation."""
@@ -400,10 +373,3 @@ def write_empirical_csv(path, dist: EmpiricalDistribution) -> None:
         writer.writerow(["partition", "count", "frequency"])
         for name, c in dist.named_counts():
             writer.writerow([name, c, _fmt(c / dist.n_samples)])
-
-
-def read_empirical_csv(path, ground) -> dict[Partition, int]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return {parse_partition(row[0], ground): int(row[1]) for row in reader}

@@ -18,15 +18,19 @@ import recomb.cli as cli
 import recomb.dynamics as dynamics
 from recomb.cli import main
 from recomb.dynamics import default_step, program_cells, rk4_plan
-from recomb.measures import Measure, TypeSpace, measure_to_csv
+from recomb.measures import Measure, TypeSpace
 from recomb.partitions import MAX_SITES, Partition
-from recomb.scenario import (
-    Scenario,
-    ScenarioError,
+from recomb.scenario import Scenario, ScenarioError
+from recomb.partitions import ground_set, lattice
+
+from oracles import (
+    bell_oracle,
+    enumerate_partitions,
+    measure_to_csv,
+    mobius,
     read_coefficient_csv,
     read_empirical_csv,
 )
-from recomb.partitions import ground_set, lattice
 
 
 GENERIC_N3 = {
@@ -251,12 +255,36 @@ class TestLatticeCommand:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("configuration error: lattice size")
 
-    def test_full_json(self, capsys):
-        assert main(["lattice", "3", "--full", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["bell"] == 5
-        assert len(doc["partitions"]) == 5
-        assert doc["mobius_bottom_row"]["1,2,3"] == 2
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_full_json(self, capsys, n, fmt):
+        # the printout read from the lattice arrays, against the one built
+        # from Partition objects and the pairwise Moebius oracle
+        assert main(["lattice", str(n), "--full", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        parts = enumerate_partitions(ground_set(n))
+        bottom = Partition.singletons(ground_set(n))
+        row = {str(p): mobius(bottom, p) for p in parts}
+        two_block = sum(1 for p in parts if p.block_count == 2)
+        if fmt == "json":
+            expected = {
+                "n": n,
+                "bell": bell_oracle(n),
+                "two_block": two_block,
+                "partitions": [str(p) for p in parts],
+                "mobius_bottom_row": row,
+            }
+            assert out == json.dumps(expected, indent=2) + "\n"
+            doc = json.loads(out)
+            assert doc["bell"] == bell_oracle(n)
+            assert len(doc["partitions"]) == bell_oracle(n)
+            if n == 3:
+                assert doc["mobius_bottom_row"]["1,2,3"] == 2
+        else:
+            lines = [f"n = {n}", f"bell number = {bell_oracle(n)}",
+                     f"two-block partitions = {two_block}"]
+            lines += [f"  {p}  mobius(bottom, .) = {row[p]}" for p in row]
+            assert out == "\n".join(lines) + "\n"
 
 
 class TestSolveCommand:
@@ -652,7 +680,7 @@ class TestScenarioValidation:
         assert main(["integrate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_measure_file_spec(self, tmp_path):
-        from recomb.measures import TypeSpace, measure_to_csv, uniform_measure
+        from recomb.measures import TypeSpace, uniform_measure
 
         measure_to_csv(uniform_measure(TypeSpace.regular(3, 2)), tmp_path / "m.csv")
         doc = dict(GENERIC_N3)

@@ -14,10 +14,8 @@ from recomb.dynamics import (
     integrate_coefficients,
     integrate_measure,
     measure_rhs,
-    meet_gain,
     mixtures,
     program_cells,
-    refinement_gain,
     rk4_plan,
 )
 from recomb.measures import (
@@ -27,20 +25,18 @@ from recomb.measures import (
     mixture,
     product_measure,
     recombinator,
-    tv_deviation,
 )
 from recomb.partitions import (
     Lattice,
     Partition,
     ground_set,
-    is_refinement,
     lattice,
-    meet,
-    restrict,
 )
 from recomb.scenario import Scenario
 
+import oracles
 from conftest import random_rates
+from oracles import is_refinement, meet, meet_gain, refinement_gain, restrict, tv_deviation
 
 
 def random_probability(n, seed):
@@ -166,7 +162,7 @@ class TestGainCoefficients:
         def refuse(lat):
             raise AssertionError("meet_gain read the dense meet table")
 
-        monkeypatch.setattr(Lattice, "meet_table", property(refuse))
+        monkeypatch.setattr(oracles, "meet_table", refuse)
         q = random_probability(4, seed=8)
         lat = lattice(ground_set(4))
         for b in lat.parts:

@@ -6,17 +6,23 @@ from hypothesis import strategies as st
 from recomb.measures import (
     Measure,
     TypeSpace,
-    invariant_partition_set,
     measure_from_csv,
-    measure_to_csv,
     mixture,
     product_measure,
-    project,
     recombinator,
-    tv_deviation,
     uniform_measure,
 )
-from recomb.partitions import Partition, enumerate_partitions, ground_set, meet, restrict
+from recomb.partitions import Partition, ground_set
+
+from oracles import (
+    enumerate_partitions,
+    invariant_partition_set,
+    measure_to_csv,
+    meet,
+    project,
+    restrict,
+    tv_deviation,
+)
 
 
 def random_measure(space, rng, normalize=False):

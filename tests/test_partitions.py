@@ -6,31 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb.partitions import (
-    Partition,
-    bell_number,
-    count_two_block,
-    enumerate_partitions,
-    ground_set,
-    is_refinement,
-    join_disjoint,
-    lattice,
-    meet,
-    meet_of_set,
-    mobius,
-    parse_partition,
-    restrict,
-)
+from recomb.partitions import Partition, bell_number, count_two_block, ground_set, lattice, parse_partition
 
 from conftest import partition_of
-
-
-def bell_oracle(n: int) -> int:
-    """Independent binomial recursion for the enumeration count."""
-    b = [1]
-    for m in range(n):
-        b.append(sum(math.comb(m, k) * b[k] for k in range(m + 1)))
-    return b[n]
+from oracles import (
+    bell_oracle,
+    enumerate_partitions,
+    is_refinement,
+    join_disjoint,
+    meet,
+    meet_of_set,
+    meet_table,
+    mobius,
+    restrict,
+)
 
 
 class TestEnumeration:
@@ -125,7 +114,7 @@ class TestLatticeTables:
     def test_meet_table_matches_meet(self, n):
         lat = lattice(ground_set(n))
         expected = [[lat.index[meet(a, b)] for b in lat.parts] for a in lat.parts]
-        assert np.array_equal(lat.meet_table, expected)
+        assert np.array_equal(meet_table(lat), expected)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_restriction_index_matches_restrict(self, n):

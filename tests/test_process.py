@@ -5,10 +5,10 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from recomb.closed_form import build_closed_form, decay_rate
+from recomb.closed_form import build_closed_form
 from recomb.dynamics import RateSystem
 from recomb.measures import MAX_STATES
-from recomb.partitions import MAX_SITES, Partition, bell_number, ground_set, is_refinement, lattice
+from recomb.partitions import MAX_SITES, Partition, bell_number, ground_set, lattice
 from recomb.process import (
     _BLOCK,
     _final_indices,
@@ -17,12 +17,11 @@ from recomb.process import (
     _text_order,
     estimate_distribution,
     make_rng,
-    simulate_path,
-    transition_product_check,
     tv_distance,
 )
 
 from conftest import random_rates
+from oracles import decay_rate, is_refinement, simulate_path, transition_product_check
 
 
 def splitting_rate_oracle(rates, u):
