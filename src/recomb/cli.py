@@ -129,17 +129,27 @@ def _check_closed_form(scenario: Scenario) -> None:
         )
 
 
-def _measure_route(scenario: Scenario, omega0, grid, traj):
-    """The measure trajectory from omega0 and, at each grid time, its total
-    variation deviation from the mixture of the coefficient trajectory and
-    its absolute drift, both relative to the initial mass (a zero measure
-    keeps both at 0).  The mixture runs through the measure program's trie
-    when its leaves hold the coefficients' support."""
-    mtraj = integrate_measure(scenario.rates, omega0, grid, step=scenario.step)
-    mix = mixtures(traj.values, omega0, scenario.rates)
-    dev = np.abs(mtraj.tensors.reshape(grid.size, -1) - mix).sum(axis=1)
+def _rk4_routes(scenario: Scenario, omega0, grid):
+    """The coefficient trajectory from the top and, when omega0 is given,
+    the measure trajectory from omega0, stepped in lockstep by one RK4 run
+    (``integrate_measure`` with a0)."""
+    a0 = CoefficientVector.delta_top(scenario.ground)
+    if omega0 is None:
+        return integrate_coefficients(scenario.rates, a0, grid, step=scenario.step), None
+    mtraj = integrate_measure(scenario.rates, omega0, grid, step=scenario.step, a0=a0)
+    return mtraj.coefficients, mtraj
+
+
+def _measure_check(scenario: Scenario, omega0, mtraj):
+    """At each grid time, the measure trajectory's total variation
+    deviation from the mixture of its coefficient trajectory and its
+    absolute drift, both relative to the initial mass (a zero measure keeps
+    both at 0).  The mixture runs through the measure program's trie when
+    its leaves hold the coefficients' support."""
+    mix = mixtures(mtraj.coefficients.values, omega0, scenario.rates)
+    dev = np.abs(mtraj.tensors.reshape(mtraj.times.size, -1) - mix).sum(axis=1)
     mass = omega0.norm() or 1.0
-    return mtraj, dev / mass, np.abs(mtraj.drift) / mass
+    return dev / mass, np.abs(mtraj.drift) / mass
 
 
 def _deviation_check(dev: np.ndarray, tol: float) -> dict:
@@ -200,20 +210,17 @@ def cmd_solve(args) -> int:
 def cmd_integrate(args) -> int:
     scenario = _load(args)
     grid = scenario.grid.array()
-    g = scenario.ground
     _check_substeps(scenario, grid, measure=True)
     omega0 = scenario.build_measure()
     out = _out_dir(args)
-    traj = integrate_coefficients(
-        scenario.rates, CoefficientVector.delta_top(g), grid, step=scenario.step
-    )
+    traj, mtraj = _rk4_routes(scenario, omega0, grid)
     write_coefficient_csv(out / "coefficients.csv", traj, include_drift=True)
     meta = {
         "step": traj.step,
         "max_drift": float(np.abs(traj.drift).max()),
     }
-    if omega0 is not None:
-        mtraj, dev, drift = _measure_route(scenario, omega0, grid, traj)
+    if mtraj is not None:
+        dev, drift = _measure_check(scenario, omega0, mtraj)
         write_measure_trajectory_csv(out / "measure_trajectory.csv", mtraj, dev)
         meta["max_mixture_dev"] = float(dev.max())
         meta["max_measure_drift"] = float(drift.max())
@@ -278,7 +285,7 @@ def cmd_compare(args) -> int:
     omega0 = scenario.build_measure()
     out = _out_dir(args)
 
-    traj = integrate(grid)
+    traj, mtraj = _rk4_routes(scenario, omega0, grid)
     report["integrated"] = traj.values.tolist()
     report["max_drift"] = float(np.abs(traj.drift).max())
 
@@ -292,8 +299,8 @@ def cmd_compare(args) -> int:
             lin = linear_solution(scenario.rates, g, grid).values
             report["closed_vs_linear_max"] = float(np.abs(closed - lin).max())
 
-    if omega0 is not None:
-        _, dev, _ = _measure_route(scenario, omega0, grid, traj)
+    if mtraj is not None:
+        dev, _ = _measure_check(scenario, omega0, mtraj)
         report["measure_vs_mixture"] = _deviation_check(dev, tol)
 
     if scenario.monte_carlo is not None:

@@ -16,7 +16,9 @@ partitions that begin with the same blocks share the partial product (the
 distributive law; Aji & McEliece, "The generalized distributive law",
 2000).  The trie is summed from the leaves up, one ``np.bincount`` per node
 height.  With the coefficients of a trajectory in its leaves, the same
-program gives the mixture of block-product operators (``mixtures``).
+program gives the mixture of block-product operators (``mixtures``), and
+stacked, one program steps the coefficient and the measure system in
+lockstep (``_stacked``).
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class RateSystem:
     def _setup(self, g: tuple[int, ...], indices: np.ndarray, weights: list[float]) -> None:
         self.ground = g
         self.total = float(sum(weights))
+        if not math.isfinite(self.total):
+            raise ValueError(f"the rates add up to {self.total}, past the float range")
         self.indices = indices
         self.weights = np.array(weights, dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
@@ -275,17 +279,22 @@ class _TrieProgram:
     first ``n_ground`` are summed from the states in one ``np.bincount``,
     the others one descent level at a time from the marginal of a superset
     (``_descent``).
+
+    A program may also run several systems of the same rates at once, on
+    their state vectors stacked (``_stacked``): ``parts`` holds each one's
+    range, and ``n_ground`` then counts the blocks summed from each state.
     """
 
     loss: float               # sum of the kept rates
     blocks: tuple             # the blocks, in the order of their marginals
     ground_cells: np.ndarray  # (N * n_ground,) each state's cell per block summed from it, state-major
-    n_ground: int
+    n_ground: int | np.ndarray
     n_cells: int              # cells of all block marginals together
     descent: list             # (lo, hi, src, tgt) per level: marg[lo:hi] sums marg[src] at tgt
     values: np.ndarray        # every node value but the root's, with r_p at the leaf of each kept p
     levels: list              # one _Level per node height, the root's last
     leaves: np.ndarray        # the lattice index of each leaf's partition
+    parts: tuple              # (lo, hi) of each stacked state vector
 
     def marginals(self, unit: np.ndarray) -> np.ndarray:
         """Every block marginal of the state vector unit, in one vector."""
@@ -308,11 +317,19 @@ class _TrieProgram:
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
         out = -self.loss * vec
-        s = float(vec.sum())
-        if s <= 0.0 or not self.levels:
+        if not self.levels:
             return out
-        # unit mass first, as in measures.recombinator
-        out += s * self.gain(self.marginals(vec / s))
+        mass = [float(vec[lo:hi].sum()) for lo, hi in self.parts]
+        if max(mass) <= 0.0:
+            return out
+        # unit mass first, as in measures.recombinator; a part whose mass
+        # is not positive reads zeros and gains nothing
+        sizes = [hi - lo for lo, hi in self.parts]
+        scale = np.repeat([s if s > 0.0 else np.inf for s in mass], sizes)
+        gain = self.gain(self.marginals(vec / scale))
+        for (lo, hi), s in zip(self.parts, mass):
+            if s > 0.0:
+                out[lo:hi] += s * gain[lo:hi]
         return out
 
 
@@ -555,10 +572,108 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
     values[: len(kept)] = [r for _, r in kept]
     loss = float(sum(r for _, r in kept))
     prog = _TrieProgram(
-        loss, blocks, ground_cells.reshape(-1), len(top), n_cells, steps, values, levels, leaves
+        loss, blocks, ground_cells.reshape(-1), len(top), n_cells, steps, values, levels, leaves,
+        ((0, n_states(ground)),),
     )
     rates._programs[space] = prog
     return prog
+
+
+def _interleave(ends: list) -> tuple[list, np.ndarray]:
+    """Where each part's segments go when segment k of every part comes
+    before segment k + 1 of any, the parts in order: ends[p] lists the ends
+    of part p's segments (a part with fewer has empty ones at the end).
+    Returns each part's new index of each of its indices, and the new
+    start of each (segment, part)."""
+    lengths = np.zeros((max(map(len, ends)), len(ends)), dtype=np.intp)
+    for p, e in enumerate(ends):
+        lengths[: len(e), p] = np.diff(e, prepend=0)
+    starts = (np.cumsum(lengths) - lengths.reshape(-1)).reshape(lengths.shape)
+    moves = []
+    for p, e in enumerate(ends):
+        shift = starts[: len(e), p] - np.array([0, *e[:-1]])  # new start minus old, per segment
+        moves.append(np.arange(e[-1]) + np.repeat(shift, lengths[: len(e), p]))
+    return moves, starts
+
+
+def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
+    """The program of rates over the state vectors of the systems on spaces
+    (None for the coefficient system) stacked in that order, built from
+    their programs; one evaluation steps them all.
+
+    The trie is the rates', so the parts have the same node heights.  Block
+    marginals are laid out by descent depth and node values by node height,
+    the parts' segments side by side in each, so a depth or a height of
+    every part is one range, summed by one ``np.bincount``.  A level's edge
+    rows are merged by descending block count with a stable sort: block
+    positions stay prefixes, and each part's rows keep their order.  No
+    bin takes terms from two parts, so every sum is taken in the order of
+    the part's own program, and each part of ``rhs`` is bitwise its own
+    program's."""
+    progs = [_program(rates, space) for space in spaces]
+    plans = [_plan(rates, space)[0] for space in spaces]
+    cell_moves, cell_starts = _interleave(
+        [[lo for lo, _, _, _ in p.descent] + [p.n_cells] for p in progs]
+    )
+    depths = range(max(len(plan) for plan in plans))
+    blocks = tuple(u for d in depths for plan in plans if d < len(plan) for u, _ in plan[d])
+    descent = []
+    for d in depths[1:]:
+        lo = int(cell_starts[d, 0])
+        have = [(k, p.descent[d - 1]) for k, p in enumerate(progs) if d <= len(p.descent)]
+        src = np.concatenate([cell_moves[k][s] for k, (_, _, s, _) in have])
+        tgt = np.concatenate([t + (cell_starts[d, k] - lo) for k, (_, _, _, t) in have])
+        descent.append((lo, lo + sum(hi - plo for _, (plo, hi, _, _) in have), src, tgt))
+    sizes = [p.parts[0][1] for p in progs]
+    ends = np.cumsum(sizes).tolist()
+    parts = tuple(zip([0, *ends[:-1]], ends))
+    # the node values of the heights below the root's: leaves first
+    heights = [[lv.lo for lv in p.levels] or [0] for p in progs]
+    value_moves, value_starts = _interleave(heights)
+    values = np.empty(sum(p.values.size for p in progs))
+    for m, p in zip(value_moves, progs):
+        values[m] = p.values
+    levels = []
+    for h, group in enumerate(zip(*(p.levels for p in progs))):
+        if h + 1 < len(progs[0].levels):
+            lo = int(value_starts[h + 1, 0])
+            shifts = (value_starts[h + 1] - lo).tolist()
+            hi = lo + sum(lv.hi - lv.lo for lv in group)
+        else:  # the root: the gain of each part in its range
+            lo, hi, shifts = values.size, values.size + ends[-1], [first for first, _ in parts]
+        # rows by descending block count; each part's rows already are
+        counts = []
+        for lv in group:
+            count = np.zeros(lv.child.size, dtype=np.intp)
+            for c in lv.cells:
+                count[: c.size] += 1
+            counts.append(count)
+        order = np.argsort(-np.concatenate(counts), kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        child = np.concatenate([m[lv.child] for m, lv in zip(value_moves, group)])[order]
+        parent = np.concatenate([lv.parent + s for s, lv in zip(shifts, group)])[order]
+        firsts = np.cumsum([0] + [lv.child.size for lv in group])
+        cells = []
+        for j in range(max(len(lv.cells) for lv in group)):
+            have = [(k, lv.cells[j]) for k, lv in enumerate(group) if len(lv.cells) > j]
+            cell = np.empty(sum(c.size for _, c in have), dtype=np.intp)
+            for k, c in have:
+                cell[at[firsts[k] : firsts[k] + c.size]] = cell_moves[k][c]
+            cells.append(cell)
+        levels.append(_Level(lo, hi, child, parent, cells))
+    return _TrieProgram(
+        progs[0].loss,
+        blocks,
+        np.concatenate([m[p.ground_cells] for m, p in zip(cell_moves, progs)]),
+        np.repeat([p.n_ground for p in progs], sizes),
+        sum(p.n_cells for p in progs),
+        descent,
+        values,
+        levels,
+        np.concatenate([p.leaves for p in progs]),
+        parts,
+    )
 
 
 def _plan(rates: RateSystem, space: TypeSpace | None) -> tuple[list, int]:
@@ -785,6 +900,7 @@ class MeasureTrajectory:
     times: np.ndarray
     tensors: np.ndarray  # (T, *sizes)
     step: float = field(default=float("nan"))
+    coefficients: CoefficientTrajectory | None = None  # stepped in lockstep, if asked for
 
     def state(self, k: int) -> Measure:
         return Measure(self.space, self.tensors[k], validate=False)
@@ -815,14 +931,34 @@ def integrate_measure(
     omega0: Measure,
     grid,
     step: float | None = None,
+    a0: CoefficientVector | None = None,
 ) -> MeasureTrajectory:
-    """Fixed-step integration of the measure-valued system."""
+    """Fixed-step integration of the measure-valued system.
+
+    Given a0, the coefficient system from a0 is stepped in lockstep: one
+    RK4 run takes the stacked state [a0 | measure] through the stacked
+    program (``_stacked``), and the trajectory's ``coefficients`` hold the
+    first part.  Each part is bitwise what ``integrate_coefficients`` and
+    this function without a0 give.  Both programs are planned before
+    either is compiled."""
+    if a0 is not None:
+        if a0.ground != rates.ground:
+            raise ValueError("ground-set mismatch")
+        rk4_plan(rates, grid, step)
     g, h, substeps = rk4_plan(rates, grid, step, omega0.space)
-    prog = _program(rates, omega0.space)
     # run at a total below one, scaled by a power of two: exact for a finite
     # run, and a total near the float limit cannot overflow inside a substep
     weights = omega0.weights.reshape(-1)
     exp = math.frexp(float(weights.sum()))[1]
-    flat = np.ldexp(_rk4(prog.rhs, np.ldexp(weights, -exp), g, substeps), exp)
-    tensors = flat.reshape((g.size,) + tuple(omega0.space.sizes))
-    return MeasureTrajectory(omega0.space, g, tensors, step=h)
+    y0 = np.ldexp(weights, -exp)
+    if a0 is None:
+        run = _rk4(_program(rates, omega0.space).rhs, y0, g, substeps)
+        coefficients = None
+    else:
+        prog = _stacked(rates, [None, omega0.space])
+        run = _rk4(prog.rhs, np.concatenate((a0.values, y0)), g, substeps)
+        cut = a0.values.size
+        coefficients = CoefficientTrajectory(rates.ground, g, run[:, :cut].copy(), step=h)
+        run = run[:, cut:]
+    tensors = np.ldexp(run, exp).reshape((g.size,) + tuple(omega0.space.sizes))
+    return MeasureTrajectory(omega0.space, g, tensors, step=h, coefficients=coefficients)

@@ -5,7 +5,9 @@ metrics of any it cannot find, so a renamed or reshaped entry point would
 silently drop a per-layer metric from traced benchmark runs.  This test
 loads the tracer from its file without changing it, serves one ``compare``
 per shipped scenario under it, and checks that every per-layer metric
-named in ``BENCHMARK.json`` is reported.
+named in ``BENCHMARK.json`` is reported.  It also checks that RK4 runs
+inside the traced spans: with a measure, the coefficient and measure
+systems step in lockstep inside ``integrate_measure``.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ import json
 from pathlib import Path
 
 from recomb import cli
+from recomb.dynamics import rk4_plan
 from recomb.scenario import Scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +54,17 @@ def test_every_layer_metric_reported_on_shipped_scenarios(tmp_path):
     )
     assert layers["process.samples"] == samples > 0
     assert layers["process.mc_s"] > 0 and layers["process.sample_us"] > 0
+
+    # every shipped scenario has a measure: one joint RK4 run each, whose
+    # evaluations count once, plus the Monte Carlo reference RK4 of the
+    # degenerate scenario, which has no closed form
+    evals = 0
+    for path in SHIPPED:
+        scenario = Scenario.from_file(path)
+        assert scenario.initial_measure is not None
+        evals += 4 * int(rk4_plan(scenario.rates, scenario.grid.array(), scenario.step)[2].sum())
+        if path.stem == "n4_bad_degenerate":
+            reference = [0.0, scenario.mc_time()]
+            evals += 4 * int(rk4_plan(scenario.rates, reference, scenario.step)[2].sum())
+    assert layers["dynamics.measure_rk4_s"] > 0
+    assert layers["dynamics.rhs_evals"] == evals

@@ -232,6 +232,28 @@ def test_bad_rate_key_refused_with_its_message(tmp_path, capsys, key, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "integrate", "simulate", "compare"])
+def test_rate_total_past_the_float_range_refused(tmp_path, command):
+    # each rate is finite, their total is not: refused with one line, in a
+    # child where a RuntimeWarning would end the run with a traceback
+    doc = {
+        "n": 2,
+        "rates": {"1|2": 1e308, "1,2": 1e308},
+        "initial_measure": "uniform",
+        "monte_carlo": {"samples": 1000, "seed": 1},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    proc = run_cli(
+        [command, "--config", str(cfg), "--out", str(out)], PYTHONWARNINGS="error::RuntimeWarning"
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "configuration error: bad rates: the rates add up to inf, past the float range\n"
+    )
+    assert not out.exists()
+
+
 class TestLatticeCommand:
     def test_counts(self, capsys):
         assert main(["lattice", "4"]) == 0

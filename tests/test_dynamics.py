@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import recomb.dynamics as dynamics
 from recomb.dynamics import (
@@ -74,6 +75,15 @@ class TestRateSystem:
         g = ground_set(2)
         with pytest.raises(ValueError):
             RateSystem(g, {Partition.whole(g): -1.0})
+
+    def test_total_past_the_float_range_rejected(self):
+        # each rate is finite and their total is not, by mapping and by index
+        g = ground_set(2)
+        lat = lattice(g)
+        with pytest.raises(ValueError, match="add up to inf"):
+            RateSystem(g, dict.fromkeys(lat.parts, 1e308))
+        with pytest.raises(ValueError, match="add up to inf"):
+            RateSystem.from_indices(g, [0, 1], [1e308, 1e308])
 
     def test_wrong_ground_rejected(self):
         with pytest.raises(ValueError):
@@ -788,3 +798,124 @@ class TestMixtures:
         monkeypatch.setattr("recomb.measures.recombinator", refuse)
         got = mixture(coeffs, omega0).weights.reshape(1, -1)
         assert np.abs(got - want).max() <= 1e-15
+
+
+def assert_lockstep(rates, omega0, grid, step=None, a0=None):
+    """The lockstep run of the coefficient and measure systems equals the
+    two integrations run apart, bit for bit."""
+    a0 = CoefficientVector.delta_top(rates.ground) if a0 is None else a0
+    apart = integrate_coefficients(rates, a0, grid, step=step)
+    alone = integrate_measure(rates, omega0, grid, step=step)
+    joint = integrate_measure(rates, omega0, grid, step=step, a0=a0)
+    assert alone.coefficients is None
+    coeffs = joint.coefficients
+    assert np.array_equal(coeffs.values, apart.values)
+    assert np.array_equal(joint.tensors, alone.tensors)
+    assert np.array_equal(coeffs.times, apart.times) and np.array_equal(joint.times, alone.times)
+    assert coeffs.step == apart.step and joint.step == alone.step
+    assert coeffs.ground == rates.ground and joint.space == omega0.space
+    return joint
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["n3_generic", "n4_bad_degenerate", "n4_single_crossover"])
+    def test_shipped_scenarios(self, name):
+        scenario = Scenario.from_file(SCENARIOS / f"{name}.json")
+        omega0 = scenario.build_measure()
+        assert_lockstep(scenario.rates, omega0, scenario.grid.array(), scenario.step)
+
+    def test_all_rated_six_sites_uniform(self):
+        # every partition of six sites rated, on alphabets 3, 3, 3, 2, 2, 2:
+        # the descent takes several levels on both sides
+        space = TypeSpace(ground_set(6), (3, 3, 3, 2, 2, 2))
+        rates = random_rates(6, 5, total=3.0)
+        prog = dynamics._stacked(rates, [None, space])
+        assert len(prog.descent) >= 1 and len(prog.levels) >= 3
+        omega0 = Measure(space, np.full(space.sizes, 1.0 / space.n_states))
+        assert_lockstep(rates, omega0, np.linspace(0.0, 2.0, 9))
+
+    def test_zero_measure(self):
+        # the measure part has no mass: it gains nothing, as alone, while the
+        # coefficients step on
+        space = mixed_space(4)
+        rates = random_rates(4, 6)
+        joint = assert_lockstep(rates, Measure(space, np.zeros(space.sizes)), np.linspace(0, 1, 5))
+        assert not joint.tensors.any() and joint.coefficients.values[-1].min() > 0
+
+    def test_zero_coefficients(self):
+        space = mixed_space(3)
+        rates = random_rates(3, 7)
+        a0 = CoefficientVector(rates.ground, np.zeros(lattice(rates.ground).size))
+        nu = Measure(space, np.random.default_rng(8).random(space.sizes))
+        assert_lockstep(rates, nu, np.linspace(0, 1, 5), a0=a0)
+
+    def test_top_only_rates_have_no_levels(self):
+        space = mixed_space(4)
+        rates = rate_system(4, "top-only")
+        assert not dynamics._stacked(rates, [None, space]).levels
+        nu = Measure(space, np.random.default_rng(9).random(space.sizes))
+        assert_lockstep(rates, nu, np.linspace(0, 1, 5))
+
+    def test_two_block_only_system(self):
+        doc = {
+            "n": 5,
+            "two_block_only": True,
+            "alphabet_sizes": [2, 3, 2, 3, 2],
+            "rates": {"1|2,3,4,5": 0.3, "1,2|3,4,5": 0.5, "1,3,5|2,4": 0.7, "1,2,3,4|5": 0.2},
+            "initial_measure": "uniform",
+            "time_grid": {"start": 0, "end": 3.0, "points": 7},
+        }
+        scenario = Scenario.from_dict(doc)
+        assert_lockstep(scenario.rates, scenario.build_measure(), scenario.grid.array())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_product_measures(self, data):
+        n = data.draw(st.integers(1, 4), "n")
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), "sizes")
+        space = TypeSpace(ground_set(n), tuple(sizes))
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        rates = rate_system(n, data.draw(st.sampled_from(RATE_KINDS), "kind"), seed)
+        weight = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+        site_weights = [
+            data.draw(st.lists(weight, min_size=k, max_size=k), f"site {x}")
+            for x, k in zip(space.sites, sizes)
+        ]
+        nu = product_measure(space, site_weights)
+        assert_lockstep(rates, nu, np.linspace(0.0, 1.5, 4))
+
+    def test_stacked_rhs_is_each_program_rhs(self):
+        # one evaluation of the stacked program gives each part's own
+        # right-hand side, also where one part has no mass
+        space = mixed_space(5)
+        rates = random_rates(5, 10)
+        prog = dynamics._stacked(rates, [None, space])
+        a, w = _program(rates), _program(rates, space)
+        rng = np.random.default_rng(11)
+        x, y = rng.random(lattice(rates.ground).size), rng.random(space.n_states)
+        for u, v in ((x, y), (x, 0.0 * y), (0.0 * x, y)):
+            got = prog.rhs(np.concatenate((u, v)))
+            want = np.concatenate((a.rhs(u), w.rhs(v)))
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert prog.n_cells == a.n_cells + w.n_cells
+        cells = sum(c.size for level in prog.levels for c in level.cells)
+        assert cells == sum(c.size for p in (a, w) for level in p.levels for c in level.cells)
+        assert sorted(prog.blocks) == sorted(a.blocks + w.blocks)
+
+    @pytest.mark.parametrize("bound", ["MAX_STATES", "MAX_RK4_WORK"])
+    def test_refusals_name_their_program_before_compiling(self, bound, monkeypatch):
+        # a bound below the coefficient program refuses it, one between the
+        # two refuses the measure program; neither is compiled
+        space = mixed_space(4)
+        rates = random_rates(4, 12)
+        grid = np.linspace(0.0, 1.0, 3)
+        a, w = program_cells(rates), program_cells(rates, space)
+        assert a < w
+        work = 4 * rk4_plan(rates, grid)[2].sum() if bound == "MAX_RK4_WORK" else 1
+        nu = Measure(space, np.ones(space.sizes))
+        a0 = CoefficientVector.delta_top(rates.ground)
+        for limit, kind in ((a - 1, "coefficient"), (w - 1, "measure")):
+            monkeypatch.setattr(dynamics, bound, int(limit * work))
+            with pytest.raises(ValueError, match=f"^{kind} (program|integration) of"):
+                integrate_measure(rates, nu, grid, a0=a0)
+            assert not rates._programs
