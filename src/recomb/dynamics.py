@@ -7,24 +7,31 @@ The coefficient system:
 
 where the gain factor is the blockwise marginal product defined below.  The
 measure system applies block-product operators instead.  Both right-hand
-sides share one gain term, compiled once per rate system (and per type
-space): the block marginals are summed from the states, or from the
-marginal of a smaller superset, one ``np.bincount`` per descent level, and
-the sum over rated partitions p of r_p times the product of the marginals
-on p's blocks is factored over the prefix trie of those blocks, so
-partitions that begin with the same blocks share the partial product (the
-distributive law; Aji & McEliece, "The generalized distributive law",
+sides share one gain term: the block marginals are summed from the states,
+or from the marginal of a smaller superset, one ``np.bincount`` per descent
+level, and the sum over rated partitions p of r_p times the product of the
+marginals on p's blocks is factored over the prefix trie of those blocks,
+so partitions that begin with the same blocks share the partial product
+(the distributive law; Aji & McEliece, "The generalized distributive law",
 2000).  The trie is summed from the leaves up, one ``np.bincount`` per node
 height.  With the coefficients of a trajectory in its leaves, the same
 program gives the mixture of block-product operators (``mixtures``), and
 stacked, one program steps the coefficient and the measure system in
 lockstep (``_stacked``).
+
+The program depends on the rates only through its leaf values r_p and its
+loss rate, so it is compiled once per support and state space in a process
+(``_support``): every rate system with the same kept partitions in the same
+order shares it, and binds its own rates at use.  The programs of the
+_SUPPORTS_KEPT supports used last are kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -52,6 +59,7 @@ MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole gri
 _RUN_STATES = 1 << 20  # candidate states per run of trie edges compiled at once
 _DESCENT_CALL = 512  # cells that cost about one more np.bincount call (see _descent)
 MAX_RK4_WORK = 1 << 35  # cell indices one integration may visit: 4 * substeps * program_cells
+_SUPPORTS_KEPT = 8  # supports whose compiled programs a process keeps, least recently used dropped
 
 
 class RateSystem:
@@ -60,24 +68,13 @@ class RateSystem:
     The rates are kept by lattice index: ``indices`` holds the lattice
     index of each rated partition once, in the order given, and
     ``weights`` its rate; ``rates`` is their view by ``Partition``.
-    Immutable by convention; derived tables are cached on first use: the
-    marginal rates per subset, the prefix trie of the rated partitions' blocks
-    and, per state space (None for the coefficient system, a ``TypeSpace``
-    for the measure system), the compiled gain term and its plan: the
-    descent of its block marginals and its cell count.
+    Immutable by convention; the marginal rates per subset are cached on
+    first use.  The compiled gain terms depend on the support alone and are
+    shared by the rate systems of one support in a process (``_support``);
+    each rate system binds its own rates into them at use.
     """
 
-    __slots__ = (
-        "ground",
-        "total",
-        "indices",
-        "weights",
-        "_rates",
-        "_marginals",
-        "_programs",
-        "_plans",
-        "_trie",
-    )
+    __slots__ = ("ground", "total", "indices", "weights", "_rates", "_marginals")
 
     def __init__(self, ground, rates: Mapping[Partition, float]):
         g = as_ground(ground)
@@ -98,15 +95,39 @@ class RateSystem:
     def from_indices(cls, ground, indices, weights) -> "RateSystem":
         """The rates weights[i] of the partitions at the lattice indices
         indices[i] of ``lattice(ground)``, each index once, checked like
-        those of a mapping; no ``Partition`` is built."""
+        those of a mapping; no ``Partition`` is built.  An index that is
+        not an integer or is outside the lattice, an index given twice, and
+        an index without a rate or a rate without an index are refused by
+        name."""
         g = as_ground(ground)
+        lat = lattice(g)
         weights = [float(r) for r in weights]
+        idx = np.asarray(indices)
+        if idx.ndim != 1:
+            raise ValueError(f"partition indices must be one flat list, got shape {idx.shape}")
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"partition index {idx[0].item()!r} is not an integer")
+        idx = idx.astype(np.intp)
+        if idx.size != len(weights):
+            k = min(idx.size, len(weights))
+            if k < idx.size:
+                raise ValueError(f"partition index {idx[k]} has no rate")
+            raise ValueError(f"rate {weights[k]} has no partition index")
+        outside = np.flatnonzero((idx < 0) | (idx >= lat.size))
+        if outside.size:
+            bad = idx[outside[0]]
+            raise ValueError(f"partition index {bad} is outside the {lat.size} partitions of {g}")
+        order = np.argsort(idx, kind="stable")
+        twice = order[1:][idx[order[1:]] == idx[order[:-1]]]
+        if twice.size:
+            bad = idx[twice.min()]
+            raise ValueError(f"partition index {bad} ({lat.names[bad]}) is given twice")
         bad = next((k for k, r in enumerate(weights) if not (math.isfinite(r) and r >= 0)), None)
         if bad is not None:
-            name = lattice(g).names[indices[bad]]
+            name = lat.names[idx[bad]]
             raise ValueError(f"rate for {name} must be finite and nonnegative, got {weights[bad]}")
         self = object.__new__(cls)
-        self._setup(g, np.asarray(indices, dtype=np.intp), weights)
+        self._setup(g, idx, weights)
         self._rates = None
         return self
 
@@ -118,9 +139,6 @@ class RateSystem:
         self.indices = indices
         self.weights = np.array(weights, dtype=float)
         self._marginals: dict[tuple[int, ...], np.ndarray] = {}
-        self._programs: dict[TypeSpace | None, _TrieProgram] = {}
-        self._plans: dict[TypeSpace | None, tuple[list, int]] = {}
-        self._trie: tuple | None = None
 
     @property
     def rates(self) -> dict[Partition, float]:
@@ -283,6 +301,10 @@ class _TrieProgram:
     A program may also run several systems of the same rates at once, on
     their state vectors stacked (``_stacked``): ``parts`` holds each one's
     range, and ``n_ground`` then counts the blocks summed from each state.
+
+    Compiled, a program holds no rates: zeros in its leaves and no loss
+    (``_support``).  ``bind`` writes a rate system's kept rates at
+    ``slots``, the value index of each leaf in each part.
     """
 
     loss: float               # sum of the kept rates
@@ -295,6 +317,15 @@ class _TrieProgram:
     levels: list              # one _Level per node height, the root's last
     leaves: np.ndarray        # the lattice index of each leaf's partition
     parts: tuple              # (lo, hi) of each stacked state vector
+    sizes: np.ndarray         # hi - lo of each part
+    slots: np.ndarray         # (parts, kept) the value index of each leaf of each part
+
+    def bind(self, rates: np.ndarray) -> "_TrieProgram":
+        """This program with the kept rates (in trie order) in its leaves
+        and their sum as its loss."""
+        values = self.values.copy()
+        values[self.slots] = rates
+        return replace(self, loss=float(sum(rates.tolist())), values=values)
 
     def marginals(self, unit: np.ndarray) -> np.ndarray:
         """Every block marginal of the state vector unit, in one vector."""
@@ -319,42 +350,86 @@ class _TrieProgram:
         out = -self.loss * vec
         if not self.levels:
             return out
-        mass = [float(vec[lo:hi].sum()) for lo, hi in self.parts]
-        if max(mass) <= 0.0:
+        # each part's mass is summed from its own slice, as alone: one
+        # np.add.reduceat would start each sum at its first entry, not at 0,
+        # and pair the terms differently
+        mass = np.array([vec[lo:hi].sum() for lo, hi in self.parts])
+        live = mass > 0.0
+        n_live = np.count_nonzero(live)
+        if not n_live:
             return out
         # unit mass first, as in measures.recombinator; a part whose mass
         # is not positive reads zeros and gains nothing
-        sizes = [hi - lo for lo, hi in self.parts]
-        scale = np.repeat([s if s > 0.0 else np.inf for s in mass], sizes)
+        scale = np.repeat(np.where(live, mass, np.inf), self.sizes)
         gain = self.gain(self.marginals(vec / scale))
-        for (lo, hi), s in zip(self.parts, mass):
-            if s > 0.0:
-                out[lo:hi] += s * gain[lo:hi]
-        return out
+        held = True if n_live == live.size else np.repeat(live, self.sizes)
+        np.multiply(gain, scale, out=gain, where=held)
+        return np.add(out, gain, out=out, where=held)
 
 
-def _trie(rates: RateSystem) -> tuple[list, list, dict, np.ndarray]:
-    """The (blocks, rate) of the rated partitions of at least two blocks, by
-    descending block count, and the prefix trie of their blocks (canonical
-    order, by least site) with each single-child chain merged into one
-    edge; built on first use and cached on the rates.
+class _Support:
+    """The rate-free tables of one support: the lattice index of each kept
+    partition in trie order (``leaves``), their prefix trie (``_trie``)
+    and, per state space, the descent plan and cell count (``plans``) and
+    the compiled program (``programs``; a tuple of spaces for a stacked
+    program)."""
 
-    Nodes are named by their prefix: the root is ``()`` and the leaf of the
-    k-th kept partition is its ``blocks``.  The edges (parent, blocks, child)
-    come in post-order, so the edges out of one node follow the first
-    appearance of their first block among the kept partitions.  Each node
-    maps to its height (0 at the leaves) and its remainder, the sites its
-    prefix leaves uncovered.  Last come the kept partitions' lattice
-    indices."""
-    if rates._trie is not None:
-        return rates._trie
-    lat, indices, weights = lattice(rates.ground), rates.indices, rates.weights
-    count = lat.block_counts[indices]
+    __slots__ = ("ground", "leaves", "trie", "plans", "programs")
+
+    def __init__(self, ground: tuple, leaves: np.ndarray):
+        self.ground, self.leaves = ground, leaves
+        self.trie = _trie(ground, leaves)
+        self.plans: dict = {}
+        self.programs: dict = {}
+
+
+_supports: OrderedDict = OrderedDict()  # (ground, leaves) -> _Support, least recently used first
+_supports_lock = threading.Lock()
+
+
+def _support(rates: RateSystem) -> tuple[_Support, np.ndarray]:
+    """The compiled tables of the support of rates, and its kept rates in
+    trie order.
+
+    The kept partitions are the rated ones with at least two blocks, in the
+    order given, stably sorted by descending block count.  That order sets
+    the order of every ``np.bincount`` sum of a program, so the tables are
+    shared by the rate systems on one ground with the same kept partitions
+    in the same order, and by them alone.  A process keeps the tables of the
+    _SUPPORTS_KEPT supports used last."""
+    g, indices, weights = rates.ground, rates.indices, rates.weights
+    count = lattice(g).block_counts[indices]
     order = np.flatnonzero((weights > 0) & (count > 1))
     order = order[np.argsort(-count[order], kind="stable")]
-    kept = list(zip(lat.blocks(indices[order]), weights[order].tolist()))
+    leaves = indices[order]
+    key = (g, leaves.tobytes())
+    with _supports_lock:
+        support = _supports.get(key)
+        if support is not None:
+            _supports.move_to_end(key)
+            return support, weights[order]
+    support = _Support(g, leaves)
+    with _supports_lock:
+        support = _supports.setdefault(key, support)
+        while len(_supports) > _SUPPORTS_KEPT:
+            _supports.popitem(last=False)
+    return support, weights[order]
+
+
+def _trie(ground: tuple, leaves: np.ndarray) -> tuple[list, list, dict]:
+    """The blocks of the partitions at the lattice indices leaves, and the
+    prefix trie of their blocks (canonical order, by least site) with each
+    single-child chain merged into one edge.
+
+    Nodes are named by their prefix: the root is ``()`` and the leaf of the
+    k-th partition is its blocks.  The edges (parent, blocks, child) come in
+    post-order, so the edges out of one node follow the first appearance of
+    their first block among the partitions.  Each node maps to its height
+    (0 at the leaves) and its remainder, the sites its prefix leaves
+    uncovered."""
+    kept = lattice(ground).blocks(leaves)
     root: dict = {}
-    for blocks, _ in kept:
+    for blocks in kept:
         node = root
         for u in blocks:
             node = node.setdefault(u, {})
@@ -380,9 +455,8 @@ def _trie(rates: RateSystem) -> tuple[list, list, dict, np.ndarray]:
         nodes[prefix] = (h, rest)
 
     if kept:
-        visit((), rates.ground, root)
-    rates._trie = kept, edges, nodes, indices[order]
-    return rates._trie
+        visit((), ground, root)
+    return kept, edges, nodes
 
 
 def _state_counter(ground: tuple, space: TypeSpace | None):
@@ -437,7 +511,24 @@ def _descent(ground: tuple, blocks: list, n_states) -> list:
 
 def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
     """The gain term of the coefficient system (space None) or of the
-    measure system on space, compiled on first use and cached on the rates.
+    measure system on space, with the rates of rates bound: compiled once
+    per support (``_compile``)."""
+    support, kept = _support(rates)
+    return _compiled(support, space).bind(kept)
+
+
+def _compiled(support: _Support, space: TypeSpace | None) -> _TrieProgram:
+    """The rate-free program of support on space, compiled on first use."""
+    prog = support.programs.get(space)
+    if prog is None:
+        prog = support.programs[space] = _compile(support, space)
+    return prog
+
+
+def _compile(support: _Support, space: TypeSpace | None) -> _TrieProgram:
+    """The gain term of the coefficient system (space None) or of the
+    measure system on space over the trie of support, with zeros in its
+    leaves and no loss.
 
     A node of the trie with remainder C holds one value per state of C: the
     partitions ``lattice(C)`` on the coefficient side, the product of C's
@@ -449,15 +540,12 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
     its restriction to C'.  A block marginal summed from a superset W reads
     each state of W restricted to the block.
     """
-    prog = rates._programs.get(space)
-    if prog is not None:
-        return prog
-    ground = rates.ground
+    ground = support.ground
     n_states = _state_counter(ground, space)
     if space is not None:
         alphabet = dict(zip(space.sites, space.sizes))
-    kept, edges, nodes, leaves = _trie(rates)
-    descent, _ = _plan(rates, space)
+    kept, edges, nodes = support.trie
+    descent, _ = _plan(support, space)
     # the subsets each set is restricted to: each block at its source, and
     # on each edge its blocks and its child's remainder (empty at a leaf)
     wanted: dict = {}
@@ -516,7 +604,7 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
         tgt = np.concatenate([start[u] - lo + restricted[w, u][0] for u, w in level])
         steps.append((lo, lo + sum(n_states(u) for u, _ in level), src, tgt))
     # node values: leaves first, then inner nodes by height, the root last
-    offset = {blocks: k for k, (blocks, _) in enumerate(kept)}
+    offset = {blocks: k for k, blocks in enumerate(kept)}
     lo: dict = {}
     size = len(kept)
     for prefix in sorted((p for p in nodes if nodes[p][0]), key=lambda p: nodes[p][0]):
@@ -568,15 +656,12 @@ def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
             for j in range(len(level[0][1]))
         ]
         levels.append(_Level(lo[h], lo.get(h + 1, size), child, parent, cells))
-    values = np.zeros(offset.get((), 0))  # all but the root, placed last: its values are the gain
-    values[: len(kept)] = [r for _, r in kept]
-    loss = float(sum(r for _, r in kept))
-    prog = _TrieProgram(
-        loss, blocks, ground_cells.reshape(-1), len(top), n_cells, steps, values, levels, leaves,
-        ((0, n_states(ground)),),
+    width = n_states(ground)
+    return _TrieProgram(
+        0.0, blocks, ground_cells.reshape(-1), len(top), n_cells, steps,
+        np.zeros(offset.get((), 0)),  # all but the root, placed last: its values are the gain
+        levels, support.leaves, ((0, width),), np.array([width]), np.arange(len(kept))[None],
     )
-    rates._programs[space] = prog
-    return prog
 
 
 def _interleave(ends: list) -> tuple[list, np.ndarray]:
@@ -598,20 +683,32 @@ def _interleave(ends: list) -> tuple[list, np.ndarray]:
 
 def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
     """The program of rates over the state vectors of the systems on spaces
-    (None for the coefficient system) stacked in that order, built from
-    their programs; one evaluation steps them all.
+    (None for the coefficient system) stacked in that order, with the rates
+    of rates bound: built once per support (``_stack``)."""
+    support, kept = _support(rates)
+    key = tuple(spaces)
+    prog = support.programs.get(key)
+    if prog is None:
+        prog = support.programs[key] = _stack(support, key)
+    return prog.bind(kept)
 
-    The trie is the rates', so the parts have the same node heights.  Block
-    marginals are laid out by descent depth and node values by node height,
-    the parts' segments side by side in each, so a depth or a height of
-    every part is one range, summed by one ``np.bincount``.  A level's edge
-    rows are merged by descending block count with a stable sort: block
-    positions stay prefixes, and each part's rows keep their order.  No
-    bin takes terms from two parts, so every sum is taken in the order of
-    the part's own program, and each part of ``rhs`` is bitwise its own
-    program's."""
-    progs = [_program(rates, space) for space in spaces]
-    plans = [_plan(rates, space)[0] for space in spaces]
+
+def _stack(support: _Support, spaces: tuple) -> _TrieProgram:
+    """The rate-free program of support over the state vectors of the
+    systems on spaces stacked in that order, built from their programs;
+    one evaluation steps them all.
+
+    The trie is the support's, so the parts have the same node heights.
+    Block marginals are laid out by descent depth and node values by node
+    height, the parts' segments side by side in each, so a depth or a
+    height of every part is one range, summed by one ``np.bincount``.  A
+    level's edge rows are merged by descending block count with a stable
+    sort: block positions stay prefixes, and each part's rows keep their
+    order.  No bin takes terms from two parts, so every sum is taken in the
+    order of the part's own program, and each part of ``rhs`` is bitwise
+    its own program's."""
+    progs = [_compiled(support, space) for space in spaces]
+    plans = [_plan(support, space)[0] for space in spaces]
     cell_moves, cell_starts = _interleave(
         [[lo for lo, _, _, _ in p.descent] + [p.n_cells] for p in progs]
     )
@@ -630,9 +727,7 @@ def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
     # the node values of the heights below the root's: leaves first
     heights = [[lv.lo for lv in p.levels] or [0] for p in progs]
     value_moves, value_starts = _interleave(heights)
-    values = np.empty(sum(p.values.size for p in progs))
-    for m, p in zip(value_moves, progs):
-        values[m] = p.values
+    values = np.zeros(sum(p.values.size for p in progs))
     levels = []
     for h, group in enumerate(zip(*(p.levels for p in progs))):
         if h + 1 < len(progs[0].levels):
@@ -663,7 +758,7 @@ def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
             cells.append(cell)
         levels.append(_Level(lo, hi, child, parent, cells))
     return _TrieProgram(
-        progs[0].loss,
+        0.0,
         blocks,
         np.concatenate([m[p.ground_cells] for m, p in zip(cell_moves, progs)]),
         np.repeat([p.n_ground for p in progs], sizes),
@@ -673,19 +768,21 @@ def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
         levels,
         np.concatenate([p.leaves for p in progs]),
         parts,
+        np.array(sizes),
+        np.concatenate([m[p.slots] for m, p in zip(value_moves, progs)]),
     )
 
 
-def _plan(rates: RateSystem, space: TypeSpace | None) -> tuple[list, int]:
+def _plan(support: _Support, space: TypeSpace | None) -> tuple[list, int]:
     """The descent of the block marginals (``_descent``) and the cell count
-    of the program of rates on space, from the trie and block sizes alone;
-    cached on the rates."""
-    plan = rates._plans.get(space)
+    of the program of support on space, from the trie and block sizes
+    alone; cached on the support."""
+    plan = support.plans.get(space)
     if plan is not None:
         return plan
-    ground = rates.ground
+    ground = support.ground
     n_states = _state_counter(ground, space)
-    kept, edges, nodes, _ = _trie(rates)
+    kept, edges, nodes = support.trie
     if space is None:
         fed = [
             math.prod(bell_number(len(v)) for v in blocks + (nodes[end][1],))
@@ -693,25 +790,25 @@ def _plan(rates: RateSystem, space: TypeSpace | None) -> tuple[list, int]:
         ]
     else:
         fed = [n_states(nodes[prefix][1]) for prefix, _, _ in edges]
-    descent = _descent(ground, sorted({u for blocks, _ in kept for u in blocks}), n_states)
+    descent = _descent(ground, sorted({u for blocks in kept for u in blocks}), n_states)
     marginals = sum(
         n_states(w) * (1 if w == ground else 2) for level in descent for _, w in level
     )
-    plan = descent, marginals + sum(len(e[1]) * m for e, m in zip(edges, fed))
-    rates._plans[space] = plan
+    cells = marginals + sum(len(e[1]) * m for e, m in zip(edges, fed))
+    plan = support.plans[space] = descent, cells
     return plan
 
 
 def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
     """The number of cell indices ``_program(rates, space)`` stores, from
-    the trie and block sizes alone, cached on the rates: for each block
+    the trie and block sizes alone, cached with the support: for each block
     marginal summed from the ground one per state, and for each summed from
     a superset W two per state of W (its source and its target); and one
     per block of each edge cell.  An edge out of a node with remainder C
     feeds every state of C on a measure; on the lattice it feeds the
     prod_V B(|V|) partitions of C that its blocks and its child's remainder
     V do not cut."""
-    return _plan(rates, space)[1]
+    return _plan(_support(rates)[0], space)[1]
 
 
 def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = None) -> np.ndarray:

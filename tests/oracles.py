@@ -173,6 +173,26 @@ def meet_gain(q: CoefficientVector, a: Partition, b: Partition) -> float:
     return float(q.values[col == lat.index[a]].sum())
 
 
+def trie_rhs(prog, vec: np.ndarray) -> np.ndarray:
+    """The right-hand side of a bound trie program with a Python loop over
+    its stacked parts: each part's mass as a float, the scale repeated from
+    a list and each live part's gain added into its own slice.  Kept as the
+    bitwise reference for ``_TrieProgram.rhs``."""
+    out = -prog.loss * vec
+    if not prog.levels:
+        return out
+    mass = [float(vec[lo:hi].sum()) for lo, hi in prog.parts]
+    if max(mass) <= 0.0:
+        return out
+    sizes = [hi - lo for lo, hi in prog.parts]
+    scale = np.repeat([s if s > 0.0 else np.inf for s in mass], sizes)
+    gain = prog.gain(prog.marginals(vec / scale))
+    for (lo, hi), s in zip(prog.parts, mass):
+        if s > 0.0:
+            out[lo:hi] += s * gain[lo:hi]
+    return out
+
+
 # closed form ---------------------------------------------------------------
 
 _DIAG_TOL = 1e-12

@@ -1,3 +1,5 @@
+import importlib.util
+from collections import OrderedDict
 from itertools import combinations
 from pathlib import Path
 
@@ -84,6 +86,30 @@ class TestRateSystem:
             RateSystem(g, dict.fromkeys(lat.parts, 1e308))
         with pytest.raises(ValueError, match="add up to inf"):
             RateSystem.from_indices(g, [0, 1], [1e308, 1e308])
+
+    @pytest.mark.parametrize(
+        "indices, weights, message",
+        [
+            ([3, 3], [0.3, 0.4], r"^partition index 3 \(1\|2,3\) is given twice$"),
+            ([1, 99], [0.3, 0.4], r"^partition index 99 is outside the 5 partitions of"),
+            ([-1], [0.3], r"^partition index -1 is outside the 5 partitions of"),
+            ([1, 2], [0.3], r"^partition index 2 has no rate$"),
+            ([1], [0.3, 0.4], r"^rate 0.4 has no partition index$"),
+            ([1.5], [0.3], r"^partition index 1.5 is not an integer$"),
+            ([True], [0.3], r"^partition index True is not an integer$"),
+            ([[1]], [0.3], r"^partition indices must be one flat list, got shape \(1, 1\)$"),
+        ],
+        ids=[
+            "twice", "past-the-lattice", "negative", "index-without-rate", "rate-without-index",
+            "float", "bool", "nested",
+        ],
+    )
+    def test_bad_indices_refused_by_name(self, indices, weights, message):
+        # a repeated index once counted in the total but fed the gain once,
+        # so the coefficient right-hand side no longer summed to zero
+        with pytest.raises(ValueError, match=message) as refused:
+            RateSystem.from_indices(ground_set(3), indices, weights)
+        assert "\n" not in str(refused.value)
 
     def test_wrong_ground_rejected(self):
         with pytest.raises(ValueError):
@@ -570,11 +596,12 @@ class TestPairProgram:
                 stored = prog.ground_cells.size + descent + blocks
                 assert program_cells(rates, space) == stored
 
-    def test_plan_refuses_a_program_above_the_bound(self):
+    def test_plan_refuses_a_program_above_the_bound(self, monkeypatch):
         # every partition of six sites rated, on 12**6 types: the block
         # marginals take 26,263,872 indices, 140,335,200 with the trie (the
         # coefficient work bound is tested at n = 10 in a child process, see
         # test_cli)
+        monkeypatch.setattr(dynamics, "_supports", OrderedDict())
         rates = random_rates(6, 1)
         space = TypeSpace.regular(6, 12)
         assert program_cells(rates, space) > MAX_STATES
@@ -583,7 +610,12 @@ class TestPairProgram:
         omega0 = Measure(space, np.ones(space.sizes), validate=False)
         with pytest.raises(ValueError, match="measure program"):
             integrate_measure(rates, omega0, [0.0, 1.0])
-        assert space not in rates._programs
+        assert not compiled_programs()
+
+
+def compiled_programs():
+    """(support, space) of each program compiled and kept in this process."""
+    return [(key, space) for key, support in dynamics._supports.items() for space in support.programs]
 
 
 def flat_marginals(prog, unit, ground, space=None):
@@ -685,7 +717,7 @@ class TestDescent:
         # sources' sources would cost at least one call's worth of cells
         for rates in (random_rates(n, 1), half_rated(n), interval_rates(n)):
             for space in (None, mixed_space(n)):
-                plan, _ = dynamics._plan(rates, space)
+                plan, _ = dynamics._plan(dynamics._support(rates)[0], space)
                 states = dynamics._state_counter(rates.ground, space)
                 source = {u: w for level in plan for u, w in level}
                 if len(plan) > 1:
@@ -906,6 +938,7 @@ class TestLockstep:
     def test_refusals_name_their_program_before_compiling(self, bound, monkeypatch):
         # a bound below the coefficient program refuses it, one between the
         # two refuses the measure program; neither is compiled
+        monkeypatch.setattr(dynamics, "_supports", OrderedDict())
         space = mixed_space(4)
         rates = random_rates(4, 12)
         grid = np.linspace(0.0, 1.0, 3)
@@ -918,4 +951,160 @@ class TestLockstep:
             monkeypatch.setattr(dynamics, bound, int(limit * work))
             with pytest.raises(ValueError, match=f"^{kind} (program|integration) of"):
                 integrate_measure(rates, nu, grid, a0=a0)
-            assert not rates._programs
+            assert not compiled_programs()
+
+
+def load_workloads():
+    """The benchmark's scenario generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def named_scenario(name):
+    """A shipped scenario, or a generated benchmark one named workload-seed."""
+    if name.startswith("dense-n6-"):
+        doc = load_workloads().generated_scenario("dense-n6", int(name.rsplit("-", 1)[1]))
+        return Scenario.from_dict(doc)
+    return Scenario.from_file(SCENARIOS / f"{name}.json")
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTrieRhs:
+    """``_TrieProgram.rhs`` against the per-part loop it replaced
+    (``oracles.trie_rhs``), bit for bit and sign of zero included."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["n3_generic", "n4_bad_degenerate", "n4_single_crossover", "dense-n6-101", "dense-n6-102"],
+    )
+    def test_stacked_and_single_programs(self, name):
+        scenario = named_scenario(name)
+        rates, space = scenario.rates, scenario.space
+        rng = np.random.default_rng(len(name))
+        width = lattice(rates.ground).size
+        progs = [dynamics._stacked(rates, [None, space]), _program(rates), _program(rates, space)]
+        for prog in progs:
+            for _ in range(3):
+                vec = rng.random(prog.parts[-1][1])
+                assert_same_bits(prog.rhs(vec), oracles.trie_rhs(prog, vec))
+        stacked = progs[0]
+        a = rng.random(width)
+        w = rng.random(space.n_states)
+        signed = np.concatenate((a, w))
+        signed[::3] = -0.0
+        zeros = np.zeros_like(signed)
+        for vec in (
+            np.concatenate((a, 0.0 * w)),  # a zero measure
+            np.concatenate((0.0 * a, w)),  # zero coefficients
+            np.concatenate((a, -0.0 * w)),
+            np.concatenate((-0.0 * a, w)),
+            np.concatenate((a, -w)),  # a part of negative mass
+            signed,
+            zeros,
+            -zeros,
+        ):
+            assert_same_bits(stacked.rhs(vec), oracles.trie_rhs(stacked, vec))
+
+    def test_top_only_program(self):
+        space = mixed_space(4)
+        rates = rate_system(4, "top-only")
+        prog = dynamics._stacked(rates, [None, space])
+        assert not prog.levels
+        vec = np.random.default_rng(3).random(prog.parts[-1][1])
+        vec[::2] = -0.0
+        assert_same_bits(prog.rhs(vec), oracles.trie_rhs(prog, vec))
+
+
+class TestSupportCache:
+    """Programs are compiled once per support and state space in a process,
+    and each rate system binds its own rates."""
+
+    def count_compiles(self, monkeypatch):
+        """Empty the cache and count each compile by (leaves, space)."""
+        calls = []
+        compile_program = dynamics._compile
+
+        def counted(support, space):
+            calls.append((support.leaves.tobytes(), space))
+            return compile_program(support, space)
+
+        monkeypatch.setattr(dynamics, "_supports", OrderedDict())
+        monkeypatch.setattr(dynamics, "_compile", counted)
+        return calls
+
+    @staticmethod
+    def outputs(rates, space):
+        """rhs of both programs and of the stacked one, the lockstep
+        integration and the mixture of its coefficients."""
+        rng = np.random.default_rng(4)
+        a, w = rng.random(lattice(rates.ground).size), rng.random(space.n_states)
+        omega0 = Measure(space, w.reshape(space.sizes) / w.sum())
+        a0 = CoefficientVector.delta_top(rates.ground)
+        joint = integrate_measure(rates, omega0, np.linspace(0.0, 1.0, 4), a0=a0)
+        return [
+            _program(rates).rhs(a),
+            _program(rates, space).rhs(w),
+            dynamics._stacked(rates, [None, space]).rhs(np.concatenate((a, w))),
+            joint.tensors,
+            joint.coefficients.values,
+            mixtures(joint.coefficients.values, omega0, rates),
+        ]
+
+    def test_rates_of_one_support_compile_once(self, monkeypatch):
+        space = mixed_space(5)
+        lat = lattice(space.sites)
+        rng = np.random.default_rng(5)
+        systems = [
+            RateSystem.from_indices(space.sites, range(lat.size), rng.uniform(0.1, 1.0, lat.size))
+            for _ in range(2)
+        ]
+        calls = self.count_compiles(monkeypatch)
+        shared = [self.outputs(rates, space) for rates in systems]
+        assert len(calls) == len(set(calls)) == 2 and len(dynamics._supports) == 1
+        for rates in systems:  # each bound its own rates and loss
+            assert_matches_pairs(rates)
+            assert_matches_pairs(rates, space)
+        assert len(calls) == 2
+        for rates, got in zip(systems, shared):
+            monkeypatch.setattr(dynamics, "_supports", OrderedDict())
+            for value, want in zip(got, self.outputs(rates, space)):
+                assert_same_bits(value, want)
+        assert len(calls) == 6
+
+    def test_another_order_is_another_support(self, monkeypatch):
+        space = mixed_space(4)
+        lat = lattice(space.sites)
+        weights = np.linspace(0.2, 1.0, lat.size)
+        calls = self.count_compiles(monkeypatch)
+        forward = RateSystem.from_indices(space.sites, range(lat.size), weights)
+        backward = RateSystem.from_indices(space.sites, range(lat.size)[::-1], weights[::-1])
+        assert forward.rates == backward.rates
+        for rates in (forward, backward):
+            _program(rates, space)
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert len(dynamics._supports) == 2
+
+    def test_oldest_support_compiled_again_past_the_bound(self, monkeypatch):
+        # one rated two-block partition each, so every system has its own
+        # support
+        g = ground_set(5)
+        lat = lattice(g)
+        two_block = np.flatnonzero(lat.block_counts == 2)
+        systems = [
+            RateSystem.from_indices(g, [i], [1.0]) for i in two_block[: dynamics._SUPPORTS_KEPT + 1]
+        ]
+        calls = self.count_compiles(monkeypatch)
+        for rates in systems:
+            _program(rates)
+        assert len(calls) == len(systems)
+        assert len(dynamics._supports) == dynamics._SUPPORTS_KEPT
+        _program(systems[-1])  # the newest is kept
+        assert len(calls) == len(systems)
+        _program(systems[0])  # the oldest was dropped
+        assert len(calls) == len(systems) + 1
