@@ -19,19 +19,17 @@ program gives the mixture of block-product operators (``mixtures``), and
 stacked, one program steps the coefficient and the measure system in
 lockstep (``_stacked``).
 
-The program depends on the rates only through its leaf values r_p and its
-loss rate, so it is compiled once per support and state space in a process
-(``_support``): every rate system with the same kept partitions in the same
-order shares it, and binds its own rates at use.  The programs of the
-_SUPPORTS_KEPT supports used last are kept.
+Programs are compiled once per kept rates and state space in a process
+(``_tables``): every rate system with the same kept partitions, in the same
+order and at the same rates, shares them.  The programs of the
+_TABLES_KEPT kept rates used last are kept.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -59,7 +57,7 @@ MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole gri
 _RUN_STATES = 1 << 20  # candidate states per run of trie edges compiled at once
 _DESCENT_CALL = 512  # cells that cost about one more np.bincount call (see _descent)
 MAX_RK4_WORK = 1 << 35  # cell indices one integration may visit: 4 * substeps * program_cells
-_SUPPORTS_KEPT = 8  # supports whose compiled programs a process keeps, least recently used dropped
+_TABLES_KEPT = 4  # kept rates whose compiled programs a process keeps, least recently used dropped
 
 
 class RateSystem:
@@ -69,9 +67,8 @@ class RateSystem:
     index of each rated partition once, in the order given, and
     ``weights`` its rate; ``rates`` is their view by ``Partition``.
     Immutable by convention; the marginal rates per subset are cached on
-    first use.  The compiled gain terms depend on the support alone and are
-    shared by the rate systems of one support in a process (``_support``);
-    each rate system binds its own rates into them at use.
+    first use.  The compiled gain terms are shared by the rate systems of
+    the same kept rates in a process (``_tables``).
     """
 
     __slots__ = ("ground", "total", "indices", "weights", "_rates", "_marginals")
@@ -301,10 +298,6 @@ class _TrieProgram:
     A program may also run several systems of the same rates at once, on
     their state vectors stacked (``_stacked``): ``parts`` holds each one's
     range, and ``n_ground`` then counts the blocks summed from each state.
-
-    Compiled, a program holds no rates: zeros in its leaves and no loss
-    (``_support``).  ``bind`` writes a rate system's kept rates at
-    ``slots``, the value index of each leaf in each part.
     """
 
     loss: float               # sum of the kept rates
@@ -317,15 +310,10 @@ class _TrieProgram:
     levels: list              # one _Level per node height, the root's last
     leaves: np.ndarray        # the lattice index of each leaf's partition
     parts: tuple              # (lo, hi) of each stacked state vector
-    sizes: np.ndarray         # hi - lo of each part
-    slots: np.ndarray         # (parts, kept) the value index of each leaf of each part
+    sizes: np.ndarray = field(init=False)  # hi - lo of each part
 
-    def bind(self, rates: np.ndarray) -> "_TrieProgram":
-        """This program with the kept rates (in trie order) in its leaves
-        and their sum as its loss."""
-        values = self.values.copy()
-        values[self.slots] = rates
-        return replace(self, loss=float(sum(rates.tolist())), values=values)
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", np.array([hi - lo for lo, hi in self.parts]))
 
     def marginals(self, unit: np.ndarray) -> np.ndarray:
         """Every block marginal of the state vector unit, in one vector."""
@@ -367,53 +355,46 @@ class _TrieProgram:
         return np.add(out, gain, out=out, where=held)
 
 
-class _Support:
-    """The rate-free tables of one support: the lattice index of each kept
-    partition in trie order (``leaves``), their prefix trie (``_trie``)
-    and, per state space, the descent plan and cell count (``plans``) and
-    the compiled program (``programs``; a tuple of spaces for a stacked
-    program)."""
+class _Tables:
+    """The tables compiled from the kept rates of a rate system: the
+    lattice index of each kept partition in trie order (``leaves``), its
+    rate (``weights``), their prefix trie (``_trie``) and, per state space,
+    the descent plan and cell count (``plans``) and the compiled program
+    (``programs``; a tuple of spaces for a stacked program).  Built from
+    the bytes of leaves and weights, the key of ``_tables_of``."""
 
-    __slots__ = ("ground", "leaves", "trie", "plans", "programs")
+    __slots__ = ("ground", "leaves", "weights", "trie", "plans", "programs")
 
-    def __init__(self, ground: tuple, leaves: np.ndarray):
-        self.ground, self.leaves = ground, leaves
-        self.trie = _trie(ground, leaves)
+    def __init__(self, ground: tuple, leaves: bytes, weights: bytes):
+        self.ground = ground
+        self.leaves = np.frombuffer(leaves, dtype=np.intp)
+        self.weights = np.frombuffer(weights)
+        self.trie = _trie(ground, self.leaves)
         self.plans: dict = {}
         self.programs: dict = {}
 
 
-_supports: OrderedDict = OrderedDict()  # (ground, leaves) -> _Support, least recently used first
-_supports_lock = threading.Lock()
+_tables_of = lru_cache(maxsize=_TABLES_KEPT)(_Tables)
 
 
-def _support(rates: RateSystem) -> tuple[_Support, np.ndarray]:
-    """The compiled tables of the support of rates, and its kept rates in
-    trie order.
-
-    The kept partitions are the rated ones with at least two blocks, in the
-    order given, stably sorted by descending block count.  That order sets
-    the order of every ``np.bincount`` sum of a program, so the tables are
-    shared by the rate systems on one ground with the same kept partitions
-    in the same order, and by them alone.  A process keeps the tables of the
-    _SUPPORTS_KEPT supports used last."""
+def _kept(rates: RateSystem) -> tuple[tuple, bytes, bytes]:
+    """The ground of rates, and the lattice indices and rates of its kept
+    partitions, in trie order: the rated partitions with at least two
+    blocks, in the order given, stably sorted by descending block count.
+    That order sets the order of every ``np.bincount`` sum of a program."""
     g, indices, weights = rates.ground, rates.indices, rates.weights
     count = lattice(g).block_counts[indices]
     order = np.flatnonzero((weights > 0) & (count > 1))
     order = order[np.argsort(-count[order], kind="stable")]
-    leaves = indices[order]
-    key = (g, leaves.tobytes())
-    with _supports_lock:
-        support = _supports.get(key)
-        if support is not None:
-            _supports.move_to_end(key)
-            return support, weights[order]
-    support = _Support(g, leaves)
-    with _supports_lock:
-        support = _supports.setdefault(key, support)
-        while len(_supports) > _SUPPORTS_KEPT:
-            _supports.popitem(last=False)
-    return support, weights[order]
+    return g, indices[order].tobytes(), weights[order].tobytes()
+
+
+def _tables(rates: RateSystem) -> _Tables:
+    """The compiled tables of rates, shared by the rate systems with the
+    same kept partitions in the same order at the same rates, and by them
+    alone.  A process keeps those of the _TABLES_KEPT kept rates used
+    last."""
+    return _tables_of(*_kept(rates))
 
 
 def _trie(ground: tuple, leaves: np.ndarray) -> tuple[list, list, dict]:
@@ -511,24 +492,23 @@ def _descent(ground: tuple, blocks: list, n_states) -> list:
 
 def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
     """The gain term of the coefficient system (space None) or of the
-    measure system on space, with the rates of rates bound: compiled once
-    per support (``_compile``)."""
-    support, kept = _support(rates)
-    return _compiled(support, space).bind(kept)
+    measure system on space, compiled once per kept rates (``_compile``)."""
+    return _compiled(_tables(rates), space)
 
 
-def _compiled(support: _Support, space: TypeSpace | None) -> _TrieProgram:
-    """The rate-free program of support on space, compiled on first use."""
-    prog = support.programs.get(space)
+def _compiled(tables: _Tables, key) -> _TrieProgram:
+    """The program of tables on a space (``_compile``) or on a tuple of
+    spaces (``_stack``), compiled on first use and kept with the tables."""
+    prog = tables.programs.get(key)
     if prog is None:
-        prog = support.programs[space] = _compile(support, space)
+        build = _stack if isinstance(key, tuple) else _compile
+        prog = tables.programs[key] = build(tables, key)
     return prog
 
 
-def _compile(support: _Support, space: TypeSpace | None) -> _TrieProgram:
+def _compile(tables: _Tables, space: TypeSpace | None) -> _TrieProgram:
     """The gain term of the coefficient system (space None) or of the
-    measure system on space over the trie of support, with zeros in its
-    leaves and no loss.
+    measure system on space, over the trie of tables.
 
     A node of the trie with remainder C holds one value per state of C: the
     partitions ``lattice(C)`` on the coefficient side, the product of C's
@@ -540,12 +520,12 @@ def _compile(support: _Support, space: TypeSpace | None) -> _TrieProgram:
     its restriction to C'.  A block marginal summed from a superset W reads
     each state of W restricted to the block.
     """
-    ground = support.ground
+    ground = tables.ground
     n_states = _state_counter(ground, space)
     if space is not None:
         alphabet = dict(zip(space.sites, space.sizes))
-    kept, edges, nodes = support.trie
-    descent, _ = _plan(support, space)
+    kept, edges, nodes = tables.trie
+    descent, _ = _plan(tables, space)
     # the subsets each set is restricted to: each block at its source, and
     # on each edge its blocks and its child's remainder (empty at a leaf)
     wanted: dict = {}
@@ -656,11 +636,11 @@ def _compile(support: _Support, space: TypeSpace | None) -> _TrieProgram:
             for j in range(len(level[0][1]))
         ]
         levels.append(_Level(lo[h], lo.get(h + 1, size), child, parent, cells))
-    width = n_states(ground)
+    values = np.zeros(offset.get((), 0))  # all but the root, placed last: its values are the gain
+    values[: len(kept)] = tables.weights
     return _TrieProgram(
-        0.0, blocks, ground_cells.reshape(-1), len(top), n_cells, steps,
-        np.zeros(offset.get((), 0)),  # all but the root, placed last: its values are the gain
-        levels, support.leaves, ((0, width),), np.array([width]), np.arange(len(kept))[None],
+        float(sum(tables.weights.tolist())), blocks, ground_cells.reshape(-1), len(top), n_cells,
+        steps, values, levels, tables.leaves, ((0, n_states(ground)),),
     )
 
 
@@ -683,22 +663,17 @@ def _interleave(ends: list) -> tuple[list, np.ndarray]:
 
 def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
     """The program of rates over the state vectors of the systems on spaces
-    (None for the coefficient system) stacked in that order, with the rates
-    of rates bound: built once per support (``_stack``)."""
-    support, kept = _support(rates)
-    key = tuple(spaces)
-    prog = support.programs.get(key)
-    if prog is None:
-        prog = support.programs[key] = _stack(support, key)
-    return prog.bind(kept)
+    (None for the coefficient system) stacked in that order, built once per
+    kept rates (``_stack``)."""
+    return _compiled(_tables(rates), tuple(spaces))
 
 
-def _stack(support: _Support, spaces: tuple) -> _TrieProgram:
-    """The rate-free program of support over the state vectors of the
-    systems on spaces stacked in that order, built from their programs;
-    one evaluation steps them all.
+def _stack(tables: _Tables, spaces: tuple) -> _TrieProgram:
+    """The program of tables over the state vectors of the systems on
+    spaces stacked in that order, built from their programs; one
+    evaluation steps them all.
 
-    The trie is the support's, so the parts have the same node heights.
+    The trie is the tables', so the parts have the same node heights.
     Block marginals are laid out by descent depth and node values by node
     height, the parts' segments side by side in each, so a depth or a
     height of every part is one range, summed by one ``np.bincount``.  A
@@ -707,8 +682,8 @@ def _stack(support: _Support, spaces: tuple) -> _TrieProgram:
     order.  No bin takes terms from two parts, so every sum is taken in the
     order of the part's own program, and each part of ``rhs`` is bitwise
     its own program's."""
-    progs = [_compiled(support, space) for space in spaces]
-    plans = [_plan(support, space)[0] for space in spaces]
+    progs = [_compiled(tables, space) for space in spaces]
+    plans = [_plan(tables, space)[0] for space in spaces]
     cell_moves, cell_starts = _interleave(
         [[lo for lo, _, _, _ in p.descent] + [p.n_cells] for p in progs]
     )
@@ -727,7 +702,9 @@ def _stack(support: _Support, spaces: tuple) -> _TrieProgram:
     # the node values of the heights below the root's: leaves first
     heights = [[lv.lo for lv in p.levels] or [0] for p in progs]
     value_moves, value_starts = _interleave(heights)
-    values = np.zeros(sum(p.values.size for p in progs))
+    values = np.empty(sum(p.values.size for p in progs))
+    for m, p in zip(value_moves, progs):
+        values[m] = p.values
     levels = []
     for h, group in enumerate(zip(*(p.levels for p in progs))):
         if h + 1 < len(progs[0].levels):
@@ -758,7 +735,7 @@ def _stack(support: _Support, spaces: tuple) -> _TrieProgram:
             cells.append(cell)
         levels.append(_Level(lo, hi, child, parent, cells))
     return _TrieProgram(
-        0.0,
+        progs[0].loss,
         blocks,
         np.concatenate([m[p.ground_cells] for m, p in zip(cell_moves, progs)]),
         np.repeat([p.n_ground for p in progs], sizes),
@@ -768,21 +745,19 @@ def _stack(support: _Support, spaces: tuple) -> _TrieProgram:
         levels,
         np.concatenate([p.leaves for p in progs]),
         parts,
-        np.array(sizes),
-        np.concatenate([m[p.slots] for m, p in zip(value_moves, progs)]),
     )
 
 
-def _plan(support: _Support, space: TypeSpace | None) -> tuple[list, int]:
+def _plan(tables: _Tables, space: TypeSpace | None) -> tuple[list, int]:
     """The descent of the block marginals (``_descent``) and the cell count
-    of the program of support on space, from the trie and block sizes
-    alone; cached on the support."""
-    plan = support.plans.get(space)
+    of the program of tables on space, from the trie and block sizes
+    alone; kept with the tables."""
+    plan = tables.plans.get(space)
     if plan is not None:
         return plan
-    ground = support.ground
+    ground = tables.ground
     n_states = _state_counter(ground, space)
-    kept, edges, nodes = support.trie
+    kept, edges, nodes = tables.trie
     if space is None:
         fed = [
             math.prod(bell_number(len(v)) for v in blocks + (nodes[end][1],))
@@ -795,20 +770,20 @@ def _plan(support: _Support, space: TypeSpace | None) -> tuple[list, int]:
         n_states(w) * (1 if w == ground else 2) for level in descent for _, w in level
     )
     cells = marginals + sum(len(e[1]) * m for e, m in zip(edges, fed))
-    plan = support.plans[space] = descent, cells
+    plan = tables.plans[space] = descent, cells
     return plan
 
 
 def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
     """The number of cell indices ``_program(rates, space)`` stores, from
-    the trie and block sizes alone, cached with the support: for each block
+    the trie and block sizes alone, kept with the tables: for each block
     marginal summed from the ground one per state, and for each summed from
     a superset W two per state of W (its source and its target); and one
     per block of each edge cell.  An edge out of a node with remainder C
     feeds every state of C on a measure; on the lattice it feeds the
     prod_V B(|V|) partitions of C that its blocks and its child's remainder
     V do not cut."""
-    return _plan(_support(rates)[0], space)[1]
+    return _plan(_tables(rates), space)[1]
 
 
 def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = None) -> np.ndarray:
@@ -849,15 +824,16 @@ def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = Non
 def _support_programs(support: np.ndarray, space: TypeSpace):
     """Programs whose leaves are the partitions at the lattice indices
     support, compiled one after the other: one program, or when it would
-    hold more than MAX_STATES cell indices, the programs of each half."""
+    hold more than MAX_STATES cell indices, the programs of each half.  Their
+    tables are built outside ``_tables_of``, so none outlives its use."""
     runs = [support]
     while runs:
         run = runs.pop()
-        rates = RateSystem.from_indices(space.sites, run, [1.0] * run.size)
-        if run.size > 1 and program_cells(rates, space) > MAX_STATES:
+        tables = _Tables(*_kept(RateSystem.from_indices(space.sites, run, [1.0] * run.size)))
+        if run.size > 1 and _plan(tables, space)[1] > MAX_STATES:
             runs += [run[run.size // 2 :], run[: run.size // 2]]
         else:
-            yield _program(rates, space)
+            yield _compile(tables, space)
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:

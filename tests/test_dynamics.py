@@ -1,5 +1,4 @@
 import importlib.util
-from collections import OrderedDict
 from itertools import combinations
 from pathlib import Path
 
@@ -601,7 +600,7 @@ class TestPairProgram:
         # marginals take 26,263,872 indices, 140,335,200 with the trie (the
         # coefficient work bound is tested at n = 10 in a child process, see
         # test_cli)
-        monkeypatch.setattr(dynamics, "_supports", OrderedDict())
+        compiles = count_compiles(monkeypatch)
         rates = random_rates(6, 1)
         space = TypeSpace.regular(6, 12)
         assert program_cells(rates, space) > MAX_STATES
@@ -610,12 +609,22 @@ class TestPairProgram:
         omega0 = Measure(space, np.ones(space.sizes), validate=False)
         with pytest.raises(ValueError, match="measure program"):
             integrate_measure(rates, omega0, [0.0, 1.0])
-        assert not compiled_programs()
+        assert not compiles and not dynamics._tables(rates).programs
 
 
-def compiled_programs():
-    """(support, space) of each program compiled and kept in this process."""
-    return [(key, space) for key, support in dynamics._supports.items() for space in support.programs]
+def count_compiles(monkeypatch):
+    """Empty the process cache of compiled tables, and record each program
+    compiled from here on by (leaves, weights, space)."""
+    calls = []
+    compile_program = dynamics._compile
+
+    def counted(tables, space):
+        calls.append((tables.leaves.tobytes(), tables.weights.tobytes(), space))
+        return compile_program(tables, space)
+
+    dynamics._tables_of.cache_clear()
+    monkeypatch.setattr(dynamics, "_compile", counted)
+    return calls
 
 
 def flat_marginals(prog, unit, ground, space=None):
@@ -717,7 +726,7 @@ class TestDescent:
         # sources' sources would cost at least one call's worth of cells
         for rates in (random_rates(n, 1), half_rated(n), interval_rates(n)):
             for space in (None, mixed_space(n)):
-                plan, _ = dynamics._plan(dynamics._support(rates)[0], space)
+                plan, _ = dynamics._plan(dynamics._tables(rates), space)
                 states = dynamics._state_counter(rates.ground, space)
                 source = {u: w for level in plan for u, w in level}
                 if len(plan) > 1:
@@ -798,24 +807,27 @@ class TestMixtures:
 
     def test_support_split_into_runs(self, monkeypatch):
         # a bound below the support program's cells: the support compiles in
-        # runs, each at most the bound unless it holds one partition
+        # runs, each at most the bound unless it holds one partition, and no
+        # run's program is kept in the process cache
         space = mixed_space(5)
         omega0 = self.unit_measure(space)
         values = self.coefficients(5, np.arange(1, 52))
         whole = RateSystem(space.sites, {p: 1.0 for p in lattice(space.sites).parts[1:]})
         bound = program_cells(whole, space) // 5
         runs = []
-        compile_program = dynamics._program
+        compile_program = dynamics._compile
 
-        def counted(rates, space=None):
-            runs.append(program_cells(rates, space))
-            return compile_program(rates, space)
+        def counted(tables, space):
+            runs.append(dynamics._plan(tables, space)[1])
+            return compile_program(tables, space)
 
         monkeypatch.setattr(dynamics, "MAX_STATES", bound)
-        monkeypatch.setattr(dynamics, "_program", counted)
+        monkeypatch.setattr(dynamics, "_compile", counted)
+        cache = dynamics._tables_of.cache_info()
         assert_mixture_matches(values, omega0)
         assert len(runs) > 5
         assert all(cells <= bound for cells in runs)
+        assert dynamics._tables_of.cache_info() == cache
 
     def test_measures_mixture_goes_through_the_trie(self, monkeypatch):
         space = mixed_space(4)
@@ -938,7 +950,7 @@ class TestLockstep:
     def test_refusals_name_their_program_before_compiling(self, bound, monkeypatch):
         # a bound below the coefficient program refuses it, one between the
         # two refuses the measure program; neither is compiled
-        monkeypatch.setattr(dynamics, "_supports", OrderedDict())
+        compiles = count_compiles(monkeypatch)
         space = mixed_space(4)
         rates = random_rates(4, 12)
         grid = np.linspace(0.0, 1.0, 3)
@@ -951,7 +963,7 @@ class TestLockstep:
             monkeypatch.setattr(dynamics, bound, int(limit * work))
             with pytest.raises(ValueError, match=f"^{kind} (program|integration) of"):
                 integrate_measure(rates, nu, grid, a0=a0)
-            assert not compiled_programs()
+            assert not compiles and not dynamics._tables(rates).programs
 
 
 def load_workloads():
@@ -1021,22 +1033,11 @@ class TestTrieRhs:
         assert_same_bits(prog.rhs(vec), oracles.trie_rhs(prog, vec))
 
 
-class TestSupportCache:
-    """Programs are compiled once per support and state space in a process,
-    and each rate system binds its own rates."""
 
-    def count_compiles(self, monkeypatch):
-        """Empty the cache and count each compile by (leaves, space)."""
-        calls = []
-        compile_program = dynamics._compile
 
-        def counted(support, space):
-            calls.append((support.leaves.tobytes(), space))
-            return compile_program(support, space)
-
-        monkeypatch.setattr(dynamics, "_supports", OrderedDict())
-        monkeypatch.setattr(dynamics, "_compile", counted)
-        return calls
+class TestProgramCache:
+    """Programs are compiled once per kept rates and state space in a
+    process, and kept for the _TABLES_KEPT kept rates used last."""
 
     @staticmethod
     def outputs(rates, space):
@@ -1056,7 +1057,33 @@ class TestSupportCache:
             mixtures(joint.coefficients.values, omega0, rates),
         ]
 
-    def test_rates_of_one_support_compile_once(self, monkeypatch):
+    def assert_as_compiled_alone(self, systems, space, shared):
+        """Each system's outputs equal, bit for bit, those of a compile with
+        the cache emptied."""
+        for rates, got in zip(systems, shared):
+            dynamics._tables_of.cache_clear()
+            for value, want in zip(got, self.outputs(rates, space)):
+                assert_same_bits(value, want)
+
+    def test_same_kept_rates_compile_once(self, monkeypatch):
+        # a zero rate and a rate on the top are not kept, so both systems
+        # keep the same partitions at the same rates
+        space = mixed_space(5)
+        lat = lattice(space.sites)
+        weights = np.random.default_rng(5).uniform(0.1, 1.0, lat.size)
+        cut = lat.names.index("1,2,3|4,5")
+        given = np.delete(np.arange(lat.size), cut)
+        first = RateSystem.from_indices(space.sites, given, weights[given])
+        weights[lat.top_index], weights[cut] = 2.0, 0.0
+        second = RateSystem.from_indices(space.sites, range(lat.size), weights)
+        assert first.total != second.total
+        compiles = count_compiles(monkeypatch)
+        shared = [self.outputs(rates, space) for rates in (first, second)]
+        assert len(compiles) == len(set(compiles)) == 2
+        assert dynamics._tables(first) is dynamics._tables(second)
+        self.assert_as_compiled_alone([first, second], space, shared)
+
+    def test_other_rates_on_one_support_compile_their_own(self, monkeypatch):
         space = mixed_space(5)
         lat = lattice(space.sites)
         rng = np.random.default_rng(5)
@@ -1064,47 +1091,44 @@ class TestSupportCache:
             RateSystem.from_indices(space.sites, range(lat.size), rng.uniform(0.1, 1.0, lat.size))
             for _ in range(2)
         ]
-        calls = self.count_compiles(monkeypatch)
+        compiles = count_compiles(monkeypatch)
         shared = [self.outputs(rates, space) for rates in systems]
-        assert len(calls) == len(set(calls)) == 2 and len(dynamics._supports) == 1
-        for rates in systems:  # each bound its own rates and loss
+        assert len(compiles) == len(set(compiles)) == 4
+        assert dynamics._tables_of.cache_info().currsize == 2
+        for rates in systems:  # each holds its own rates and loss
             assert_matches_pairs(rates)
             assert_matches_pairs(rates, space)
-        assert len(calls) == 2
-        for rates, got in zip(systems, shared):
-            monkeypatch.setattr(dynamics, "_supports", OrderedDict())
-            for value, want in zip(got, self.outputs(rates, space)):
-                assert_same_bits(value, want)
-        assert len(calls) == 6
+        assert len(compiles) == 4
+        self.assert_as_compiled_alone(systems, space, shared)
 
-    def test_another_order_is_another_support(self, monkeypatch):
+    def test_another_order_is_another_entry(self, monkeypatch):
         space = mixed_space(4)
         lat = lattice(space.sites)
         weights = np.linspace(0.2, 1.0, lat.size)
-        calls = self.count_compiles(monkeypatch)
+        compiles = count_compiles(monkeypatch)
         forward = RateSystem.from_indices(space.sites, range(lat.size), weights)
         backward = RateSystem.from_indices(space.sites, range(lat.size)[::-1], weights[::-1])
         assert forward.rates == backward.rates
         for rates in (forward, backward):
             _program(rates, space)
-        assert len(calls) == 2 and calls[0] != calls[1]
-        assert len(dynamics._supports) == 2
+        assert len(compiles) == 2 and compiles[0] != compiles[1]
+        assert dynamics._tables_of.cache_info().currsize == 2
 
-    def test_oldest_support_compiled_again_past_the_bound(self, monkeypatch):
+    def test_oldest_compiled_again_past_the_bound(self, monkeypatch):
         # one rated two-block partition each, so every system has its own
-        # support
+        # entry
         g = ground_set(5)
         lat = lattice(g)
         two_block = np.flatnonzero(lat.block_counts == 2)
         systems = [
-            RateSystem.from_indices(g, [i], [1.0]) for i in two_block[: dynamics._SUPPORTS_KEPT + 1]
+            RateSystem.from_indices(g, [i], [1.0]) for i in two_block[: dynamics._TABLES_KEPT + 1]
         ]
-        calls = self.count_compiles(monkeypatch)
+        compiles = count_compiles(monkeypatch)
         for rates in systems:
             _program(rates)
-        assert len(calls) == len(systems)
-        assert len(dynamics._supports) == dynamics._SUPPORTS_KEPT
+        assert len(compiles) == len(systems)
+        assert dynamics._tables_of.cache_info().currsize == dynamics._TABLES_KEPT
         _program(systems[-1])  # the newest is kept
-        assert len(calls) == len(systems)
+        assert len(compiles) == len(systems)
         _program(systems[0])  # the oldest was dropped
-        assert len(calls) == len(systems) + 1
+        assert len(compiles) == len(systems) + 1
