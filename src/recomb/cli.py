@@ -82,7 +82,11 @@ def _load(args) -> Scenario:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made if missing; refused if it is or lies under a file."""
     out = Path(args.out)
+    there = next((p for p in (out, *out.parents) if p.exists()), None)
+    if there is not None and not there.is_dir():
+        raise ScenarioError(f"--out {out}: {there} is not a directory")
     out.mkdir(parents=True, exist_ok=True)
     return out
 

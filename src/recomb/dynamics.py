@@ -16,18 +16,19 @@ so partitions that begin with the same blocks share the partial product
 2000).  The trie is summed from the leaves up, one ``np.bincount`` per node
 height.  With the coefficients of a trajectory in its leaves, the same
 program gives the mixture of block-product operators (``mixtures``), and
-stacked, one program steps the coefficient and the measure system in
-lockstep (``_stacked``).
+compiled over several state spaces at once, one program steps the
+coefficient and the measure system in lockstep (``_compile``).
 
-Programs are compiled once per kept rates and state space in a process
-(``_tables``): every rate system with the same kept partitions, in the same
-order and at the same rates, shares them.  The programs of the
+Programs are compiled once per kept rates and tuple of state spaces in a
+process (``_tables``): every rate system with the same kept partitions, in
+the same order and at the same rates, shares them.  The programs of the
 _TABLES_KEPT kept rates used last are kept.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -296,8 +297,9 @@ class _TrieProgram:
     (``_descent``).
 
     A program may also run several systems of the same rates at once, on
-    their state vectors stacked (``_stacked``): ``parts`` holds each one's
-    range, and ``n_ground`` then counts the blocks summed from each state.
+    their state vectors stacked, compiled directly over their tuple of
+    spaces (``_compile``): ``parts`` holds each one's range, and
+    ``n_ground`` then counts the blocks summed from each state.
     """
 
     loss: float               # sum of the kept rates
@@ -359,9 +361,10 @@ class _Tables:
     """The tables compiled from the kept rates of a rate system: the
     lattice index of each kept partition in trie order (``leaves``), its
     rate (``weights``), their prefix trie (``_trie``) and, per state space,
-    the descent plan and cell count (``plans``) and the compiled program
-    (``programs``; a tuple of spaces for a stacked program).  Built from
-    the bytes of leaves and weights, the key of ``_tables_of``."""
+    the descent plan and cell count (``plans``) and, per tuple of spaces
+    asked for, the compiled program (``programs``; ``(None, space)`` for
+    the lockstep one).  Built from the bytes of leaves and weights, the key
+    of ``_tables_of``."""
 
     __slots__ = ("ground", "leaves", "weights", "trie", "plans", "programs")
 
@@ -490,44 +493,32 @@ def _descent(ground: tuple, blocks: list, n_states) -> list:
     ]
 
 
-def _program(rates: RateSystem, space: TypeSpace | None = None) -> _TrieProgram:
-    """The gain term of the coefficient system (space None) or of the
-    measure system on space, compiled once per kept rates (``_compile``)."""
-    return _compiled(_tables(rates), space)
-
-
-def _compiled(tables: _Tables, key) -> _TrieProgram:
-    """The program of tables on a space (``_compile``) or on a tuple of
-    spaces (``_stack``), compiled on first use and kept with the tables."""
-    prog = tables.programs.get(key)
+def _program(rates: RateSystem, *spaces) -> _TrieProgram:
+    """The gain term of the systems on spaces (None, the default, for the
+    coefficient system), their state vectors stacked in that order,
+    compiled once per kept rates and spaces (``_compile``)."""
+    tables = _tables(rates)
+    spaces = spaces or (None,)
+    prog = tables.programs.get(spaces)
     if prog is None:
-        build = _stack if isinstance(key, tuple) else _compile
-        prog = tables.programs[key] = build(tables, key)
+        prog = tables.programs[spaces] = _compile(tables, spaces)
     return prog
 
 
-def _compile(tables: _Tables, space: TypeSpace | None) -> _TrieProgram:
-    """The gain term of the coefficient system (space None) or of the
-    measure system on space, over the trie of tables.
+# one system of a program: its space, state counter, descent plan and restrictions
+_System = namedtuple("_System", "space n_states descent restricted")
 
-    A node of the trie with remainder C holds one value per state of C: the
-    partitions ``lattice(C)`` on the coefficient side, the product of C's
-    alphabets on a measure.  An edge carrying the blocks U_1..U_j to a child
-    with remainder C' feeds the states of C that none of U_1..U_j, C' cuts:
-    all of them on a measure; on the lattice those whose block count is the
-    sum of the counts of their restrictions.  Such a state's cell in the
-    marginal on U is its restriction to U, and its child value the one at
-    its restriction to C'.  A block marginal summed from a superset W reads
-    each state of W restricted to the block.
-    """
+
+def _restrictions(tables: _Tables, space: TypeSpace | None) -> _System:
+    """The state counter and descent plan of the system on space, and the
+    restrictions its program reads: each block at its source, and on each
+    trie edge its blocks and its child's remainder (empty at a leaf)."""
     ground = tables.ground
     n_states = _state_counter(ground, space)
     if space is not None:
         alphabet = dict(zip(space.sites, space.sizes))
-    kept, edges, nodes = tables.trie
+    _, edges, nodes = tables.trie
     descent, _ = _plan(tables, space)
-    # the subsets each set is restricted to: each block at its source, and
-    # on each edge its blocks and its child's remainder (empty at a leaf)
     wanted: dict = {}
     for level in descent:
         for u, w in level:
@@ -537,7 +528,6 @@ def _compile(tables: _Tables, space: TypeSpace | None) -> _TrieProgram:
         subsets.update(dict.fromkeys(edge_blocks + (nodes[end][1],)))
     # (c, u) -> each state of c restricted to u, and on the lattice the block
     # count of that restriction; the empty u has one state
-    size_of = {c: n_states(c) for c in wanted}
     restricted: dict = {}
     whole = lattice(ground)
     from_ground: dict = {}
@@ -548,14 +538,14 @@ def _compile(tables: _Tables, space: TypeSpace | None) -> _TrieProgram:
             for u in (c, *subsets):
                 if u and u not in from_ground:
                     from_ground[u] = whole.restriction_index(u)
-            above = np.empty(size_of[c], np.intp)
+            above = np.empty(n_states(c), np.intp)
             above[from_ground[c]] = np.arange(whole.size)
             for u in subsets:
                 if u:
                     idx = from_ground[u] if c == ground else from_ground[u][above]
                     restricted[c, u] = idx, lattice(u).block_counts[idx].astype(np.int8)
                 else:
-                    restricted[c, u] = (np.zeros(size_of[c], np.intp),) * 2
+                    restricted[c, u] = (np.zeros(n_states(c), np.intp),) * 2
         else:
             # mixed-radix strides of u's letters at their axes in c, one row
             # per subset: one product gives every restriction of c's states
@@ -565,186 +555,130 @@ def _compile(tables: _Tables, space: TypeSpace | None) -> _TrieProgram:
                 for x in reversed(u):
                     row[c.index(x)], stride = stride, stride * alphabet[x]
                 strides.append(row)
-            letters = np.array(np.unravel_index(np.arange(size_of[c]), [alphabet[x] for x in c]))
+            letters = np.array(np.unravel_index(np.arange(n_states(c)), [alphabet[x] for x in c]))
             at = np.array(strides, dtype=np.intp) @ letters
             for u, idx in zip(subsets, at):
                 restricted[c, u] = idx, None
-    # the block marginals, level after level, and their sums
-    blocks = tuple(u for level in descent for u, _ in level)
-    ends = np.cumsum([0] + [n_states(u) for u in blocks]).tolist()
-    start, n_cells = dict(zip(blocks, ends)), ends[-1]
-    top, *deeper = descent
-    ground_cells = np.zeros((n_states(ground), len(top)), dtype=np.intp)
-    for i, (u, _) in enumerate(top):
-        ground_cells[:, i] = start[u] + restricted[ground, u][0]
-    steps = []
-    for level in deeper:
-        lo = start[level[0][0]]
-        src = np.concatenate([np.arange(start[w], start[w] + size_of[w]) for _, w in level])
-        tgt = np.concatenate([start[u] - lo + restricted[w, u][0] for u, w in level])
-        steps.append((lo, lo + sum(n_states(u) for u, _ in level), src, tgt))
-    # node values: leaves first, then inner nodes by height, the root last
-    offset = {blocks: k for k, blocks in enumerate(kept)}
-    lo: dict = {}
-    size = len(kept)
-    for prefix in sorted((p for p in nodes if nodes[p][0]), key=lambda p: nodes[p][0]):
-        offset[prefix] = size
-        lo.setdefault(nodes[prefix][0], size)
-        size += size_of[nodes[prefix][1]]
-    by_height: dict = {}
-    for edge in edges:
-        by_height.setdefault(nodes[edge[0]][0], []).append(edge)
+    return _System(space, n_states, descent, restricted)
 
-    def feed(run, lo):
-        # the edge cells of a run of edges: every state of each parent's
-        # remainder, edge-major, and on the lattice only those that no block
-        # or child remainder of the edge cuts
+
+def _compile(tables: _Tables, spaces: tuple) -> _TrieProgram:
+    """The gain term of the systems on spaces (None for the coefficient
+    system) over the trie of tables, their state vectors stacked in that
+    order: one evaluation steps them all.
+
+    A node of the trie with remainder C holds one value per state of C: the
+    partitions ``lattice(C)`` on the coefficient side, the product of C's
+    alphabets on a measure.  An edge carrying the blocks U_1..U_j to a child
+    with remainder C' feeds the states of C that none of U_1..U_j, C' cuts:
+    all of them on a measure; on the lattice those whose block count is the
+    sum of the counts of their restrictions.  Such a state's cell in the
+    marginal on U is its restriction to U, and its child value the one at
+    its restriction to C'.  A block marginal summed from a superset W reads
+    each state of W restricted to the block.
+
+    Block marginals are laid out by descent depth and node values by node
+    height, each holding every system's segment in turn, so each is one
+    ``np.bincount``; a level's edge rows come by descending block count,
+    within one count system after system.  No bin takes terms from two
+    systems, and each takes them in its system's own order: each part of
+    ``rhs`` is bitwise the system's program alone.
+    """
+    ground = tables.ground
+    kept, edges, nodes = tables.trie
+    systems = [_restrictions(tables, space) for space in spaces]
+    # the block marginals, depth after depth, and their sums
+    starts: list = [{} for _ in systems]
+    blocks, n_cells, steps = [], 0, []
+    for d in range(max(len(s.descent) for s in systems)):
+        first, src, tgt = n_cells, [], []
+        for s, start in zip(systems, starts):
+            for u, w in s.descent[d] if d < len(s.descent) else ():
+                blocks.append(u)
+                start[u] = n_cells
+                n_cells += s.n_states(u)
+                if d:
+                    src.append(np.arange(start[w], start[w] + s.n_states(w)))
+                    tgt.append(start[u] - first + s.restricted[w, u][0])
+        if d:
+            steps.append((first, n_cells, np.concatenate(src), np.concatenate(tgt)))
+    sizes = [s.n_states(ground) for s in systems]
+    tops = [len(s.descent[0]) for s in systems]
+    ground_cells = np.empty(sum(n * k for n, k in zip(sizes, tops)), dtype=np.intp)
+    at = 0
+    for s, start, n, k in zip(systems, starts, sizes, tops):
+        cells = ground_cells[at : at + n * k].reshape(n, k)
+        for i, (u, _) in enumerate(s.descent[0]):
+            cells[:, i] = start[u] + s.restricted[ground, u][0]
+        at += n * k
+    # node values: the leaves first, then the inner nodes height after
+    # height, each height every system's nodes in turn; the roots come last
+    inner: dict = {}
+    for prefix, (h, _) in nodes.items():
+        if h:
+            inner.setdefault(h, []).append(prefix)
+    size = len(kept) * len(systems)
+    offsets = [{b: k * len(kept) + i for i, b in enumerate(kept)} for k in range(len(systems))]
+    lo = {}
+    for h in sorted(inner):
+        lo[h] = size
+        for s, offset in zip(systems, offsets):
+            for prefix in inner[h]:
+                offset[prefix] = size
+                size += s.n_states(nodes[prefix][1])
+    by_height: dict = {}  # the edges by their parent's height, then by block count
+    for edge in edges:
+        by_height.setdefault(nodes[edge[0]][0], {}).setdefault(len(edge[1]), []).append(edge)
+
+    def feed(s, start, offset, run, lo):
+        # the edge cells of a run of edges of one block count: every state
+        # of each parent's remainder, edge-major, and on the lattice only
+        # those that no block or child remainder of the edge cuts
         rests = [nodes[prefix][1] for prefix, _, _ in run]
-        fan = np.array([size_of[c] for c in rests])
-        first = np.repeat(np.cumsum(fan) - fan, fan)
-        parent = np.arange(first.size) - first
-        parent += np.repeat([offset[prefix] - lo for prefix, _, _ in run], fan)
-        tails = [restricted[c, nodes[end][1]] for c, (_, _, end) in zip(rests, run)]
-        child = np.concatenate([i for i, _ in tails])
-        child += np.repeat([offset[end] for _, _, end in run], fan)
-        count = np.concatenate([k for _, k in tails]) if space is None else None
-        cells = []
-        for j in range(len(run[0][1])):
-            have = [(c, e[1][j]) for c, e in zip(rests, run) if len(e[1]) > j]
-            heads = [restricted[c, u] for c, u in have]
-            cells.append(np.concatenate([i for i, _ in heads]))
-            cells[j] += np.repeat([start[u] for _, u in have], fan[: len(have)])
-            if count is not None:
-                count[: cells[j].size] += np.concatenate([k for _, k in heads])
-        if count is None:
+        fan = np.array([s.n_states(c) for c in rests])
+        counts = []
+
+        def gather(subsets, firsts):
+            # each state of each remainder restricted to its edge's subset, plus its first
+            pairs = [s.restricted[c, u] for c, u in zip(rests, subsets)]
+            counts.append([k for _, k in pairs])
+            return np.concatenate([i for i, _ in pairs]) + np.repeat(firsts, fan)
+
+        shift = np.repeat(np.cumsum(fan) - fan - [offset[p] - lo for p, _, _ in run], fan)
+        parent = np.arange(shift.size) - shift
+        child = gather([nodes[end][1] for _, _, end in run], [offset[end] for _, _, end in run])
+        cells = [gather(us, [start[u] for u in us]) for us in zip(*(b for _, b, _ in run))]
+        if s.space is not None:
             return child, parent, cells
+        count = sum(np.concatenate(k) for k in counts)
         keep = np.flatnonzero(count == np.concatenate([lattice(c).block_counts for c in rests]))
-        return child[keep], parent[keep], [c[keep[: np.searchsorted(keep, c.size)]] for c in cells]
+        return child[keep], parent[keep], [c[keep] for c in cells]
 
     levels = []
     for h in sorted(by_height):
-        level = sorted(by_height[h], key=lambda e: -len(e[1]))
-        # runs of about _RUN_STATES candidate states bound the arrays the
-        # lattice filters; a position's cells stay a prefix across runs,
-        # since the edges keep their order
-        ends = np.cumsum([size_of[nodes[prefix][1]] for prefix, _, _ in level])
-        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _RUN_STATES), "right"))
-        runs = [feed(level[i:k], lo[h]) for i, k in zip(cuts, [*cuts[1:], len(level)])]
+        runs = []
+        for count in sorted(by_height[h], reverse=True):
+            group = by_height[h][count]
+            for s, start, offset in zip(systems, starts, offsets):
+                # runs of about _RUN_STATES candidate states bound the filtered arrays
+                fed = np.cumsum([s.n_states(nodes[prefix][1]) for prefix, _, _ in group])
+                cuts = np.unique(np.searchsorted(fed, np.arange(0, fed[-1], _RUN_STATES), "right"))
+                for i, k in zip(cuts, [*cuts[1:], None]):
+                    runs.append(feed(s, start, offset, group[i:k], lo[h]))
         child, parent = (np.concatenate([run[f] for run in runs]) for f in (0, 1))
         cells = [
             np.concatenate([run[2][j] for run in runs if len(run[2]) > j])
-            for j in range(len(level[0][1]))
+            for j in range(len(runs[0][2]))
         ]
         levels.append(_Level(lo[h], lo.get(h + 1, size), child, parent, cells))
-    values = np.zeros(offset.get((), 0))  # all but the root, placed last: its values are the gain
-    values[: len(kept)] = tables.weights
+    # all but the roots, placed last: their values are the gain
+    values = np.zeros(offsets[0].get((), 0))
+    values[: len(kept) * len(systems)] = np.tile(tables.weights, len(systems))
+    n_ground = tops[0] if len(tops) == 1 else np.repeat(tops, sizes)
+    ends = np.cumsum([0] + sizes).tolist()
     return _TrieProgram(
-        float(sum(tables.weights.tolist())), blocks, ground_cells.reshape(-1), len(top), n_cells,
-        steps, values, levels, tables.leaves, ((0, n_states(ground)),),
-    )
-
-
-def _interleave(ends: list) -> tuple[list, np.ndarray]:
-    """Where each part's segments go when segment k of every part comes
-    before segment k + 1 of any, the parts in order: ends[p] lists the ends
-    of part p's segments (a part with fewer has empty ones at the end).
-    Returns each part's new index of each of its indices, and the new
-    start of each (segment, part)."""
-    lengths = np.zeros((max(map(len, ends)), len(ends)), dtype=np.intp)
-    for p, e in enumerate(ends):
-        lengths[: len(e), p] = np.diff(e, prepend=0)
-    starts = (np.cumsum(lengths) - lengths.reshape(-1)).reshape(lengths.shape)
-    moves = []
-    for p, e in enumerate(ends):
-        shift = starts[: len(e), p] - np.array([0, *e[:-1]])  # new start minus old, per segment
-        moves.append(np.arange(e[-1]) + np.repeat(shift, lengths[: len(e), p]))
-    return moves, starts
-
-
-def _stacked(rates: RateSystem, spaces: list) -> _TrieProgram:
-    """The program of rates over the state vectors of the systems on spaces
-    (None for the coefficient system) stacked in that order, built once per
-    kept rates (``_stack``)."""
-    return _compiled(_tables(rates), tuple(spaces))
-
-
-def _stack(tables: _Tables, spaces: tuple) -> _TrieProgram:
-    """The program of tables over the state vectors of the systems on
-    spaces stacked in that order, built from their programs; one
-    evaluation steps them all.
-
-    The trie is the tables', so the parts have the same node heights.
-    Block marginals are laid out by descent depth and node values by node
-    height, the parts' segments side by side in each, so a depth or a
-    height of every part is one range, summed by one ``np.bincount``.  A
-    level's edge rows are merged by descending block count with a stable
-    sort: block positions stay prefixes, and each part's rows keep their
-    order.  No bin takes terms from two parts, so every sum is taken in the
-    order of the part's own program, and each part of ``rhs`` is bitwise
-    its own program's."""
-    progs = [_compiled(tables, space) for space in spaces]
-    plans = [_plan(tables, space)[0] for space in spaces]
-    cell_moves, cell_starts = _interleave(
-        [[lo for lo, _, _, _ in p.descent] + [p.n_cells] for p in progs]
-    )
-    depths = range(max(len(plan) for plan in plans))
-    blocks = tuple(u for d in depths for plan in plans if d < len(plan) for u, _ in plan[d])
-    descent = []
-    for d in depths[1:]:
-        lo = int(cell_starts[d, 0])
-        have = [(k, p.descent[d - 1]) for k, p in enumerate(progs) if d <= len(p.descent)]
-        src = np.concatenate([cell_moves[k][s] for k, (_, _, s, _) in have])
-        tgt = np.concatenate([t + (cell_starts[d, k] - lo) for k, (_, _, _, t) in have])
-        descent.append((lo, lo + sum(hi - plo for _, (plo, hi, _, _) in have), src, tgt))
-    sizes = [p.parts[0][1] for p in progs]
-    ends = np.cumsum(sizes).tolist()
-    parts = tuple(zip([0, *ends[:-1]], ends))
-    # the node values of the heights below the root's: leaves first
-    heights = [[lv.lo for lv in p.levels] or [0] for p in progs]
-    value_moves, value_starts = _interleave(heights)
-    values = np.empty(sum(p.values.size for p in progs))
-    for m, p in zip(value_moves, progs):
-        values[m] = p.values
-    levels = []
-    for h, group in enumerate(zip(*(p.levels for p in progs))):
-        if h + 1 < len(progs[0].levels):
-            lo = int(value_starts[h + 1, 0])
-            shifts = (value_starts[h + 1] - lo).tolist()
-            hi = lo + sum(lv.hi - lv.lo for lv in group)
-        else:  # the root: the gain of each part in its range
-            lo, hi, shifts = values.size, values.size + ends[-1], [first for first, _ in parts]
-        # rows by descending block count; each part's rows already are
-        counts = []
-        for lv in group:
-            count = np.zeros(lv.child.size, dtype=np.intp)
-            for c in lv.cells:
-                count[: c.size] += 1
-            counts.append(count)
-        order = np.argsort(-np.concatenate(counts), kind="stable")
-        at = np.empty_like(order)
-        at[order] = np.arange(order.size)
-        child = np.concatenate([m[lv.child] for m, lv in zip(value_moves, group)])[order]
-        parent = np.concatenate([lv.parent + s for s, lv in zip(shifts, group)])[order]
-        firsts = np.cumsum([0] + [lv.child.size for lv in group])
-        cells = []
-        for j in range(max(len(lv.cells) for lv in group)):
-            have = [(k, lv.cells[j]) for k, lv in enumerate(group) if len(lv.cells) > j]
-            cell = np.empty(sum(c.size for _, c in have), dtype=np.intp)
-            for k, c in have:
-                cell[at[firsts[k] : firsts[k] + c.size]] = cell_moves[k][c]
-            cells.append(cell)
-        levels.append(_Level(lo, hi, child, parent, cells))
-    return _TrieProgram(
-        progs[0].loss,
-        blocks,
-        np.concatenate([m[p.ground_cells] for m, p in zip(cell_moves, progs)]),
-        np.repeat([p.n_ground for p in progs], sizes),
-        sum(p.n_cells for p in progs),
-        descent,
-        values,
-        levels,
-        np.concatenate([p.leaves for p in progs]),
-        parts,
+        float(sum(tables.weights.tolist())), tuple(blocks), ground_cells, n_ground, n_cells,
+        steps, values, levels, np.tile(tables.leaves, len(systems)), tuple(zip(ends, ends[1:])),
     )
 
 
@@ -795,8 +729,9 @@ def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = Non
     coefficient go through a trie program with their coefficients in its
     leaves and no loss, on omega0's block marginals summed once.  That is
     the program of rates on omega0's space when its leaves hold them all
-    (and it is within MAX_STATES), and otherwise one compiled on them, in runs whose programs hold at most
-    MAX_STATES cell indices each (the mixture is linear in the leaves)."""
+    (and it is within MAX_STATES), and otherwise one compiled on them, in
+    runs whose programs hold at most MAX_STATES cell indices each (the
+    mixture is linear in the leaves)."""
     space = omega0.space
     lat = lattice(space.sites)
     w = omega0.weights.reshape(-1)
@@ -833,7 +768,7 @@ def _support_programs(support: np.ndarray, space: TypeSpace):
         if run.size > 1 and _plan(tables, space)[1] > MAX_STATES:
             runs += [run[run.size // 2 :], run[: run.size // 2]]
         else:
-            yield _compile(tables, space)
+            yield _compile(tables, (space,))
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:
@@ -1009,11 +944,12 @@ def integrate_measure(
     """Fixed-step integration of the measure-valued system.
 
     Given a0, the coefficient system from a0 is stepped in lockstep: one
-    RK4 run takes the stacked state [a0 | measure] through the stacked
-    program (``_stacked``), and the trajectory's ``coefficients`` hold the
-    first part.  Each part is bitwise what ``integrate_coefficients`` and
-    this function without a0 give.  Both programs are planned before
-    either is compiled."""
+    RK4 run takes the stacked state [a0 | measure] through the program
+    compiled directly on both spaces (``_program(rates, None, space)``),
+    and the trajectory's ``coefficients`` hold the first part; neither
+    single-system program is compiled.  Each part is bitwise what
+    ``integrate_coefficients`` and this function without a0 give.  Both
+    systems are planned before anything is compiled."""
     if a0 is not None:
         if a0.ground != rates.ground:
             raise ValueError("ground-set mismatch")
@@ -1028,7 +964,7 @@ def integrate_measure(
         run = _rk4(_program(rates, omega0.space).rhs, y0, g, substeps)
         coefficients = None
     else:
-        prog = _stacked(rates, [None, omega0.space])
+        prog = _program(rates, None, omega0.space)
         run = _rk4(prog.rhs, np.concatenate((a0.values, y0)), g, substeps)
         cut = a0.values.size
         coefficients = CoefficientTrajectory(rates.ground, g, run[:, :cut].copy(), step=h)

@@ -254,6 +254,22 @@ def test_rate_total_past_the_float_range_refused(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["solve", "integrate", "simulate", "compare"])
+def test_out_naming_a_file_refused(tmp_path, capsys, command, under):
+    # --out an existing file, or a path below one: exit 2 with one line
+    # naming the path, and nothing written
+    cfg = write_config(tmp_path, GENERIC_N3)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "out" if under else taken
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: --out {out}: {taken} is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "kept"
+
+
 class TestLatticeCommand:
     def test_counts(self, capsys):
         assert main(["lattice", "4"]) == 0

@@ -614,13 +614,13 @@ class TestPairProgram:
 
 def count_compiles(monkeypatch):
     """Empty the process cache of compiled tables, and record each program
-    compiled from here on by (leaves, weights, space)."""
+    compiled from here on by (leaves, weights, spaces)."""
     calls = []
     compile_program = dynamics._compile
 
-    def counted(tables, space):
-        calls.append((tables.leaves.tobytes(), tables.weights.tobytes(), space))
-        return compile_program(tables, space)
+    def counted(tables, spaces):
+        calls.append((tables.leaves.tobytes(), tables.weights.tobytes(), spaces))
+        return compile_program(tables, spaces)
 
     dynamics._tables_of.cache_clear()
     monkeypatch.setattr(dynamics, "_compile", counted)
@@ -817,9 +817,9 @@ class TestMixtures:
         runs = []
         compile_program = dynamics._compile
 
-        def counted(tables, space):
-            runs.append(dynamics._plan(tables, space)[1])
-            return compile_program(tables, space)
+        def counted(tables, spaces):
+            runs.append(dynamics._plan(tables, *spaces)[1])
+            return compile_program(tables, spaces)
 
         monkeypatch.setattr(dynamics, "MAX_STATES", bound)
         monkeypatch.setattr(dynamics, "_compile", counted)
@@ -873,7 +873,7 @@ class TestLockstep:
         # the descent takes several levels on both sides
         space = TypeSpace(ground_set(6), (3, 3, 3, 2, 2, 2))
         rates = random_rates(6, 5, total=3.0)
-        prog = dynamics._stacked(rates, [None, space])
+        prog = _program(rates, None, space)
         assert len(prog.descent) >= 1 and len(prog.levels) >= 3
         omega0 = Measure(space, np.full(space.sizes, 1.0 / space.n_states))
         assert_lockstep(rates, omega0, np.linspace(0.0, 2.0, 9))
@@ -896,7 +896,7 @@ class TestLockstep:
     def test_top_only_rates_have_no_levels(self):
         space = mixed_space(4)
         rates = rate_system(4, "top-only")
-        assert not dynamics._stacked(rates, [None, space]).levels
+        assert not _program(rates, None, space).levels
         nu = Measure(space, np.random.default_rng(9).random(space.sizes))
         assert_lockstep(rates, nu, np.linspace(0, 1, 5))
 
@@ -933,7 +933,7 @@ class TestLockstep:
         # right-hand side, also where one part has no mass
         space = mixed_space(5)
         rates = random_rates(5, 10)
-        prog = dynamics._stacked(rates, [None, space])
+        prog = _program(rates, None, space)
         a, w = _program(rates), _program(rates, space)
         rng = np.random.default_rng(11)
         x, y = rng.random(lattice(rates.ground).size), rng.random(space.n_states)
@@ -945,6 +945,33 @@ class TestLockstep:
         cells = sum(c.size for level in prog.levels for c in level.cells)
         assert cells == sum(c.size for p in (a, w) for level in p.levels for c in level.cells)
         assert sorted(prog.blocks) == sorted(a.blocks + w.blocks)
+
+    @pytest.mark.parametrize(
+        "n, alphabet, rated, seed, depths",
+        [(4, 6, 8, 0, (1, 3)), (7, 2, 60, 2, (3, 2))],
+        ids=["measure-deeper", "coefficients-deeper"],
+    )
+    def test_parts_of_different_depths(self, n, alphabet, rated, seed, depths):
+        # the two parts' block marginals descend through different numbers
+        # of levels, so the shallower part's depths run out first
+        g = ground_set(n)
+        rng = np.random.default_rng(seed)
+        indices = rng.choice(np.arange(1, lattice(g).size), rated, replace=False)
+        rates = RateSystem.from_indices(g, indices, rng.uniform(0.1, 1.0, rated))
+        space = TypeSpace.regular(n, alphabet)
+        tables = dynamics._tables(rates)
+        assert tuple(len(dynamics._plan(tables, sp)[0]) for sp in (None, space)) == depths
+        prog, a, w = _program(rates, None, space), _program(rates), _program(rates, space)
+        assert len(prog.descent) == max(depths) - 1
+        assert prog.n_cells == a.n_cells + w.n_cells
+        assert sorted(prog.blocks) == sorted(a.blocks + w.blocks)
+        x, y = rng.random(lattice(g).size), rng.random(space.n_states)
+        for u, v in ((x, y), (x, 0.0 * y), (0.0 * x, y)):
+            want = np.concatenate((a.rhs(u), w.rhs(v)))
+            assert_same_bits(prog.rhs(np.concatenate((u, v))), want)
+        omega0 = Measure(space, y.reshape(space.sizes) / y.sum())
+        a0 = CoefficientVector(g, x / x.sum())
+        assert_lockstep(rates, omega0, np.linspace(0.0, 0.5, 3), a0=a0)
 
     @pytest.mark.parametrize("bound", ["MAX_STATES", "MAX_RK4_WORK"])
     def test_refusals_name_their_program_before_compiling(self, bound, monkeypatch):
@@ -1000,7 +1027,7 @@ class TestTrieRhs:
         rates, space = scenario.rates, scenario.space
         rng = np.random.default_rng(len(name))
         width = lattice(rates.ground).size
-        progs = [dynamics._stacked(rates, [None, space]), _program(rates), _program(rates, space)]
+        progs = [_program(rates, None, space), _program(rates), _program(rates, space)]
         for prog in progs:
             for _ in range(3):
                 vec = rng.random(prog.parts[-1][1])
@@ -1026,7 +1053,7 @@ class TestTrieRhs:
     def test_top_only_program(self):
         space = mixed_space(4)
         rates = rate_system(4, "top-only")
-        prog = dynamics._stacked(rates, [None, space])
+        prog = _program(rates, None, space)
         assert not prog.levels
         vec = np.random.default_rng(3).random(prog.parts[-1][1])
         vec[::2] = -0.0
@@ -1051,7 +1078,7 @@ class TestProgramCache:
         return [
             _program(rates).rhs(a),
             _program(rates, space).rhs(w),
-            dynamics._stacked(rates, [None, space]).rhs(np.concatenate((a, w))),
+            _program(rates, None, space).rhs(np.concatenate((a, w))),
             joint.tensors,
             joint.coefficients.values,
             mixtures(joint.coefficients.values, omega0, rates),
@@ -1079,7 +1106,7 @@ class TestProgramCache:
         assert first.total != second.total
         compiles = count_compiles(monkeypatch)
         shared = [self.outputs(rates, space) for rates in (first, second)]
-        assert len(compiles) == len(set(compiles)) == 2
+        assert len(compiles) == len(set(compiles)) == 3
         assert dynamics._tables(first) is dynamics._tables(second)
         self.assert_as_compiled_alone([first, second], space, shared)
 
@@ -1093,13 +1120,26 @@ class TestProgramCache:
         ]
         compiles = count_compiles(monkeypatch)
         shared = [self.outputs(rates, space) for rates in systems]
-        assert len(compiles) == len(set(compiles)) == 4
+        assert len(compiles) == len(set(compiles)) == 6
         assert dynamics._tables_of.cache_info().currsize == 2
         for rates in systems:  # each holds its own rates and loss
             assert_matches_pairs(rates)
             assert_matches_pairs(rates, space)
-        assert len(compiles) == 4
+        assert len(compiles) == 6
         self.assert_as_compiled_alone(systems, space, shared)
+
+    def test_lockstep_route_compiles_no_coefficient_program(self, monkeypatch):
+        # the lockstep run and the mixture check of dense-n6 compile the
+        # stacked and the measure program, once each, and nothing else
+        scenario = named_scenario("dense-n6-101")
+        rates, space = scenario.rates, scenario.space
+        omega0 = scenario.build_measure()
+        compiles = count_compiles(monkeypatch)
+        a0 = CoefficientVector.delta_top(rates.ground)
+        joint = integrate_measure(rates, omega0, scenario.grid.array(), a0=a0)
+        mixtures(joint.coefficients.values, omega0, rates)
+        assert set(dynamics._tables(rates).programs) == {(None, space), (space,)}
+        assert [spaces for _, _, spaces in compiles] == [(None, space), (space,)]
 
     def test_another_order_is_another_entry(self, monkeypatch):
         space = mixed_space(4)
