@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -54,8 +55,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERACY = 3
 EXIT_TOLERANCE = 4
-
-MOBIUS_ROW_LIMIT = 6  # full Moebius row printed only for small lattices
 
 log = logging.getLogger("recomb")
 
@@ -144,13 +143,13 @@ def _rk4_routes(scenario: Scenario, omega0, grid):
     return mtraj.coefficients, mtraj
 
 
-def _measure_check(scenario: Scenario, omega0, mtraj):
+def _measure_check(omega0, mtraj):
     """At each grid time, the measure trajectory's total variation
     deviation from the mixture of its coefficient trajectory and its
     absolute drift, both relative to the initial mass (a zero measure keeps
-    both at 0).  The mixture runs through the measure program's trie when
-    its leaves hold the coefficients' support."""
-    mix = mixtures(mtraj.coefficients.values, omega0, scenario.rates)
+    both at 0).  The mixture depends on the coefficients and omega0 alone:
+    it runs through the trie program of the coefficients' support."""
+    mix = mixtures(mtraj.coefficients.values, omega0)
     dev = np.abs(mtraj.tensors.reshape(mtraj.times.size, -1) - mix).sum(axis=1)
     mass = omega0.norm() or 1.0
     return dev / mass, np.abs(mtraj.drift) / mass
@@ -170,12 +169,11 @@ def cmd_lattice(args) -> int:
         "bell": bell_number(n),
         "two_block": count_two_block(n),
     }
-    full = args.full and n <= MOBIUS_ROW_LIMIT
-    if args.full and not full:
-        log.warning("full enumeration limited to n <= %d", MOBIUS_ROW_LIMIT)
-    if full:
+    if args.full:
         lat = lattice(ground_set(n))
-        mu = lat.mobius_matrix[lat.bottom_index].tolist()  # mu(bottom, p) for each p
+        # mu(bottom, p): the product over p's blocks b of (-1)^(|b| - 1) (|b| - 1)!
+        signed = np.array([1] + [(-1) ** (k - 1) * math.factorial(k - 1) for k in range(1, n + 1)])
+        mu = signed[lat.block_sizes].prod(axis=1).tolist()
         info["partitions"] = list(lat.names)
         info["mobius_bottom_row"] = dict(zip(lat.names, mu))
     if args.format == "json":
@@ -184,7 +182,7 @@ def cmd_lattice(args) -> int:
         print(f"n = {n}")
         print(f"bell number = {info['bell']}")
         print(f"two-block partitions = {info['two_block']}")
-        if full:
+        if args.full:
             for p in info["partitions"]:
                 print(f"  {p}  mobius(bottom, .) = {info['mobius_bottom_row'][p]}")
     return EXIT_OK
@@ -224,7 +222,7 @@ def cmd_integrate(args) -> int:
         "max_drift": float(np.abs(traj.drift).max()),
     }
     if mtraj is not None:
-        dev, drift = _measure_check(scenario, omega0, mtraj)
+        dev, drift = _measure_check(omega0, mtraj)
         write_measure_trajectory_csv(out / "measure_trajectory.csv", mtraj, dev)
         meta["max_mixture_dev"] = float(dev.max())
         meta["max_measure_drift"] = float(drift.max())
@@ -304,7 +302,7 @@ def cmd_compare(args) -> int:
             report["closed_vs_linear_max"] = float(np.abs(closed - lin).max())
 
     if mtraj is not None:
-        dev, _ = _measure_check(scenario, omega0, mtraj)
+        dev, _ = _measure_check(omega0, mtraj)
         report["measure_vs_mixture"] = _deviation_check(dev, tol)
 
     if scenario.monte_carlo is not None:

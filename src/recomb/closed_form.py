@@ -159,15 +159,6 @@ def _linear_decay(rates: RateSystem, g: tuple[int, ...]) -> np.ndarray:
     return rates.total - _apply(lattice(g), 1.0, rates.marginal(g))
 
 
-def _up_sums(lat, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """For each partition index in at, the sum of values over its up-set,
-    in ascending order: one bincount."""
-    ptr, ups = lat.up_sets
-    fan = ptr[at + 1] - ptr[at]
-    terms = values[ups[_ranges(ptr[at], fan)]]
-    return np.bincount(np.repeat(np.arange(at.size), fan), terms, at.size)
-
-
 def _zeta_solve(lat, rhs: np.ndarray) -> np.ndarray:
     """Moebius inversion: x with the sum of x over each up-set equal to rhs,
     for a vector or a table of B rows.  Coarsest first, one block count at
@@ -262,7 +253,7 @@ def _scan_degeneracies(
         near = np.flatnonzero(np.abs(psi[top] - psi) <= tol_abs)
         rvec = rates.marginal(u)
         # mass of the upward interval [B, top) for the B near the top; none at the top
-        bad = set(near[_up_sums(lat, rvec, near) - rvec[top] > 0.0].tolist())
+        bad = set(near[_apply(lat, 1.0, rvec)[near] - rvec[top] > 0.0].tolist())
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if hi - lo < 2:
                 continue

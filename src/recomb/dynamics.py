@@ -14,15 +14,16 @@ marginals on p's blocks is factored over the prefix trie of those blocks,
 so partitions that begin with the same blocks share the partial product
 (the distributive law; Aji & McEliece, "The generalized distributive law",
 2000).  The trie is summed from the leaves up, one ``np.bincount`` per node
-height.  With the coefficients of a trajectory in its leaves, the same
-program gives the mixture of block-product operators (``mixtures``), and
-compiled over several state spaces at once, one program steps the
-coefficient and the measure system in lockstep (``_compile``).
+height.  With the coefficients of a trajectory in its leaves, the program
+of their support gives the mixture of block-product operators
+(``mixtures``), and compiled over several state spaces at once, one program
+steps the coefficient and the measure system in lockstep (``_compile``).
 
 Programs are compiled once per kept rates and tuple of state spaces in a
 process (``_tables``): every rate system with the same kept partitions, in
-the same order and at the same rates, shares them.  The programs of the
-_TABLES_KEPT kept rates used last are kept.
+the same order and at the same rates, shares them, and a mixture's support
+is kept as its partitions at unit rates.  The programs of the _TABLES_KEPT
+kept rates used last are kept.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole gri
 _RUN_STATES = 1 << 20  # candidate states per run of trie edges compiled at once
 _DESCENT_CALL = 512  # cells that cost about one more np.bincount call (see _descent)
 MAX_RK4_WORK = 1 << 35  # cell indices one integration may visit: 4 * substeps * program_cells
-_TABLES_KEPT = 4  # kept rates whose compiled programs a process keeps, least recently used dropped
+_TABLES_KEPT = 8  # kept rates whose compiled programs a process keeps, least recently used dropped
 
 
 class RateSystem:
@@ -376,6 +377,13 @@ class _Tables:
         self.plans: dict = {}
         self.programs: dict = {}
 
+    def program(self, spaces: tuple) -> "_TrieProgram":
+        """The program on spaces, compiled (``_compile``) on first use."""
+        prog = self.programs.get(spaces)
+        if prog is None:
+            prog = self.programs[spaces] = _compile(self, spaces)
+        return prog
+
 
 _tables_of = lru_cache(maxsize=_TABLES_KEPT)(_Tables)
 
@@ -496,13 +504,8 @@ def _descent(ground: tuple, blocks: list, n_states) -> list:
 def _program(rates: RateSystem, *spaces) -> _TrieProgram:
     """The gain term of the systems on spaces (None, the default, for the
     coefficient system), their state vectors stacked in that order,
-    compiled once per kept rates and spaces (``_compile``)."""
-    tables = _tables(rates)
-    spaces = spaces or (None,)
-    prog = tables.programs.get(spaces)
-    if prog is None:
-        prog = tables.programs[spaces] = _compile(tables, spaces)
-    return prog
+    compiled once per kept rates and spaces (``_Tables.program``)."""
+    return _tables(rates).program(spaces or (None,))
 
 
 # one system of a program: its space, state counter, descent plan and restrictions
@@ -720,18 +723,16 @@ def program_cells(rates: RateSystem, space: TypeSpace | None = None) -> int:
     return _plan(_tables(rates), space)[1]
 
 
-def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = None) -> np.ndarray:
+def mixtures(values: np.ndarray, omega0: Measure) -> np.ndarray:
     """The flat weights of sum_A values[t, A] * R_A(omega0) for each row t
     of a (T, B) array of coefficients on omega0's sites, R_A being the
     block-product operator of ``measures.recombinator``.
 
     The top's operator is the identity; the other partitions with a nonzero
-    coefficient go through a trie program with their coefficients in its
-    leaves and no loss, on omega0's block marginals summed once.  That is
-    the program of rates on omega0's space when its leaves hold them all
-    (and it is within MAX_STATES), and otherwise one compiled on them, in
-    runs whose programs hold at most MAX_STATES cell indices each (the
-    mixture is linear in the leaves)."""
+    coefficient go through the trie program of that support at unit rates
+    (``_support_programs``), with their coefficients in its leaves and no
+    loss, on omega0's block marginals summed once.  It depends on the
+    support alone, not on any rates, and is kept like a rate system's."""
     space = omega0.space
     lat = lattice(space.sites)
     w = omega0.weights.reshape(-1)
@@ -741,16 +742,8 @@ def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = Non
     used[lat.top_index] = False
     if s == 0.0 or not used.any():  # the zero measure maps to itself
         return out
-    held = np.zeros(lat.size, dtype=bool)
-    if rates is not None and program_cells(rates, space) <= MAX_STATES:
-        prog = _program(rates, space)
-        held[prog.leaves] = True
-    if (used & ~held).any():
-        programs = _support_programs(np.flatnonzero(used), space)
-    else:
-        programs = [prog]
     unit = w / s
-    for prog in programs:
+    for prog in _support_programs(np.flatnonzero(used), space):
         marg = prog.marginals(unit)
         out += s * np.stack([prog.gain(marg, row) for row in values[:, prog.leaves]])
     return out
@@ -758,17 +751,20 @@ def mixtures(values: np.ndarray, omega0: Measure, rates: RateSystem | None = Non
 
 def _support_programs(support: np.ndarray, space: TypeSpace):
     """Programs whose leaves are the partitions at the lattice indices
-    support, compiled one after the other: one program, or when it would
-    hold more than MAX_STATES cell indices, the programs of each half.  Their
-    tables are built outside ``_tables_of``, so none outlives its use."""
+    support, at unit rates: the program of the support, from ``_tables_of``
+    like a rate system's, or when it would hold more than MAX_STATES cell
+    indices, the programs of each half, compiled one after the other (the
+    mixture is linear in the leaves).  The halves' tables are built outside
+    ``_tables_of``, so none outlives its use."""
     runs = [support]
     while runs:
         run = runs.pop()
-        tables = _Tables(*_kept(RateSystem.from_indices(space.sites, run, [1.0] * run.size)))
+        key = _kept(RateSystem.from_indices(space.sites, run, [1.0] * run.size))
+        tables = _tables_of(*key) if run is support else _Tables(*key)
         if run.size > 1 and _plan(tables, space)[1] > MAX_STATES:
             runs += [run[run.size // 2 :], run[: run.size // 2]]
         else:
-            yield _compile(tables, (space,))
+            yield tables.program((space,))
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:

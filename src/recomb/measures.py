@@ -163,8 +163,10 @@ def product_measure(space: TypeSpace, site_weights: Iterable[Iterable[float]]) -
         if v.min() < 0:
             raise ValueError("site weights must be nonnegative")
     out = vectors[0]
-    for v in vectors[1:]:
-        out = np.multiply.outer(out, v)
+    # an overflowing product is refused by Measure's check of the total
+    with np.errstate(over="ignore"):
+        for v in vectors[1:]:
+            out = np.multiply.outer(out, v)
     return Measure(space, out)
 
 

@@ -547,7 +547,8 @@ class Lattice:
     @property
     def mobius_matrix(self) -> np.ndarray:
         """Integer matrix of the Moebius function, the inverse of zeta; zero
-        outside the order.  ``recomb lattice --full`` prints its bottom row."""
+        outside the order.  A dense view for tests and tracing; no route
+        reads it."""
         core = self._core
         if core.mobius is None:
             core.mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from recomb.closed_form import ClosedFormSolution, _up_sums, _zeta_solve
+from recomb.closed_form import ClosedFormSolution, _zeta_solve
 from recomb.dynamics import _NEG_TOL, CoefficientVector, RateSystem
 from recomb.measures import Measure, recombinator
 from recomb.partitions import Lattice, Partition, as_ground, lattice, parse_partition
@@ -220,7 +220,10 @@ def linear_decay_rate(rates: RateSystem, u, a: Partition) -> float:
     if a.ground != g:
         raise ValueError("partition is not on the requested subset")
     lat = lattice(g)
-    return float(rates.total - _up_sums(lat, rates.marginal(g), np.array([lat.index[a]]))[0])
+    ptr, ups = lat.up_sets
+    i = lat.index[a]
+    # the rate mass of a's up-set alone, summed in ascending order
+    return float(rates.total - np.cumsum(rates.marginal(g)[ups[ptr[i] : ptr[i + 1]]])[-1])
 
 
 def _rates_from_decay(g, product: np.ndarray, total: float) -> dict[Partition, float]:

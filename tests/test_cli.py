@@ -33,6 +33,8 @@ from oracles import (
 )
 
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
 GENERIC_N3 = {
     "n": 3,
     "rates": {"1|2|3": 0.5, "1|2,3": 0.3, "1,2|3": 0.7, "1,3|2": 0.4},
@@ -294,10 +296,10 @@ class TestLatticeCommand:
         assert proc.stderr.startswith("configuration error: lattice size")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_full_json(self, capsys, n, fmt):
         # the printout read from the lattice arrays, against the one built
-        # from Partition objects and the pairwise Moebius oracle
+        # from Partition objects and the dense Moebius oracle
         assert main(["lattice", str(n), "--full", "--format", fmt]) == 0
         out = capsys.readouterr().out
         parts = enumerate_partitions(ground_set(n))
@@ -615,6 +617,32 @@ def test_measure_work_refused_before_out(tmp_path, command, monkeypatch, capsys)
     assert not out.exists()
 
 
+def test_warm_compare_pass_compiles_nothing(tmp_path, monkeypatch):
+    # in one process, a second compare pass over the shipped scenarios finds
+    # every trie program compiled: the rate systems' and those of the
+    # mixtures' supports
+    files = sorted(SCENARIO_DIR.glob("*.json"))
+    assert len(files) == 3
+
+    def serve(name):
+        return [
+            main(["compare", "--config", str(cfg), "--out", str(tmp_path / name / cfg.stem)])
+            for cfg in files
+        ]
+
+    codes = serve("first")
+    compiles = []
+    compile_program = dynamics._compile
+
+    def counted(tables, spaces):
+        compiles.append(spaces)
+        return compile_program(tables, spaces)
+
+    monkeypatch.setattr(dynamics, "_compile", counted)
+    assert serve("second") == codes
+    assert compiles == []
+
+
 def test_consecutive_calls_share_no_state(tmp_path, monkeypatch):
     # the parser is built once per process, and an option given to one call
     # does not reach the next
@@ -886,6 +914,21 @@ class TestScenarioValidation:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert_refused_before_output(capsys, out, "finite total")
+
+    @pytest.mark.parametrize("command", ["integrate", "compare"])
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    def test_overflowing_product_measure_one_line(self, tmp_path, command, warnings):
+        # the per-site weights are finite but their product overflows: the
+        # finite-total check refuses it with one line, no warning before it
+        # and no traceback, also when warnings are errors
+        spec = "product:1e200,1e200;1e200,1e200;1,1"
+        cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": spec})
+        out = tmp_path / "out"
+        proc = run_cli([command, "--config", str(cfg), "--out", str(out)], PYTHONWARNINGS=warnings)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "finite total" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestCsvFormat:

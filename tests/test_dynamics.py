@@ -749,8 +749,8 @@ class TestDescent:
             assert np.array_equal(prog.rhs(vec), want)
 
 
-def assert_mixture_matches(values, omega0, rates=None):
-    got = mixtures(values, omega0, rates)
+def assert_mixture_matches(values, omega0):
+    got = mixtures(values, omega0)
     want = einsum_mixture(values, omega0)
     mass = omega0.norm() or 1.0
     assert np.abs(got - want).max() <= 1e-15 * mass
@@ -772,47 +772,53 @@ class TestMixtures:
         return values
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_covered_support_reuses_the_rated_program(self, n, monkeypatch):
-        rates = half_rated(n)
+    def test_second_mixture_on_a_support_compiles_nothing(self, n, monkeypatch):
+        # the support's program is compiled once, at unit rates, and kept:
+        # other coefficients and another measure on the same support and
+        # space reuse it
         space = mixed_space(n)
-        prog = _program(rates, space)
-
-        def refuse(support, space):
-            raise AssertionError("compiled a program on the support")
-
-        monkeypatch.setattr(dynamics, "_support_programs", refuse)
-        assert_mixture_matches(self.coefficients(n, prog.leaves), self.unit_measure(space), rates)
+        columns = np.arange(1, lattice(space.sites).size)[::2]
+        compiles = count_compiles(monkeypatch)
+        assert_mixture_matches(self.coefficients(n, columns), self.unit_measure(space))
+        assert len(compiles) == 1
+        leaves, weights, spaces = compiles[0]
+        assert sorted(np.frombuffer(leaves, dtype=np.intp)) == sorted(columns)
+        assert np.all(np.frombuffer(weights) == 1.0) and spaces == (space,)
+        assert_mixture_matches(self.coefficients(n, columns), self.unit_measure(space))
+        assert len(compiles) == 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_uncovered_support_compiles_its_own(self, n):
         # the trajectory of interval rates reaches partitions that are not
-        # rated, and the half-rated program lacks a random half
+        # rated, and a random support holds partitions no rate system here
+        # rates: each mixture is the program of its own support
         space = mixed_space(n)
         omega0 = self.unit_measure(space)
         rates = interval_rates(n)
         grid = np.linspace(0.0, 1.0, 4)
         traj = integrate_coefficients(rates, CoefficientVector.delta_top(rates.ground), grid)
-        assert_mixture_matches(traj.values, omega0, rates)
+        assert_mixture_matches(traj.values, omega0)
         columns = np.arange(1, lattice(ground_set(n)).size)
-        assert_mixture_matches(self.coefficients(n, columns), omega0, half_rated(n))
         assert_mixture_matches(self.coefficients(n, columns), omega0)
+        assert_mixture_matches(self.coefficients(n, columns[::2]), omega0)
 
     def test_zero_measure_maps_to_zero(self):
         space = mixed_space(4)
         zero = Measure(space, np.zeros(space.sizes))
         values = self.coefficients(4, np.arange(1, 15))
-        for rates in (None, random_rates(4, 1)):
-            assert not mixtures(values, zero, rates).any()
+        assert not mixtures(values, zero).any()
         assert_mixture_matches(values, zero)
 
     def test_support_split_into_runs(self, monkeypatch):
         # a bound below the support program's cells: the support compiles in
-        # runs, each at most the bound unless it holds one partition, and no
-        # run's program is kept in the process cache
+        # runs, each at most the bound unless it holds one partition; the
+        # support's tables are looked up in the process cache and hold no
+        # program, and no run's tables enter it
         space = mixed_space(5)
         omega0 = self.unit_measure(space)
         values = self.coefficients(5, np.arange(1, 52))
         whole = RateSystem(space.sites, {p: 1.0 for p in lattice(space.sites).parts[1:]})
+        dynamics._tables_of.cache_clear()
         bound = program_cells(whole, space) // 5
         runs = []
         compile_program = dynamics._compile
@@ -827,7 +833,9 @@ class TestMixtures:
         assert_mixture_matches(values, omega0)
         assert len(runs) > 5
         assert all(cells <= bound for cells in runs)
-        assert dynamics._tables_of.cache_info() == cache
+        after = dynamics._tables_of.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (cache.hits + 1, cache.misses, cache.currsize)
+        assert not dynamics._tables(whole).programs
 
     def test_measures_mixture_goes_through_the_trie(self, monkeypatch):
         space = mixed_space(4)
@@ -1081,7 +1089,7 @@ class TestProgramCache:
             _program(rates, None, space).rhs(np.concatenate((a, w))),
             joint.tensors,
             joint.coefficients.values,
-            mixtures(joint.coefficients.values, omega0, rates),
+            mixtures(joint.coefficients.values, omega0),
         ]
 
     def assert_as_compiled_alone(self, systems, space, shared):
@@ -1106,7 +1114,8 @@ class TestProgramCache:
         assert first.total != second.total
         compiles = count_compiles(monkeypatch)
         shared = [self.outputs(rates, space) for rates in (first, second)]
-        assert len(compiles) == len(set(compiles)) == 3
+        # the three programs of the rates, and the mixture's on its support
+        assert len(compiles) == len(set(compiles)) == 4
         assert dynamics._tables(first) is dynamics._tables(second)
         self.assert_as_compiled_alone([first, second], space, shared)
 
@@ -1120,26 +1129,35 @@ class TestProgramCache:
         ]
         compiles = count_compiles(monkeypatch)
         shared = [self.outputs(rates, space) for rates in systems]
-        assert len(compiles) == len(set(compiles)) == 6
-        assert dynamics._tables_of.cache_info().currsize == 2
+        # three programs per rates; both mixtures have every partition in
+        # their support and share its program, which holds no rates
+        assert len(compiles) == len(set(compiles)) == 7
+        assert dynamics._tables_of.cache_info().currsize == 3
         for rates in systems:  # each holds its own rates and loss
             assert_matches_pairs(rates)
             assert_matches_pairs(rates, space)
-        assert len(compiles) == 6
+        assert len(compiles) == 7
         self.assert_as_compiled_alone(systems, space, shared)
 
     def test_lockstep_route_compiles_no_coefficient_program(self, monkeypatch):
         # the lockstep run and the mixture check of dense-n6 compile the
-        # stacked and the measure program, once each, and nothing else
+        # stacked program of the rates and the measure program of the
+        # coefficients' support at unit rates, once each, and nothing else
         scenario = named_scenario("dense-n6-101")
         rates, space = scenario.rates, scenario.space
         omega0 = scenario.build_measure()
         compiles = count_compiles(monkeypatch)
         a0 = CoefficientVector.delta_top(rates.ground)
         joint = integrate_measure(rates, omega0, scenario.grid.array(), a0=a0)
-        mixtures(joint.coefficients.values, omega0, rates)
-        assert set(dynamics._tables(rates).programs) == {(None, space), (space,)}
+        values = joint.coefficients.values
+        mixtures(values, omega0)
+        assert set(dynamics._tables(rates).programs) == {(None, space)}
         assert [spaces for _, _, spaces in compiles] == [(None, space), (space,)]
+        support = np.flatnonzero(np.any(values != 0.0, axis=0))
+        support = support[support != lattice(rates.ground).top_index]
+        unit = RateSystem.from_indices(rates.ground, support, [1.0] * support.size)
+        assert compiles[1] == dynamics._kept(unit)[1:] + ((space,),)
+        assert set(dynamics._tables(unit).programs) == {(space,)}
 
     def test_another_order_is_another_entry(self, monkeypatch):
         space = mixed_space(4)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recomb.closed_form import DEGENERACY_TOL, DegeneracyPair, _decay_tables, _up_sums, detect_degeneracy
+from recomb.closed_form import DEGENERACY_TOL, DegeneracyPair, _apply, _decay_tables, detect_degeneracy
 from recomb.dynamics import RateSystem
 from recomb.partitions import (
     Partition,
@@ -171,7 +171,7 @@ def scan_oracle(rates, decay, tol_abs):
         bounds = np.concatenate(([0], cuts, [psi.size]))
         near = np.flatnonzero(np.abs(psi[top] - psi) <= tol_abs)
         rvec = rates.marginal(u)
-        bad = set(near[_up_sums(lat, rvec, near) - rvec[top] > 0.0].tolist())
+        bad = set(near[_apply(lat, 1.0, rvec)[near] - rvec[top] > 0.0].tolist())
         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if hi - lo < 2:
                 continue
