@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gammainc
 
-from recomb.dynamics import CoefficientTrajectory, RateSystem
+from recomb.dynamics import CoefficientTrajectory, RateSystem, _served
 from recomb.partitions import Partition, as_ground, ground_set, lattice
 
 __all__ = [
@@ -229,6 +229,7 @@ def _decay_tables(rates: RateSystem) -> dict[tuple[int, ...], np.ndarray]:
         psi = np.zeros((len(us), lat.size))
         for masks in lat.block_masks.T:
             psi += gather[:, masks]
+        psi.flags.writeable = False
         tables.update(zip(us, psi))
     return tables
 
@@ -276,7 +277,7 @@ class ClosedFormSolution:
     pairs of each subset's lattice (``Lattice.up_sets`` order), evaluated on
     a whole time grid by one bincount per block of times.
 
-    Immutable once built; evaluation is pure.
+    Immutable once built, its tables read-only; evaluation is pure.
     """
 
     def __init__(self, rates, decay, coeff, report):
@@ -483,15 +484,18 @@ def closed_form_size(rates: RateSystem) -> tuple[int, int]:
     form stores, over every subset, and the chains a <= b <= c its scatter
     expands, with c rated and not the top (before the decay rates drop any
     column).  Counted from block sizes and the marginal rates; no table is
-    built."""
-    n = len(rates.ground)
-    pairs = sum(math.comb(n, k) * lattice(ground_set(k)).pair_count for k in range(1, n + 1))
-    chains = 0
-    for us in _sizes(rates.ground):
-        below = _chains_below(len(us[0]))
-        for marg in rates.marginals(us):
-            chains += int(below[1:][marg[1:] != 0.0].sum())  # 0 is the top
-    return pairs, chains
+    built.  Kept for the rates served last (``dynamics._served``)."""
+    served = _served(rates)
+    if served.size is None:
+        n = len(rates.ground)
+        pairs = sum(math.comb(n, k) * lattice(ground_set(k)).pair_count for k in range(1, n + 1))
+        chains = 0
+        for us in _sizes(rates.ground):
+            below = _chains_below(len(us[0]))
+            for marg in rates.marginals(us):
+                chains += int(below[1:][marg[1:] != 0.0].sum())  # 0 is the top
+        served.size = pairs, chains
+    return served.size
 
 
 def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
@@ -501,13 +505,27 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
     rate of its subsystem (the pure-exponential form then fails).  Harmless
     coincidences are attached to the returned solution's report; the
     coefficients extend continuously there.
+
+    The solution, or the report that refused it, is kept for the rates
+    served last (``dynamics._served``): a call on equal rates returns that
+    solution, built from equal rates, or raises with that report.
     """
+    served = _served(rates)
+    if served.closed_form is None:
+        served.closed_form = _build(rates)
+    if isinstance(served.closed_form, DegeneracyReport):
+        raise DegeneracyError(served.closed_form)
+    return served.closed_form
+
+
+def _build(rates: RateSystem) -> ClosedFormSolution | DegeneracyReport:
+    """The closed form of rates, or the report of its bad coincidences."""
     ground = rates.ground
     tol_abs = DEGENERACY_TOL * max(rates.total, 1.0)
     decay = _decay_tables(rates)
     report = _scan_degeneracies(rates, decay, tol_abs)
     if report.has_bad:
-        raise DegeneracyError(report)
+        return report
     # distinctness is inherited downward from the full system: a collision in
     # a subsystem forces one with the identical decay gap at the top level
     if report.classes and not any(c.subset == ground for c in report.classes):
@@ -559,6 +577,7 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
             sums = np.bincount(rows.ravel(), part.ravel(), len(us) * (hi - lo))
             part[:, ptr[lo:hi] - ptr[lo]] = -sums.reshape(len(us), hi - lo)
         theta[:, ptr[top]] = 1.0
+        theta.flags.writeable = False
         coeff.update(zip(us, theta))
     return ClosedFormSolution(rates, decay, coeff, report)
 

@@ -23,7 +23,9 @@ Programs are compiled once per kept rates and tuple of state spaces in a
 process (``_tables``): every rate system with the same kept partitions, in
 the same order and at the same rates, shares them, and a mixture's support
 is kept as its partitions at unit rates.  The programs of the _TABLES_KEPT
-kept rates used last are kept.
+kept rates used last are kept.  What else the rates alone determine, the
+closed form and the sampler's jump tables, is kept for the rates served
+last (``_served``).
 """
 
 from __future__ import annotations
@@ -313,14 +315,19 @@ class _TrieProgram:
     levels: list              # one _Level per node height, the root's last
     leaves: np.ndarray        # the lattice index of each leaf's partition
     parts: tuple              # (lo, hi) of each stacked state vector
-    sizes: np.ndarray = field(init=False)  # hi - lo of each part
+    slices: tuple = field(init=False)            # slice(lo, hi) of each part
+    state_part: np.ndarray = field(init=False)   # the part of each state
+    ground_state: np.ndarray = field(init=False)  # the state of each ground cell
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", np.array([hi - lo for lo, hi in self.parts]))
+        sizes = [hi - lo for lo, hi in self.parts]
+        object.__setattr__(self, "slices", tuple(slice(lo, hi) for lo, hi in self.parts))
+        object.__setattr__(self, "state_part", np.repeat(np.arange(len(sizes)), sizes))
+        object.__setattr__(self, "ground_state", np.repeat(np.arange(sum(sizes)), self.n_ground))
 
     def marginals(self, unit: np.ndarray) -> np.ndarray:
         """Every block marginal of the state vector unit, in one vector."""
-        marg = np.bincount(self.ground_cells, unit.repeat(self.n_ground), self.n_cells)
+        marg = np.bincount(self.ground_cells, unit[self.ground_state], self.n_cells)
         for lo, hi, src, tgt in self.descent:
             marg[lo:hi] = np.bincount(tgt, marg[src], hi - lo)
         return marg
@@ -341,19 +348,16 @@ class _TrieProgram:
         out = -self.loss * vec
         if not self.levels:
             return out
-        # each part's mass is summed from its own slice, as alone: one
-        # np.add.reduceat would start each sum at its first entry, not at 0,
-        # and pair the terms differently
-        mass = np.array([vec[lo:hi].sum() for lo, hi in self.parts])
+        # each part's mass is summed from its own slice, as alone (the ufunc
+        # ndarray.sum calls): one np.add.reduceat would start each sum at its
+        # first entry, not at 0, and pair the terms differently
+        mass = np.array([np.add.reduce(vec[part]) for part in self.slices])
         live = mass > 0.0
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            return out
         # unit mass first, as in measures.recombinator; a part whose mass
         # is not positive reads zeros and gains nothing
-        scale = np.repeat(np.where(live, mass, np.inf), self.sizes)
+        scale = np.where(live, mass, np.inf)[self.state_part]
         gain = self.gain(self.marginals(vec / scale))
-        held = True if n_live == live.size else np.repeat(live, self.sizes)
+        held = live[self.state_part]
         np.multiply(gain, scale, out=gain, where=held)
         return np.add(out, gain, out=out, where=held)
 
@@ -406,6 +410,37 @@ def _tables(rates: RateSystem) -> _Tables:
     alone.  A process keeps those of the _TABLES_KEPT kept rates used
     last."""
     return _tables_of(*_kept(rates))
+
+
+class _Served:
+    """What a rate system determines besides its programs, kept for the
+    rates served last (``_served``): the closed form, or the
+    ``DegeneracyReport`` that refused it (``closed_form``), its
+    ``(pairs, chains)`` count (``size``) and the Monte Carlo jump table of
+    each start index (``jump_tables``).  Each slot is filled on first use
+    by the module that builds it, with read-only arrays, and handed to
+    every later caller as it is."""
+
+    __slots__ = ("closed_form", "size", "jump_tables")
+
+    def __init__(self, ground: tuple, indices: bytes, weights: bytes):
+        self.closed_form = None
+        self.size = None
+        self.jump_tables: dict = {}
+
+
+# one entry: an n = 10 closed form holds hundreds of MB, and a process that
+# serves one rates request after request hits it every time
+_served_of = lru_cache(maxsize=1)(_Served)
+
+
+def _served(rates: RateSystem) -> _Served:
+    """The kept artifacts of rates, new and empty unless the rates served
+    last had the same ground and the same lattice indices and rates in the
+    same order.  Not the kept rates of ``_tables``: the marginals sum the
+    rates in the order given and the total counts every rate, zero and top
+    ones too, so only an equal key builds bitwise-equal artifacts."""
+    return _served_of(rates.ground, rates.indices.tobytes(), rates.weights.tobytes())
 
 
 def _trie(ground: tuple, leaves: np.ndarray) -> tuple[list, list, dict]:

@@ -10,10 +10,11 @@ estimator here is compared against.
 The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
 ``_final_indices``, samples it by the direct method: an exponential waiting
 time at the state's exit rate, then a successor drawn from a CSR jump table
-over the states reachable from the start, which each sampler call builds
-once and passes in.  All replicates advance together, in blocks of 4096, one
-vectorised waiting-time and jump round at a time; every jump strictly
-refines, so n sites take at most n - 1 rounds.  The generator is
+over the states reachable from the start, which is built once per start for
+the rates served last (``dynamics._served``) and passed in.  All replicates
+advance together, in blocks of 4096, one vectorised waiting-time and jump
+round at a time; every jump strictly refines, so n sites take at most n - 1
+rounds.  The generator is
 counter-based (numpy Philox), so seeded replicate streams are reproducible
 and independent by construction.
 """
@@ -26,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from recomb.dynamics import RateSystem
+from recomb.dynamics import RateSystem, _served
 from recomb.partitions import Partition, ground_set, lattice
 
 __all__ = [
@@ -103,17 +104,28 @@ def _text_order(ground: tuple[int, ...]) -> np.ndarray:
 
 
 def _jump_table(rates: RateSystem, start: int):
-    """The chain's generator as CSR arrays over ``lattice(rates.ground)``:
-    row s lists successors[indptr[s]:indptr[s + 1]] and their cumulative
-    rates.  Each block U of s is replaced by every rated proper partition of
-    U at U's marginal rate; blocks in order, each block's partitions sorted
-    by text (``_text_order``).  Only states reachable from start have rows,
-    each found in the frontier round of its first jump; every other row is
-    empty.  A successor is written as the first site of each site's block
-    (``Lattice.first_sites``): its state's row with U's sites taken from
-    the split of U, whose first site is U's, so the split's own blocks
-    start where it says and every other block keeps its start; its code
-    follows from those starts (``Lattice.lookup_first_sites``).
+    """``_build_jump_table`` of rates and start, kept for the rates served
+    last (``dynamics._served``)."""
+    tables = _served(rates).jump_tables
+    table = tables.get(start)
+    if table is None:
+        table = tables[start] = _build_jump_table(rates, start)
+    return table
+
+
+def _build_jump_table(rates: RateSystem, start: int):
+    """The chain's generator as read-only CSR arrays over
+    ``lattice(rates.ground)``: row s lists successors[indptr[s]:indptr[s +
+    1]] and their cumulative rates.  Each block U of s is replaced by every
+    rated proper partition of U at U's marginal rate; blocks in order, each
+    block's partitions sorted by text (``_text_order``).  Only states
+    reachable from start have rows, each found in the frontier round of its
+    first jump; every other row is empty.  A successor is written as the
+    first site of each site's block (``Lattice.first_sites``): its state's
+    row with U's sites taken from the split of U, whose first site is U's,
+    so the split's own blocks start where it says and every other block
+    keeps its start; its code follows from those starts
+    (``Lattice.lookup_first_sites``).
 
     Each entry is a distinct strict refinement (s, successor), so the table
     holds at most ``pair_count - size`` entries: 16,617,804 at ``MAX_SITES``
@@ -157,6 +169,8 @@ def _jump_table(rates: RateSystem, start: int):
     for m in np.unique(sizes[sizes > 0]).tolist():
         at = indptr[np.flatnonzero(sizes == m), None] + np.arange(m)
         cumulative[at] = np.cumsum(rate[at], axis=1)
+    for a in (indptr, successors, cumulative):
+        a.flags.writeable = False
     return indptr, successors, cumulative
 
 

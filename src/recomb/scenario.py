@@ -277,8 +277,8 @@ class Scenario:
     def from_file(cls, path) -> "Scenario":
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ScenarioError("scenario file must hold a JSON object")

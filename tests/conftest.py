@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from recomb import dynamics
 from recomb.dynamics import RateSystem
 from recomb.partitions import Partition, ground_set, lattice
 
@@ -29,6 +30,13 @@ def random_rates(n: int, seed: int, total: float = 4.0, low: float = 0.1) -> Rat
     draw = rng.uniform(low, 1.0, lat.size)
     draw *= total / draw.sum()
     return RateSystem(ground_set(n), dict(zip(lat.parts, draw)))
+
+
+@pytest.fixture(autouse=True)
+def fresh_served():
+    """Each test starts with no closed form or jump table kept, so a test
+    that builds sees its own build whatever rates the test before served."""
+    dynamics._served_of.cache_clear()
 
 
 @pytest.fixture

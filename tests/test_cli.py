@@ -643,6 +643,42 @@ def test_warm_compare_pass_compiles_nothing(tmp_path, monkeypatch):
     assert compiles == []
 
 
+@pytest.mark.parametrize("name", ["n3_generic", "n4_bad_degenerate"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "compare"])
+def test_repeated_rates_build_nothing(tmp_path, monkeypatch, command, name):
+    # a request on the rates served last, at another seed, builds no closed
+    # form, decay table or jump table: they come from the kept entry, and
+    # the files and exit code are those of a request that builds them
+    import recomb.closed_form as cf
+    import recomb.process as proc
+
+    builds = []
+    for module, attr in ((cf, "_build"), (cf, "_decay_tables"), (proc, "_build_jump_table")):
+        original = getattr(module, attr)
+
+        def counted(*args, original=original, attr=attr):
+            builds.append(attr)
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    cfg = SCENARIO_DIR / f"{name}.json"
+
+    def serve(out, *extra):
+        code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    seed = [] if command == "solve" else ["--seed", "5"]
+    serve(tmp_path / "first")
+    built = list(builds)
+    assert built
+    warm = serve(tmp_path / "warm", *seed)
+    assert builds == built
+    dynamics._served_of.cache_clear()
+    cold = serve(tmp_path / "cold", *seed)
+    assert builds == built * 2
+    assert warm == cold
+
+
 def test_consecutive_calls_share_no_state(tmp_path, monkeypatch):
     # the parser is built once per process, and an option given to one call
     # does not reach the next
@@ -928,6 +964,21 @@ class TestScenarioValidation:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert "finite total" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["solve", "integrate", "simulate", "compare"])
+    def test_non_utf8_file_one_line(self, tmp_path, command):
+        # a file that is not UTF-8 (here a UTF-16 byte-order mark) cannot be
+        # read as a scenario: one line and exit 2, no traceback, also when
+        # the interpreter's own default encoding is UTF-8
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        proc = run_cli([command, "--config", str(cfg), "--out", str(out)], PYTHONUTF8="1")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"configuration error: cannot read scenario {cfg}: ")
         assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from recomb.closed_form import (
     exp_monomial_convolution,
     linear_solution,
 )
+from recomb import dynamics
 from recomb.dynamics import CoefficientVector, RateSystem, integrate_coefficients
 from recomb.partitions import Lattice, Partition, ground_set, lattice
 
@@ -511,7 +512,9 @@ def test_tables_do_not_depend_on_the_run_size(system, monkeypatch):
     rates = ORACLE_SYSTEMS[system]()
     whole = build_closed_form(rates)
     monkeypatch.setattr(cf, "_RUN_CHAINS", 5)
+    dynamics._served_of.cache_clear()  # a second build, not the kept solution
     runs = build_closed_form(rates)
+    assert runs is not whole
     for u in all_subsets(rates.ground):
         assert np.array_equal(runs.coefficient_table(u), whole.coefficient_table(u)), u
         assert np.array_equal(runs.evaluate(u, GRID).values, whole.evaluate(u, GRID).values), u
@@ -983,3 +986,123 @@ class TestExpKernels:
             exp_monomial_convolution(1.0, 1.0, 25, 1.0)
         with pytest.raises(ValueError):
             exp_monomial_convolution(-0.1, 1.0, 0, 1.0)
+
+
+class TestKeptSolution:
+    """The closed form is kept for the rates served last, keyed by their
+    ground, lattice indices and rates in the order given."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        import recomb.closed_form as cf
+
+        calls = []
+        original = getattr(cf, name)
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(cf, name, counting)
+        return calls
+
+    @staticmethod
+    def assert_same_tables(a, b, ground):
+        for u in all_subsets(ground):
+            assert np.array_equal(a.decay_table(u), b.decay_table(u)), u
+            assert np.array_equal(a.coefficient_table(u), b.coefficient_table(u)), u
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_equal_rates_run_no_chain_scatter(self, n, monkeypatch):
+        scatters = self.counted(monkeypatch, "_add_chains")
+        first = build_closed_form(random_rates(n, seed=60 + n))
+        built = len(scatters)
+        assert built == n  # one chain scatter per subset size
+        # a rate system of its own, with equal rates: the kept solution
+        again = build_closed_form(random_rates(n, seed=60 + n))
+        assert len(scatters) == built and again is first
+        dynamics._served_of.cache_clear()
+        fresh = build_closed_form(random_rates(n, seed=60 + n))
+        assert len(scatters) == 2 * built and fresh is not first
+        self.assert_same_tables(again, fresh, ground_set(n))
+        assert np.array_equal(again.evaluate(ground_set(n), GRID).values,
+                              fresh.evaluate(ground_set(n), GRID).values)
+
+    def test_other_keys_are_rebuilt(self, monkeypatch):
+        scatters = self.counted(monkeypatch, "_add_chains")
+        g = ground_set(4)
+        lat = lattice(g)
+        rng = np.random.default_rng(7)
+        rated = {p: float(r) for p, r in zip(lat.parts[1:-1], rng.uniform(0.1, 1.0, lat.size - 2))}
+        base = RateSystem(g, rated)
+        reordered = RateSystem(g, dict(reversed(rated.items())))
+        last = lat.parts[-2]
+        ulp = RateSystem(g, {**rated, last: math.nextafter(rated[last], 1.0)})
+        top = RateSystem(g, {**rated, lat.parts[lat.top_index]: 0.5})
+        zero = RateSystem(g, {**rated, lat.parts[lat.bottom_index]: 0.0})
+        first = build_closed_form(base)
+        per_build = len(scatters)
+        for k, rates in enumerate((reordered, ulp, top, zero), 2):
+            sol = build_closed_form(rates)
+            assert len(scatters) == k * per_build and sol is not first
+            assert sol.rates is rates
+        # and back: the first rates were released, so they are built again
+        assert build_closed_form(base) is not first
+        assert len(scatters) == 6 * per_build
+
+    def test_degenerate_rates_raise_the_kept_report(self, monkeypatch):
+        decays = self.counted(monkeypatch, "_decay_tables")
+        bad = {"1|2|3|4": 1.0, "1,2|3,4": 1.0}  # scripts/scenarios/n4_bad_degenerate.json
+        with pytest.raises(DegeneracyError) as first:
+            build_closed_form(RateSystem.from_strings(ground_set(4), bad))
+        with pytest.raises(DegeneracyError) as again:
+            build_closed_form(RateSystem.from_strings(ground_set(4), bad))
+        assert len(decays) == 1
+        assert again.value.report is first.value.report and first.value.report.has_bad
+
+    def test_kept_tables_are_read_only(self):
+        rates = random_rates(4, seed=64)
+        sol = build_closed_form(rates)
+        g = ground_set(4)
+        before = {u: (sol.decay_table(u).copy(), sol.coefficient_table(u)) for u in all_subsets(g)}
+        with pytest.raises(ValueError):
+            sol.decay_table(g)[0] = 0.0
+        with pytest.raises(ValueError):
+            sol.decay_table((1, 2))[:] = 1.0
+        for u in all_subsets(g):
+            with pytest.raises(ValueError):
+                sol._coeff[u][0] = 0.0
+        again = build_closed_form(random_rates(4, seed=64))
+        assert again is sol
+        for u, (psi, theta) in before.items():
+            assert np.array_equal(again.decay_table(u), psi), u
+            assert np.array_equal(again.coefficient_table(u), theta), u
+
+    def test_other_rates_release_the_kept_solution(self):
+        import gc
+        import weakref
+
+        sol = build_closed_form(random_rates(5, seed=65))
+        ref = weakref.ref(sol)
+        del sol
+        gc.collect()
+        assert ref() is not None  # the entry holds it
+        build_closed_form(random_rates(5, seed=66))
+        gc.collect()
+        assert ref() is None
+
+    def test_size_kept_with_the_solution(self, monkeypatch):
+        from recomb.closed_form import closed_form_size
+
+        rates = random_rates(5, seed=67)
+        size = closed_form_size(rates)
+        served = dynamics._served(rates)
+        assert served.size == size
+
+        def refuse(*args):
+            raise AssertionError("a marginal was summed again")
+
+        equal = random_rates(5, seed=67)
+        monkeypatch.setattr(RateSystem, "marginals", refuse)
+        assert closed_form_size(equal) == size
+        assert dynamics._served(equal) is served

@@ -359,6 +359,59 @@ class TestSimulatePath:
             assert simulate_path(rates, 0.7, a) == direct_method_oracle(catalogs, top, 0.7, b)
 
 
+class TestKeptJumpTables:
+    """The jump table of each start is kept for the rates served last."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        import recomb.process as proc
+
+        calls = []
+        original = proc._build_jump_table
+
+        def counting(rates, start):
+            calls.append(start)
+            return original(rates, start)
+
+        monkeypatch.setattr(proc, "_build_jump_table", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_two_seeds_build_one_table(self, n, monkeypatch):
+        from recomb import dynamics
+
+        builds = self.counted(monkeypatch)
+        top = lattice(ground_set(n)).top_index
+        warm = [estimate_distribution(random_rates(n, 70 + n), 0.7, 3000, seed) for seed in (1, 2)]
+        assert builds == [top]
+        assert not np.array_equal(warm[0].tally, warm[1].tally)
+        for seed, dist in zip((1, 2), warm):
+            dynamics._served_of.cache_clear()
+            cold = estimate_distribution(random_rates(n, 70 + n), 0.7, 3000, seed)
+            assert np.array_equal(cold.tally, dist.tally), seed
+        assert builds == [top] * 3
+
+    def test_one_table_per_start(self, monkeypatch):
+        builds = self.counted(monkeypatch)
+        rates = random_rates(4, seed=75)
+        lat = lattice(ground_set(4))
+        starts = [lat.top_index, 3, lat.top_index, 3, lat.bottom_index]
+        tables = [_jump_table(rates, i) for i in starts]
+        assert builds == [lat.top_index, 3, lat.bottom_index]
+        assert tables[2] is tables[0] and tables[3] is tables[1]
+
+    def test_kept_arrays_are_read_only(self):
+        rates = random_rates(4, seed=76)
+        lat = lattice(ground_set(4))
+        table = _jump_table(rates, lat.top_index)
+        before = [a.copy() for a in table]
+        for a in table:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        again = _jump_table(random_rates(4, seed=76), lat.top_index)
+        assert all(np.array_equal(a, b) for a, b in zip(again, before))
+
+
 class TestEstimateDistribution:
     def test_frequencies_sum_to_one(self):
         rates = random_rates(3, seed=12)
