@@ -60,9 +60,20 @@ log = logging.getLogger("recomb")
 
 
 def _setup_logging() -> None:
+    """Log to the sys.stderr of this call, at the level RECOMB_LOG names
+    now, through one root handler that each call replaces: a later call in
+    the same process logs as a fresh process does, where
+    ``logging.basicConfig`` would keep the first call's stream and level.
+    Handlers put on the root logger by others stay."""
     level = os.environ.get("RECOMB_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    root = logging.getLogger()
+    for old in [h for h in root.handlers if h.get_name() == "recomb.cli"]:
+        root.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("recomb.cli")
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root.addHandler(handler)
+    root.setLevel(getattr(logging, level, logging.WARNING))
 
 
 def _load(args) -> Scenario:

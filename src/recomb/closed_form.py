@@ -292,6 +292,11 @@ class ClosedFormSolution:
             raise ValueError(f"no table for subset {g}")
         return g
 
+    @property
+    def cells(self) -> int:
+        """The comparable pairs its coefficient tables store."""
+        return sum(theta.size for theta in self._coeff.values())
+
     def decay_table(self, u) -> np.ndarray:
         return self._decay[self._key(u)]
 
@@ -484,18 +489,23 @@ def closed_form_size(rates: RateSystem) -> tuple[int, int]:
     form stores, over every subset, and the chains a <= b <= c its scatter
     expands, with c rated and not the top (before the decay rates drop any
     column).  Counted from block sizes and the marginal rates; no table is
-    built.  Kept for the rates served last (``dynamics._served``)."""
+    built.  Kept with the rates in the process store (``dynamics._served``)."""
     served = _served(rates)
     if served.size is None:
-        n = len(rates.ground)
-        pairs = sum(math.comb(n, k) * lattice(ground_set(k)).pair_count for k in range(1, n + 1))
-        chains = 0
-        for us in _sizes(rates.ground):
-            below = _chains_below(len(us[0]))
-            for marg in rates.marginals(us):
-                chains += int(below[1:][marg[1:] != 0.0].sum())  # 0 is the top
-        served.size = pairs, chains
+        served.size = _size(rates)
     return served.size
+
+
+def _size(rates: RateSystem) -> tuple[int, int]:
+    """``closed_form_size`` of rates, counted."""
+    n = len(rates.ground)
+    pairs = sum(math.comb(n, k) * lattice(ground_set(k)).pair_count for k in range(1, n + 1))
+    chains = 0
+    for us in _sizes(rates.ground):
+        below = _chains_below(len(us[0]))
+        for marg in rates.marginals(us):
+            chains += int(below[1:][marg[1:] != 0.0].sum())  # 0 is the top
+    return pairs, chains
 
 
 def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
@@ -506,9 +516,10 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
     coincidences are attached to the returned solution's report; the
     coefficients extend continuously there.
 
-    The solution, or the report that refused it, is kept for the rates
-    served last (``dynamics._served``): a call on equal rates returns that
-    solution, built from equal rates, or raises with that report.
+    The solution, or the report that refused it, is kept with the rates in
+    the process store (``dynamics._served``): while it is kept, a call on
+    equal rates returns that solution, built from equal rates, or raises
+    with that report.
     """
     served = _served(rates)
     if served.closed_form is None:

@@ -22,10 +22,11 @@ steps the coefficient and the measure system in lockstep (``_compile``).
 Programs are compiled once per kept rates and tuple of state spaces in a
 process (``_tables``): every rate system with the same kept partitions, in
 the same order and at the same rates, shares them, and a mixture's support
-is kept as its partitions at unit rates.  The programs of the _TABLES_KEPT
-kept rates used last are kept.  What else the rates alone determine, the
-closed form and the sampler's jump tables, is kept for the rates served
-last (``_served``).
+is kept as its partitions at unit rates.  What else the rates alone
+determine, the closed form and the sampler's jump tables, is kept per rates
+served (``_served``).  Both kinds of entry share one per-process store
+(``_stored``), bounded by the cells its entries hold: past MAX_STATES, the
+least recently used are dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -61,7 +61,6 @@ MAX_SUBSTEPS = 10**6  # RK4 substeps one integration may take over its whole gri
 _RUN_STATES = 1 << 20  # candidate states per run of trie edges compiled at once
 _DESCENT_CALL = 512  # cells that cost about one more np.bincount call (see _descent)
 MAX_RK4_WORK = 1 << 35  # cell indices one integration may visit: 4 * substeps * program_cells
-_TABLES_KEPT = 8  # kept rates whose compiled programs a process keeps, least recently used dropped
 
 
 class RateSystem:
@@ -368,8 +367,8 @@ class _Tables:
     rate (``weights``), their prefix trie (``_trie``) and, per state space,
     the descent plan and cell count (``plans``) and, per tuple of spaces
     asked for, the compiled program (``programs``; ``(None, space)`` for
-    the lockstep one).  Built from the bytes of leaves and weights, the key
-    of ``_tables_of``."""
+    the lockstep one).  Built from the bytes of leaves and weights, its key
+    in the process store (``_stored``)."""
 
     __slots__ = ("ground", "leaves", "weights", "trie", "plans", "programs")
 
@@ -388,8 +387,10 @@ class _Tables:
             prog = self.programs[spaces] = _compile(self, spaces)
         return prog
 
-
-_tables_of = lru_cache(maxsize=_TABLES_KEPT)(_Tables)
+    def cells(self) -> int:
+        """The cell indices its compiled programs hold: ``program_cells``
+        of each of their spaces."""
+        return sum(self.plans[space][1] for spaces in self.programs for space in spaces)
 
 
 def _kept(rates: RateSystem) -> tuple[tuple, bytes, bytes]:
@@ -407,14 +408,13 @@ def _kept(rates: RateSystem) -> tuple[tuple, bytes, bytes]:
 def _tables(rates: RateSystem) -> _Tables:
     """The compiled tables of rates, shared by the rate systems with the
     same kept partitions in the same order at the same rates, and by them
-    alone.  A process keeps those of the _TABLES_KEPT kept rates used
-    last."""
-    return _tables_of(*_kept(rates))
+    alone; kept in the process store (``_stored``)."""
+    return _stored(_Tables, *_kept(rates))
 
 
 class _Served:
-    """What a rate system determines besides its programs, kept for the
-    rates served last (``_served``): the closed form, or the
+    """What a rate system determines besides its programs, kept in the
+    process store (``_served``): the closed form, or the
     ``DegeneracyReport`` that refused it (``closed_form``), its
     ``(pairs, chains)`` count (``size``) and the Monte Carlo jump table of
     each start index (``jump_tables``).  Each slot is filled on first use
@@ -428,19 +428,44 @@ class _Served:
         self.size = None
         self.jump_tables: dict = {}
 
-
-# one entry: an n = 10 closed form holds hundreds of MB, and a process that
-# serves one rates request after request hits it every time
-_served_of = lru_cache(maxsize=1)(_Served)
+    def cells(self) -> int:
+        """The cells it holds: the stored pairs of the closed form (none
+        for a refusal) and the entries of each jump table."""
+        pairs = getattr(self.closed_form, "cells", 0)
+        return pairs + sum(table[1].size for table in self.jump_tables.values())
 
 
 def _served(rates: RateSystem) -> _Served:
-    """The kept artifacts of rates, new and empty unless the rates served
-    last had the same ground and the same lattice indices and rates in the
-    same order.  Not the kept rates of ``_tables``: the marginals sum the
-    rates in the order given and the total counts every rate, zero and top
-    ones too, so only an equal key builds bitwise-equal artifacts."""
-    return _served_of(rates.ground, rates.indices.tobytes(), rates.weights.tobytes())
+    """The kept artifacts of rates, new and empty unless the process store
+    holds those of the same ground and the same lattice indices and rates
+    in the same order.  Not the kept rates of ``_tables``: the marginals
+    sum the rates in the order given and the total counts every rate, zero
+    and top ones too, so only an equal key builds bitwise-equal artifacts."""
+    return _stored(_Served, rates.ground, rates.indices.tobytes(), rates.weights.tobytes())
+
+
+# every kept entry of the process by (class, key), least recently used first
+_store: dict = {}
+
+
+def _stored(kind: type, *key):
+    """The entry kind(*key) of the process store, made on first use, and
+    now the most recently used.  Then entries are dropped, least recently
+    used first and never this one, while all together hold more than
+    MAX_STATES cells.  The cells are counted here (``cells``), as their
+    slots fill after lookup: a store past the bound holds the entry just
+    returned alone."""
+    at = (kind, *key)
+    entry = _store.pop(at, None)
+    if entry is None:
+        entry = kind(*key)
+    _store[at] = entry
+    held = sum(e.cells() for e in _store.values())
+    for old in list(_store)[:-1]:
+        if held <= MAX_STATES:
+            break
+        held -= _store.pop(old).cells()
+    return entry
 
 
 def _trie(ground: tuple, leaves: np.ndarray) -> tuple[list, list, dict]:
@@ -786,16 +811,16 @@ def mixtures(values: np.ndarray, omega0: Measure) -> np.ndarray:
 
 def _support_programs(support: np.ndarray, space: TypeSpace):
     """Programs whose leaves are the partitions at the lattice indices
-    support, at unit rates: the program of the support, from ``_tables_of``
-    like a rate system's, or when it would hold more than MAX_STATES cell
-    indices, the programs of each half, compiled one after the other (the
-    mixture is linear in the leaves).  The halves' tables are built outside
-    ``_tables_of``, so none outlives its use."""
+    support, at unit rates: the program of the support, kept in the process
+    store like a rate system's (``_stored``), or when it would hold more
+    than MAX_STATES cell indices, the programs of each half, compiled one
+    after the other (the mixture is linear in the leaves).  The halves'
+    tables are built outside the store, so none outlives its use."""
     runs = [support]
     while runs:
         run = runs.pop()
         key = _kept(RateSystem.from_indices(space.sites, run, [1.0] * run.size))
-        tables = _tables_of(*key) if run is support else _Tables(*key)
+        tables = _stored(_Tables, *key) if run is support else _Tables(*key)
         if run.size > 1 and _plan(tables, space)[1] > MAX_STATES:
             runs += [run[run.size // 2 :], run[: run.size // 2]]
         else:

@@ -10,8 +10,8 @@ estimator here is compared against.
 The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
 ``_final_indices``, samples it by the direct method: an exponential waiting
 time at the state's exit rate, then a successor drawn from a CSR jump table
-over the states reachable from the start, which is built once per start for
-the rates served last (``dynamics._served``) and passed in.  All replicates
+over the states reachable from the start, which is built once per start,
+kept in the process store (``dynamics._served``) and passed in.  All replicates
 advance together, in blocks of 4096, one vectorised waiting-time and jump
 round at a time; every jump strictly refines, so n sites take at most n - 1
 rounds.  The generator is
@@ -104,8 +104,8 @@ def _text_order(ground: tuple[int, ...]) -> np.ndarray:
 
 
 def _jump_table(rates: RateSystem, start: int):
-    """``_build_jump_table`` of rates and start, kept for the rates served
-    last (``dynamics._served``)."""
+    """``_build_jump_table`` of rates and start, kept with the rates in the
+    process store (``dynamics._served``)."""
     tables = _served(rates).jump_tables
     table = tables.get(start)
     if table is None:

@@ -33,10 +33,11 @@ def random_rates(n: int, seed: int, total: float = 4.0, low: float = 0.1) -> Rat
 
 
 @pytest.fixture(autouse=True)
-def fresh_served():
-    """Each test starts with no closed form or jump table kept, so a test
-    that builds sees its own build whatever rates the test before served."""
-    dynamics._served_of.cache_clear()
+def fresh_store():
+    """Each test starts with nothing kept in the process store (no program,
+    closed form or jump table), so a test that builds sees its own build
+    whatever rates the test before served."""
+    dynamics._store.clear()
 
 
 @pytest.fixture

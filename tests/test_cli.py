@@ -646,7 +646,7 @@ def test_warm_compare_pass_compiles_nothing(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["n3_generic", "n4_bad_degenerate"])
 @pytest.mark.parametrize("command", ["solve", "simulate", "compare"])
 def test_repeated_rates_build_nothing(tmp_path, monkeypatch, command, name):
-    # a request on the rates served last, at another seed, builds no closed
+    # a request on rates served before, at another seed, builds no closed
     # form, decay table or jump table: they come from the kept entry, and
     # the files and exit code are those of a request that builds them
     import recomb.closed_form as cf
@@ -673,10 +673,91 @@ def test_repeated_rates_build_nothing(tmp_path, monkeypatch, command, name):
     assert built
     warm = serve(tmp_path / "warm", *seed)
     assert builds == built
-    dynamics._served_of.cache_clear()
+    dynamics._store.clear()
     cold = serve(tmp_path / "cold", *seed)
     assert builds == built * 2
     assert warm == cold
+
+
+def test_warm_cycle_builds_each_artifact_once(tmp_path, monkeypatch):
+    # one process serving compare on the shipped files, pass after pass,
+    # builds each closed form, chain count, jump table and program once per
+    # key, and every pass writes what a request writes after the process
+    # store is emptied
+    import collections
+
+    import recomb.closed_form as cf
+    import recomb.process as proc
+
+    def served(rates, *start):
+        return (rates.ground, rates.indices.tobytes(), rates.weights.tobytes(), *start)
+
+    def compiled(tables, spaces):
+        return tables.leaves.tobytes(), tables.weights.tobytes(), spaces
+
+    builds = collections.Counter()
+    for module, attr, key in (
+        (cf, "_build", served),
+        (cf, "_size", served),
+        (proc, "_build_jump_table", served),
+        (dynamics, "_compile", compiled),
+    ):
+        original = getattr(module, attr)
+
+        def counted(*args, original=original, attr=attr, key=key):
+            builds[attr, key(*args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    files = sorted(SCENARIO_DIR.glob("*.json"))
+    assert len(files) == 3
+
+    def serve(out, cfg):
+        code = main(["compare", "--config", str(cfg), "--out", str(out)])
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    passes = [[serve(tmp_path / f"pass{k}" / cfg.stem, cfg) for cfg in files] for k in range(3)]
+    assert {attr for attr, _ in builds} == {"_build", "_size", "_build_jump_table", "_compile"}
+    assert set(builds.values()) == {1}
+    cold = []
+    for cfg in files:
+        dynamics._store.clear()
+        cold.append(serve(tmp_path / "cold" / cfg.stem, cfg))
+    for got in passes:
+        assert got == cold
+
+
+def test_each_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
+    # in one process, each call logs to the stderr current at that call, at
+    # the level RECOMB_LOG names then, the lines a fresh process writes
+    import contextlib
+    import io
+    import logging
+
+    monkeypatch.delenv("RECOMB_LOG", raising=False)
+    root = logging.getLogger()
+    handlers, level = list(root.handlers), root.level
+
+    def serve(name, out):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)])
+        return code, err.getvalue()
+
+    bad = "n4_bad_degenerate"
+    fresh = run_cli(["solve", "--config", str(SCENARIO_DIR / f"{bad}.json"), "--out", str(tmp_path / "fresh")])
+    assert fresh.stderr.startswith("ERROR recomb: degenerate rates: ")
+    assert len(fresh.stderr.splitlines()) == 1
+    try:
+        for k in range(2):
+            assert serve(bad, tmp_path / str(k)) == (3, fresh.stderr)
+        monkeypatch.setenv("RECOMB_LOG", "info")
+        out = tmp_path / "info"
+        code, err = serve("n3_generic", out)
+        assert (code, err) == (0, f"INFO recomb: wrote {out / 'trajectory.csv'} and {out / 'solution.json'}\n")
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
 
 
 def test_consecutive_calls_share_no_state(tmp_path, monkeypatch):

@@ -512,7 +512,7 @@ def test_tables_do_not_depend_on_the_run_size(system, monkeypatch):
     rates = ORACLE_SYSTEMS[system]()
     whole = build_closed_form(rates)
     monkeypatch.setattr(cf, "_RUN_CHAINS", 5)
-    dynamics._served_of.cache_clear()  # a second build, not the kept solution
+    dynamics._store.clear()  # a second build, not the kept solution
     runs = build_closed_form(rates)
     assert runs is not whole
     for u in all_subsets(rates.ground):
@@ -989,8 +989,8 @@ class TestExpKernels:
 
 
 class TestKeptSolution:
-    """The closed form is kept for the rates served last, keyed by their
-    ground, lattice indices and rates in the order given."""
+    """The closed form is kept in the process store, keyed by the ground,
+    lattice indices and rates in the order given."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -1021,7 +1021,7 @@ class TestKeptSolution:
         # a rate system of its own, with equal rates: the kept solution
         again = build_closed_form(random_rates(n, seed=60 + n))
         assert len(scatters) == built and again is first
-        dynamics._served_of.cache_clear()
+        dynamics._store.clear()
         fresh = build_closed_form(random_rates(n, seed=60 + n))
         assert len(scatters) == 2 * built and fresh is not first
         self.assert_same_tables(again, fresh, ground_set(n))
@@ -1046,9 +1046,10 @@ class TestKeptSolution:
             sol = build_closed_form(rates)
             assert len(scatters) == k * per_build and sol is not first
             assert sol.rates is rates
-        # and back: the first rates were released, so they are built again
-        assert build_closed_form(base) is not first
-        assert len(scatters) == 6 * per_build
+        # and back: the store holds all five within its budget, so the
+        # first rates find their solution kept
+        assert build_closed_form(base) is first
+        assert len(scatters) == 5 * per_build
 
     def test_degenerate_rates_raise_the_kept_report(self, monkeypatch):
         decays = self.counted(monkeypatch, "_decay_tables")
@@ -1078,15 +1079,25 @@ class TestKeptSolution:
             assert np.array_equal(again.decay_table(u), psi), u
             assert np.array_equal(again.coefficient_table(u), theta), u
 
-    def test_other_rates_release_the_kept_solution(self):
+    def test_other_rates_release_the_kept_solution(self, monkeypatch):
+        # within the budget, other rates leave it kept; with the budget
+        # below its pairs, it stays kept while its entry is the newest,
+        # alone over the budget, and the next lookup of other rates
+        # releases it
         import gc
         import weakref
 
         sol = build_closed_form(random_rates(5, seed=65))
         ref = weakref.ref(sol)
         del sol
+        build_closed_form(random_rates(5, seed=66))
         gc.collect()
-        assert ref() is not None  # the entry holds it
+        assert ref() is not None  # both are within the budget
+        monkeypatch.setattr(dynamics, "MAX_STATES", ref().cells - 1)
+        assert build_closed_form(random_rates(5, seed=65)) is ref()  # the newest now
+        assert len(dynamics._store) == 1
+        gc.collect()
+        assert ref() is not None  # alone over the budget, the entry holds it
         build_closed_form(random_rates(5, seed=66))
         gc.collect()
         assert ref() is None

@@ -622,9 +622,33 @@ def count_compiles(monkeypatch):
         calls.append((tables.leaves.tobytes(), tables.weights.tobytes(), spaces))
         return compile_program(tables, spaces)
 
-    dynamics._tables_of.cache_clear()
+    dynamics._store.clear()
     monkeypatch.setattr(dynamics, "_compile", counted)
     return calls
+
+
+def kept_tables():
+    """The keys of the compiled tables in the process store, least recently
+    used first."""
+    return [key for key in dynamics._store if key[0] is dynamics._Tables]
+
+
+def within_budget(monkeypatch):
+    """Check after each lookup in the process store that its entries hold
+    at most MAX_STATES cells together, or that it holds the entry just
+    returned alone; returns the keys looked up, in order."""
+    lookups = []
+    stored = dynamics._stored
+
+    def checked(kind, *key):
+        entry = stored(kind, *key)
+        lookups.append((kind, *key))
+        held = sum(e.cells() for e in dynamics._store.values())
+        assert held <= dynamics.MAX_STATES or list(dynamics._store.values()) == [entry]
+        return entry
+
+    monkeypatch.setattr(dynamics, "_stored", checked)
+    return lookups
 
 
 def flat_marginals(prog, unit, ground, space=None):
@@ -812,13 +836,13 @@ class TestMixtures:
     def test_support_split_into_runs(self, monkeypatch):
         # a bound below the support program's cells: the support compiles in
         # runs, each at most the bound unless it holds one partition; the
-        # support's tables are looked up in the process cache and hold no
-        # program, and no run's tables enter it
+        # support's tables are looked up once in the process store, where
+        # they are kept and hold no program, and no run's tables enter it
         space = mixed_space(5)
         omega0 = self.unit_measure(space)
         values = self.coefficients(5, np.arange(1, 52))
         whole = RateSystem(space.sites, {p: 1.0 for p in lattice(space.sites).parts[1:]})
-        dynamics._tables_of.cache_clear()
+        dynamics._store.clear()
         bound = program_cells(whole, space) // 5
         runs = []
         compile_program = dynamics._compile
@@ -829,12 +853,13 @@ class TestMixtures:
 
         monkeypatch.setattr(dynamics, "MAX_STATES", bound)
         monkeypatch.setattr(dynamics, "_compile", counted)
-        cache = dynamics._tables_of.cache_info()
+        before = dict(dynamics._store)
+        lookups = within_budget(monkeypatch)
         assert_mixture_matches(values, omega0)
         assert len(runs) > 5
         assert all(cells <= bound for cells in runs)
-        after = dynamics._tables_of.cache_info()
-        assert (after.hits, after.misses, after.currsize) == (cache.hits + 1, cache.misses, cache.currsize)
+        assert lookups == [(dynamics._Tables, *dynamics._kept(whole))]
+        assert dynamics._store == before
         assert not dynamics._tables(whole).programs
 
     def test_measures_mixture_goes_through_the_trie(self, monkeypatch):
@@ -1072,7 +1097,8 @@ class TestTrieRhs:
 
 class TestProgramCache:
     """Programs are compiled once per kept rates and state space in a
-    process, and kept for the _TABLES_KEPT kept rates used last."""
+    process, and kept in the process store while its entries hold at most
+    MAX_STATES cells, least recently used dropped first."""
 
     @staticmethod
     def outputs(rates, space):
@@ -1096,7 +1122,7 @@ class TestProgramCache:
         """Each system's outputs equal, bit for bit, those of a compile with
         the cache emptied."""
         for rates, got in zip(systems, shared):
-            dynamics._tables_of.cache_clear()
+            dynamics._store.clear()
             for value, want in zip(got, self.outputs(rates, space)):
                 assert_same_bits(value, want)
 
@@ -1132,7 +1158,7 @@ class TestProgramCache:
         # three programs per rates; both mixtures have every partition in
         # their support and share its program, which holds no rates
         assert len(compiles) == len(set(compiles)) == 7
-        assert dynamics._tables_of.cache_info().currsize == 3
+        assert len(kept_tables()) == 3
         for rates in systems:  # each holds its own rates and loss
             assert_matches_pairs(rates)
             assert_matches_pairs(rates, space)
@@ -1170,23 +1196,59 @@ class TestProgramCache:
         for rates in (forward, backward):
             _program(rates, space)
         assert len(compiles) == 2 and compiles[0] != compiles[1]
-        assert dynamics._tables_of.cache_info().currsize == 2
+        assert len(kept_tables()) == 2
 
-    def test_oldest_compiled_again_past_the_bound(self, monkeypatch):
-        # one rated two-block partition each, so every system has its own
-        # entry
+    @staticmethod
+    def two_three_splits(n_systems):
+        """Rate systems of one rated partition each, with blocks of 2 and 3
+        sites: every system has its own entry, and every program the same
+        cells."""
         g = ground_set(5)
         lat = lattice(g)
-        two_block = np.flatnonzero(lat.block_counts == 2)
-        systems = [
-            RateSystem.from_indices(g, [i], [1.0]) for i in two_block[: dynamics._TABLES_KEPT + 1]
-        ]
+        splits = [i for i, b in enumerate(lat.blocks(range(lat.size)))
+                  if sorted(map(len, b)) == [2, 3]]
+        systems = [RateSystem.from_indices(g, [i], [1.0]) for i in splits[:n_systems]]
+        cells = {program_cells(rates) for rates in systems}
+        assert len(systems) == n_systems and len(cells) == 1
+        return systems, cells.pop()
+
+    def test_oldest_compiled_again_past_the_bound(self, monkeypatch):
+        # a budget of three programs: a lookup drops the least recently
+        # used while the others hold more, so the store keeps the three
+        # used before the newest, and the newest compiles after its lookup
+        import gc
+        import weakref
+
+        systems, cells = self.two_three_splits(8)
         compiles = count_compiles(monkeypatch)
-        for rates in systems:
+        monkeypatch.setattr(dynamics, "MAX_STATES", 3 * cells)
+        lookups = within_budget(monkeypatch)
+        oldest = weakref.ref(_program(systems[0]))
+        for rates in systems[1:]:
             _program(rates)
-        assert len(compiles) == len(systems)
-        assert dynamics._tables_of.cache_info().currsize == dynamics._TABLES_KEPT
+        assert len(compiles) == len(lookups) == len(systems)
+        assert kept_tables() == [(dynamics._Tables, *dynamics._kept(r)) for r in systems[-4:]]
+        gc.collect()
+        assert oldest() is None  # released
         _program(systems[-1])  # the newest is kept
         assert len(compiles) == len(systems)
         _program(systems[0])  # the oldest was dropped
         assert len(compiles) == len(systems) + 1
+
+    def test_newest_kept_alone_over_the_budget(self, monkeypatch):
+        # a budget below one program: the newest entry stays, alone, until
+        # another is looked up
+        import gc
+        import weakref
+
+        systems, cells = self.two_three_splits(2)
+        compiles = count_compiles(monkeypatch)
+        monkeypatch.setattr(dynamics, "MAX_STATES", cells - 1)
+        within_budget(monkeypatch)
+        first = weakref.ref(_program(systems[0]))
+        assert _program(systems[0]) is first()
+        assert len(compiles) == 1 and len(dynamics._store) == 1
+        _program(systems[1])
+        gc.collect()
+        assert first() is None and len(compiles) == 2
+        assert kept_tables() == [(dynamics._Tables, *dynamics._kept(systems[1]))]

@@ -360,7 +360,8 @@ class TestSimulatePath:
 
 
 class TestKeptJumpTables:
-    """The jump table of each start is kept for the rates served last."""
+    """The jump table of each start is kept with the rates in the process
+    store."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -386,7 +387,7 @@ class TestKeptJumpTables:
         assert builds == [top]
         assert not np.array_equal(warm[0].tally, warm[1].tally)
         for seed, dist in zip((1, 2), warm):
-            dynamics._served_of.cache_clear()
+            dynamics._store.clear()
             cold = estimate_distribution(random_rates(n, 70 + n), 0.7, 3000, seed)
             assert np.array_equal(cold.tally, dist.tally), seed
         assert builds == [top] * 3
@@ -410,6 +411,26 @@ class TestKeptJumpTables:
                 a[0] = 0
         again = _jump_table(random_rates(4, seed=76), lat.top_index)
         assert all(np.array_equal(a, b) for a, b in zip(again, before))
+
+    def test_entries_count_against_the_budget(self, monkeypatch):
+        # within the budget the tables of two rates stay kept; below one
+        # table's entries, a table is kept while its rates are the newest
+        # and built again after other rates were looked up
+        from recomb import dynamics
+
+        builds = self.counted(monkeypatch)
+        top = lattice(ground_set(4)).top_index
+        first, other = random_rates(4, seed=77), random_rates(4, seed=78)
+        entries = _jump_table(first, top)[1].size
+        _jump_table(other, top)
+        _jump_table(first, top)
+        assert builds == [top] * 2
+        monkeypatch.setattr(dynamics, "MAX_STATES", entries - 1)
+        _jump_table(first, top)
+        assert builds == [top] * 2 and len(dynamics._store) == 1
+        _jump_table(other, top)
+        _jump_table(first, top)
+        assert builds == [top] * 4
 
 
 class TestEstimateDistribution:
