@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -59,21 +60,26 @@ EXIT_TOLERANCE = 4
 log = logging.getLogger("recomb")
 
 
-def _setup_logging() -> None:
-    """Log to the sys.stderr of this call, at the level RECOMB_LOG names
-    now, through one root handler that each call replaces: a later call in
-    the same process logs as a fresh process does, where
-    ``logging.basicConfig`` would keep the first call's stream and level.
-    Handlers put on the root logger by others stay."""
+@contextmanager
+def _logging():
+    """Within it, the ``recomb`` loggers write to the sys.stderr of this
+    call alone, at the level RECOMB_LOG names now, in the lines of a fresh
+    process: a later call in the same process logs as a fresh process does.
+    The root logger is left alone, and the ``recomb`` logger is restored on
+    exit."""
     level = os.environ.get("RECOMB_LOG", "warning").upper()
-    root = logging.getLogger()
-    for old in [h for h in root.handlers if h.get_name() == "recomb.cli"]:
-        root.removeHandler(old)
     handler = logging.StreamHandler(sys.stderr)
-    handler.set_name("recomb.cli")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root.addHandler(handler)
-    root.setLevel(getattr(logging, level, logging.WARNING))
+    before = log.level, log.propagate
+    log.addHandler(handler)
+    log.setLevel(getattr(logging, level, logging.WARNING))
+    log.propagate = False
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(before[0])
+        log.propagate = before[1]
 
 
 def _load(args) -> Scenario:
@@ -379,13 +385,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ScenarioError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with _logging():
+        args = _parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except ScenarioError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

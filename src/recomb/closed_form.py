@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -103,6 +103,11 @@ class DegeneracyReport:
     @property
     def has_bad(self) -> bool:
         return any(c.bad_indices for c in self.classes)
+
+    @property
+    def cells(self) -> int:
+        """The members its classes list, each an index and a decay rate."""
+        return sum(2 * len(c.indices) for c in self.classes)
 
     @property
     def pairs(self) -> list[DegeneracyPair]:
@@ -292,7 +297,7 @@ class ClosedFormSolution:
             raise ValueError(f"no table for subset {g}")
         return g
 
-    @property
+    @cached_property
     def cells(self) -> int:
         """The comparable pairs its coefficient tables store."""
         return sum(theta.size for theta in self._coeff.values())

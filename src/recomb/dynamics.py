@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from sys import getsizeof
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -370,13 +371,24 @@ class _Tables:
     the lockstep one).  Built from the bytes of leaves and weights, its key
     in the process store (``_stored``)."""
 
-    __slots__ = ("ground", "leaves", "weights", "trie", "plans", "programs")
+    __slots__ = ("ground", "leaves", "weights", "trie", "words", "plans", "programs")
 
     def __init__(self, ground: tuple, leaves: bytes, weights: bytes):
         self.ground = ground
         self.leaves = np.frombuffer(leaves, dtype=np.intp)
         self.weights = np.frombuffer(weights)
         self.trie = _trie(ground, self.leaves)
+        _, edges, nodes = self.trie
+        # what it holds before any program, in 8-byte words: one for itself,
+        # its key, and the tuples each trie edge makes (sys.getsizeof): its
+        # own, its blocks, its child's name and the child's height and
+        # remainder; about 80 % of the trie's allocations at n = 3..7
+        made = sum(
+            getsizeof(e) + getsizeof(e[1]) + getsizeof(e[2]) + getsizeof(nodes[e[2]])
+            + getsizeof(nodes[e[2]][1])
+            for e in edges
+        )
+        self.words = 1 + self.leaves.size + self.weights.size + made // 8
         self.plans: dict = {}
         self.programs: dict = {}
 
@@ -388,9 +400,9 @@ class _Tables:
         return prog
 
     def cells(self) -> int:
-        """The cell indices its compiled programs hold: ``program_cells``
-        of each of their spaces."""
-        return sum(self.plans[space][1] for spaces in self.programs for space in spaces)
+        """The cells it holds: its key and trie (``words``), and
+        ``program_cells`` of each space of each compiled program."""
+        return self.words + sum(self.plans[space][1] for spaces in self.programs for space in spaces)
 
 
 def _kept(rates: RateSystem) -> tuple[tuple, bytes, bytes]:
@@ -421,18 +433,21 @@ class _Served:
     by the module that builds it, with read-only arrays, and handed to
     every later caller as it is."""
 
-    __slots__ = ("closed_form", "size", "jump_tables")
+    __slots__ = ("words", "closed_form", "size", "jump_tables")
 
     def __init__(self, ground: tuple, indices: bytes, weights: bytes):
+        # one word for itself and its size, and one per index and rate of its key
+        self.words = 1 + (len(indices) + len(weights)) // 8
         self.closed_form = None
         self.size = None
         self.jump_tables: dict = {}
 
     def cells(self) -> int:
-        """The cells it holds: the stored pairs of the closed form (none
-        for a refusal) and the entries of each jump table."""
+        """The cells it holds: its key (``words``), the stored pairs of the
+        closed form or the members of the report that refused it, and the
+        entries of each jump table."""
         pairs = getattr(self.closed_form, "cells", 0)
-        return pairs + sum(table[1].size for table in self.jump_tables.values())
+        return self.words + pairs + sum(table[1].size for table in self.jump_tables.values())
 
 
 def _served(rates: RateSystem) -> _Served:
@@ -444,27 +459,55 @@ def _served(rates: RateSystem) -> _Served:
     return _stored(_Served, rates.ground, rates.indices.tobytes(), rates.weights.tobytes())
 
 
-# every kept entry of the process by (class, key), least recently used first
-_store: dict = {}
+class _Store(dict):
+    """Every kept entry of the process by (class, key), least recently used
+    first, with the cells last counted on each (``counted``), their sum
+    (``held``) and the key of the entry returned last (``last``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.counted: dict = {}
+        self.held = 0
+        self.last = None
+
+    def clear(self) -> None:
+        super().clear()
+        self.counted.clear()
+        self.held, self.last = 0, None
+
+
+_store = _Store()
 
 
 def _stored(kind: type, *key):
     """The entry kind(*key) of the process store, made on first use, and
     now the most recently used.  Then entries are dropped, least recently
     used first and never this one, while all together hold more than
-    MAX_STATES cells.  The cells are counted here (``cells``), as their
-    slots fill after lookup: a store past the bound holds the entry just
-    returned alone."""
-    at = (kind, *key)
-    entry = _store.pop(at, None)
+    MAX_STATES cells: a store past the bound holds the entry just returned
+    alone.  Every entry counts at least one cell.  Slots fill right after
+    their entry's lookup, so the cells of an entry (``cells``) are counted
+    when it is made and at the lookup after each of its own: one count a
+    lookup, whatever the store holds."""
+    store, counted = _store, _store.counted
+    at, last = (kind, *key), store.last
+    store.last = at
+    if last in counted:
+        cells = store[last].cells()
+        store.held += cells - counted[last]
+        counted[last] = cells
+    entry = store.pop(at, None)
     if entry is None:
-        entry = kind(*key)
-    _store[at] = entry
-    held = sum(e.cells() for e in _store.values())
-    for old in list(_store)[:-1]:
-        if held <= MAX_STATES:
+        entry = store[at] = kind(*key)
+        counted[at] = entry.cells()
+        store.held += counted[at]
+    else:
+        store[at] = entry
+    while store.held > MAX_STATES:
+        old = next(iter(store))
+        if old is at:
             break
-        held -= _store.pop(old).cells()
+        del store[old]
+        store.held -= counted.pop(old)
     return entry
 
 

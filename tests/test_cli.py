@@ -727,37 +727,69 @@ def test_warm_cycle_builds_each_artifact_once(tmp_path, monkeypatch):
         assert got == cold
 
 
+def test_refused_requests_keep_the_store_bounded(tmp_path, monkeypatch):
+    # requests refused at new rates leave entries that hold no program,
+    # closed form or jump table: a trie and plan (integrate, refused for its
+    # substeps) and a chain count (solve, refused for its size).  Each still
+    # counts what it holds, so under a budget of a few entries the store's
+    # length and cells stay bounded however many are served
+    import random
+
+    monkeypatch.setattr(cli, "MAX_STATES", 1)  # every closed form refused by its size
+    rng = random.Random(5)
+    names = lattice(ground_set(5)).names
+
+    def refuse():
+        doc = {"n": 5, "rates": {p: rng.uniform(0.1, 1.0) for p in names},
+               "time_grid": {"start": 0.0, "end": 100.0, "points": 3}}
+        cfg = write_config(tmp_path, doc)
+        out = str(tmp_path / "out")
+        assert main(["integrate", "--config", str(cfg), "--out", out, "--step", "1e-5"]) == 2
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 2
+
+    dynamics._store.clear()
+    refuse()
+    one = sum(e.cells() for e in dynamics._store.values())  # a request's entries
+    assert len(dynamics._store) == 2 and one > 0
+    monkeypatch.setattr(dynamics, "MAX_STATES", 3 * one)
+    for _ in range(20):
+        refuse()
+        held = sum(e.cells() for e in dynamics._store.values())
+        assert len(dynamics._store) <= 6 and held <= dynamics.MAX_STATES
+        assert held == dynamics._store.held
+
+
 def test_each_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
     # in one process, each call logs to the stderr current at that call, at
-    # the level RECOMB_LOG names then, the lines a fresh process writes
+    # the level RECOMB_LOG names then, the lines a fresh process writes; the
+    # host's root logger and the recomb logger are as they were after it
     import contextlib
     import io
     import logging
 
     monkeypatch.delenv("RECOMB_LOG", raising=False)
-    root = logging.getLogger()
-    handlers, level = list(root.handlers), root.level
+    root, recomb_log = logging.getLogger(), logging.getLogger("recomb")
+    before = list(root.handlers), root.level, list(recomb_log.handlers), recomb_log.level
+    assert recomb_log.propagate
 
     def serve(name, out):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["solve", "--config", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)])
+        assert (list(root.handlers), root.level, list(recomb_log.handlers), recomb_log.level) == before
+        assert recomb_log.propagate
         return code, err.getvalue()
 
     bad = "n4_bad_degenerate"
     fresh = run_cli(["solve", "--config", str(SCENARIO_DIR / f"{bad}.json"), "--out", str(tmp_path / "fresh")])
     assert fresh.stderr.startswith("ERROR recomb: degenerate rates: ")
     assert len(fresh.stderr.splitlines()) == 1
-    try:
-        for k in range(2):
-            assert serve(bad, tmp_path / str(k)) == (3, fresh.stderr)
-        monkeypatch.setenv("RECOMB_LOG", "info")
-        out = tmp_path / "info"
-        code, err = serve("n3_generic", out)
-        assert (code, err) == (0, f"INFO recomb: wrote {out / 'trajectory.csv'} and {out / 'solution.json'}\n")
-    finally:
-        root.handlers[:] = handlers
-        root.setLevel(level)
+    for k in range(2):
+        assert serve(bad, tmp_path / str(k)) == (3, fresh.stderr)
+    monkeypatch.setenv("RECOMB_LOG", "info")
+    out = tmp_path / "info"
+    code, err = serve("n3_generic", out)
+    assert (code, err) == (0, f"INFO recomb: wrote {out / 'trajectory.csv'} and {out / 'solution.json'}\n")
 
 
 def test_consecutive_calls_share_no_state(tmp_path, monkeypatch):

@@ -1201,27 +1201,29 @@ class TestProgramCache:
     @staticmethod
     def two_three_splits(n_systems):
         """Rate systems of one rated partition each, with blocks of 2 and 3
-        sites: every system has its own entry, and every program the same
-        cells."""
+        sites: every system has its own entry, and every entry, once its
+        program is compiled, holds the same cells."""
         g = ground_set(5)
         lat = lattice(g)
         splits = [i for i, b in enumerate(lat.blocks(range(lat.size)))
                   if sorted(map(len, b)) == [2, 3]]
         systems = [RateSystem.from_indices(g, [i], [1.0]) for i in splits[:n_systems]]
-        cells = {program_cells(rates) for rates in systems}
+        cells = {program_cells(rates) + dynamics._tables(rates).words for rates in systems}
         assert len(systems) == n_systems and len(cells) == 1
         return systems, cells.pop()
 
     def test_oldest_compiled_again_past_the_bound(self, monkeypatch):
-        # a budget of three programs: a lookup drops the least recently
-        # used while the others hold more, so the store keeps the three
-        # used before the newest, and the newest compiles after its lookup
+        # a budget of three compiled entries and one just made: a lookup
+        # drops the least recently used while the others hold more, so the
+        # store keeps the three used before the newest, and the newest
+        # compiles after its lookup
         import gc
         import weakref
 
         systems, cells = self.two_three_splits(8)
+        made = dynamics._tables(systems[0]).words
         compiles = count_compiles(monkeypatch)
-        monkeypatch.setattr(dynamics, "MAX_STATES", 3 * cells)
+        monkeypatch.setattr(dynamics, "MAX_STATES", 3 * cells + made)
         lookups = within_budget(monkeypatch)
         oldest = weakref.ref(_program(systems[0]))
         for rates in systems[1:]:
