@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gammainc
 
-from recomb.dynamics import CoefficientTrajectory, RateSystem, _served
+from recomb.dynamics import CoefficientTrajectory, RateSystem, _charge, _entry
 from recomb.partitions import Partition, as_ground, ground_set, lattice
 
 __all__ = [
@@ -494,11 +494,12 @@ def closed_form_size(rates: RateSystem) -> tuple[int, int]:
     form stores, over every subset, and the chains a <= b <= c its scatter
     expands, with c rated and not the top (before the decay rates drop any
     column).  Counted from block sizes and the marginal rates; no table is
-    built.  Kept with the rates in the process store (``dynamics._served``)."""
-    served = _served(rates)
-    if served.size is None:
-        served.size = _size(rates)
-    return served.size
+    built.  Kept in the entry of rates in the process store
+    (``dynamics._entry``), uncharged: a count is not the cells it sizes."""
+    entry = _entry(rates)
+    if entry.size is None:
+        entry.size = _size(rates)
+    return entry.size
 
 
 def _size(rates: RateSystem) -> tuple[int, int]:
@@ -522,16 +523,17 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
     coefficients extend continuously there.
 
     The solution, or the report that refused it, is kept with the rates in
-    the process store (``dynamics._served``): while it is kept, a call on
-    equal rates returns that solution, built from equal rates, or raises
-    with that report.
+    the entry of rates in the process store (``dynamics._entry``), charged
+    its ``cells``: while it is kept, a call on equal rates returns that
+    solution, built from equal rates, or raises with that report.
     """
-    served = _served(rates)
-    if served.closed_form is None:
-        served.closed_form = _build(rates)
-    if isinstance(served.closed_form, DegeneracyReport):
-        raise DegeneracyError(served.closed_form)
-    return served.closed_form
+    entry = _entry(rates)
+    if entry.closed_form is None:
+        entry.closed_form = _build(rates)
+        _charge(entry, entry.closed_form.cells)
+    if isinstance(entry.closed_form, DegeneracyReport):
+        raise DegeneracyError(entry.closed_form)
+    return entry.closed_form
 
 
 def _build(rates: RateSystem) -> ClosedFormSolution | DegeneracyReport:

@@ -19,14 +19,14 @@ of their support gives the mixture of block-product operators
 (``mixtures``), and compiled over several state spaces at once, one program
 steps the coefficient and the measure system in lockstep (``_compile``).
 
-Programs are compiled once per kept rates and tuple of state spaces in a
-process (``_tables``): every rate system with the same kept partitions, in
-the same order and at the same rates, shares them, and a mixture's support
-is kept as its partitions at unit rates.  What else the rates alone
-determine, the closed form and the sampler's jump tables, is kept per rates
-served (``_served``).  Both kinds of entry share one per-process store
-(``_stored``), bounded by the cells its entries hold: past MAX_STATES, the
-least recently used are dropped.
+What the rates alone determine is kept in one entry per rate system in a
+per-process store (``_entry``), keyed by the ground and the lattice indices
+and rates in the order given: the trie and its programs, compiled once per
+tuple of state spaces (``_tables``, ``_program``), the closed form and the
+sampler's jump tables.  A mixture's support is kept as the entry of its
+partitions at unit rates.  Each slot is charged the cells it holds as it is
+filled (``_charge``), and the store is bounded by the cells its entries
+hold: past MAX_STATES, the least recently used are dropped.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class RateSystem:
     index of each rated partition once, in the order given, and
     ``weights`` its rate; ``rates`` is their view by ``Partition``.
     Immutable by convention; the marginal rates per subset are cached on
-    first use.  The compiled gain terms are shared by the rate systems of
-    the same kept rates in a process (``_tables``).
+    first use.  The compiled gain terms are kept with what else the rates
+    determine in their entry of the process store (``_entry``).
     """
 
     __slots__ = ("ground", "total", "indices", "weights", "_rates", "_marginals")
@@ -363,49 +363,37 @@ class _TrieProgram:
 
 
 class _Tables:
-    """The tables compiled from the kept rates of a rate system: the
-    lattice index of each kept partition in trie order (``leaves``), its
-    rate (``weights``), their prefix trie (``_trie``) and, per state space,
-    the descent plan and cell count (``plans``) and, per tuple of spaces
-    asked for, the compiled program (``programs``; ``(None, space)`` for
-    the lockstep one).  Built from the bytes of leaves and weights, its key
-    in the process store (``_stored``)."""
+    """The tables compiled from the kept rates of a rate system (``_kept``):
+    the lattice index of each kept partition in trie order (``leaves``),
+    its rate (``weights``), their prefix trie (``_trie``) and, per state
+    space, the descent plan and cell count (``plans``) and, per tuple of
+    spaces asked for, the compiled program (``programs``; ``(None,
+    space)`` for the lockstep one)."""
 
     __slots__ = ("ground", "leaves", "weights", "trie", "words", "plans", "programs")
 
-    def __init__(self, ground: tuple, leaves: bytes, weights: bytes):
+    def __init__(self, ground: tuple, leaves: np.ndarray, weights: np.ndarray):
         self.ground = ground
-        self.leaves = np.frombuffer(leaves, dtype=np.intp)
-        self.weights = np.frombuffer(weights)
-        self.trie = _trie(ground, self.leaves)
+        self.leaves = leaves
+        self.weights = weights
+        self.trie = _trie(ground, leaves)
         _, edges, nodes = self.trie
         # what it holds before any program, in 8-byte words: one for itself,
-        # its key, and the tuples each trie edge makes (sys.getsizeof): its
-        # own, its blocks, its child's name and the child's height and
-        # remainder; about 80 % of the trie's allocations at n = 3..7
+        # its kept rates, and the tuples each trie edge makes
+        # (sys.getsizeof): its own, its blocks, its child's name and the
+        # child's height and remainder; about 80 % of the trie's allocations
+        # at n = 3..7
         made = sum(
             getsizeof(e) + getsizeof(e[1]) + getsizeof(e[2]) + getsizeof(nodes[e[2]])
             + getsizeof(nodes[e[2]][1])
             for e in edges
         )
-        self.words = 1 + self.leaves.size + self.weights.size + made // 8
+        self.words = 1 + leaves.size + weights.size + made // 8
         self.plans: dict = {}
         self.programs: dict = {}
 
-    def program(self, spaces: tuple) -> "_TrieProgram":
-        """The program on spaces, compiled (``_compile``) on first use."""
-        prog = self.programs.get(spaces)
-        if prog is None:
-            prog = self.programs[spaces] = _compile(self, spaces)
-        return prog
 
-    def cells(self) -> int:
-        """The cells it holds: its key and trie (``words``), and
-        ``program_cells`` of each space of each compiled program."""
-        return self.words + sum(self.plans[space][1] for spaces in self.programs for space in spaces)
-
-
-def _kept(rates: RateSystem) -> tuple[tuple, bytes, bytes]:
+def _kept(rates: RateSystem) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The ground of rates, and the lattice indices and rates of its kept
     partitions, in trie order: the rated partitions with at least two
     blocks, in the order given, stably sorted by descending block count.
@@ -414,101 +402,85 @@ def _kept(rates: RateSystem) -> tuple[tuple, bytes, bytes]:
     count = lattice(g).block_counts[indices]
     order = np.flatnonzero((weights > 0) & (count > 1))
     order = order[np.argsort(-count[order], kind="stable")]
-    return g, indices[order].tobytes(), weights[order].tobytes()
+    return g, indices[order], weights[order]
 
 
-def _tables(rates: RateSystem) -> _Tables:
-    """The compiled tables of rates, shared by the rate systems with the
-    same kept partitions in the same order at the same rates, and by them
-    alone; kept in the process store (``_stored``)."""
-    return _stored(_Tables, *_kept(rates))
+class _Entry:
+    """What a rate system determines, kept in the process store
+    (``_entry``): its compiled tables, built from its kept rates on first
+    use (``tables``, ``_tables``), the closed form or the
+    ``DegeneracyReport`` that refused it (``closed_form``), its ``(pairs,
+    chains)`` count (``size``) and the Monte Carlo jump table of each start
+    index (``jump_tables``).  Each slot is filled on first use by the
+    module that builds it, with read-only arrays, and handed to every later
+    caller as it is; what it holds is charged to the entry's ``cells`` as
+    it is filled (``_charge``)."""
 
+    __slots__ = ("cells", "tables", "closed_form", "size", "jump_tables")
 
-class _Served:
-    """What a rate system determines besides its programs, kept in the
-    process store (``_served``): the closed form, or the
-    ``DegeneracyReport`` that refused it (``closed_form``), its
-    ``(pairs, chains)`` count (``size``) and the Monte Carlo jump table of
-    each start index (``jump_tables``).  Each slot is filled on first use
-    by the module that builds it, with read-only arrays, and handed to
-    every later caller as it is."""
-
-    __slots__ = ("words", "closed_form", "size", "jump_tables")
-
-    def __init__(self, ground: tuple, indices: bytes, weights: bytes):
-        # one word for itself and its size, and one per index and rate of its key
-        self.words = 1 + (len(indices) + len(weights)) // 8
+    def __init__(self):
+        self.cells = 0
+        self.tables = None
         self.closed_form = None
         self.size = None
         self.jump_tables: dict = {}
 
-    def cells(self) -> int:
-        """The cells it holds: its key (``words``), the stored pairs of the
-        closed form or the members of the report that refused it, and the
-        entries of each jump table."""
-        pairs = getattr(self.closed_form, "cells", 0)
-        return self.words + pairs + sum(table[1].size for table in self.jump_tables.values())
-
-
-def _served(rates: RateSystem) -> _Served:
-    """The kept artifacts of rates, new and empty unless the process store
-    holds those of the same ground and the same lattice indices and rates
-    in the same order.  Not the kept rates of ``_tables``: the marginals
-    sum the rates in the order given and the total counts every rate, zero
-    and top ones too, so only an equal key builds bitwise-equal artifacts."""
-    return _stored(_Served, rates.ground, rates.indices.tobytes(), rates.weights.tobytes())
-
 
 class _Store(dict):
-    """Every kept entry of the process by (class, key), least recently used
-    first, with the cells last counted on each (``counted``), their sum
-    (``held``) and the key of the entry returned last (``last``)."""
+    """Every entry of the process by its rates' key, least recently used
+    first, and the cells they hold together (``held``)."""
 
     def __init__(self):
         super().__init__()
-        self.counted: dict = {}
         self.held = 0
-        self.last = None
 
     def clear(self) -> None:
         super().clear()
-        self.counted.clear()
-        self.held, self.last = 0, None
+        self.held = 0
 
 
 _store = _Store()
 
 
-def _stored(kind: type, *key):
-    """The entry kind(*key) of the process store, made on first use, and
-    now the most recently used.  Then entries are dropped, least recently
-    used first and never this one, while all together hold more than
-    MAX_STATES cells: a store past the bound holds the entry just returned
-    alone.  Every entry counts at least one cell.  Slots fill right after
-    their entry's lookup, so the cells of an entry (``cells``) are counted
-    when it is made and at the lookup after each of its own: one count a
-    lookup, whatever the store holds."""
-    store, counted = _store, _store.counted
-    at, last = (kind, *key), store.last
-    store.last = at
-    if last in counted:
-        cells = store[last].cells()
-        store.held += cells - counted[last]
-        counted[last] = cells
-    entry = store.pop(at, None)
-    if entry is None:
-        entry = store[at] = kind(*key)
-        counted[at] = entry.cells()
-        store.held += counted[at]
-    else:
-        store[at] = entry
-    while store.held > MAX_STATES:
-        old = next(iter(store))
-        if old is at:
-            break
-        del store[old]
-        store.held -= counted.pop(old)
+def _entry(rates: RateSystem) -> _Entry:
+    """The entry of rates in the process store, made on first use, and now
+    the most recently used.  Its key is the ground and the lattice indices
+    and rates in the order given: the marginals sum the rates in that order
+    and the total counts every rate, zero and top ones too, so only an
+    equal key builds bitwise-equal artifacts.  A new entry is charged one
+    cell for itself and one per index and rate of its key."""
+    key = (rates.ground, rates.indices.tobytes(), rates.weights.tobytes())
+    entry = _store.pop(key, None)
+    if entry is not None:
+        _store[key] = entry
+        return entry
+    entry = _store[key] = _Entry()
+    _charge(entry, 1 + rates.indices.size + rates.weights.size)
     return entry
+
+
+def _charge(entry: _Entry, cells: int) -> None:
+    """Add cells to entry and to the store's total, then drop the other
+    entries, least recently used first, while the store holds more than
+    MAX_STATES cells: a store past the bound holds entry alone."""
+    entry.cells += cells
+    store = _store
+    store.held += cells
+    while store.held > MAX_STATES and len(store) > 1:
+        old = next(key for key, kept in store.items() if kept is not entry)
+        store.held -= store.pop(old).cells
+
+
+def _tables(rates: RateSystem, entry: _Entry | None = None) -> _Tables:
+    """The compiled tables of rates, kept in its entry of the process store
+    (``_entry``, or the one given): built from its kept rates on first use
+    and charged their ``words``."""
+    if entry is None:
+        entry = _entry(rates)
+    if entry.tables is None:
+        entry.tables = _Tables(*_kept(rates))
+        _charge(entry, entry.tables.words)
+    return entry.tables
 
 
 def _trie(ground: tuple, leaves: np.ndarray) -> tuple[list, list, dict]:
@@ -607,8 +579,16 @@ def _descent(ground: tuple, blocks: list, n_states) -> list:
 def _program(rates: RateSystem, *spaces) -> _TrieProgram:
     """The gain term of the systems on spaces (None, the default, for the
     coefficient system), their state vectors stacked in that order,
-    compiled once per kept rates and spaces (``_Tables.program``)."""
-    return _tables(rates).program(spaces or (None,))
+    compiled (``_compile``) once per entry of the process store and tuple
+    of spaces, and charged the ``program_cells`` of each space."""
+    spaces = spaces or (None,)
+    entry = _entry(rates)
+    tables = _tables(rates, entry)
+    prog = tables.programs.get(spaces)
+    if prog is None:
+        prog = tables.programs[spaces] = _compile(tables, spaces)
+        _charge(entry, sum(tables.plans[space][1] for space in spaces))
+    return prog
 
 
 # one system of a program: its space, state counter, descent plan and restrictions
@@ -854,20 +834,21 @@ def mixtures(values: np.ndarray, omega0: Measure) -> np.ndarray:
 
 def _support_programs(support: np.ndarray, space: TypeSpace):
     """Programs whose leaves are the partitions at the lattice indices
-    support, at unit rates: the program of the support, kept in the process
-    store like a rate system's (``_stored``), or when it would hold more
-    than MAX_STATES cell indices, the programs of each half, compiled one
-    after the other (the mixture is linear in the leaves).  The halves'
+    support, at unit rates: the program of the support, kept in the entry
+    of its unit-rate ``RateSystem`` (``_program``), or when it would hold
+    more than MAX_STATES cell indices, the programs of each half, compiled
+    one after the other (the mixture is linear in the leaves).  The halves'
     tables are built outside the store, so none outlives its use."""
     runs = [support]
     while runs:
         run = runs.pop()
-        key = _kept(RateSystem.from_indices(space.sites, run, [1.0] * run.size))
-        tables = _stored(_Tables, *key) if run is support else _Tables(*key)
+        rates = RateSystem.from_indices(space.sites, run, [1.0] * run.size)
+        whole = run is support
+        tables = _tables(rates) if whole else _Tables(*_kept(rates))
         if run.size > 1 and _plan(tables, space)[1] > MAX_STATES:
             runs += [run[run.size // 2 :], run[: run.size // 2]]
         else:
-            yield tables.program((space,))
+            yield _program(rates, space) if whole else _compile(tables, (space,))
 
 
 def coefficient_rhs(a: CoefficientVector, rates: RateSystem) -> CoefficientVector:

@@ -11,7 +11,7 @@ The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
 ``_final_indices``, samples it by the direct method: an exponential waiting
 time at the state's exit rate, then a successor drawn from a CSR jump table
 over the states reachable from the start, which is built once per start,
-kept in the process store (``dynamics._served``) and passed in.  All replicates
+kept in the process store (``dynamics._entry``) and passed in.  All replicates
 advance together, in blocks of 4096, one vectorised waiting-time and jump
 round at a time; every jump strictly refines, so n sites take at most n - 1
 rounds.  The generator is
@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from recomb.dynamics import RateSystem, _served
+from recomb.dynamics import RateSystem, _charge, _entry
 from recomb.partitions import Partition, ground_set, lattice
 
 __all__ = [
@@ -105,11 +105,12 @@ def _text_order(ground: tuple[int, ...]) -> np.ndarray:
 
 def _jump_table(rates: RateSystem, start: int):
     """``_build_jump_table`` of rates and start, kept with the rates in the
-    process store (``dynamics._served``)."""
-    tables = _served(rates).jump_tables
-    table = tables.get(start)
+    process store (``dynamics._entry``) and charged its entries."""
+    entry = _entry(rates)
+    table = entry.jump_tables.get(start)
     if table is None:
-        table = tables[start] = _build_jump_table(rates, start)
+        table = entry.jump_tables[start] = _build_jump_table(rates, start)
+        _charge(entry, table[1].size)
     return table
 
 

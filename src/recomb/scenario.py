@@ -278,7 +278,7 @@ class Scenario:
         path = Path(path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ScenarioError("scenario file must hold a JSON object")
@@ -290,7 +290,15 @@ class Scenario:
             return None
         space = self.space
         if isinstance(spec, list):
-            # inline dense tensor, nested by site in ascending order
+            # inline dense tensor, nested by site in ascending order, each
+            # leaf a JSON number; walked without recursion, however deep
+            stack = [spec]
+            while stack:
+                leaf = stack.pop()
+                if isinstance(leaf, list):
+                    stack.extend(reversed(leaf))
+                else:
+                    _number(leaf, "inline measure entry")
             try:
                 return Measure(space, np.asarray(spec, dtype=float))
             except ValueError as exc:

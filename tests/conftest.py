@@ -32,6 +32,44 @@ def random_rates(n: int, seed: int, total: float = 4.0, low: float = 0.1) -> Rat
     return RateSystem(ground_set(n), dict(zip(lat.parts, draw)))
 
 
+def key_of(rates):
+    """The key of the entry of rates in the process store."""
+    return rates.ground, rates.indices.tobytes(), rates.weights.tobytes()
+
+
+def within_budget(monkeypatch):
+    """Check after each lookup in the process store and each charge, in
+    every module that fills an entry, that the store's total is the sum of
+    its entries' cells, and that they hold at most MAX_STATES cells
+    together or the store holds the entry just used alone; returns the keys
+    looked up, in order."""
+    import recomb.closed_form as cf
+    import recomb.process as proc
+
+    lookups = []
+    entry_of, charge = dynamics._entry, dynamics._charge
+
+    def check(entry):
+        held = sum(e.cells for e in dynamics._store.values())
+        assert held == dynamics._store.held
+        assert held <= dynamics.MAX_STATES or list(dynamics._store.values()) == [entry]
+
+    def looked_up(rates):
+        entry = entry_of(rates)
+        lookups.append(key_of(rates))
+        check(entry)
+        return entry
+
+    def charged(entry, cells):
+        charge(entry, cells)
+        check(entry)
+
+    for module in (dynamics, cf, proc):
+        monkeypatch.setattr(module, "_entry", looked_up)
+        monkeypatch.setattr(module, "_charge", charged)
+    return lookups
+
+
 @pytest.fixture(autouse=True)
 def fresh_store():
     """Each test starts with nothing kept in the process store (no program,

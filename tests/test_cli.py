@@ -23,6 +23,7 @@ from recomb.partitions import MAX_SITES, Partition
 from recomb.scenario import Scenario, ScenarioError
 from recomb.partitions import ground_set, lattice
 
+from conftest import key_of, within_budget
 from oracles import (
     bell_oracle,
     enumerate_partitions,
@@ -144,13 +145,25 @@ UNBOUNDED_INTEGRATIONS = [
 # initial measures on GENERIC_N3's 2 x 2 x 2 types whose total mass is not a
 # finite number; the file spec names a CSV the test writes
 _ONES = [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]
-NON_FINITE_MEASURES = {
-    "inline-nan": [[[float("nan"), 1.0], [1.0, 1.0]], _ONES[1]],
-    "inline-inf": [[[float("inf"), 1.0], [1.0, 1.0]], _ONES[1]],
-    "product-nan": "product:nan,1;1,1;1,1",
-    "file-nan": "file:nan.csv",
-    "inline-sum-overflow": [[[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [0.0, 0.0]]],
+# each spec, and a word of the one line that refuses it
+BAD_MEASURES = {
+    "inline-nan": ([[[float("nan"), 1.0], [1.0, 1.0]], _ONES[1]], "finite total"),
+    "inline-inf": ([[[float("inf"), 1.0], [1.0, 1.0]], _ONES[1]], "finite total"),
+    "product-nan": ("product:nan,1;1,1;1,1", "finite total"),
+    "file-nan": ("file:nan.csv", "finite total"),
+    "inline-sum-overflow": (
+        [[[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [0.0, 0.0]]], "finite total"
+    ),
+    # every leaf of an inline tensor is a JSON number, never an object, a
+    # string or a bool
+    "inline-object-leaf": ([[1, {}], [1, 1]], "must be a number"),
+    "inline-text-leaf": ([[["0.5", 1.0], [1.0, 1.0]], _ONES[1]], "must be a number"),
+    "inline-bool-leaf": ([[[True, 1.0], [1.0, 1.0]], _ONES[1]], "must be a number"),
 }
+
+# an inline measure of 5,000 nested arrays, past the JSON decoder's nesting
+# limit; written into the file text in place of this spec
+DEEPLY_NESTED = {"initial_measure": "nested"}
 
 
 def run_cli(argv, address_space=None, **env_vars):
@@ -728,9 +741,9 @@ def test_warm_cycle_builds_each_artifact_once(tmp_path, monkeypatch):
 
 
 def test_refused_requests_keep_the_store_bounded(tmp_path, monkeypatch):
-    # requests refused at new rates leave entries that hold no program,
+    # requests refused at new rates leave an entry that holds no program,
     # closed form or jump table: a trie and plan (integrate, refused for its
-    # substeps) and a chain count (solve, refused for its size).  Each still
+    # substeps) and a chain count (solve, refused for its size).  It still
     # counts what it holds, so under a budget of a few entries the store's
     # length and cells stay bounded however many are served
     import random
@@ -749,14 +762,75 @@ def test_refused_requests_keep_the_store_bounded(tmp_path, monkeypatch):
 
     dynamics._store.clear()
     refuse()
-    one = sum(e.cells() for e in dynamics._store.values())  # a request's entries
-    assert len(dynamics._store) == 2 and one > 0
+    one = sum(e.cells for e in dynamics._store.values())  # the two requests' entry
+    assert len(dynamics._store) == 1 and one > 0
     monkeypatch.setattr(dynamics, "MAX_STATES", 3 * one)
     for _ in range(20):
         refuse()
-        held = sum(e.cells() for e in dynamics._store.values())
-        assert len(dynamics._store) <= 6 and held <= dynamics.MAX_STATES
+        held = sum(e.cells for e in dynamics._store.values())
+        assert len(dynamics._store) <= 3 and held <= dynamics.MAX_STATES
         assert held == dynamics._store.held
+
+
+def test_store_total_is_its_entries_cells(tmp_path, monkeypatch):
+    # a process serving every command on the shipped files, twice, under a
+    # bound of the largest entry a compare pass leaves: after every lookup
+    # and every charge the store's total is the sum of its entries' cells,
+    # at most the bound unless the store holds the entry just used alone,
+    # and entries are dropped on the way
+    files = sorted(SCENARIO_DIR.glob("*.json"))
+    for cfg in files:
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    largest = max(entry.cells for entry in dynamics._store.values())
+    assert sum(entry.cells for entry in dynamics._store.values()) > largest
+    dynamics._store.clear()
+    monkeypatch.setattr(dynamics, "MAX_STATES", largest)
+    lookups = within_budget(monkeypatch)
+    for k in range(2):
+        for cfg in files:
+            for command in ("solve", "integrate", "simulate", "compare"):
+                out = tmp_path / f"{command}{k}" / cfg.stem
+                main([command, "--config", str(cfg), "--out", str(out)])
+    assert len(set(lookups)) > len(dynamics._store) and len(lookups) > 6 * len(files)
+
+
+def test_compare_fills_one_entry(tmp_path):
+    # one compare keeps what its rates determine in one entry: the lockstep
+    # program, the closed form, its chain count and the jump table of the
+    # top, each charged what it holds; the only other entry is the mixture
+    # support's, which holds its measure program alone
+    cfg = SCENARIO_DIR / "n3_generic.json"
+    scenario = Scenario.from_file(cfg)
+    rates, space = scenario.rates, scenario.space
+    dynamics._store.clear()
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(dynamics._store) == 2
+    entry = dynamics._store.pop(key_of(rates))
+    (support,) = dynamics._store.values()
+    tables = entry.tables
+    assert set(tables.programs) == {(None, space)}
+    assert entry.closed_form.rates.ground == rates.ground and entry.size is not None
+    assert set(entry.jump_tables) == {lattice(rates.ground).top_index}
+    programs = tables.plans[None][1] + tables.plans[space][1]
+    jumps = sum(table[1].size for table in entry.jump_tables.values())
+    key = 1 + rates.indices.size + rates.weights.size
+    assert entry.cells == key + tables.words + programs + entry.closed_form.cells + jumps
+    assert set(support.tables.programs) == {(space,)}
+    assert support.closed_form is None and support.size is None and not support.jump_tables
+
+
+def test_solve_without_a_measure_builds_no_trie(tmp_path):
+    # a solve without a measure fills the closed form and its chain count
+    # of its rates' entry, and no trie, plan or program
+    doc = {key: value for key, value in GENERIC_N3.items() if key != "initial_measure"}
+    cfg = write_config(tmp_path, doc)
+    rates = Scenario.from_file(cfg).rates
+    dynamics._store.clear()
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert list(dynamics._store) == [key_of(rates)]
+    (entry,) = dynamics._store.values()
+    assert entry.tables is None
+    assert entry.closed_form is not None and entry.size is not None and not entry.jump_tables
 
 
 def test_each_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
@@ -968,6 +1042,7 @@ class TestScenarioValidation:
             {"two_block_only": "false", "rates": {"1|2,3": 0.3, "1,2|3": 0.7}},
             {"two_block_only": 0},
             {"rates": {"1|2|3": 10**400}},  # past the float range
+            DEEPLY_NESTED,
         ],
         ids=[
             "nan-rate", "inf-rate", "step-bound", "negative-seed", "negative-samples",
@@ -982,11 +1057,14 @@ class TestScenarioValidation:
             "bool-route-tolerance", "text-tv-tolerance", "bool-rate", "numeric-text-rate",
             "numeric-text-grid-end", "bool-grid-start", "text-step", "text-mc-time",
             "text-two-block-only", "integer-two-block-only", "huge-integer-rate",
+            "deeply-nested-measure",
         ],
     )
     def test_bad_file_value_rejected(self, tmp_path, capsys, command, change):
         # json writes NaN and Infinity literals, which the scenario loader reads
         cfg = write_config(tmp_path, {**GENERIC_N3, **change})
+        if change is DEEPLY_NESTED:
+            cfg.write_text(cfg.read_text().replace('"nested"', "[" * 5000 + "]" * 5000))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -994,6 +1072,8 @@ class TestScenarioValidation:
         assert not list(tmp_path.rglob("*.csv"))
         if change is HUGE_MEASURE_PROGRAM:
             assert "measure program" in err
+        if change is DEEPLY_NESTED:
+            assert f"cannot read scenario {cfg}: " in err and not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -1053,8 +1133,8 @@ class TestScenarioValidation:
         assert_refused_before_output(capsys, out, word)
 
     @pytest.mark.parametrize("command", ["integrate", "compare"])
-    @pytest.mark.parametrize("spec", NON_FINITE_MEASURES.values(), ids=NON_FINITE_MEASURES)
-    def test_non_finite_measure_rejected(self, tmp_path, capsys, command, spec):
+    @pytest.mark.parametrize("spec, word", BAD_MEASURES.values(), ids=BAD_MEASURES)
+    def test_non_finite_measure_rejected(self, tmp_path, capsys, command, spec, word):
         w = np.ones((2, 2, 2))
         w[0, 0, 0] = np.nan
         measure_to_csv(Measure(TypeSpace.regular(3, 2), w, validate=False), tmp_path / "nan.csv")
@@ -1062,7 +1142,7 @@ class TestScenarioValidation:
         cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": spec})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert_refused_before_output(capsys, out, "finite total")
+        assert_refused_before_output(capsys, out, word)
 
     @pytest.mark.parametrize("command", ["integrate", "compare"])
     @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])

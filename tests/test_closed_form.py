@@ -1081,20 +1081,24 @@ class TestKeptSolution:
 
     def test_other_rates_release_the_kept_solution(self, monkeypatch):
         # within the budget, other rates leave it kept; with the budget
-        # below its pairs, it stays kept while its entry is the newest,
-        # alone over the budget, and the next lookup of other rates
-        # releases it
+        # below its pairs, the charge of the solution leaves its entry
+        # alone over the budget, kept while it is the newest, and the entry
+        # made for other rates releases it
         import gc
         import weakref
 
         sol = build_closed_form(random_rates(5, seed=65))
-        ref = weakref.ref(sol)
+        ref, cells = weakref.ref(sol), sol.cells
         del sol
         build_closed_form(random_rates(5, seed=66))
         gc.collect()
         assert ref() is not None  # both are within the budget
-        monkeypatch.setattr(dynamics, "MAX_STATES", ref().cells - 1)
-        assert build_closed_form(random_rates(5, seed=65)) is ref()  # the newest now
+        dynamics._store.clear()
+        monkeypatch.setattr(dynamics, "MAX_STATES", cells - 1)
+        sol = build_closed_form(random_rates(5, seed=65))
+        ref = weakref.ref(sol)
+        del sol
+        assert build_closed_form(random_rates(5, seed=65)) is ref()  # the newest
         assert len(dynamics._store) == 1
         gc.collect()
         assert ref() is not None  # alone over the budget, the entry holds it
@@ -1107,8 +1111,8 @@ class TestKeptSolution:
 
         rates = random_rates(5, seed=67)
         size = closed_form_size(rates)
-        served = dynamics._served(rates)
-        assert served.size == size
+        entry = dynamics._entry(rates)
+        assert entry.size == size
 
         def refuse(*args):
             raise AssertionError("a marginal was summed again")
@@ -1116,4 +1120,4 @@ class TestKeptSolution:
         equal = random_rates(5, seed=67)
         monkeypatch.setattr(RateSystem, "marginals", refuse)
         assert closed_form_size(equal) == size
-        assert dynamics._served(equal) is served
+        assert dynamics._entry(equal) is entry

@@ -37,7 +37,7 @@ from recomb.partitions import (
 from recomb.scenario import Scenario
 
 import oracles
-from conftest import random_rates
+from conftest import key_of, random_rates, within_budget
 from oracles import is_refinement, meet, meet_gain, refinement_gain, restrict, tv_deviation
 
 
@@ -628,27 +628,9 @@ def count_compiles(monkeypatch):
 
 
 def kept_tables():
-    """The keys of the compiled tables in the process store, least recently
-    used first."""
-    return [key for key in dynamics._store if key[0] is dynamics._Tables]
-
-
-def within_budget(monkeypatch):
-    """Check after each lookup in the process store that its entries hold
-    at most MAX_STATES cells together, or that it holds the entry just
-    returned alone; returns the keys looked up, in order."""
-    lookups = []
-    stored = dynamics._stored
-
-    def checked(kind, *key):
-        entry = stored(kind, *key)
-        lookups.append((kind, *key))
-        held = sum(e.cells() for e in dynamics._store.values())
-        assert held <= dynamics.MAX_STATES or list(dynamics._store.values()) == [entry]
-        return entry
-
-    monkeypatch.setattr(dynamics, "_stored", checked)
-    return lookups
+    """The keys of the entries in the process store that hold compiled
+    tables, least recently used first."""
+    return [key for key, entry in dynamics._store.items() if entry.tables is not None]
 
 
 def flat_marginals(prog, unit, ground, space=None):
@@ -836,8 +818,9 @@ class TestMixtures:
     def test_support_split_into_runs(self, monkeypatch):
         # a bound below the support program's cells: the support compiles in
         # runs, each at most the bound unless it holds one partition; the
-        # support's tables are looked up once in the process store, where
-        # they are kept and hold no program, and no run's tables enter it
+        # entry of the support at unit rates is looked up once in the
+        # process store, where its tables are kept and hold no program, and
+        # no run's tables enter it
         space = mixed_space(5)
         omega0 = self.unit_measure(space)
         values = self.coefficients(5, np.arange(1, 52))
@@ -858,7 +841,7 @@ class TestMixtures:
         assert_mixture_matches(values, omega0)
         assert len(runs) > 5
         assert all(cells <= bound for cells in runs)
-        assert lookups == [(dynamics._Tables, *dynamics._kept(whole))]
+        assert lookups == [key_of(whole)]
         assert dynamics._store == before
         assert not dynamics._tables(whole).programs
 
@@ -1096,8 +1079,9 @@ class TestTrieRhs:
 
 
 class TestProgramCache:
-    """Programs are compiled once per kept rates and state space in a
-    process, and kept in the process store while its entries hold at most
+    """Programs are compiled once per entry of the process store (the
+    ground and the lattice indices and rates in the order given) and tuple
+    of state spaces, and kept while the store's entries hold at most
     MAX_STATES cells, least recently used dropped first."""
 
     @staticmethod
@@ -1126,9 +1110,11 @@ class TestProgramCache:
             for value, want in zip(got, self.outputs(rates, space)):
                 assert_same_bits(value, want)
 
-    def test_same_kept_rates_compile_once(self, monkeypatch):
+    def test_same_kept_rates_compile_per_entry(self, monkeypatch):
         # a zero rate and a rate on the top are not kept, so both systems
-        # keep the same partitions at the same rates
+        # keep the same partitions at the same rates; their keys differ, so
+        # each has an entry of its own and compiles its own programs, each
+        # bitwise a fresh compile
         space = mixed_space(5)
         lat = lattice(space.sites)
         weights = np.random.default_rng(5).uniform(0.1, 1.0, lat.size)
@@ -1140,9 +1126,12 @@ class TestProgramCache:
         assert first.total != second.total
         compiles = count_compiles(monkeypatch)
         shared = [self.outputs(rates, space) for rates in (first, second)]
-        # the three programs of the rates, and the mixture's on its support
-        assert len(compiles) == len(set(compiles)) == 4
-        assert dynamics._tables(first) is dynamics._tables(second)
+        # the three programs of each rates, from the same kept rates, and
+        # the mixture's on their one support
+        assert len(compiles) == 7 and len(set(compiles)) == 4
+        assert compiles[:3] == compiles[4:]
+        assert dynamics._tables(first) is not dynamics._tables(second)
+        assert len(kept_tables()) == 3
         self.assert_as_compiled_alone([first, second], space, shared)
 
     def test_other_rates_on_one_support_compile_their_own(self, monkeypatch):
@@ -1182,7 +1171,7 @@ class TestProgramCache:
         support = np.flatnonzero(np.any(values != 0.0, axis=0))
         support = support[support != lattice(rates.ground).top_index]
         unit = RateSystem.from_indices(rates.ground, support, [1.0] * support.size)
-        assert compiles[1] == dynamics._kept(unit)[1:] + ((space,),)
+        assert compiles[1] == tuple(a.tobytes() for a in dynamics._kept(unit)[1:]) + ((space,),)
         assert set(dynamics._tables(unit).programs) == {(space,)}
 
     def test_another_order_is_another_entry(self, monkeypatch):
@@ -1208,28 +1197,27 @@ class TestProgramCache:
         splits = [i for i, b in enumerate(lat.blocks(range(lat.size)))
                   if sorted(map(len, b)) == [2, 3]]
         systems = [RateSystem.from_indices(g, [i], [1.0]) for i in splits[:n_systems]]
-        cells = {program_cells(rates) + dynamics._tables(rates).words for rates in systems}
+        # program_cells builds the tables: the entry holds its key and trie
+        cells = {program_cells(rates) + dynamics._entry(rates).cells for rates in systems}
         assert len(systems) == n_systems and len(cells) == 1
         return systems, cells.pop()
 
     def test_oldest_compiled_again_past_the_bound(self, monkeypatch):
-        # a budget of three compiled entries and one just made: a lookup
-        # drops the least recently used while the others hold more, so the
-        # store keeps the three used before the newest, and the newest
-        # compiles after its lookup
+        # a budget of three compiled entries: the charge that makes a fourth
+        # entry drops the least recently used while the others hold more, so
+        # the store keeps the newest three, each looked up and compiled once
         import gc
         import weakref
 
         systems, cells = self.two_three_splits(8)
-        made = dynamics._tables(systems[0]).words
         compiles = count_compiles(monkeypatch)
-        monkeypatch.setattr(dynamics, "MAX_STATES", 3 * cells + made)
+        monkeypatch.setattr(dynamics, "MAX_STATES", 3 * cells)
         lookups = within_budget(monkeypatch)
         oldest = weakref.ref(_program(systems[0]))
         for rates in systems[1:]:
             _program(rates)
         assert len(compiles) == len(lookups) == len(systems)
-        assert kept_tables() == [(dynamics._Tables, *dynamics._kept(r)) for r in systems[-4:]]
+        assert list(dynamics._store) == kept_tables() == [key_of(r) for r in systems[-3:]]
         gc.collect()
         assert oldest() is None  # released
         _program(systems[-1])  # the newest is kept
@@ -1239,7 +1227,7 @@ class TestProgramCache:
 
     def test_newest_kept_alone_over_the_budget(self, monkeypatch):
         # a budget below one program: the newest entry stays, alone, until
-        # another is looked up
+        # another entry is made
         import gc
         import weakref
 
@@ -1253,4 +1241,4 @@ class TestProgramCache:
         _program(systems[1])
         gc.collect()
         assert first() is None and len(compiles) == 2
-        assert kept_tables() == [(dynamics._Tables, *dynamics._kept(systems[1]))]
+        assert kept_tables() == [key_of(systems[1])]

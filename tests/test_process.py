@@ -415,7 +415,7 @@ class TestKeptJumpTables:
     def test_entries_count_against_the_budget(self, monkeypatch):
         # within the budget the tables of two rates stay kept; below one
         # table's entries, a table is kept while its rates are the newest
-        # and built again after other rates were looked up
+        # and built again after an entry was made for other rates
         from recomb import dynamics
 
         builds = self.counted(monkeypatch)
@@ -425,12 +425,14 @@ class TestKeptJumpTables:
         _jump_table(other, top)
         _jump_table(first, top)
         assert builds == [top] * 2
+        dynamics._store.clear()
         monkeypatch.setattr(dynamics, "MAX_STATES", entries - 1)
         _jump_table(first, top)
-        assert builds == [top] * 2 and len(dynamics._store) == 1
+        _jump_table(first, top)
+        assert builds == [top] * 3 and len(dynamics._store) == 1
         _jump_table(other, top)
         _jump_table(first, top)
-        assert builds == [top] * 4
+        assert builds == [top] * 5
 
 
 class TestEstimateDistribution:
