@@ -47,7 +47,6 @@ from recomb.process import (
     EmpiricalDistribution,
     estimate_distribution,
     make_rng,
-    tv_distance,
 )
 from recomb.scenario import Scenario, ScenarioError
 
@@ -86,6 +85,5 @@ __all__ = [
     "parse_partition",
     "product_measure",
     "recombinator",
-    "tv_distance",
     "uniform_measure",
 ]

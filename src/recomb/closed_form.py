@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from recomb.dynamics import CoefficientTrajectory, RateSystem, _charge, _entry
-from recomb.partitions import Partition, as_ground, ground_set, lattice
+from recomb.partitions import Partition, _ranges, as_ground, ground_set, lattice
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -164,22 +164,6 @@ def _linear_decay(rates: RateSystem, g: tuple[int, ...]) -> np.ndarray:
     return rates.total - _apply(lattice(g), 1.0, rates.marginal(g))
 
 
-def _zeta_solve(lat, rhs: np.ndarray) -> np.ndarray:
-    """Moebius inversion: x with the sum of x over each up-set equal to rhs,
-    for a vector or a table of B rows.  Coarsest first, one block count at
-    a time: x[a] = rhs[a] - the sum of x over the b strictly above a, one
-    reduceat per block count.  Summing the nonnegative terms of a linear
-    solution keeps its rounding near the unit roundoff, where weighting by
-    the Moebius function would cancel terms up to (n - 1)! in size."""
-    ptr, ups = lat.up_sets
-    x = np.array(rhs, dtype=float)
-    for k in range(2, len(lat.ground) + 1):
-        a = np.flatnonzero(lat.block_counts == k)
-        fan = ptr[a + 1] - ptr[a] - 1
-        x[a] -= np.add.reduceat(x[ups[_ranges(ptr[a], fan)]], np.cumsum(fan) - fan, axis=0)
-    return x
-
-
 def _apply(lat, table, vector: np.ndarray) -> np.ndarray:
     """table @ vector for a table on the comparable pairs (1.0 for the zeta
     function): one bincount, each row summed in ascending order."""
@@ -199,12 +183,12 @@ def linear_solution(rates: RateSystem, u, times) -> CoefficientTrajectory:
     vectors.
 
     Moebius inversion of exp(-chi t), chi the interval-complement decay
-    rates, by one substitution over the whole grid (``_zeta_solve``); the
-    defining sum over subsets of the lattice serves as a test oracle.
+    rates, by one substitution over the whole grid (``Lattice.zeta_solve``);
+    the defining sum over subsets of the lattice serves as a test oracle.
     """
     g, times = as_ground(u), _times(times)
     survival = np.exp(-np.multiply.outer(_linear_decay(rates, g), times))
-    return CoefficientTrajectory(g, times, _zeta_solve(lattice(g), survival).T)
+    return CoefficientTrajectory(g, times, lattice(g).zeta_solve(survival).T)
 
 
 @lru_cache(maxsize=None)
@@ -305,15 +289,6 @@ class ClosedFormSolution:
     def decay_table(self, u) -> np.ndarray:
         return self._decay[self._key(u)]
 
-    def coefficient_table(self, u) -> np.ndarray:
-        """The coefficient table of u as a dense (B, B) array, zero off the
-        order: a view built on demand for tests and small lattices."""
-        g = self._key(u)
-        lat = lattice(g)
-        table = np.zeros((lat.size, lat.size))
-        table[lat.pair_rows, lat.up_sets[1]] = self._coeff[g]
-        return table
-
     def evaluate(self, u, times) -> CoefficientTrajectory:
         """The probability vectors on the subsystem u at the grid times:
         the sum of theta(a, b) exp(-decay(b) t) over the nonzero pairs, one
@@ -364,12 +339,6 @@ class ClosedFormSolution:
                 yield (", " if lo else "") + dumps(coeff)[1:-1]
             yield "}}"
         yield "}}"
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated ranges starts[i], ..., starts[i] + counts[i] - 1."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
 # chains per run of the chain scatter; bounds its temporaries at n = 10

@@ -25,8 +25,9 @@ relabelling a's blocks by a restricted growth string pi of length k gives a
 restricted growth string again, so the pairs come from the labels alone, with
 no (B, B) table.  The pair (a, b) sits at a's pointer plus the index, in the
 lattice of k sites, of the partition pi that b induces on a's blocks; in that
-order b ascends, from the top to a itself.  The dense ``finer`` and
-Moebius tables remain as views built on demand.
+order b ascends, from the top to a itself.  Moebius inversion over them is
+``Lattice.zeta_solve``; the dense ``finer`` and Moebius tables are views
+built on demand from the pairs and from ``zeta_solve`` of the identity.
 
 All objects here are immutable after construction and safe to share across
 threads; a cached core, lattice or table is at worst built twice on a race,
@@ -238,6 +239,12 @@ def _encode(rgs: np.ndarray) -> np.ndarray:
     return rgs.astype(np.int64) @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[i], ..., starts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+
+
 class _Core:
     """What every lattice of a k-set shares: the arrays of ``Lattice``, and
     its lazy tables, which ``Lattice`` fills on first use.  The rows of the
@@ -445,18 +452,13 @@ class Lattice:
 
     @property
     def finer(self) -> np.ndarray:
-        """Boolean matrix: finer[i, j] iff parts[i] refines parts[j].  A
-        dense view for small lattices; ``mobius_matrix`` reads it.
-
-        a refines b iff b's labels are constant on each block of a, that is,
-        every site carries b's label of the first site of its a-block."""
+        """Boolean matrix: finer[i, j] iff parts[i] refines parts[j].  The
+        dense view of the comparable pairs (``up_sets``), for tests and
+        small lattices; no route reads it."""
         core = self._core
         if core.finer is None:
-            lab, first = self.labels, self.first_sites
-            f = np.ones((self.size, self.size), dtype=bool)
-            for s in range(1, lab.shape[1]):
-                f &= (lab[:, first[:, s]] == lab[:, s, None]).T
-            core.finer = f
+            core.finer = np.zeros((self.size, self.size), dtype=bool)
+            core.finer[self.pair_rows, self.up_sets[1]] = True
         return core.finer
 
     @property
@@ -526,32 +528,32 @@ class Lattice:
             core.block_masks = blocks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
         return core.block_masks
 
-    def incidence_solve(self, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solution x of theta @ x = rhs, for an incidence-algebra element
-        given as a dense (B, B) table that vanishes off the order and has a
-        nonzero diagonal, and a right-hand side of B rows, a vector or a
-        table.  The oracle of the pair routes; ``mobius_matrix`` calls it.
-
-        Coarsest-first substitution over the strictly coarser elements up(i):
-        x[i] = (rhs[i] - theta[i, up(i)] @ x[up(i)]) / theta[i, i].  For a
-        boolean table (the zeta function) x keeps the dtype of rhs, so an
-        integer right-hand side is solved exactly.
-        """
+    def zeta_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Moebius inversion: x with the sum of x over each up-set equal to
+        rhs, for a vector or a table of B rows; an integer rhs is solved
+        exactly in its own dtype, any other in floats.  Coarsest first, one
+        block count at a time: x[a] = rhs[a] - the sum of x over the b
+        strictly above a, one reduceat per block count.  Summing the
+        nonnegative terms of a linear solution keeps its rounding near the
+        unit roundoff, where weighting by the Moebius function would cancel
+        terms up to (n - 1)! in size."""
         ptr, ups = self.up_sets
-        x = np.zeros(rhs.shape, dtype=rhs.dtype if theta.dtype == bool else float)
-        for i in np.argsort(self.block_counts, kind="stable"):
-            up = ups[ptr[i] : ptr[i + 1] - 1]
-            x[i] = (rhs[i] - theta[i, up] @ x[up]) / theta[i, i]
+        rhs = np.asarray(rhs)
+        x = rhs.copy() if rhs.dtype.kind in "iu" else rhs.astype(float)
+        for k in range(2, len(self.ground) + 1):
+            a = np.flatnonzero(self.block_counts == k)
+            fan = ptr[a + 1] - ptr[a] - 1
+            x[a] -= np.add.reduceat(x[ups[_ranges(ptr[a], fan)]], np.cumsum(fan) - fan, axis=0)
         return x
 
     @property
     def mobius_matrix(self) -> np.ndarray:
         """Integer matrix of the Moebius function, the inverse of zeta; zero
-        outside the order.  A dense view for tests and tracing; no route
-        reads it."""
+        outside the order: ``zeta_solve`` of the identity.  A dense view
+        for tests and tracing; no route reads it."""
         core = self._core
         if core.mobius is None:
-            core.mobius = self.incidence_solve(self.finer, np.eye(self.size, dtype=np.int64))
+            core.mobius = self.zeta_solve(np.eye(self.size, dtype=np.int64))
         return core.mobius
 
     def mask(self, u) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "make_rng",
     "EmpiricalDistribution",
     "estimate_distribution",
-    "tv_distance",
 ]
 
 GENERATOR_NAME = "philox"
@@ -52,9 +50,9 @@ def make_rng(seed: int) -> np.random.Generator:
 @dataclass(eq=False)
 class EmpiricalDistribution:
     """Replicate counts per partition, with the sampling metadata.  The
-    counts are kept by lattice index: ``tally[i]`` replicates ended at the
-    i-th partition of ``lattice(ground)``, and ``counts`` is their view by
-    ``Partition``."""
+    counts are kept by lattice index, one entry per partition: ``tally[i]``
+    replicates ended at the i-th partition of ``lattice(ground)``, and
+    ``counts`` is their view by ``Partition``."""
 
     ground: tuple[int, ...]
     tally: np.ndarray
@@ -247,12 +245,5 @@ def estimate_distribution(
         raise ValueError("need at least one sample")
     i = _start_index(rates, t, start)
     ends = _final_indices(_jump_table(rates, i), i, t, n_samples, make_rng(seed))
-    return EmpiricalDistribution(rates.ground, np.bincount(ends), n_samples, t=t, seed=seed)
-
-
-def tv_distance(frequencies: Mapping[Partition, float], reference) -> float:
-    """Total variation distance between two distributions on the lattice:
-    half the sum of absolute differences."""
-    ref = reference.as_dict() if hasattr(reference, "as_dict") else dict(reference)
-    keys = set(frequencies) | set(ref)
-    return 0.5 * sum(abs(frequencies.get(p, 0.0) - ref.get(p, 0.0)) for p in keys)
+    tally = np.bincount(ends, minlength=lattice(rates.ground).size)
+    return EmpiricalDistribution(rates.ground, tally, n_samples, t=t, seed=seed)

@@ -175,6 +175,16 @@ class Scenario:
             raise ScenarioError(
                 "initial_measure must be a string spec or an inline tensor"
             )
+        if isinstance(measure_spec, list):
+            # every leaf of an inline tensor is a JSON number, whichever
+            # command runs; walked without recursion, however deep
+            stack = [measure_spec]
+            while stack:
+                leaf = stack.pop()
+                if isinstance(leaf, list):
+                    stack.extend(reversed(leaf))
+                else:
+                    _number(leaf, "inline measure entry")
 
         for key in ("time_grid", "monte_carlo", "tolerances"):
             if not isinstance(doc.get(key), (dict, type(None))):
@@ -290,15 +300,8 @@ class Scenario:
             return None
         space = self.space
         if isinstance(spec, list):
-            # inline dense tensor, nested by site in ascending order, each
-            # leaf a JSON number; walked without recursion, however deep
-            stack = [spec]
-            while stack:
-                leaf = stack.pop()
-                if isinstance(leaf, list):
-                    stack.extend(reversed(leaf))
-                else:
-                    _number(leaf, "inline measure entry")
+            # inline dense tensor, nested by site in ascending order; its
+            # leaves were checked to be numbers when the scenario loaded
             try:
                 return Measure(space, np.asarray(spec, dtype=float))
             except ValueError as exc:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -30,6 +33,16 @@ def random_rates(n: int, seed: int, total: float = 4.0, low: float = 0.1) -> Rat
     draw = rng.uniform(low, 1.0, lat.size)
     draw *= total / draw.sum()
     return RateSystem(ground_set(n), dict(zip(lat.parts, draw)))
+
+
+def benchmark_scenario(workload: str, seed: int) -> dict:
+    """The scenario document of a generated benchmark workload, from the
+    benchmark's generator loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generated_scenario(workload, seed)
 
 
 def key_of(rates):

@@ -4,7 +4,8 @@ The routes work on lattice arrays (labels, codes, comparable pairs).  The
 helpers here redo the same algebra on ``Partition`` objects, or invert and
 check a route's output, so that tests can compare the two.  No route calls
 them.  A helper that was a method takes its former instance as the first
-argument and reads only the public table views.
+argument and reads only the public table views; ``coefficient_table``
+reads the pair tables a closed-form solution stores.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from recomb.closed_form import ClosedFormSolution, _zeta_solve
+from recomb.closed_form import ClosedFormSolution
 from recomb.dynamics import _NEG_TOL, CoefficientVector, RateSystem
 from recomb.measures import Measure, recombinator
 from recomb.partitions import Lattice, Partition, as_ground, lattice, parse_partition
@@ -115,6 +116,38 @@ def mobius(a: Partition, b: Partition) -> int:
     _check_same_ground(a, b)
     lat = lattice(a.ground)
     return int(lat.mobius_matrix[lat.index[a], lat.index[b]])
+
+
+def finer_oracle(lat: Lattice) -> np.ndarray:
+    """Boolean matrix: [i, j] iff parts[i] refines parts[j], built by its
+    own label comparison, apart from the comparable pairs that
+    ``Lattice.finer`` marks.  a refines b iff b's labels are constant on
+    each block of a, that is, every site carries b's label of the first
+    site of its a-block."""
+    lab, first = lat.labels, lat.first_sites
+    f = np.ones((lat.size, lat.size), dtype=bool)
+    for s in range(1, lab.shape[1]):
+        f &= (lab[:, first[:, s]] == lab[:, s, None]).T
+    return f
+
+
+def incidence_solve(lat: Lattice, theta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution x of theta @ x = rhs, for an incidence-algebra element
+    given as a dense (B, B) table that vanishes off the order and has a
+    nonzero diagonal, and a right-hand side of B rows, a vector or a
+    table: the dense reference for ``Lattice.zeta_solve``.
+
+    Coarsest-first substitution over the strictly coarser elements up(i):
+    x[i] = (rhs[i] - theta[i, up(i)] @ x[up(i)]) / theta[i, i].  For a
+    boolean table (the zeta function) x keeps the dtype of rhs, so an
+    integer right-hand side is solved exactly.
+    """
+    ptr, ups = lat.up_sets
+    x = np.zeros(rhs.shape, dtype=rhs.dtype if theta.dtype == bool else float)
+    for i in np.argsort(lat.block_counts, kind="stable"):
+        up = ups[ptr[i] : ptr[i + 1] - 1]
+        x[i] = (rhs[i] - theta[i, up] @ x[up]) / theta[i, i]
+    return x
 
 
 def meet_row(lat: Lattice, i: int) -> np.ndarray:
@@ -261,13 +294,23 @@ def rates_from_linear_decay(
     if set(chi_table) != set(lat.parts):
         raise ValueError("decay table must cover every partition of the subset")
     chi = np.array([chi_table[p] for p in lat.parts], dtype=float)
-    return _rates_from_decay(g, _zeta_solve(lat, chi), rho_total)
+    return _rates_from_decay(g, lat.zeta_solve(chi), rho_total)
+
+
+def coefficient_table(sol: ClosedFormSolution, u) -> np.ndarray:
+    """The coefficient table of u as a dense (B, B) array, zero off the
+    order, from the pair table that ``json_chunks`` and ``evaluate`` read."""
+    g = as_ground(u)
+    lat = lattice(g)
+    table = np.zeros((lat.size, lat.size))
+    table[lat.pair_rows, lat.up_sets[1]] = sol._coeff[sol._key(g)]
+    return table
 
 
 def _invertible(sol: ClosedFormSolution, g: tuple[int, ...]) -> np.ndarray:
     """The dense coefficient table of g, checked to have no vanishing
     diagonal."""
-    theta = sol.coefficient_table(g)
+    theta = coefficient_table(sol, g)
     scale = max(1.0, float(np.abs(theta).max()))
     if np.abs(np.diag(theta)).min() <= _DIAG_TOL * scale:
         raise NonInvertibleError(
@@ -281,7 +324,7 @@ def inverse_table(sol: ClosedFormSolution, u) -> np.ndarray:
     """Inverse of the coefficient table in the incidence algebra."""
     g = as_ground(u)
     theta = _invertible(sol, g)
-    return lattice(g).incidence_solve(theta, np.eye(theta.shape[0]))
+    return incidence_solve(lattice(g), theta, np.eye(theta.shape[0]))
 
 
 def decoupled_coefficient(sol: ClosedFormSolution, u, a: Partition, t: float) -> float:
@@ -289,7 +332,7 @@ def decoupled_coefficient(sol: ClosedFormSolution, u, a: Partition, t: float) ->
     exp(-decay(a) * t).  One substitution solves for the whole vector."""
     g = as_ground(u)
     lat = lattice(g)
-    x = lat.incidence_solve(_invertible(sol, g), sol.evaluate(g, [t]).values[0])
+    x = incidence_solve(lat, _invertible(sol, g), sol.evaluate(g, [t]).values[0])
     return float(x[lat.index[a]])
 
 
@@ -297,7 +340,7 @@ def recovered_rates(sol: ClosedFormSolution, u) -> dict[Partition, float]:
     """Rates reconstructed from decay rates and coefficients; round-trips
     with the marginal input rates."""
     g = as_ground(u)
-    product = sol.coefficient_table(g) @ sol.decay_table(g)
+    product = coefficient_table(sol, g) @ sol.decay_table(g)
     return _rates_from_decay(g, product, sol.rates.total)
 
 
@@ -350,6 +393,14 @@ def measure_to_csv(nu: Measure, path) -> None:
 
 
 # process -------------------------------------------------------------------
+
+
+def tv_distance(frequencies: Mapping[Partition, float], reference) -> float:
+    """Total variation distance between two distributions on the lattice:
+    half the sum of absolute differences, over a set of ``Partition``."""
+    ref = reference.as_dict() if hasattr(reference, "as_dict") else dict(reference)
+    keys = set(frequencies) | set(ref)
+    return 0.5 * sum(abs(frequencies.get(p, 0.0) - ref.get(p, 0.0)) for p in keys)
 
 
 def simulate_path(

@@ -31,11 +31,12 @@ from recomb.dynamics import (
 )
 from recomb.measures import Measure, TypeSpace, mixture, recombinator
 from recomb.partitions import Partition, ground_set, lattice
-from recomb.process import estimate_distribution, tv_distance
+from recomb.process import estimate_distribution
 
 from conftest import random_rates
 from oracles import (
     bell_oracle,
+    coefficient_table,
     inverse_table,
     meet,
     meet_table,
@@ -43,6 +44,7 @@ from oracles import (
     recovered_rates,
     restrict,
     tv_deviation,
+    tv_distance,
 )
 
 
@@ -213,7 +215,7 @@ def test_criterion_7_coefficient_structure():
             lat = lattice(g)
             rates = random_rates(n, seed=500 + n, total=4.0)
             sol = build_closed_form(rates)
-            theta = sol.coefficient_table(g)
+            theta = coefficient_table(sol, g)
             eta = inverse_table(sol, g)
             psi = sol.decay_table(g)
             eye = np.eye(lat.size)

@@ -19,11 +19,11 @@ import recomb.dynamics as dynamics
 from recomb.cli import main
 from recomb.dynamics import default_step, program_cells, rk4_plan
 from recomb.measures import Measure, TypeSpace
-from recomb.partitions import MAX_SITES, Partition
+from recomb.partitions import MAX_SITES, Lattice, Partition
 from recomb.scenario import Scenario, ScenarioError
 from recomb.partitions import ground_set, lattice
 
-from conftest import key_of, within_budget
+from conftest import benchmark_scenario, key_of, within_budget
 from oracles import (
     bell_oracle,
     enumerate_partitions,
@@ -819,6 +819,28 @@ def test_compare_fills_one_entry(tmp_path):
     assert support.closed_form is None and support.size is None and not support.jump_tables
 
 
+def test_routes_build_no_partition(tmp_path, monkeypatch):
+    # every command finds partitions by lattice index and spells them from
+    # Lattice.names: no Partition is built and no view by Partition read,
+    # on the shipped scenarios and the generated benchmark ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route built or read a Partition")
+
+    configs = sorted(SCENARIO_DIR.glob("*.json"))
+    for workload in ("dense-n6", "sparse-n7-cold"):
+        configs.append(write_config(tmp_path, benchmark_scenario(workload, 101), f"{workload}.json"))
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    monkeypatch.setattr(Partition, "_from_canonical", classmethod(refuse))
+    monkeypatch.setattr(Lattice, "parts", property(refuse))
+    monkeypatch.setattr(Lattice, "index", property(refuse))
+    refused = {("solve", "n4_bad_degenerate"): 3, ("simulate", "n4_single_crossover"): 2}
+    for cfg in configs:
+        for command in ("solve", "integrate", "simulate", "compare"):
+            out = tmp_path / cfg.stem / command
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            assert code == refused.get((command, cfg.stem), 0), (command, cfg.stem)
+
+
 def test_solve_without_a_measure_builds_no_trie(tmp_path):
     # a solve without a measure fills the closed form and its chain count
     # of its rates' entry, and no trie, plan or program
@@ -1139,6 +1161,18 @@ class TestScenarioValidation:
         w[0, 0, 0] = np.nan
         measure_to_csv(Measure(TypeSpace.regular(3, 2), w, validate=False), tmp_path / "nan.csv")
         # json writes NaN and Infinity literals, which the scenario loader reads
+        cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": spec})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert_refused_before_output(capsys, out, word)
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("case", [k for k in BAD_MEASURES if k.endswith("-leaf")])
+    def test_malformed_inline_measure_refused_on_load(self, tmp_path, capsys, command, case):
+        # the scenario loader checks every leaf of an inline measure, so the
+        # commands that never read the measure refuse it with the line that
+        # integrate and compare print (test_non_finite_measure_rejected)
+        spec, word = BAD_MEASURES[case]
         cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": spec})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2

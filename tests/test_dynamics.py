@@ -1,4 +1,3 @@
-import importlib.util
 from itertools import combinations
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from recomb.partitions import (
 from recomb.scenario import Scenario
 
 import oracles
-from conftest import key_of, random_rates, within_budget
+from conftest import benchmark_scenario, key_of, random_rates, within_budget
 from oracles import is_refinement, meet, meet_gain, refinement_gain, restrict, tv_deviation
 
 
@@ -1009,20 +1008,10 @@ class TestLockstep:
             assert not compiles and not dynamics._tables(rates).programs
 
 
-def load_workloads():
-    """The benchmark's scenario generator, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def named_scenario(name):
     """A shipped scenario, or a generated benchmark one named workload-seed."""
     if name.startswith("dense-n6-"):
-        doc = load_workloads().generated_scenario("dense-n6", int(name.rsplit("-", 1)[1]))
-        return Scenario.from_dict(doc)
+        return Scenario.from_dict(benchmark_scenario("dense-n6", int(name.rsplit("-", 1)[1])))
     return Scenario.from_file(SCENARIOS / f"{name}.json")
 
 

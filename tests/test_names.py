@@ -7,7 +7,6 @@ before they worked on codes: ``str`` of each part for the texts, the
 equal-decay scan that held each class's members as objects.
 """
 
-import importlib.util
 import json
 from functools import lru_cache
 from itertools import combinations
@@ -30,7 +29,7 @@ from recomb.partitions import (
 from recomb.process import _text_rank
 from recomb.scenario import Scenario
 
-from conftest import random_rates
+from conftest import benchmark_scenario, random_rates
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,13 +192,6 @@ def pairs_oracle(classes, tolerance):
             kind = "bad" if top in (a, b) and (a in bad or b in bad) else "harmless"
             out.append(DegeneracyPair(subset, a, b, decay[i], decay[j], kind))
     return out
-
-
-def benchmark_scenario(workload, seed):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.generated_scenario(workload, seed)
 
 
 @pytest.mark.parametrize(

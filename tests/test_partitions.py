@@ -12,6 +12,8 @@ from conftest import partition_of
 from oracles import (
     bell_oracle,
     enumerate_partitions,
+    finer_oracle,
+    incidence_solve,
     is_refinement,
     join_disjoint,
     meet,
@@ -91,8 +93,10 @@ class TestRefinementOrder:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_partial_order_axioms_exhaustive(self, n):
+        # the order of the pairs, equal to the label comparison's
         lat = lattice(ground_set(n))
         f = lat.finer
+        assert np.array_equal(f, finer_oracle(lat))
         assert f.diagonal().all()  # reflexive
         antisym = f & f.T
         assert np.array_equal(antisym, np.eye(lat.size, dtype=bool))  # antisymmetric
@@ -109,6 +113,7 @@ class TestLatticeTables:
         lat = lattice(ground_set(n))
         expected = [[is_refinement(a, b) for b in lat.parts] for a in lat.parts]
         assert np.array_equal(lat.finer, expected)
+        assert np.array_equal(finer_oracle(lat), expected)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_meet_table_matches_meet(self, n):
@@ -152,20 +157,21 @@ class TestSharedCore:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_down_and_up_sets_match_finer(self, n):
         lat = lattice(ground_set(n))
+        finer = finer_oracle(lat)
         (dptr, down), (uptr, up) = lat.down_sets, lat.up_sets
         for i in range(lat.size):
             below = down[dptr[i] : dptr[i + 1]]
             above = up[uptr[i] : uptr[i + 1]]
-            assert below.tolist() == np.flatnonzero(lat.finer[:, i]).tolist()
-            assert above.tolist() == np.flatnonzero(lat.finer[i]).tolist()
+            assert below.tolist() == np.flatnonzero(finer[:, i]).tolist()
+            assert above.tolist() == np.flatnonzero(finer[i]).tolist()
             assert below[0] == i and above[-1] == i
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pairs_are_the_nonzeros_of_finer(self, n):
         # the pairs come from the labels alone; the dense order, built by
-        # its own comparison, is the oracle
+        # its own label comparison, is the oracle
         lat = lattice(ground_set(n))
-        rows, cols = np.nonzero(lat.finer)
+        rows, cols = np.nonzero(finer_oracle(lat))
         ptr, ups = lat.up_sets
         assert np.array_equal(lat.pair_rows, rows) and np.array_equal(ups, cols)
         assert np.array_equal(ptr, np.searchsorted(rows, np.arange(lat.size + 1)))
@@ -322,7 +328,7 @@ class TestMobius:
         expected = (-1) ** (n - 1) * math.factorial(n - 1)
         assert mobius(Partition.singletons(g), Partition.whole(g)) == expected
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_inversion_identities_exhaustive(self, n):
         lat = lattice(ground_set(n))
         zeta = lat.finer.astype(float)
@@ -354,17 +360,23 @@ class TestIncidenceAlgebra:
         lat = lattice(ground_set(n))
         theta = lat.finer * rng.uniform(0.5, 1.5, (lat.size, lat.size))
         rhs = rng.uniform(-1.0, 1.0, (lat.size,) if columns is None else (lat.size, columns))
-        x = lat.incidence_solve(theta, rhs)
+        x = incidence_solve(lat, theta, rhs)
         reference = np.linalg.solve(theta, rhs)
         assert x.shape == rhs.shape
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+        # the pair solver inverts zeta as the dense one does
+        x = lat.zeta_solve(rhs)
+        reference = incidence_solve(lat, finer_oracle(lat).astype(float), rhs)
+        assert x.shape == rhs.shape and x.dtype == float
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_zeta_solve_keeps_integers(self, n):
         lat = lattice(ground_set(n))
         rhs = np.arange(lat.size, dtype=np.int64) - lat.size // 2
-        x = lat.incidence_solve(lat.finer, rhs)
+        x = lat.zeta_solve(rhs)
         assert x.dtype == np.int64
+        assert np.array_equal(x, incidence_solve(lat, finer_oracle(lat), rhs))
         assert np.array_equal(x, lat.mobius_matrix @ rhs)
         assert lat.mobius_matrix.dtype == np.int64
 

@@ -17,11 +17,10 @@ from recomb.process import (
     _text_order,
     estimate_distribution,
     make_rng,
-    tv_distance,
 )
 
 from conftest import random_rates
-from oracles import decay_rate, is_refinement, simulate_path, transition_product_check
+from oracles import decay_rate, is_refinement, simulate_path, transition_product_check, tv_distance
 
 
 def splitting_rate_oracle(rates, u):

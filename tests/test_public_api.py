@@ -44,7 +44,6 @@ PUBLIC = [
     "parse_partition",
     "product_measure",
     "recombinator",
-    "tv_distance",
     "uniform_measure",
 ]
 
@@ -75,10 +74,13 @@ MOVED = [
     "split_block_count",
     "transition_product_check",
     "tv_deviation",
+    "tv_distance",
 ]
 MOVED_MEMBERS = [
     (Lattice, "meet_row"),
     (Lattice, "meet_table"),
+    (Lattice, "incidence_solve"),
+    (ClosedFormSolution, "coefficient_table"),
     (ClosedFormSolution, "_invertible"),
     (ClosedFormSolution, "inverse_table"),
     (ClosedFormSolution, "decoupled_coefficient"),
