@@ -32,8 +32,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gammainc
 
-from recomb.dynamics import CoefficientTrajectory, RateSystem, _charge, _entry
-from recomb.partitions import Partition, _ranges, as_ground, ground_set, lattice
+from recomb.dynamics import CoefficientTrajectory, RateSystem, _entry
+from recomb.partitions import Partition, _ranges, _runs, as_ground, ground_set, lattice
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -329,7 +329,7 @@ class ClosedFormSolution:
             names = lat.names
             decay = dumps(dict(zip(names, psi.tolist())))
             yield f'{", " if i else ""}{dumps(",".join(map(str, u)))}: {{"decay": {decay}, "coeff": {{'
-            for lo, hi in _runs(np.diff(ptr)):
+            for lo, hi in _runs(np.diff(ptr), _RUN_CHAINS):
                 coeff: dict[str, dict[str, float]] = {names[a]: {} for a in range(lo, hi)}
                 nz = ptr[lo] + np.flatnonzero(theta[ptr[lo] : ptr[hi]])
                 for a, b, value in zip(
@@ -343,17 +343,6 @@ class ClosedFormSolution:
 
 # chains per run of the chain scatter; bounds its temporaries at n = 10
 _RUN_CHAINS = 1 << 15
-
-
-def _runs(counts: np.ndarray, cap: int | None = None) -> list[tuple[int, int]]:
-    """Consecutive (lo, hi) runs of items with positive counts, adding up
-    to about cap (_RUN_CHAINS) each; an item above cap runs alone."""
-    ends = np.cumsum(counts)
-    if not ends.size:
-        return []
-    cap = max(_RUN_CHAINS if cap is None else cap, 1)
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], cap), "right"))
-    return list(zip(cuts.tolist(), [*cuts[1:].tolist(), len(ends)]))
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +390,7 @@ def _chain_pieces(lat, c: np.ndarray):
             q = lattice(ground_set(k))
             qptr, qbelow = q.down_sets
             span = qptr[s[bounds[k] : bounds[k + 1]] + 1] - qptr[s[bounds[k] : bounds[k + 1]]]
-            for lo2, hi2 in _runs(span):
+            for lo2, hi2 in _runs(span, _RUN_CHAINS):
                 rc, ra, rs = (x[bounds[k] + lo2 : bounds[k] + hi2] for x in (cs, a, s))
                 rf = span[lo2:hi2]
                 first = np.cumsum(rf) - rf
@@ -464,11 +453,9 @@ def closed_form_size(rates: RateSystem) -> tuple[int, int]:
     expands, with c rated and not the top (before the decay rates drop any
     column).  Counted from block sizes and the marginal rates; no table is
     built.  Kept in the entry of rates in the process store
-    (``dynamics._entry``), uncharged: a count is not the cells it sizes."""
-    entry = _entry(rates)
-    if entry.size is None:
-        entry.size = _size(rates)
-    return entry.size
+    (``dynamics._entry``) at ``"size"``, uncharged: a count is not the
+    cells it sizes."""
+    return _entry(rates).fill("size", lambda: _size(rates))
 
 
 def _size(rates: RateSystem) -> tuple[int, int]:
@@ -491,18 +478,15 @@ def build_closed_form(rates: RateSystem) -> ClosedFormSolution:
     coincidences are attached to the returned solution's report; the
     coefficients extend continuously there.
 
-    The solution, or the report that refused it, is kept with the rates in
-    the entry of rates in the process store (``dynamics._entry``), charged
-    its ``cells``: while it is kept, a call on equal rates returns that
-    solution, built from equal rates, or raises with that report.
+    The solution, or the report that refused it, is kept in the entry of
+    rates in the process store (``dynamics._entry``) at ``"closed_form"``,
+    charged its ``cells``: while it is kept, a call on equal rates returns
+    that solution, built from equal rates, or raises with that report.
     """
-    entry = _entry(rates)
-    if entry.closed_form is None:
-        entry.closed_form = _build(rates)
-        _charge(entry, entry.closed_form.cells)
-    if isinstance(entry.closed_form, DegeneracyReport):
-        raise DegeneracyError(entry.closed_form)
-    return entry.closed_form
+    solution = _entry(rates).fill("closed_form", lambda: _build(rates), lambda s: s.cells)
+    if isinstance(solution, DegeneracyReport):
+        raise DegeneracyError(solution)
+    return solution
 
 
 def _build(rates: RateSystem) -> ClosedFormSolution | DegeneracyReport:

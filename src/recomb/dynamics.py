@@ -21,12 +21,15 @@ steps the coefficient and the measure system in lockstep (``_compile``).
 
 What the rates alone determine is kept in one entry per rate system in a
 per-process store (``_entry``), keyed by the ground and the lattice indices
-and rates in the order given: the trie and its programs, compiled once per
-tuple of state spaces (``_tables``, ``_program``), the closed form and the
-sampler's jump tables.  A mixture's support is kept as the entry of its
-partitions at unit rates.  Each slot is charged the cells it holds as it is
-filled (``_charge``), and the store is bounded by the cells its entries
-hold: past MAX_STATES, the least recently used are dropped.
+and rates in the order given, one slot per artifact: the trie
+(``"tables"``, ``_tables``) and its programs, compiled once per tuple of
+state spaces (``("program", spaces)``, ``_program``), the closed form
+(``"closed_form"``) and its count (``"size"``), and the sampler's jump
+table of each start (``("jump", start)``).  A mixture's support is kept as
+the entry of its partitions at unit rates.  Every slot is filled by one
+method, ``_Entry.fill``, which builds it on first use and charges the cells
+it holds (``_charge``); the store is bounded by the cells its entries hold:
+past MAX_STATES, the least recently used are dropped.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from recomb.measures import MAX_STATES, Measure, TypeSpace
-from recomb.partitions import Partition, as_ground, bell_number, lattice
+from recomb.partitions import Partition, _runs, as_ground, bell_number, lattice
 
 __all__ = [
     "RateSystem",
@@ -85,10 +88,7 @@ class RateSystem:
                 raise TypeError("rate keys must be Partition objects")
             if p.ground != g:
                 raise ValueError(f"partition {p} is not on the ground set {g}")
-            r = float(r)
-            if not (math.isfinite(r) and r >= 0):
-                raise ValueError(f"rate for {p} must be finite and nonnegative, got {r}")
-            clean[p] = r
+            clean[p] = float(r)
         self._setup(g, lattice(g).locate(clean), list(clean.values()))
         self._rates = clean
 
@@ -123,16 +123,16 @@ class RateSystem:
         if twice.size:
             bad = idx[twice.min()]
             raise ValueError(f"partition index {bad} ({lat.names[bad]}) is given twice")
-        bad = next((k for k, r in enumerate(weights) if not (math.isfinite(r) and r >= 0)), None)
-        if bad is not None:
-            name = lat.names[idx[bad]]
-            raise ValueError(f"rate for {name} must be finite and nonnegative, got {weights[bad]}")
         self = object.__new__(cls)
         self._setup(g, idx, weights)
         self._rates = None
         return self
 
     def _setup(self, g: tuple[int, ...], indices: np.ndarray, weights: list[float]) -> None:
+        bad = next((k for k, r in enumerate(weights) if not (math.isfinite(r) and r >= 0)), None)
+        if bad is not None:
+            name = lattice(g).names[indices[bad]]
+            raise ValueError(f"rate for {name} must be finite and nonnegative, got {weights[bad]}")
         self.ground = g
         self.total = float(sum(weights))
         if not math.isfinite(self.total):
@@ -366,11 +366,9 @@ class _Tables:
     """The tables compiled from the kept rates of a rate system (``_kept``):
     the lattice index of each kept partition in trie order (``leaves``),
     its rate (``weights``), their prefix trie (``_trie``) and, per state
-    space, the descent plan and cell count (``plans``) and, per tuple of
-    spaces asked for, the compiled program (``programs``; ``(None,
-    space)`` for the lockstep one)."""
+    space, the descent plan and cell count (``plans``)."""
 
-    __slots__ = ("ground", "leaves", "weights", "trie", "words", "plans", "programs")
+    __slots__ = ("ground", "leaves", "weights", "trie", "words", "plans")
 
     def __init__(self, ground: tuple, leaves: np.ndarray, weights: np.ndarray):
         self.ground = ground
@@ -390,7 +388,6 @@ class _Tables:
         )
         self.words = 1 + leaves.size + weights.size + made // 8
         self.plans: dict = {}
-        self.programs: dict = {}
 
 
 def _kept(rates: RateSystem) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -405,25 +402,33 @@ def _kept(rates: RateSystem) -> tuple[tuple, np.ndarray, np.ndarray]:
     return g, indices[order], weights[order]
 
 
-class _Entry:
+class _Entry(dict):
     """What a rate system determines, kept in the process store
-    (``_entry``): its compiled tables, built from its kept rates on first
-    use (``tables``, ``_tables``), the closed form or the
-    ``DegeneracyReport`` that refused it (``closed_form``), its ``(pairs,
-    chains)`` count (``size``) and the Monte Carlo jump table of each start
-    index (``jump_tables``).  Each slot is filled on first use by the
-    module that builds it, with read-only arrays, and handed to every later
-    caller as it is; what it holds is charged to the entry's ``cells`` as
-    it is filled (``_charge``)."""
+    (``_entry``): one slot per artifact, filled on first use by the module
+    that builds it (``fill``) with read-only arrays and handed to every
+    later caller as it is.  The slots are its compiled tables (``"tables"``,
+    ``_tables``), the program of each tuple of spaces (``("program",
+    spaces)``, ``_program``), the closed form or the ``DegeneracyReport``
+    that refused it (``"closed_form"``), its ``(pairs, chains)`` count
+    (``"size"``) and the Monte Carlo jump table of each start index
+    (``("jump", start)``).  What they hold is charged to ``cells`` as they
+    are filled (``_charge``)."""
 
-    __slots__ = ("cells", "tables", "closed_form", "size", "jump_tables")
+    __slots__ = ("cells",)
 
     def __init__(self):
+        super().__init__()
         self.cells = 0
-        self.tables = None
-        self.closed_form = None
-        self.size = None
-        self.jump_tables: dict = {}
+
+    def fill(self, slot, build, cells=None):
+        """The value kept at slot: on first use build() and, given cells,
+        charged cells(value).  A build that raises leaves no slot and no
+        charge."""
+        if slot not in self:
+            self[slot] = build()
+            if cells is not None:
+                _charge(self, cells(self[slot]))
+        return self[slot]
 
 
 class _Store(dict):
@@ -477,10 +482,7 @@ def _tables(rates: RateSystem, entry: _Entry | None = None) -> _Tables:
     and charged their ``words``."""
     if entry is None:
         entry = _entry(rates)
-    if entry.tables is None:
-        entry.tables = _Tables(*_kept(rates))
-        _charge(entry, entry.tables.words)
-    return entry.tables
+    return entry.fill("tables", lambda: _Tables(*_kept(rates)), lambda tables: tables.words)
 
 
 def _trie(ground: tuple, leaves: np.ndarray) -> tuple[list, list, dict]:
@@ -584,11 +586,11 @@ def _program(rates: RateSystem, *spaces) -> _TrieProgram:
     spaces = spaces or (None,)
     entry = _entry(rates)
     tables = _tables(rates, entry)
-    prog = tables.programs.get(spaces)
-    if prog is None:
-        prog = tables.programs[spaces] = _compile(tables, spaces)
-        _charge(entry, sum(tables.plans[space][1] for space in spaces))
-    return prog
+    return entry.fill(
+        ("program", spaces),
+        lambda: _compile(tables, spaces),
+        lambda _: sum(tables.plans[space][1] for space in spaces),
+    )
 
 
 # one system of a program: its space, state counter, descent plan and restrictions
@@ -747,9 +749,8 @@ def _compile(tables: _Tables, spaces: tuple) -> _TrieProgram:
             group = by_height[h][count]
             for s, start, offset in zip(systems, starts, offsets):
                 # runs of about _RUN_STATES candidate states bound the filtered arrays
-                fed = np.cumsum([s.n_states(nodes[prefix][1]) for prefix, _, _ in group])
-                cuts = np.unique(np.searchsorted(fed, np.arange(0, fed[-1], _RUN_STATES), "right"))
-                for i, k in zip(cuts, [*cuts[1:], None]):
+                fed = [s.n_states(nodes[prefix][1]) for prefix, _, _ in group]
+                for i, k in _runs(fed, _RUN_STATES):
                     runs.append(feed(s, start, offset, group[i:k], lo[h]))
         child, parent = (np.concatenate([run[f] for run in runs]) for f in (0, 1))
         cells = [

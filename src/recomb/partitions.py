@@ -245,6 +245,16 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
+def _runs(counts: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Consecutive (lo, hi) runs of items with positive counts, adding up
+    to about cap each; an item above cap runs alone."""
+    ends = np.cumsum(counts)
+    if not ends.size:
+        return []
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], max(cap, 1)), "right"))
+    return list(zip(cuts.tolist(), [*cuts[1:].tolist(), len(ends)]))
+
+
 class _Core:
     """What every lattice of a k-set shares: the arrays of ``Lattice``, and
     its lazy tables, which ``Lattice`` fills on first use.  The rows of the
@@ -520,12 +530,14 @@ class Lattice:
     def block_masks(self) -> np.ndarray:
         """(B, n) block masks: bit s of entry [i, j] is set iff the s-th site
         of the ground set lies in the j-th block of parts[i]; zero past the
-        last block."""
+        last block.  Set one site at a time, so no (B, n, n) table is made."""
         core = self._core
         if core.block_masks is None:
-            n = len(self.ground)
-            blocks = self.labels[:, None, :] == np.arange(n)[None, :, None]
-            core.block_masks = blocks.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+            lab = self.labels
+            rows = np.arange(lab.shape[0])
+            core.block_masks = np.zeros(lab.shape, dtype=np.int64)
+            for s in range(lab.shape[1]):
+                core.block_masks[rows, lab[:, s]] |= 1 << s
         return core.block_masks
 
     def zeta_solve(self, rhs: np.ndarray) -> np.ndarray:

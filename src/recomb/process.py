@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from recomb.dynamics import RateSystem, _charge, _entry
+from recomb.dynamics import RateSystem, _entry
 from recomb.partitions import Partition, ground_set, lattice
 
 __all__ = [
@@ -102,14 +102,12 @@ def _text_order(ground: tuple[int, ...]) -> np.ndarray:
 
 
 def _jump_table(rates: RateSystem, start: int):
-    """``_build_jump_table`` of rates and start, kept with the rates in the
-    process store (``dynamics._entry``) and charged its entries."""
-    entry = _entry(rates)
-    table = entry.jump_tables.get(start)
-    if table is None:
-        table = entry.jump_tables[start] = _build_jump_table(rates, start)
-        _charge(entry, table[1].size)
-    return table
+    """``_build_jump_table`` of rates and start, kept in the entry of rates
+    in the process store (``dynamics._entry``) at ``("jump", start)`` and
+    charged its entries."""
+    return _entry(rates).fill(
+        ("jump", start), lambda: _build_jump_table(rates, start), lambda table: table[1].size
+    )
 
 
 def _build_jump_table(rates: RateSystem, start: int):
@@ -137,8 +135,7 @@ def _build_jump_table(rates: RateSystem, start: int):
     jumps = []  # per round: states, block positions, successors, rates
     while (frontier := np.flatnonzero(reached & ~seen)).size:
         seen[frontier] = True
-        lab = lat.labels[frontier]
-        masks = (lab[:, None, :] == np.arange(n)[:, None]) @ bits  # sites of block k
+        masks = lat.block_masks[frontier]  # sites of block k
         row, k = np.nonzero(masks & (masks - 1))  # blocks of two or more sites
         first_site = lat.first_sites[frontier]
         pieces = [(row[:0],) * 2 + (first_site[:0], np.empty(0))]  # for a round with no split

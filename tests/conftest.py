@@ -50,10 +50,20 @@ def key_of(rates):
     return rates.ground, rates.indices.tobytes(), rates.weights.tobytes()
 
 
+def slots(entry, kind):
+    """The values an entry of the process store holds at its slots (kind,
+    x), by x: kind "program" by tuple of spaces, "jump" by start index."""
+    return {
+        slot[1]: value
+        for slot, value in entry.items()
+        if isinstance(slot, tuple) and slot[0] == kind
+    }
+
+
 def within_budget(monkeypatch):
-    """Check after each lookup in the process store and each charge, in
-    every module that fills an entry, that the store's total is the sum of
-    its entries' cells, and that they hold at most MAX_STATES cells
+    """Check after each lookup in the process store, in every module that
+    looks one up, and after each charge that the store's total is the sum
+    of its entries' cells, and that they hold at most MAX_STATES cells
     together or the store holds the entry just used alone; returns the keys
     looked up, in order."""
     import recomb.closed_form as cf
@@ -79,7 +89,7 @@ def within_budget(monkeypatch):
 
     for module in (dynamics, cf, proc):
         monkeypatch.setattr(module, "_entry", looked_up)
-        monkeypatch.setattr(module, "_charge", charged)
+    monkeypatch.setattr(dynamics, "_charge", charged)  # every slot is charged by _Entry.fill
     return lookups
 
 

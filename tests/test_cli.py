@@ -23,7 +23,7 @@ from recomb.partitions import MAX_SITES, Lattice, Partition
 from recomb.scenario import Scenario, ScenarioError
 from recomb.partitions import ground_set, lattice
 
-from conftest import benchmark_scenario, key_of, within_budget
+from conftest import benchmark_scenario, key_of, slots, within_budget
 from oracles import (
     bell_oracle,
     enumerate_partitions,
@@ -807,16 +807,17 @@ def test_compare_fills_one_entry(tmp_path):
     assert len(dynamics._store) == 2
     entry = dynamics._store.pop(key_of(rates))
     (support,) = dynamics._store.values()
-    tables = entry.tables
-    assert set(tables.programs) == {(None, space)}
-    assert entry.closed_form.rates.ground == rates.ground and entry.size is not None
-    assert set(entry.jump_tables) == {lattice(rates.ground).top_index}
+    tables = entry["tables"]
+    assert set(slots(entry, "program")) == {(None, space)}
+    assert entry["closed_form"].rates.ground == rates.ground and entry.get("size") is not None
+    assert set(slots(entry, "jump")) == {lattice(rates.ground).top_index}
     programs = tables.plans[None][1] + tables.plans[space][1]
-    jumps = sum(table[1].size for table in entry.jump_tables.values())
+    jumps = sum(table[1].size for table in slots(entry, "jump").values())
     key = 1 + rates.indices.size + rates.weights.size
-    assert entry.cells == key + tables.words + programs + entry.closed_form.cells + jumps
-    assert set(support.tables.programs) == {(space,)}
-    assert support.closed_form is None and support.size is None and not support.jump_tables
+    assert entry.cells == key + tables.words + programs + entry["closed_form"].cells + jumps
+    assert set(slots(support, "program")) == {(space,)}
+    assert support.get("closed_form") is None and support.get("size") is None
+    assert not slots(support, "jump")
 
 
 def test_routes_build_no_partition(tmp_path, monkeypatch):
@@ -851,8 +852,9 @@ def test_solve_without_a_measure_builds_no_trie(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert list(dynamics._store) == [key_of(rates)]
     (entry,) = dynamics._store.values()
-    assert entry.tables is None
-    assert entry.closed_form is not None and entry.size is not None and not entry.jump_tables
+    assert entry.get("tables") is None
+    assert entry.get("closed_form") is not None and entry.get("size") is not None
+    assert not slots(entry, "jump")
 
 
 def test_each_call_logs_to_its_own_stderr(tmp_path, monkeypatch):

@@ -1113,7 +1113,7 @@ class TestKeptSolution:
         rates = random_rates(5, seed=67)
         size = closed_form_size(rates)
         entry = dynamics._entry(rates)
-        assert entry.size == size
+        assert entry["size"] == size
 
         def refuse(*args):
             raise AssertionError("a marginal was summed again")

@@ -36,7 +36,7 @@ from recomb.partitions import (
 from recomb.scenario import Scenario
 
 import oracles
-from conftest import benchmark_scenario, key_of, random_rates, within_budget
+from conftest import benchmark_scenario, key_of, random_rates, slots, within_budget
 from oracles import is_refinement, meet, meet_gain, refinement_gain, restrict, tv_deviation
 
 
@@ -108,6 +108,20 @@ class TestRateSystem:
         with pytest.raises(ValueError, match=message) as refused:
             RateSystem.from_indices(ground_set(3), indices, weights)
         assert "\n" not in str(refused.value)
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_bad_rate_refused_by_name_either_way(self, rate):
+        # one check, after the keys: by mapping and by index the same line,
+        # and a foreign key after a bad rate is named first
+        g = ground_set(3)
+        lat = lattice(g)
+        message = rf"^rate for 1\|2,3 must be finite and nonnegative, got {rate}$"
+        with pytest.raises(ValueError, match=message):
+            RateSystem(g, {lat.parts[0]: 1.0, Partition([[1], [2, 3]]): rate})
+        with pytest.raises(ValueError, match=message):
+            RateSystem.from_indices(g, [0, 3], [1.0, rate])
+        with pytest.raises(ValueError, match="is not on the ground set"):
+            RateSystem(g, {Partition([[1], [2, 3]]): rate, Partition.whole((1, 2)): 1.0})
 
     def test_wrong_ground_rejected(self):
         with pytest.raises(ValueError):
@@ -608,7 +622,7 @@ class TestPairProgram:
         omega0 = Measure(space, np.ones(space.sizes), validate=False)
         with pytest.raises(ValueError, match="measure program"):
             integrate_measure(rates, omega0, [0.0, 1.0])
-        assert not compiles and not dynamics._tables(rates).programs
+        assert not compiles and not slots(dynamics._entry(rates), "program")
 
 
 def count_compiles(monkeypatch):
@@ -629,7 +643,7 @@ def count_compiles(monkeypatch):
 def kept_tables():
     """The keys of the entries in the process store that hold compiled
     tables, least recently used first."""
-    return [key for key, entry in dynamics._store.items() if entry.tables is not None]
+    return [key for key, entry in dynamics._store.items() if "tables" in entry]
 
 
 def flat_marginals(prog, unit, ground, space=None):
@@ -842,7 +856,7 @@ class TestMixtures:
         assert all(cells <= bound for cells in runs)
         assert lookups == [key_of(whole)]
         assert dynamics._store == before
-        assert not dynamics._tables(whole).programs
+        assert not slots(dynamics._entry(whole), "program")
 
     def test_measures_mixture_goes_through_the_trie(self, monkeypatch):
         space = mixed_space(4)
@@ -1005,7 +1019,7 @@ class TestLockstep:
             monkeypatch.setattr(dynamics, bound, int(limit * work))
             with pytest.raises(ValueError, match=f"^{kind} (program|integration) of"):
                 integrate_measure(rates, nu, grid, a0=a0)
-            assert not compiles and not dynamics._tables(rates).programs
+            assert not compiles and not slots(dynamics._entry(rates), "program")
 
 
 def named_scenario(name):
@@ -1155,13 +1169,13 @@ class TestProgramCache:
         joint = integrate_measure(rates, omega0, scenario.grid.array(), a0=a0)
         values = joint.coefficients.values
         mixtures(values, omega0)
-        assert set(dynamics._tables(rates).programs) == {(None, space)}
+        assert set(slots(dynamics._entry(rates), "program")) == {(None, space)}
         assert [spaces for _, _, spaces in compiles] == [(None, space), (space,)]
         support = np.flatnonzero(np.any(values != 0.0, axis=0))
         support = support[support != lattice(rates.ground).top_index]
         unit = RateSystem.from_indices(rates.ground, support, [1.0] * support.size)
         assert compiles[1] == tuple(a.tobytes() for a in dynamics._kept(unit)[1:]) + ((space,),)
-        assert set(dynamics._tables(unit).programs) == {(space,)}
+        assert set(slots(dynamics._entry(unit), "program")) == {(space,)}
 
     def test_another_order_is_another_entry(self, monkeypatch):
         space = mixed_space(4)
@@ -1231,3 +1245,46 @@ class TestProgramCache:
         gc.collect()
         assert first() is None and len(compiles) == 2
         assert kept_tables() == [key_of(systems[1])]
+
+    @pytest.mark.parametrize("slot", ["closed_form", "jump"])
+    def test_a_failed_build_fills_no_slot(self, slot, monkeypatch):
+        # a build that raises leaves its entry without the slot and the
+        # store's total the sum of its entries' cells; the next call builds
+        # once, charges once and keeps what it built
+        import recomb.closed_form as cf
+        import recomb.process as proc
+
+        rates = random_rates(4, seed=71)
+        top = lattice(rates.ground).top_index
+        module, name, call, key = {
+            "closed_form": (cf, "_build", lambda: cf.build_closed_form(rates), "closed_form"),
+            "jump": (proc, "_build_jump_table", lambda: proc._jump_table(rates, top), ("jump", top)),
+        }[slot]
+        build, builds = getattr(module, name), []
+
+        def fails_once(*args):
+            builds.append(args)
+            if len(builds) == 1:
+                raise RuntimeError("build failed")
+            return build(*args)
+
+        monkeypatch.setattr(module, name, fails_once)
+        _program(RateSystem.from_indices((1, 2), [1], [1.0]))  # another entry in the store
+        with pytest.raises(RuntimeError, match="build failed"):
+            call()
+        entry = dynamics._store[key_of(rates)]
+        assert key not in entry
+        assert dynamics._store.held == sum(e.cells for e in dynamics._store.values())
+        charge, charges = dynamics._charge, []
+
+        def counted(into, cells):
+            charges.append((into, cells))
+            charge(into, cells)
+
+        monkeypatch.setattr(dynamics, "_charge", counted)
+        value = call()
+        assert len(builds) == 2 and entry[key] is value
+        cells = value.cells if slot == "closed_form" else value[1].size
+        assert charges == [(entry, cells)]
+        assert call() is value and len(builds) == 2 and len(charges) == 1
+        assert dynamics._store.held == sum(e.cells for e in dynamics._store.values())
