@@ -271,7 +271,6 @@ class _Core:
         self.finer: np.ndarray | None = None
         self.mobius: np.ndarray | None = None
         self.block_masks: np.ndarray | None = None
-        self.first_sites: np.ndarray | None = None
         self.texts: str | None = None
         # the restriction table, and which of its rows are filled (None
         # once all are)
@@ -423,16 +422,6 @@ class Lattice:
         labels = np.asarray(labels, dtype=np.int64).reshape(-1, len(self.ground))
         return _lookup(labels)
 
-    def lookup_first_sites(self, first: np.ndarray) -> np.ndarray:
-        """Lattice index of each partition given as a (rows, n) array of the
-        position of the first site of each site's block (as in
-        ``first_sites``): a block's label is the number of blocks that
-        start before it, so the labels come from one running count of the
-        block starts, with no relabelling loop."""
-        starts = first == np.arange(first.shape[1])
-        labels = np.take_along_axis(np.cumsum(starts, axis=1) - 1, first.astype(np.intp), axis=1)
-        return np.searchsorted(self.codes, _encode(labels))
-
     def locate(self, partitions) -> np.ndarray:
         """Lattice index of each partition of the ground set, by its code;
         no ``Partition`` of the lattice is built."""
@@ -444,21 +433,6 @@ class Lattice:
                     row[at[x]] = j
             rows.append(row)
         return self.lookup(rows)
-
-    @property
-    def first_sites(self) -> np.ndarray:
-        """(B, n) position of the first site of each site's block: where the
-        running maximum of the labels steps up, the block of that label
-        starts."""
-        core = self._core
-        if core.first_sites is None:
-            lab = self.labels
-            starts = np.diff(np.maximum.accumulate(lab, axis=1), axis=1, prepend=-1) > 0
-            rows, sites = np.nonzero(starts)
-            first = np.zeros(lab.shape, dtype=np.int8)
-            first[rows, lab[rows, sites]] = sites
-            core.first_sites = np.take_along_axis(first, lab.astype(np.intp), axis=1)
-        return core.first_sites
 
     @property
     def finer(self) -> np.ndarray:

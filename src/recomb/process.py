@@ -22,12 +22,12 @@ and independent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from recomb.dynamics import RateSystem, _entry
-from recomb.partitions import Partition, ground_set, lattice
+from recomb.partitions import Partition, lattice
 
 __all__ = [
     "GENERATOR_NAME",
@@ -79,28 +79,6 @@ class EmpiricalDistribution:
         return {p: c / self.n_samples for p, c in self.counts.items()}
 
 
-@lru_cache(maxsize=None)
-def _text_rank(ground: tuple[int, ...]) -> np.ndarray:
-    """Rank of each partition of ground, in lattice order, among the texts
-    ``1,2|3`` of all of them (``Lattice.names``)."""
-    names = lattice(ground).names
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[np.argsort(np.array(names))] = np.arange(len(names))
-    return rank
-
-
-def _text_order(ground: tuple[int, ...]) -> np.ndarray:
-    """``_text_rank`` of the ground; grounds whose sites all have one
-    character share the rank of their size.  All texts of one ground hold
-    each name once and k - 1 separators, so they have one length and, since
-    ``,`` < digit < ``|``, with one character per site their order depends
-    on the positions only; a longer name, say 10, which sorts before 2,
-    shifts the characters after it."""
-    if len(ground) < 10 and all(0 <= x <= 9 for x in ground):
-        ground = ground_set(len(ground))
-    return _text_rank(ground)
-
-
 def _jump_table(rates: RateSystem, start: int):
     """``_build_jump_table`` of rates and start, kept in the entry of rates
     in the process store (``dynamics._entry``) at ``("jump", start)`` and
@@ -115,14 +93,13 @@ def _build_jump_table(rates: RateSystem, start: int):
     ``lattice(rates.ground)``: row s lists successors[indptr[s]:indptr[s +
     1]] and their cumulative rates.  Each block U of s is replaced by every
     rated proper partition of U at U's marginal rate; blocks in order, each
-    block's partitions sorted by text (``_text_order``).  Only states
-    reachable from start have rows, each found in the frontier round of its
-    first jump; every other row is empty.  A successor is written as the
-    first site of each site's block (``Lattice.first_sites``): its state's
-    row with U's sites taken from the split of U, whose first site is U's,
-    so the split's own blocks start where it says and every other block
-    keeps its start; its code follows from those starts
-    (``Lattice.lookup_first_sites``).
+    block's partitions in the order of U's lattice.  Only states reachable
+    from start have rows, each found in the frontier round of its first
+    jump; every other row is empty.  A successor is written as block
+    labels, its state's row with U's sites relabelled by the split: the
+    split's first block keeps U's label and its l-th block, l >= 1, takes
+    a new label, the state's block count plus l - 1, so every label stays
+    below n; ``Lattice.lookup`` finds it.
 
     Each entry is a distinct strict refinement (s, successor), so the table
     holds at most ``pair_count - size`` entries: 16,617,804 at ``MAX_SITES``
@@ -137,8 +114,8 @@ def _build_jump_table(rates: RateSystem, start: int):
         seen[frontier] = True
         masks = lat.block_masks[frontier]  # sites of block k
         row, k = np.nonzero(masks & (masks - 1))  # blocks of two or more sites
-        first_site = lat.first_sites[frontier]
-        pieces = [(row[:0],) * 2 + (first_site[:0], np.empty(0))]  # for a round with no split
+        labels = lat.labels[frontier]
+        pieces = [(row[:0],) * 2 + (labels[:0], np.empty(0))]  # for a round with no split
         sets = masks[row, k]
         by = np.argsort(sets)  # the blocks grouped by their sites
         us, firsts = np.unique(sets[by], return_index=True)
@@ -146,18 +123,20 @@ def _build_jump_table(rates: RateSystem, start: int):
             cols = np.flatnonzero(u & bits)
             sub = lattice(tuple(rates.ground[c] for c in cols))
             marg = rates.marginal(sub.ground)
-            j = np.flatnonzero(marg)
-            j = j[j != sub.top_index]
-            j = j[np.argsort(_text_order(sub.ground)[j])]
+            j = np.flatnonzero(marg[1:]) + 1  # the rated proper splits; 0 is the top
             at, rank = np.repeat(hit, j.size), np.tile(np.arange(j.size), hit.size)
-            new = first_site[row[at]]
-            new[:, cols] = cols[sub.first_sites[j]][rank]  # U's sites split as the j-th partition
-            pieces.append((frontier[row[at]], k[at], new, marg[j][rank]))
+            state, split = frontier[row[at]], sub.labels[j][rank]
+            new = labels[row[at]]
+            # U's sites split as the j-th partition: its block 0 keeps U's
+            # label, its block l >= 1 takes the state's block count + l - 1
+            fresh = lat.block_counts[state, None] - 1 + split
+            new[:, cols] = np.where(split == 0, k[at, None], fresh)
+            pieces.append((state, k[at], new, marg[j][rank]))
         state, position, new, rate = map(np.concatenate, zip(*pieces))
-        jumps.append((state, position, lat.lookup_first_sites(new), rate))
+        jumps.append((state, position, lat.lookup(new), rate))
         reached[jumps[-1][2]] = True
     state, position, successors, rate = map(np.concatenate, zip(*jumps))
-    order = np.lexsort((position, state))  # stable, so each block's splits stay in text order
+    order = np.lexsort((position, state))  # stable, so each block's splits stay in lattice order
     state, successors, rate = state[order], successors[order], rate[order]
     indptr = np.searchsorted(state, np.arange(lat.size + 1))
     # each row summed from its first entry, rows of one length in one cumsum

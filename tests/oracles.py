@@ -124,7 +124,8 @@ def finer_oracle(lat: Lattice) -> np.ndarray:
     ``Lattice.finer`` marks.  a refines b iff b's labels are constant on
     each block of a, that is, every site carries b's label of the first
     site of its a-block."""
-    lab, first = lat.labels, lat.first_sites
+    lab = lat.labels
+    first = np.array([[row.index(x) for x in row] for row in lab.tolist()])
     f = np.ones((lat.size, lat.size), dtype=bool)
     for s in range(1, lab.shape[1]):
         f &= (lab[:, first[:, s]] == lab[:, s, None]).T

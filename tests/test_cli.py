@@ -222,6 +222,30 @@ def assert_refused_before_output(capsys, out, word):
     assert not out.exists()
 
 
+# scenario files refused by a check of the loader that no other test
+# reaches, with the message each is refused with by every command
+LOADER_REFUSALS = {
+    "no-n": ({k: v for k, v in GENERIC_N3.items() if k != "n"}, "scenario needs a site count 'n'"),
+    "list-rates": (
+        {**GENERIC_N3, "rates": [["1|2|3", 0.5]]},
+        "rates must be a mapping of partition keys to numbers",
+    ),
+    "numeric-measure": (
+        {**GENERIC_N3, "initial_measure": 0.5},
+        "initial_measure must be a string spec or an inline tensor",
+    ),
+    "monte-carlo-without-seed": (
+        {**GENERIC_N3, "monte_carlo": {"samples": 100}},
+        "monte_carlo block needs samples and seed",
+    ),
+    "short-alphabet-sizes": (
+        {**GENERIC_N3, "alphabet_sizes": [2, 2]},
+        "alphabet_sizes must list one positive size per site",
+    ),
+    "json-array": ([GENERIC_N3], "scenario file must hold a JSON object"),
+}
+
+
 # each kind of bad rate key on three sites, with the message it is refused
 # with; a duplicate is named in the blocks' sorted order, not as written
 BAD_RATE_KEYS = {
@@ -488,6 +512,25 @@ class TestSimulateCommand:
         doc = {k: v for k, v in GENERIC_N3.items() if k != "monte_carlo"}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_outputs_list_partitions_by_text(self, tmp_path):
+        # every partition of four sites rated, so the chain reaches all 15;
+        # 1,4|2|3 sorts before 1|2,3,4 by text, after it in lattice order
+        names = list(lattice(ground_set(4)).names)
+        assert names.index("1|2,3,4") < names.index("1,4|2|3")
+        doc = {
+            "n": 4,
+            "rates": {name: 0.2 for name in names},
+            "time_grid": {"start": 0, "end": 1.0, "points": 2},
+            "monte_carlo": {"samples": 20_000, "seed": 5, "t": 1.0},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+        with open(tmp_path / "sim" / "empirical.csv", newline="") as fh:
+            rows = [row[0] for row in list(csv.reader(fh))[1:]]
+        report = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert rows == list(report["monte_carlo"]["frequencies"]) == sorted(names)
 
 
 class TestCompareCommand:
@@ -1209,6 +1252,39 @@ class TestScenarioValidation:
         assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"configuration error: cannot read scenario {cfg}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "integrate", "simulate", "compare"])
+    @pytest.mark.parametrize("doc, message", LOADER_REFUSALS.values(), ids=LOADER_REFUSALS)
+    def test_loader_refusal_one_line(self, tmp_path, capsys, command, doc, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["integrate", "compare"])
+    def test_measure_file_on_other_sites_one_line(self, tmp_path, capsys, command):
+        # a uniform measure on two sites, for a scenario of three
+        measure_to_csv(Measure(TypeSpace.regular(2, 2), np.full((2, 2), 0.25)), tmp_path / "m.csv")
+        cfg = write_config(tmp_path, {**GENERIC_N3, "initial_measure": "file:m.csv"})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: measure file space TypeSpace(sites=(1, 2), sizes=(2, 2)) "
+            "does not match the scenario\n"
+        )
+        assert not out.exists()
+
+    def test_tv_tolerance_override_gates_compare(self, tmp_path):
+        # a gate of 0.0 in place of max(0.01, 5 sqrt(B / N)): no sample of
+        # 20,000 meets it, so only the Monte Carlo check fails
+        cfg = write_config(tmp_path, {**GENERIC_N3, "tolerances": {"monte_carlo_tv": 0.0}})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 4
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["monte_carlo"]["gate"] == 0.0 and report["monte_carlo"]["tv"] > 0.0
+        assert report["monte_carlo"]["pass"] is False and report["pass"] is False
+        assert report["closed_vs_integrated"]["pass"] and report["measure_vs_mixture"]["pass"]
 
 
 class TestCsvFormat:

@@ -7,8 +7,10 @@ under ``compare``), not committed here as expected failures."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from recomb import dynamics, process
 from recomb.cli import main
 from recomb.scenario import Scenario
 
@@ -49,3 +51,27 @@ def test_rk4_at_four_times_the_default_step(name, tmp_path):
     assert code == 4 and report["pass"] is False
     assert check["pass"] is False
     assert check["max"] > report["tolerances"]["closed_vs_integrated"]
+
+
+def test_start_row_successors_rolled_by_one(tmp_path, monkeypatch):
+    # each successor of the start takes its neighbour's rate: on n3_generic
+    # the Monte Carlo tv reads 0.082 against the 0.035 gate
+    build = process._build_jump_table
+
+    def rolled(rates, start):
+        indptr, successors, cumulative = build(rates, start)
+        row = slice(indptr[start], indptr[start + 1])
+        successors = successors.copy()
+        successors[row] = np.roll(successors[row], 1)
+        return indptr, successors, cumulative
+
+    cfg = scenario_file("n3_generic", tmp_path)
+    code, report = compare(cfg, tmp_path / "default")
+    assert code == 0 and report["monte_carlo"]["pass"] is True
+    dynamics._store.clear()  # the table of the default run is kept
+    monkeypatch.setattr(process, "_build_jump_table", rolled)
+    code, report = compare(cfg, tmp_path / "faulty")
+    check = report["monte_carlo"]
+    assert code == 4 and report["pass"] is False
+    assert check["pass"] is False
+    assert check["tv"] > check["gate"]

@@ -26,7 +26,6 @@ from recomb.partitions import (
     lattice,
     parse_partition,
 )
-from recomb.process import _text_rank
 from recomb.scenario import Scenario
 
 from conftest import benchmark_scenario, random_rates
@@ -58,13 +57,6 @@ class TestNames:
     def test_names_of_any_width(self, ground):
         lat = lattice(ground)
         assert list(lat.names) == [str(p) for p in lat.parts]
-
-    @pytest.mark.parametrize(
-        "ground", [ground_set(4), ground_set(7), (3, 9, 10, 12), (1, 2, 5, 10), (-3, -1, 0, 4)]
-    )
-    def test_text_rank_sorts_the_names(self, ground):
-        names = lattice(ground).names
-        assert np.argsort(_text_rank(ground)).tolist() == sorted(range(len(names)), key=names.__getitem__)
 
 
 class TestLookupByCode:
