@@ -23,7 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from recomb.dynamics import (
     integrate_measure,
     mixtures,
     rk4_plan,
+    rk4_row,
 )
 from recomb.measures import MAX_STATES
 from recomb.partitions import MAX_SITES, bell_number, count_two_block, ground_set, lattice
@@ -119,18 +120,20 @@ def _linear_regime(scenario: Scenario) -> bool:
     )
 
 
-def _check_substeps(scenario: Scenario, grid, measure: bool = False) -> None:
+def _check_substeps(scenario: Scenario, grid, measure: bool = False) -> np.ndarray:
     """Refuse an integration over grid that would take more than
     MAX_SUBSTEPS RK4 substeps, whose coefficient program (and measure
     program, if measure) would hold more than MAX_STATES cell indices, or
     whose right-hand sides would visit more than MAX_RK4_WORK cell indices,
-    before any of it runs."""
+    before any of it runs.  Return the coefficient system's substeps per
+    grid interval."""
     try:
-        rk4_plan(scenario.rates, grid, scenario.step)
+        substeps = rk4_plan(scenario.rates, grid, scenario.step)[2]
         if measure and scenario.initial_measure is not None:
             rk4_plan(scenario.rates, grid, scenario.step, scenario.space)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    return substeps
 
 
 def _check_closed_form(scenario: Scenario) -> None:
@@ -282,9 +285,6 @@ def cmd_compare(args) -> int:
         "tolerances": {"closed_vs_integrated": tol},
     }
 
-    integrate = partial(
-        integrate_coefficients, scenario.rates, CoefficientVector.delta_top(g), step=scenario.step
-    )
     sol = None
     try:
         sol = build_closed_form(scenario.rates)
@@ -292,15 +292,13 @@ def cmd_compare(args) -> int:
     except DegeneracyError as exc:
         report["degeneracy"] = exc.report.to_json_dict()
         report["fallback"] = "numerical"
-    # the Monte Carlo reference comes from the closed form, else from RK4
-    route = integrate if sol is None else partial(sol.evaluate, g)
 
-    _check_substeps(scenario, grid, measure=True)
+    substeps = _check_substeps(scenario, grid, measure=True)
     if scenario.monte_carlo is not None:
         t = scenario.mc_time()
         ref_grid = np.array([0.0, t]) if t > 0 else np.array([0.0])
         if sol is None:
-            _check_substeps(scenario, ref_grid)
+            count = _check_substeps(scenario, ref_grid).sum()
     omega0 = scenario.build_measure()
     out = _out_dir(args)
 
@@ -326,8 +324,17 @@ def cmd_compare(args) -> int:
         samples, seed = scenario.monte_carlo.samples, scenario.monte_carlo.seed
         dist = estimate_distribution(scenario.rates, t, samples, seed)
         gate = scenario.tolerances.tv_gate(lat.size, samples)
+        # the reference at t: the closed form; else the row of the RK4 run
+        # above that is bit for bit a run over [0, t] alone; else that run
+        if sol is not None:
+            ref = sol.evaluate(g, ref_grid).values[-1]
+        elif (j := rk4_row(grid, substeps, t, count)) is not None:
+            ref = traj.values[j]
+        else:
+            a0 = CoefficientVector.delta_top(g)
+            ref = integrate_coefficients(scenario.rates, a0, ref_grid, step=scenario.step).values[-1]
         # total variation to the reference, summed in lattice order
-        tv = 0.5 * float(np.abs(dist.tally / samples - route(ref_grid).values[-1]).sum())
+        tv = 0.5 * float(np.abs(dist.tally / samples - ref).sum())
         report["monte_carlo"] = {
             "t": t,
             "samples": samples,

@@ -351,10 +351,17 @@ class _TrieProgram:
         # each part's mass is summed from its own slice, as alone (the ufunc
         # ndarray.sum calls): one np.add.reduceat would start each sum at its
         # first entry, not at 0, and pair the terms differently
-        mass = np.array([np.add.reduce(vec[part]) for part in self.slices])
-        live = mass > 0.0
-        # unit mass first, as in measures.recombinator; a part whose mass
-        # is not positive reads zeros and gains nothing
+        mass = [np.add.reduce(vec[part]) for part in self.slices]
+        # unit mass first, as in measures.recombinator: one part is scaled
+        # by its mass, stacked parts by their masses taken by state
+        if all(m > 0.0 for m in mass):
+            scale = mass[0] if len(mass) == 1 else np.array(mass).take(self.state_part)
+            gain = self.gain(self.marginals(vec / scale))
+            gain *= scale
+            out += gain
+            return out
+        # a part whose mass is not positive reads zeros and gains nothing
+        live = np.array(mass) > 0.0
         scale = np.where(live, mass, np.inf)[self.state_part]
         gain = self.gain(self.marginals(vec / scale))
         held = live[self.state_part]
@@ -957,6 +964,22 @@ def _rk4(rhs, y0: np.ndarray, grid: np.ndarray, substeps: np.ndarray) -> np.ndar
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
     return out
+
+
+def rk4_row(grid: np.ndarray, substeps: np.ndarray, t: float, count: float) -> int | None:
+    """The index j of the row of ``_rk4`` over grid, in substeps, that is
+    bit for bit its result over [0, t] alone in count substeps, or None.
+
+    The system is autonomous, so a row depends on the start and on the
+    lengths of the substeps taken before it alone.  Row j is that result
+    when grid[j] is t, the substeps before it number count and each of them,
+    ``(grid[k + 1] - grid[k]) / substeps[k]``, is t / count long."""
+    j = int(np.searchsorted(grid, t))
+    if j == grid.size or grid[j] != t or substeps[:j].sum() != count:
+        return None
+    if j and not (np.diff(grid[: j + 1]) / substeps[:j] == t / count).all():
+        return None
+    return j
 
 
 @dataclass

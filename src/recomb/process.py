@@ -11,10 +11,12 @@ The chain's state is an index into ``lattice(rates.ground)``.  One jump loop,
 ``_final_indices``, samples it by the direct method: an exponential waiting
 time at the state's exit rate, then a successor drawn from a CSR jump table
 over the states reachable from the start, which is built once per start,
-kept in the process store (``dynamics._entry``) and passed in.  All replicates
-advance together, in blocks of 4096, one vectorised waiting-time and jump
-round at a time; every jump strictly refines, so n sites take at most n - 1
-rounds.  The generator is
+kept in the process store (``dynamics._entry``) and passed in.  From it each
+call builds per-state tables: whether the state has a row, the row's first
+and last entry, the exit rate and its reciprocal.  All replicates advance
+together, in blocks of 4096, one vectorised waiting-time and jump round at a
+time, each round gathering from those tables by state; every jump strictly
+refines, so n sites take at most n - 1 rounds.  The generator is
 counter-based (numpy Philox), so seeded replicate streams are reproducible
 and independent by construction.
 """
@@ -160,24 +162,31 @@ def _final_indices(table, i: int, t_end: float, n: int, rng: np.random.Generator
     t_end, a successor with probability proportional to its rate.  A state
     without successors is absorbing and retires without a draw.  Every jump
     strictly refines, so a block takes at most one round fewer than there
-    are sites.  The successor is found by ``_row_search``, and the arrays of
-    the live replicates are compressed through one index array per mask."""
+    are sites.  What a round reads of a state comes from tables built once
+    per call, indexed by state: whether it has a row, its row's first and
+    last entry, its exit rate (the row total) and that rate's reciprocal.
+    The successor is found by ``_row_search``, and the arrays of the live
+    replicates are compressed through one index array per mask."""
     indptr, successors, cumulative = table
-    starts, stops = indptr[:-1], indptr[1:]
+    lo, last = indptr[:-1], indptr[1:] - 1
+    moving = lo <= last
+    total = np.zeros(lo.size)
+    total[moving] = cumulative[last[moving]]
+    with np.errstate(over="ignore", divide="ignore"):  # subnormal total: infinite wait
+        wait = 1.0 / total  # read only where moving
     ends = np.full(n, i, dtype=np.intp)
     for first in range(0, n, _BLOCK):
         block = ends[first : first + _BLOCK]  # a view: jumps write into ends
         live, state, clock = np.arange(block.size), block, np.zeros(block.size)
         while live.size:
-            lo, last = starts.take(state), stops.take(state) - 1
-            keep = np.flatnonzero(lo <= last)
-            live, clock, lo, last = (a.take(keep) for a in (live, clock, lo, last))
-            total = cumulative.take(last)
-            with np.errstate(over="ignore", invalid="ignore"):  # subnormal total: infinite wait
-                clock += rng.standard_exponential(keep.size) * (1.0 / total)
+            keep = np.flatnonzero(moving.take(state))
+            live, clock, state = (a.take(keep) for a in (live, clock, state))
+            with np.errstate(over="ignore", invalid="ignore"):  # a draw times an infinite wait
+                clock += rng.standard_exponential(keep.size) * wait.take(state)
             keep = np.flatnonzero(clock <= t_end)
-            live, clock, lo, last, total = (a.take(keep) for a in (live, clock, lo, last, total))
-            state = successors.take(_row_search(cumulative, lo, last, rng.random(keep.size) * total))
+            live, clock, state = (a.take(keep) for a in (live, clock, state))
+            u = rng.random(keep.size) * total.take(state)
+            state = successors.take(_row_search(cumulative, lo.take(state), last.take(state), u))
             block[live] = state
     return ends
 

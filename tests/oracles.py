@@ -227,6 +227,24 @@ def trie_rhs(prog, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def rhs_oracle(prog, vec: np.ndarray) -> np.ndarray:
+    """The right-hand side of a bound trie program with every part masked:
+    the masses in one array, the scale gathered by state, and the gain
+    scaled and added only where the state's part has positive mass.  Kept
+    as the bitwise reference for ``_TrieProgram.rhs``, whose unmasked path
+    serves input where every part has positive mass."""
+    out = -prog.loss * vec
+    if not prog.levels:
+        return out
+    mass = np.array([np.add.reduce(vec[part]) for part in prog.slices])
+    live = mass > 0.0
+    scale = np.where(live, mass, np.inf)[prog.state_part]
+    gain = prog.gain(prog.marginals(vec / scale))
+    held = live[prog.state_part]
+    np.multiply(gain, scale, out=gain, where=held)
+    return np.add(out, gain, out=out, where=held)
+
+
 # closed form ---------------------------------------------------------------
 
 _DIAG_TOL = 1e-12

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from recomb import cli
-from recomb.dynamics import rk4_plan
+from recomb.dynamics import rk4_plan, rk4_row
 from recomb.scenario import Scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,15 +56,20 @@ def test_every_layer_metric_reported_on_shipped_scenarios(tmp_path):
     assert layers["process.mc_s"] > 0 and layers["process.sample_us"] > 0
 
     # every shipped scenario has a measure: one joint RK4 run each, whose
-    # evaluations count once, plus the Monte Carlo reference RK4 of the
-    # degenerate scenario, which has no closed form
+    # evaluations count once.  The degenerate scenario has no closed form,
+    # and its Monte Carlo reference is a row of that run: t = 1.0 is a grid
+    # time reached in 20 + 20 substeps of 0.025, as a run over [0, 1] alone
+    # would take them, so no reference RK4 runs
     evals = 0
     for path in SHIPPED:
         scenario = Scenario.from_file(path)
         assert scenario.initial_measure is not None
-        evals += 4 * int(rk4_plan(scenario.rates, scenario.grid.array(), scenario.step)[2].sum())
+        grid = scenario.grid.array()
+        substeps = rk4_plan(scenario.rates, grid, scenario.step)[2]
+        evals += 4 * int(substeps.sum())
         if path.stem == "n4_bad_degenerate":
-            reference = [0.0, scenario.mc_time()]
-            evals += 4 * int(rk4_plan(scenario.rates, reference, scenario.step)[2].sum())
+            t = scenario.mc_time()
+            count = rk4_plan(scenario.rates, [0.0, t], scenario.step)[2].sum()
+            assert rk4_row(grid, substeps, t, count) is not None
     assert layers["dynamics.measure_rk4_s"] > 0
     assert layers["dynamics.rhs_evals"] == evals

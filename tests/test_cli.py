@@ -17,7 +17,7 @@ import recomb
 import recomb.cli as cli
 import recomb.dynamics as dynamics
 from recomb.cli import main
-from recomb.dynamics import default_step, program_cells, rk4_plan
+from recomb.dynamics import default_step, program_cells, rk4_plan, rk4_row
 from recomb.measures import Measure, TypeSpace
 from recomb.partitions import MAX_SITES, Lattice, Partition
 from recomb.scenario import Scenario, ScenarioError
@@ -590,6 +590,68 @@ class TestCompareCommand:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 4
+
+
+class TestFallbackReference:
+    """Without a closed form, compare takes the Monte Carlo reference at t
+    from the coefficient trajectory it has integrated when that row is bit
+    for bit a run over [0, t] alone (``dynamics.rk4_row``), and integrates
+    [0, t] once otherwise."""
+
+    @staticmethod
+    def reference_runs(monkeypatch):
+        """The grid of each integrate_coefficients call compare makes."""
+        grids, real = [], cli.integrate_coefficients
+
+        def counted(rates, a0, grid, step=None):
+            grids.append(np.asarray(grid).tolist())
+            return real(rates, a0, grid, step=step)
+
+        monkeypatch.setattr(cli, "integrate_coefficients", counted)
+        return grids
+
+    @staticmethod
+    def reference_row(doc):
+        scenario = Scenario.from_dict(doc)
+        grid, t = scenario.grid.array(), scenario.mc_time()
+        substeps = rk4_plan(scenario.rates, grid, scenario.step)[2]
+        count = rk4_plan(scenario.rates, [0.0, t] if t > 0 else [0.0], scenario.step)[2].sum()
+        return rk4_row(grid, substeps, t, count), substeps[: np.searchsorted(grid, t)].sum(), count
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.0], ids=["shipped", "inner-grid-time", "start"])
+    def test_row_reused_byte_for_byte(self, tmp_path, monkeypatch, t):
+        doc = json.loads((SCENARIO_DIR / "n4_bad_degenerate.json").read_text())
+        doc["monte_carlo"]["t"] = t
+        assert self.reference_row(doc)[0] is not None
+        cfg = write_config(tmp_path, doc)
+        grids = self.reference_runs(monkeypatch)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "row")]) == 0
+        assert grids == []
+        monkeypatch.setattr(cli, "rk4_row", lambda *args: None)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert grids == [[0.0, t] if t > 0 else [0.0]]
+        row, run = (tmp_path / d / "comparison.json" for d in ("row", "run"))
+        assert row.read_bytes() == run.read_bytes()
+
+    @pytest.mark.parametrize(
+        "grid, step, t, same_count",
+        [
+            # t = 1 is a grid time reached in 5 + 5 + 5 substeps, as many as
+            # a run over [0, 1] alone takes, but (1 - 2/3) / 5 is not 1 / 15
+            ({"start": 0, "end": 1.0, "points": 4}, 0.07, 1.0, True),
+            ({"start": 0, "end": 1.0, "points": 3}, None, 0.7, False),
+        ],
+        ids=["other-substep-lengths", "off-the-grid"],
+    )
+    def test_reference_integrated_once(self, tmp_path, monkeypatch, grid, step, t, same_count):
+        doc = {**BAD_DEGENERATE_N4, "time_grid": grid, "step": step}
+        doc["monte_carlo"] = {**BAD_DEGENERATE_N4["monte_carlo"], "t": t}
+        row, before, count = self.reference_row(doc)
+        assert row is None and bool(before == count) == same_count
+        cfg = write_config(tmp_path, doc)
+        grids = self.reference_runs(monkeypatch)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert grids == [[0.0, t]]
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

@@ -486,6 +486,46 @@ class TestIntegration:
         rates = random_rates(3, seed=30, total=5.0)
         assert default_step(rates, 10.0) == pytest.approx(0.05 / 5.0)
 
+    @pytest.mark.parametrize(
+        "grid, step",
+        [
+            (np.linspace(0, 1, 3), None),
+            (np.linspace(0, 1, 4), 0.07),
+            (np.linspace(0, 2, 9), 0.05),
+            (np.array([0.0, 0.3, 1.0]), 0.1),
+            (np.array([0.0, 0.25, 0.5, 1.5]), 0.125),
+        ],
+    )
+    def test_rk4_row_is_the_run_alone(self, grid, step):
+        # wherever rk4_row names a row, it is the run over [0, t] alone bit
+        # for bit; it names every grid time of the equal substeps of 0.125
+        rates = random_rates(4, seed=33, total=1.0)
+        a0 = CoefficientVector.delta_top(rates.ground)
+        g, _, substeps = rk4_plan(rates, grid, step)
+        run = integrate_coefficients(rates, a0, g, step=step).values
+        rows = []
+        for t in (*g.tolist(), 0.7):
+            ref = [0.0, t] if t > 0 else [0.0]
+            j = dynamics.rk4_row(g, substeps, t, rk4_plan(rates, ref, step)[2].sum())
+            if j is not None:
+                assert g[j] == t
+                np.testing.assert_array_equal(run[j], integrate_coefficients(rates, a0, ref, step=step).values[-1])
+                rows.append(j)
+        assert rows[:1] == [0]
+        if step == 0.125:
+            assert rows == list(range(g.size))
+
+    def test_rk4_row_refuses_other_substep_lengths(self):
+        # 0, 0.3 and 1 at step 0.1 take 3 + 7 substeps, as [0, 1] alone
+        # takes 10, but 0.3 / 3 is not 0.1 in floats
+        rates = random_rates(3, seed=34, total=1.0)
+        g, _, substeps = rk4_plan(rates, [0.0, 0.3, 1.0], 0.1)
+        count = rk4_plan(rates, [0.0, 1.0], 0.1)[2].sum()
+        assert substeps.tolist() == [3.0, 7.0] and count == 10.0
+        assert dynamics.rk4_row(g, substeps, 1.0, count) is None
+        assert dynamics.rk4_row(g, substeps, 1.0, 10.0 + 1) is None
+        assert dynamics.rk4_row(g, substeps, 2.0, 20.0) is None
+
     def test_negative_initial_rejected(self):
         g = ground_set(2)
         rates = random_rates(2, seed=31)
@@ -1033,9 +1073,18 @@ def assert_same_bits(got, want):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def assert_rhs_oracles(prog, vec):
+    got = prog.rhs(vec)
+    assert_same_bits(got, oracles.trie_rhs(prog, vec))
+    assert_same_bits(got, oracles.rhs_oracle(prog, vec))
+
+
 class TestTrieRhs:
     """``_TrieProgram.rhs`` against the per-part loop it replaced
-    (``oracles.trie_rhs``), bit for bit and sign of zero included."""
+    (``oracles.trie_rhs``) and against the masked body it replaced
+    (``oracles.rhs_oracle``), bit for bit and sign of zero included: an
+    unmasked path serves input where every part has positive mass, the
+    masked one all other input."""
 
     @pytest.mark.parametrize(
         "name",
@@ -1049,8 +1098,7 @@ class TestTrieRhs:
         progs = [_program(rates, None, space), _program(rates), _program(rates, space)]
         for prog in progs:
             for _ in range(3):
-                vec = rng.random(prog.parts[-1][1])
-                assert_same_bits(prog.rhs(vec), oracles.trie_rhs(prog, vec))
+                assert_rhs_oracles(prog, rng.random(prog.parts[-1][1]))
         stacked = progs[0]
         a = rng.random(width)
         w = rng.random(space.n_states)
@@ -1067,7 +1115,21 @@ class TestTrieRhs:
             zeros,
             -zeros,
         ):
-            assert_same_bits(stacked.rhs(vec), oracles.trie_rhs(stacked, vec))
+            assert_rhs_oracles(stacked, vec)
+
+    @pytest.mark.parametrize("name", ["n3_generic", "n4_bad_degenerate", "dense-n6-101"])
+    def test_single_part_without_positive_mass(self, name):
+        # a zero, a signed zero and a negative mass each take the masked
+        # path: -loss * vec, gaining nothing
+        scenario = named_scenario(name)
+        rng = np.random.default_rng(len(name) + 1)
+        for prog in (_program(scenario.rates), _program(scenario.rates, scenario.space)):
+            x = rng.random(prog.parts[-1][1])
+            signed = x.copy()
+            signed[::2] = -0.0
+            for vec in (0.0 * x, -0.0 * x, -x, signed - 2 * x.sum() * (x == x.max())):
+                assert_rhs_oracles(prog, vec)
+                np.testing.assert_array_equal(prog.rhs(vec), -prog.loss * vec)
 
     def test_top_only_program(self):
         space = mixed_space(4)
@@ -1076,7 +1138,7 @@ class TestTrieRhs:
         assert not prog.levels
         vec = np.random.default_rng(3).random(prog.parts[-1][1])
         vec[::2] = -0.0
-        assert_same_bits(prog.rhs(vec), oracles.trie_rhs(prog, vec))
+        assert_rhs_oracles(prog, vec)
 
 
 

@@ -1,6 +1,8 @@
 import math
+import warnings
 from bisect import bisect_right
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from recomb.process import (
     estimate_distribution,
     make_rng,
 )
+from recomb.scenario import Scenario
 
 from conftest import random_rates
 from oracles import decay_rate, is_refinement, simulate_path, transition_product_check, tv_distance
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 
 
 def splitting_rate_oracle(rates, u):
@@ -280,6 +285,47 @@ class TestRowSearch:
         tally = np.bincount(bisection_final_indices(table, lat.top_index, 2.0, n_samples, make_rng(61)))
         expected = {lat.parts[j]: int(tally[j]) for j in np.flatnonzero(tally)}
         assert estimate_distribution(rates, 2.0, n_samples, seed=61).counts == expected
+
+
+def assert_draw_for_draw(rates, t, n, seed):
+    """_final_indices from the top equals bisection_final_indices, and both
+    leave their generator at the same point of its stream."""
+    top = lattice(rates.ground).top_index
+    table = _jump_table(rates, top)
+    rngs = make_rng(seed), make_rng(seed)
+    got = _final_indices(table, top, t, n, rngs[0])
+    assert np.array_equal(got, bisection_final_indices(table, top, t, n, rngs[1]))
+    assert rngs[0].random() == rngs[1].random()
+    return got
+
+
+class TestFinalIndices:
+    """The sampler reads per-state tables built from the jump table and
+    draws what the bisection reference draws, in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+    def test_shipped_rates_at_their_t_and_at_zero(self, name):
+        scenario = Scenario.from_file(SCENARIOS / f"{name}.json")
+        t = scenario.grid.end if scenario.monte_carlo is None else scenario.mc_time()
+        assert_draw_for_draw(scenario.rates, t, 2 * _BLOCK + 7, seed=len(name))
+        top = lattice(scenario.rates.ground).top_index
+        assert (assert_draw_for_draw(scenario.rates, 0.0, _BLOCK + 1, seed=5) == top).all()
+
+    @pytest.mark.parametrize(
+        "n, rates, absorbed",
+        [
+            (2, {"1|2": 5e-324}, "1,2"),
+            # the top row sums to 1, the row of 1|2,3 to 5e-324
+            (3, {"1|2,3": 1.0, "1|2|3": 5e-324}, "1|2,3"),
+        ],
+        ids=["start", "after-a-jump"],
+    )
+    def test_subnormal_exit_rate_waits_forever_quietly(self, n, rates, absorbed):
+        rates = RateSystem.from_strings(ground_set(n), rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = assert_draw_for_draw(rates, 1e300, _BLOCK + 3, seed=9)
+        assert (got == lattice(rates.ground).names.index(absorbed)).all()
 
 
 class TestTextOrder:
